@@ -368,7 +368,7 @@ def build_parser() -> _Parser:
     p.add_argument("--normalize", action="store_true")
     p.set_defaults(handler=_cmd_eval)
 
-    p = sub.add_parser("exact", help="optimal schedule by exhaustive enumeration")
+    p = sub.add_parser("exact", help="optimal schedule by pruned exact search")
     p.add_argument("--data", required=True)
     p.add_argument("--alpha", type=float, default=0.0)
     p.add_argument("--normalize", action="store_true")

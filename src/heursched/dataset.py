@@ -61,8 +61,9 @@ class Observation:
                 raise InputError(
                     f"iterations_to_solution ({tau}) exceeds iterations_executed "
                     f"({self.iterations_executed}) for ({self.heuristic}, {self.node})")
-        if self.duration_seconds is not None and self.duration_seconds < 0:
-            raise InputError(f"duration_seconds must be nonnegative, got {self.duration_seconds!r}")
+        duration = self.duration_seconds
+        if duration is not None and not (math.isfinite(duration) and duration >= 0):
+            raise InputError(f"duration_seconds must be finite and nonnegative, got {duration!r}")
 
     @property
     def succeeded(self) -> bool:
@@ -100,14 +101,10 @@ class Dataset:
     @classmethod
     def from_observations(cls, observations) -> "Dataset":
         """Build a dataset registering ids in first-appearance order."""
-        heuristics: list[str] = []
-        nodes: list[str] = []
-        for obs in observations:
-            if obs.heuristic not in heuristics:
-                heuristics.append(obs.heuristic)
-            if obs.node not in nodes:
-                nodes.append(obs.node)
-        return cls(tuple(heuristics), tuple(nodes), tuple(observations))
+        observations = tuple(observations)
+        heuristics = tuple(dict.fromkeys(obs.heuristic for obs in observations))
+        nodes = tuple(dict.fromkeys(obs.node for obs in observations))
+        return cls(heuristics, nodes, observations)
 
     def observation(self, heuristic: str, node: str) -> Observation | None:
         self._require_heuristic(heuristic)
@@ -157,8 +154,9 @@ class IterationCostProfile:
 
     def __post_init__(self) -> None:
         for heuristic, cost in self.seconds_per_iteration.items():
-            if cost <= 0:
-                raise InputError(f"iteration cost for {heuristic!r} must be positive, got {cost!r}")
+            if not (math.isfinite(cost) and cost > 0):
+                raise InputError(
+                    f"iteration cost for {heuristic!r} must be finite and positive, got {cost!r}")
 
     def __getitem__(self, heuristic: str) -> float:
         try:
@@ -192,8 +190,6 @@ def load_dataset(source: str) -> Dataset:
     call; an empty duration means the duration was not tracked.  Lines
     starting with ``#`` are comments.  Fields are never quoted.
     """
-    heuristics: list[str] = []
-    nodes: list[str] = []
     observations: list[Observation] = []
     seen: set[tuple[str, str]] = set()
     header_found = False
@@ -231,14 +227,10 @@ def load_dataset(source: str) -> Dataset:
         if (heuristic, node) in seen:
             raise InputError(f"line {lineno}: duplicate row for pair ({heuristic}, {node})")
         seen.add((heuristic, node))
-        if heuristic not in heuristics:
-            heuristics.append(heuristic)
-        if node not in nodes:
-            nodes.append(node)
         observations.append(obs)
     if not header_found:
         raise InputError("dataset is missing its header line")
-    return Dataset(tuple(heuristics), tuple(nodes), tuple(observations))
+    return Dataset.from_observations(observations)
 
 
 def dump_dataset(d: Dataset) -> str:

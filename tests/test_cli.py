@@ -185,3 +185,13 @@ def test_exit_codes(tmp_path, monkeypatch, capsys):
     worked.write_text(WORKED_CSV, encoding="utf-8")
     assert dispatch(["build", "--data", str(worked)]) == 2
     capsys.readouterr()
+
+
+def test_non_finite_duration_exits_cleanly(tmp_path, capsys):
+    data = tmp_path / "nan.csv"
+    data.write_text("heuristic,node,iterations_to_solution,iterations_executed,duration_seconds\n"
+                    "h,n,1,1,nan\n", encoding="utf-8")
+    assert dispatch(["build", "--data", str(data)]) == 1
+    err = capsys.readouterr().err
+    assert "line 2: duration_seconds must be finite" in err
+    assert "Traceback" not in err

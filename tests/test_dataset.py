@@ -4,8 +4,8 @@ import random
 
 import pytest
 
-from heursched import (Dataset, InputError, Observation, avg_iteration_cost,
-                       breakpoints, dump_dataset, load_dataset)
+from heursched import (Dataset, InputError, IterationCostProfile, Observation,
+                       avg_iteration_cost, breakpoints, dump_dataset, load_dataset)
 
 from conftest import WORKED_CSV, random_dataset
 
@@ -51,6 +51,8 @@ def test_duplicate_pair_names_the_pair():
     ("h1,N1,x,2,", "integer"),
     ("h1,N1,1,zero,", "integer"),
     ("h1,N1,1,1,-2.0", "nonnegative"),
+    ("h,n,1,1,nan", "finite"),
+    ("h,n,1,1,inf", "finite"),
     ("h1,N1,0,1,", "positive"),
     ("h1,N1,1,0,", "positive"),
     ("h1,N1,1,1", "5 fields"),
@@ -61,6 +63,27 @@ def test_bad_rows_report_line_number(bad_row, fragment):
     with pytest.raises(InputError, match="line 2") as excinfo:
         load_dataset(text)
     assert fragment in str(excinfo.value)
+
+
+@pytest.mark.parametrize("cost", [float("nan"), float("inf"), 0.0, -1.0])
+def test_iteration_cost_must_be_finite_and_positive(cost):
+    with pytest.raises(InputError, match="finite and positive"):
+        IterationCostProfile({"h": cost})
+
+
+def test_registration_follows_first_appearance():
+    text = ("heuristic,node,iterations_to_solution,iterations_executed,duration_seconds\n"
+            "h2,N3,1,1,\n"
+            "h1,N1,inf,2,\n"
+            "h2,N1,2,2,\n"
+            "h1,N3,inf,2,\n"
+            "h3,N2,1,1,\n")
+    d = load_dataset(text)
+    assert d.heuristics == ("h2", "h1", "h3")
+    assert d.nodes == ("N3", "N1", "N2")
+    rebuilt = Dataset.from_observations(iter(d.observations))
+    assert (rebuilt.heuristics, rebuilt.nodes) == (d.heuristics, d.nodes)
+    assert rebuilt.observations == d.observations
 
 
 def test_header_required_and_comments_ignored():

@@ -1,13 +1,93 @@
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from heursched import (Dataset, ExactLimits, GreedyOptions, InputError, Observation,
-                       Schedule, build_schedule, candidate_count, evaluate, solve_exact)
+                       Schedule, breakpoints, build_schedule, candidate_count, evaluate,
+                       load_dataset, solve_exact)
+from heursched.schedule import replay_node, replay_tables
 
 from conftest import random_dataset
+
+
+def enumerate_exact(d, alpha, normalize=False):
+    """Reference oracle: replay every candidate schedule from scratch.
+
+    Same candidates, objective summation and tie-break key as
+    ``solve_exact``, without any pruning.
+    """
+    budgets_of = {h: breakpoints(d, h) for h in d.heuristics}
+    usable = [h for h in d.heuristics if budgets_of[h]]
+    registration = {h: i for i, h in enumerate(d.heuristics)}
+    tables = replay_tables(d, None, normalize)
+    best_key = best = None
+    candidates = [()]
+    for k in range(1, len(usable) + 1):
+        for combo in itertools.combinations(usable, k):
+            for perm in itertools.permutations(combo):
+                for budgets in itertools.product(*(budgets_of[h] for h in perm)):
+                    candidates.append(tuple(zip(perm, budgets)))
+    for entries in candidates:
+        objective = 0
+        solved = 0
+        for node in d.nodes:
+            position, cost = replay_node(entries, tables, node)
+            objective += cost
+            if position is not None:
+                solved += 1
+        rate = solved / len(d.nodes) if d.nodes else 1.0
+        if rate < alpha:
+            continue
+        key = (objective, len(entries),
+               tuple(registration[h] for h, _ in entries),
+               tuple(b for _, b in entries))
+        if best_key is None or key < best_key:
+            best_key = key
+            best = (entries, objective)
+    return best
+
+
+@st.composite
+def small_datasets(draw):
+    """Up to 4 heuristics x 6 nodes; each pair unobserved, failed or solved."""
+    n_heuristics = draw(st.integers(1, 4))
+    n_nodes = draw(st.integers(1, 6))
+    timed = draw(st.booleans())
+    observations = []
+    for h in range(n_heuristics):
+        # round rates make cost ties likely, arbitrary ones exercise rounding
+        rate = draw(st.sampled_from((0.25, 0.5, 1.0, 3.0)) | st.floats(0.01, 10.0))
+        for n in range(n_nodes):
+            outcome = draw(st.sampled_from(("unobserved", "failed", "solved", "solved")))
+            if outcome == "unobserved":
+                continue
+            tau = None if outcome == "failed" else draw(st.integers(1, 3))
+            executed = tau if tau is not None else draw(st.integers(1, 5))
+            duration = executed * rate if timed else None
+            observations.append(Observation(f"h{h}", f"n{n}", tau, executed, duration))
+    heuristics = tuple(f"h{h}" for h in range(n_heuristics))
+    nodes = tuple(f"n{n}" for n in range(n_nodes))
+    return Dataset(heuristics, nodes, tuple(observations))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(d=small_datasets(), normalize=st.booleans())
+def test_pruned_search_matches_enumeration(d, normalize):
+    for alpha in (0.0, 0.3, 0.5, 0.9, 1.0):
+        expected = enumerate_exact(d, alpha, normalize)
+        result = solve_exact(d, alpha, normalize=normalize)
+        if expected is None:
+            assert result is None
+            continue
+        assert result is not None
+        schedule, objective = result
+        assert schedule.entries == expected[0]
+        assert repr(objective) == repr(expected[1])
 
 
 def test_worked_example_full_coverage_optimum(worked):
@@ -97,3 +177,82 @@ def test_relabeling_invariance():
             assert second is not None
             assert first[1] == second[1]
             assert tuple((h_map[h], b) for h, b in first[0].entries) == second[0].entries
+
+
+def test_equal_cost_extension_after_full_coverage_loses():
+    # (h1, 1) solves both nodes; appending (h0, 1) afterwards is never
+    # reached, so it costs nothing extra, but the longer schedule must lose
+    d = load_dataset("""heuristic,node,iterations_to_solution,iterations_executed,duration_seconds
+h0,A,1,1,
+h0,B,inf,5,
+h1,A,1,1,
+h1,B,1,1,
+""")
+    longer = Schedule((("h1", 1), ("h0", 1)))
+    assert evaluate(longer, d, 1.0).objective == 2
+    assert solve_exact(d, 1.0) == (Schedule((("h1", 1),)), 2)
+
+
+def test_full_coverage_required_at_alpha_one(worked):
+    # the cheaper partial schedule (h1, 1), (h3, 2) of objective 8 is not
+    # feasible once every node must be solved
+    schedule, objective = solve_exact(worked, 1.0)
+    ev = evaluate(schedule, worked, 1.0)
+    assert ev.solved_nodes == len(worked.nodes)
+    assert (schedule.entries, objective) == enumerate_exact(worked, 1.0)
+    assert objective == 9
+
+
+def test_never_successful_heuristic_is_never_scheduled():
+    d = load_dataset("""heuristic,node,iterations_to_solution,iterations_executed,duration_seconds
+h0,A,inf,1,
+h0,B,inf,1,
+h1,A,2,2,
+h1,B,3,3,
+""")
+    assert candidate_count(d) == 1 + 2
+    for alpha in (0.0, 0.5, 1.0):
+        for normalize in (False, True):
+            schedule, _ = solve_exact(d, alpha, normalize=normalize)
+            assert "h0" not in schedule.heuristics
+
+
+def test_unreachable_alpha_is_infeasible():
+    # no heuristic ever solves C: coverage tops out at 2/3
+    d = load_dataset("""heuristic,node,iterations_to_solution,iterations_executed,duration_seconds
+h0,A,1,1,
+h0,C,inf,4,
+h1,B,2,2,
+h1,C,inf,4,
+""")
+    assert solve_exact(d, 0.9) is None
+    assert solve_exact(d, 1.0) is None
+    schedule, objective = solve_exact(d, 2 / 3)
+    assert schedule.entries == (("h0", 1), ("h1", 2))
+    assert objective == 1 + (1 + 2) + (1 + 2 + 1)
+
+
+def test_cost_bound_keeps_ties_alive():
+    # (h0, 1), (h1, 1) is found first with objective 3; the shorter (h1, 2)
+    # found later has the same objective and a lower bound equal to it, so
+    # only a strict bound comparison lets it win the tie-break
+    d = load_dataset("""heuristic,node,iterations_to_solution,iterations_executed,duration_seconds
+h0,A,1,1,
+h0,B,inf,5,
+h1,A,2,2,
+h1,B,1,1,
+""")
+    assert evaluate(Schedule((("h0", 1), ("h1", 1))), d, 1.0).objective == 3
+    assert solve_exact(d, 1.0) == (Schedule((("h1", 2),)), 3)
+
+
+def test_cost_bound_charges_no_penalty_to_unsolved_nodes():
+    # with 0.25 s per iteration, (h1, 1) alone costs 0.25 + 1.25 = 1.5,
+    # above the incumbent (h0, 2), (h1, 1) of 1.25, yet its continuation
+    # (h1, 1), (h0, 2) costs 0.75 + 0.25 = 1.0: the bound may charge an
+    # unsolved node only the prefix total, not the unsolved penalty
+    d = load_dataset("""heuristic,node,iterations_to_solution,iterations_executed,duration_seconds
+h0,n0,2,2,0.5
+h1,n1,1,1,0.25
+""")
+    assert solve_exact(d, 0.0, normalize=True) == (Schedule((("h1", 1), ("h0", 2))), 1.0)
