@@ -20,7 +20,7 @@ import json
 import statistics
 import sys
 import traceback
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from . import __version__
@@ -85,13 +85,7 @@ def _parse_seeds(text: str) -> list[int]:
 
 def _load_config(path: str) -> SimConfig:
     cfg = load_sim_config(_read(path))
-    if not cfg.name:
-        cfg = SimConfig(
-            heuristics=cfg.heuristics, instances=cfg.instances, nodes_min=cfg.nodes_min,
-            nodes_max=cfg.nodes_max, interarrival_seconds=cfg.interarrival_seconds,
-            optimum_value=cfg.optimum_value, time_limit_seconds=cfg.time_limit_seconds,
-            name=Path(path).stem)
-    return cfg
+    return cfg if cfg.name else replace(cfg, name=Path(path).stem)
 
 
 def _cmd_build(args) -> int:

@@ -10,13 +10,22 @@ that order is reused for deterministic tie-breaking downstream.  Pairs
 without an observation are treated as failed calls that executed zero
 iterations, since a data collector may simply never have run that
 heuristic at that node.
+
+A ``Dataset`` indexes its observations once, when it is constructed:
+``registration_index(h)`` is a dict lookup, and ``tau_column(h)`` is a
+read-only map from node id to the iterations heuristic ``h`` needed there,
+holding its successful calls only.  Breakpoints, replay tables, the greedy
+builder, the exact oracle and the MIQP model all read these columns
+instead of rescanning the observations.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 from .errors import InputError
 
@@ -30,6 +39,33 @@ def validate_identifier(value: str, what: str) -> None:
     if "," in value or "\n" in value or "\r" in value or value.startswith("#"):
         raise InputError(f"invalid {what} identifier {value!r}: "
                          "commas, newlines and a leading '#' are reserved")
+
+
+def read_rows(source: str, header: str, what: str) -> Iterator[tuple[int, list[str]]]:
+    """Yield ``(lineno, fields)`` for each data row of a headed CSV text.
+
+    Blank lines and lines starting with ``#`` are skipped, the first other
+    line must equal ``header``, and every row after it must have as many
+    comma-separated fields as the header.  Fields are stripped, never
+    unquoted.  ``what`` names the format in the missing-header error.
+    """
+    width = header.count(",") + 1
+    header_found = False
+    for lineno, raw in enumerate(source.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if not header_found:
+            if line != header:
+                raise InputError(f"line {lineno}: expected header {header!r}, got {line!r}")
+            header_found = True
+            continue
+        fields = [f.strip() for f in line.split(",")]
+        if len(fields) != width:
+            raise InputError(f"line {lineno}: expected {width} fields, got {len(fields)}")
+        yield lineno, fields
+    if not header_found:
+        raise InputError(f"{what} is missing its header line")
 
 
 @dataclass(frozen=True)
@@ -77,26 +113,36 @@ class Dataset:
     heuristics: tuple[str, ...]
     nodes: tuple[str, ...]
     observations: tuple[Observation, ...]
-    _index: dict = field(init=False, repr=False, compare=False, default=None)
+    _registration: dict = field(init=False, repr=False, compare=False, default=None)
+    _node_set: frozenset = field(init=False, repr=False, compare=False, default=None)
+    _observed: dict = field(init=False, repr=False, compare=False, default=None)
+    _taus: dict = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self) -> None:
-        if len(set(self.heuristics)) != len(self.heuristics):
+        registration = {h: i for i, h in enumerate(self.heuristics)}
+        if len(registration) != len(self.heuristics):
             raise InputError("duplicate heuristic registration")
-        if len(set(self.nodes)) != len(self.nodes):
+        node_set = frozenset(self.nodes)
+        if len(node_set) != len(self.nodes):
             raise InputError("duplicate node registration")
-        known_h = set(self.heuristics)
-        known_n = set(self.nodes)
-        index: dict[tuple[str, str], Observation] = {}
+        observed: dict[str, dict[str, Observation]] = {h: {} for h in self.heuristics}
+        taus: dict[str, dict[str, int]] = {h: {} for h in self.heuristics}
         for obs in self.observations:
-            if obs.heuristic not in known_h:
+            by_node = observed.get(obs.heuristic)
+            if by_node is None:
                 raise InputError(f"observation references unregistered heuristic {obs.heuristic!r}")
-            if obs.node not in known_n:
+            if obs.node not in node_set:
                 raise InputError(f"observation references unregistered node {obs.node!r}")
-            key = (obs.heuristic, obs.node)
-            if key in index:
+            if obs.node in by_node:
                 raise InputError(f"duplicate observation for pair ({obs.heuristic}, {obs.node})")
-            index[key] = obs
-        object.__setattr__(self, "_index", index)
+            by_node[obs.node] = obs
+            if obs.iterations_to_solution is not None:
+                taus[obs.heuristic][obs.node] = obs.iterations_to_solution
+        object.__setattr__(self, "_registration", registration)
+        object.__setattr__(self, "_node_set", node_set)
+        object.__setattr__(self, "_observed", observed)
+        object.__setattr__(self, "_taus",
+                           {h: MappingProxyType(column) for h, column in taus.items()})
 
     @classmethod
     def from_observations(cls, observations) -> "Dataset":
@@ -109,41 +155,36 @@ class Dataset:
     def observation(self, heuristic: str, node: str) -> Observation | None:
         self._require_heuristic(heuristic)
         self._require_node(node)
-        return self._index.get((heuristic, node))
+        return self._observed[heuristic].get(node)
+
+    def tau_column(self, heuristic: str) -> Mapping[str, int]:
+        """Read-only map from node id to the heuristic's iterations-to-solution.
+
+        Holds successful calls only: failed and unobserved nodes are absent.
+        """
+        self._require_heuristic(heuristic)
+        return self._taus[heuristic]
 
     def iterations_to_solution(self, heuristic: str, node: str) -> int | None:
         """Iterations the heuristic needed at the node; None means failure.
 
         Unobserved pairs count as failures (the call was never made).
         """
-        obs = self.observation(heuristic, node)
-        return obs.iterations_to_solution if obs is not None else None
+        column = self.tau_column(heuristic)
+        self._require_node(node)
+        return column.get(node)
 
     def registration_index(self, heuristic: str) -> int:
         self._require_heuristic(heuristic)
-        return self.heuristics.index(heuristic)
+        return self._registration[heuristic]
 
     def _require_heuristic(self, heuristic: str) -> None:
-        if heuristic not in self._heuristic_set():
+        if heuristic not in self._registration:
             raise InputError(f"unknown heuristic {heuristic!r}")
 
     def _require_node(self, node: str) -> None:
-        if node not in self._node_set():
+        if node not in self._node_set:
             raise InputError(f"unknown node {node!r}")
-
-    def _heuristic_set(self) -> set:
-        cached = self.__dict__.get("_hset")
-        if cached is None:
-            cached = set(self.heuristics)
-            self.__dict__["_hset"] = cached
-        return cached
-
-    def _node_set(self) -> set:
-        cached = self.__dict__.get("_nset")
-        if cached is None:
-            cached = set(self.nodes)
-            self.__dict__["_nset"] = cached
-        return cached
 
 
 @dataclass(frozen=True)
@@ -192,19 +233,7 @@ def load_dataset(source: str) -> Dataset:
     """
     observations: list[Observation] = []
     seen: set[tuple[str, str]] = set()
-    header_found = False
-    for lineno, raw in enumerate(source.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if not header_found:
-            if line != DATASET_HEADER:
-                raise InputError(f"line {lineno}: expected header {DATASET_HEADER!r}, got {line!r}")
-            header_found = True
-            continue
-        fields = [f.strip() for f in line.split(",")]
-        if len(fields) != 5:
-            raise InputError(f"line {lineno}: expected 5 fields, got {len(fields)}")
+    for lineno, fields in read_rows(source, DATASET_HEADER, "dataset"):
         heuristic, node, tau_text, executed_text, duration_text = fields
         if tau_text == "" or tau_text.lower() == "inf":
             tau = None
@@ -228,8 +257,6 @@ def load_dataset(source: str) -> Dataset:
             raise InputError(f"line {lineno}: duplicate row for pair ({heuristic}, {node})")
         seen.add((heuristic, node))
         observations.append(obs)
-    if not header_found:
-        raise InputError("dataset is missing its header line")
     return Dataset.from_observations(observations)
 
 
@@ -254,19 +281,17 @@ def avg_iteration_cost(d: Dataset) -> IterationCostProfile:
     """
     costs: dict[str, float] = {}
     for heuristic in d.heuristics:
-        timed = [o for o in d.observations
-                 if o.heuristic == heuristic and o.duration_seconds is not None]
+        timed = [o for o in d._observed[heuristic].values() if o.duration_seconds is not None]
         # fsum: exactly rounded, so the average ignores observation order
         total_seconds = math.fsum(o.duration_seconds for o in timed)
-        total_iterations = sum(o.iterations_executed for o in timed)
         if not timed:
             costs[heuristic] = 1.0
-        elif total_iterations == 0 or total_seconds <= 0.0:
+        elif total_seconds <= 0.0:
             warnings.warn(f"no usable duration data for heuristic {heuristic!r}; "
                           "falling back to 1.0 s/iteration")
             costs[heuristic] = 1.0
         else:
-            costs[heuristic] = total_seconds / total_iterations
+            costs[heuristic] = total_seconds / sum(o.iterations_executed for o in timed)
     return IterationCostProfile(costs)
 
 
@@ -276,7 +301,4 @@ def breakpoints(d: Dataset, heuristic: str) -> list[int]:
     These are the only iteration budgets worth considering: coverage only
     changes at observed values while cost keeps growing in between.
     """
-    d._require_heuristic(heuristic)
-    values = {o.iterations_to_solution for o in d.observations
-              if o.heuristic == heuristic and o.succeeded}
-    return sorted(values)
+    return sorted(set(d.tau_column(heuristic).values()))

@@ -89,7 +89,6 @@ def solve_exact(d: Dataset, alpha: float,
                          f"enumeration_budget={limits.enumeration_budget}")
 
     usable = [h for h in d.heuristics if budgets_of[h]]
-    registration = {h: i for i, h in enumerate(d.heuristics)}
     tables = replay_tables(d, costs, normalize)
     nodes = d.nodes
     total_nodes = len(nodes)
@@ -110,7 +109,7 @@ def solve_exact(d: Dataset, alpha: float,
         if rate < alpha:
             return
         key = (objective, len(entries),
-               tuple(registration[h] for h, _ in entries),
+               tuple(d.registration_index(h) for h, _ in entries),
                tuple(b for _, b in entries))
         if best_key is None or key < best_key:
             best_key = key

@@ -83,21 +83,22 @@ class GreedyTrace:
         return "\n".join(lines)
 
 
-def _is_better(candidate: GreedyStep, incumbent: GreedyStep | None, reg: dict) -> bool:
+def _is_better(candidate: GreedyStep, incumbent: GreedyStep | None, d: Dataset) -> bool:
     if incumbent is None:
         return True
     if candidate.ratio != incumbent.ratio:
         return candidate.ratio > incumbent.ratio
     if candidate.marginal_cost != incumbent.marginal_cost:
         return candidate.marginal_cost < incumbent.marginal_cost
-    if reg[candidate.heuristic] != reg[incumbent.heuristic]:
-        return reg[candidate.heuristic] < reg[incumbent.heuristic]
+    rank = d.registration_index(candidate.heuristic)
+    incumbent_rank = d.registration_index(incumbent.heuristic)
+    if rank != incumbent_rank:
+        return rank < incumbent_rank
     return candidate.budget < incumbent.budget
 
 
 def _best_action(d: Dataset, unsolved, scheduled, last_entry, tables: ReplayTables,
                  breakpoints_of: dict) -> GreedyStep | None:
-    reg = {h: i for i, h in enumerate(d.heuristics)}
     best: GreedyStep | None = None
     for heuristic in d.heuristics:
         is_last = last_entry is not None and heuristic == last_entry[0]
@@ -114,7 +115,7 @@ def _best_action(d: Dataset, unsolved, scheduled, last_entry, tables: ReplayTabl
                 continue
             cost = weight * (budget - last_entry[1]) if is_last else weight * budget
             candidate = GreedyStep(heuristic, budget, newly, cost, newly / cost, is_last)
-            if _is_better(candidate, best, reg):
+            if _is_better(candidate, best, d):
                 best = candidate
     return best
 

@@ -18,7 +18,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import InputError
+from .dataset import read_rows
+from .errors import InputError, require_finite
 
 TIMELINE_HEADER = "time_seconds,objective_value"
 
@@ -39,6 +40,13 @@ def primal_gap(value: float, reference: float) -> float:
     return abs(value - reference) / max(abs(value), abs(reference))
 
 
+def require_time_limit(horizon: float) -> None:
+    """Reject a time limit that is not a finite positive number."""
+    require_finite(horizon, "time limit")
+    if horizon <= 0:
+        raise InputError(f"time limit must be positive, got {horizon!r}")
+
+
 @dataclass(frozen=True)
 class IncumbentTimeline:
     """Time-stamped incumbent objective values from one run.
@@ -55,9 +63,12 @@ class IncumbentTimeline:
     def __post_init__(self) -> None:
         if self.sense not in SENSES:
             raise InputError(f"sense must be one of {SENSES}, got {self.sense!r}")
+        require_finite(self.best_known, "best_known")
         previous_time = None
         previous_value = None
         for time, value in self.events:
+            require_finite(time, "event time")
+            require_finite(value, "incumbent value")
             if time < 0:
                 raise InputError(f"event times must be nonnegative, got {time!r}")
             if previous_time is not None and time <= previous_time:
@@ -91,6 +102,7 @@ class GapFunction:
             raise InputError("gap function must start at time 0")
         previous = None
         for time, gap in self.breakpoints:
+            require_finite(time, "gap breakpoint time")
             if previous is not None and time <= previous:
                 raise InputError("gap breakpoints must be strictly increasing in time")
             if not 0.0 <= gap <= 1.0:
@@ -110,8 +122,7 @@ class GapFunction:
 
     def area(self, horizon: float) -> float:
         """Area under the step function on [0, horizon]."""
-        if horizon <= 0:
-            raise InputError(f"time limit must be positive, got {horizon!r}")
+        require_time_limit(horizon)
         total = 0.0
         for index, (start, gap) in enumerate(self.breakpoints):
             if start >= horizon:
@@ -138,8 +149,7 @@ def primal_integral(tl: IncumbentTimeline, horizon: float) -> float:
     Events at or after the limit are ignored; with no events at all the
     result is the limit itself (the gap stays at 1 throughout).
     """
-    if horizon <= 0:
-        raise InputError(f"time limit must be positive, got {horizon!r}")
+    require_time_limit(horizon)
     total = 0.0
     previous_time = 0.0
     previous_gap = 1.0
@@ -156,25 +166,11 @@ def primal_integral(tl: IncumbentTimeline, horizon: float) -> float:
 def load_timeline(source: str, best_known: float, sense: str = "min") -> IncumbentTimeline:
     """Parse timeline CSV text (header ``time_seconds,objective_value``)."""
     events: list[tuple[float, float]] = []
-    header_found = False
-    for lineno, raw in enumerate(source.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if not header_found:
-            if line != TIMELINE_HEADER:
-                raise InputError(f"line {lineno}: expected header {TIMELINE_HEADER!r}, got {line!r}")
-            header_found = True
-            continue
-        fields = [f.strip() for f in line.split(",")]
-        if len(fields) != 2:
-            raise InputError(f"line {lineno}: expected 2 fields, got {len(fields)}")
+    for lineno, (time_text, value_text) in read_rows(source, TIMELINE_HEADER, "timeline"):
         try:
-            events.append((float(fields[0]), float(fields[1])))
+            events.append((float(time_text), float(value_text)))
         except ValueError:
             raise InputError(f"line {lineno}: times and values must be numbers") from None
-    if not header_found:
-        raise InputError("timeline is missing its header line")
     return IncumbentTimeline(tuple(events), best_known=best_known, sense=sense)
 
 

@@ -48,7 +48,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .dataset import Dataset
-from .errors import InputError
+from .errors import InputError, require_finite
 from .schedule import Schedule
 
 _INTEGRALITY_TOL = 1e-9
@@ -119,60 +119,14 @@ class MiqpModel:
         return _render(self)
 
 
-def _xn(h: str, p: int) -> str:
-    return f"x[{h}][{p}]"
+# Model variable names.  Exporting a large dataset builds about a million of
+# them, and an f-string is several times faster than str.format or str.join.
+def _name1(family: str, index) -> str:
+    return f"{family}[{index}]"
 
 
-def _tn(h: str) -> str:
-    return f"t[{h}]"
-
-
-def _pn(h: str) -> str:
-    return f"p[{h}]"
-
-
-def _sn(n: str, h: str) -> str:
-    return f"s[{n}][{h}]"
-
-
-def _snn(n: str) -> str:
-    return f"sN[{n}]"
-
-
-def _pminn(n: str) -> str:
-    return f"pmin[{n}]"
-
-
-def _zn(n: str, h: str) -> str:
-    return f"z[{n}][{h}]"
-
-
-def _fn(n: str, h: str) -> str:
-    return f"f[{n}][{h}]"
-
-
-def _mn(n: str, h: str) -> str:
-    return f"m[{n}][{h}]"
-
-
-def _yn(n: str, h: str) -> str:
-    return f"y[{n}][{h}]"
-
-
-def _wn(n: str, h: str) -> str:
-    return f"w[{n}][{h}]"
-
-
-def _un(n: str, h: str) -> str:
-    return f"u[{n}][{h}]"
-
-
-def _vn(n: str, h: str) -> str:
-    return f"v[{n}][{h}]"
-
-
-def _tnn(n: str) -> str:
-    return f"tN[{n}]"
+def _name2(family: str, first, second) -> str:
+    return f"{family}[{first}][{second}]"
 
 
 def _check_model_identifier(value: str, what: str) -> None:
@@ -197,44 +151,43 @@ def build_miqp(d: Dataset, alpha: float) -> MiqpModel:
     heuristics = d.heuristics
     nodes = d.nodes
     count = len(heuristics)
-    tau: dict[tuple[str, str], int | None] = {}
-    for n in nodes:
-        for h in heuristics:
-            tau[(n, h)] = d.iterations_to_solution(h, n)
-    horizon = {h: max((tau[(n, h)] for n in nodes if tau[(n, h)] is not None), default=0)
-               for h in heuristics}
+    columns = {h: d.tau_column(h) for h in heuristics}
+    tau = {(n, h): columns[h].get(n) for n in nodes for h in heuristics}
+    horizon = {h: max(columns[h].values(), default=0) for h in heuristics}
     total_horizon = sum(horizon.values())
 
     variables: list[MiqpVariable] = []
     for h in heuristics:
         for p in range(count + 1):
-            variables.append(MiqpVariable(_xn(h, p), "binary", 0, 1, "x"))
+            variables.append(MiqpVariable(_name2("x", h, p), "binary", 0, 1, "x"))
     for h in heuristics:
-        variables.append(MiqpVariable(_tn(h), "integer", 0, horizon[h], "t"))
+        variables.append(MiqpVariable(_name1("t", h), "integer", 0, horizon[h], "t"))
     for h in heuristics:
-        variables.append(MiqpVariable(_pn(h), "integer", 0, count, "p"))
+        variables.append(MiqpVariable(_name1("p", h), "integer", 0, count, "p"))
     for n in nodes:
         for h in heuristics:
-            variables.append(MiqpVariable(_sn(n, h), "binary", 0, 1, "s"))
+            variables.append(MiqpVariable(_name2("s", n, h), "binary", 0, 1, "s"))
     for n in nodes:
-        variables.append(MiqpVariable(_snn(n), "binary", 0, 1, "s_node"))
+        variables.append(MiqpVariable(_name1("sN", n), "binary", 0, 1, "s_node"))
     for n in nodes:
-        variables.append(MiqpVariable(_pminn(n), "integer", 1, count, "p_min"))
-    for n in nodes:
-        for h in heuristics:
-            variables.append(MiqpVariable(_zn(n, h), "binary", 0, 1, "z"))
+        variables.append(MiqpVariable(_name1("pmin", n), "integer", 1, count, "p_min"))
     for n in nodes:
         for h in heuristics:
-            variables.append(MiqpVariable(_fn(n, h), "binary", 0, 1, "f"))
-    for n in nodes:
-        variables.append(MiqpVariable(_tnn(n), "integer", 1, 1 + total_horizon, "t_node"))
+            variables.append(MiqpVariable(_name2("z", n, h), "binary", 0, 1, "z"))
     for n in nodes:
         for h in heuristics:
-            variables.append(MiqpVariable(_mn(n, h), "integer", 1, count, "aux_min_term"))
-            variables.append(MiqpVariable(_yn(n, h), "binary", 0, 1, "aux_argmin"))
-            variables.append(MiqpVariable(_wn(n, h), "binary", 0, 1, "aux_after_first"))
-            variables.append(MiqpVariable(_un(n, h), "binary", 0, 1, "aux_solved_and_before"))
-            variables.append(MiqpVariable(_vn(n, h), "binary", 0, 1, "aux_solved_and_first"))
+            variables.append(MiqpVariable(_name2("f", n, h), "binary", 0, 1, "f"))
+    for n in nodes:
+        variables.append(MiqpVariable(_name1("tN", n), "integer", 1, 1 + total_horizon, "t_node"))
+    for n in nodes:
+        for h in heuristics:
+            variables.append(MiqpVariable(_name2("m", n, h), "integer", 1, count, "aux_min_term"))
+            variables.append(MiqpVariable(_name2("y", n, h), "binary", 0, 1, "aux_argmin"))
+            variables.append(MiqpVariable(_name2("w", n, h), "binary", 0, 1, "aux_after_first"))
+            variables.append(MiqpVariable(_name2("u", n, h), "binary", 0, 1,
+                                          "aux_solved_and_before"))
+            variables.append(MiqpVariable(_name2("v", n, h), "binary", 0, 1,
+                                          "aux_solved_and_first"))
 
     linear: list[LinearConstraint] = []
 
@@ -242,18 +195,19 @@ def build_miqp(d: Dataset, alpha: float) -> MiqpModel:
     for p in range(1, count + 1):
         linear.append(LinearConstraint(
             f"position_capacity[{p}]",
-            tuple((1, _xn(h, p)) for h in heuristics), "<=", 1))
+            tuple((1, _name2("x", h, p)) for h in heuristics), "<=", 1))
     for h in heuristics:
         linear.append(LinearConstraint(
             f"placement[{h}]",
-            tuple((1, _xn(h, p)) for p in range(count + 1)), "=", 1))
+            tuple((1, _name2("x", h, p)) for p in range(count + 1)), "=", 1))
         linear.append(LinearConstraint(
             f"position_link[{h}]",
-            ((1, _pn(h)),) + tuple((-p, _xn(h, p)) for p in range(1, count + 1)), "=", 0))
+            ((1, _name1("p", h)),) + tuple((-p, _name2("x", h, p)) for p in range(1, count + 1)),
+            "=", 0))
         # a heuristic outside the schedule gets budget zero
         linear.append(LinearConstraint(
             f"budget_link[{h}]",
-            ((1, _tn(h)), (horizon[h], _xn(h, 0))), "<=", horizon[h]))
+            ((1, _name1("t", h)), (horizon[h], _name2("x", h, 0))), "<=", horizon[h]))
 
     # budget-coverage indicator per (node, heuristic); M = horizon + 1
     for n in nodes:
@@ -261,99 +215,94 @@ def build_miqp(d: Dataset, alpha: float) -> MiqpModel:
             t_req = tau[(n, h)]
             if t_req is None:
                 linear.append(LinearConstraint(
-                    f"solve_never[{n},{h}]", ((1, _sn(n, h)),), "=", 0))
+                    f"solve_never[{n},{h}]", ((1, _name2("s", n, h)),), "=", 0))
             else:
                 linear.append(LinearConstraint(
                     f"solve_lb[{n},{h}]",
-                    ((1, _tn(h)), (-t_req, _sn(n, h))), ">=", 0))
+                    ((1, _name1("t", h)), (-t_req, _name2("s", n, h))), ">=", 0))
                 linear.append(LinearConstraint(
                     f"solve_ub[{n},{h}]",
-                    ((1, _tn(h)), (-(horizon[h] + 1), _sn(n, h))), "<=", t_req - 1))
+                    ((1, _name1("t", h)), (-(horizon[h] + 1), _name2("s", n, h))), "<=", t_req - 1))
 
     # a node is solved exactly when some heuristic covers it
     for n in nodes:
         linear.append(LinearConstraint(
             f"node_solved_ub[{n}]",
-            ((1, _snn(n)),) + tuple((-1, _sn(n, h)) for h in heuristics), "<=", 0))
+            ((1, _name1("sN", n)),) + tuple((-1, _name2("s", n, h)) for h in heuristics), "<=", 0))
         for h in heuristics:
             linear.append(LinearConstraint(
                 f"node_solved_lb[{n},{h}]",
-                ((1, _snn(n)), (-1, _sn(n, h))), ">=", 0))
+                ((1, _name1("sN", n)), (-1, _name2("s", n, h))), ">=", 0))
 
     linear.append(LinearConstraint(
         "coverage",
-        tuple((1, _snn(n)) for n in nodes), ">=", alpha * len(nodes)))
+        tuple((1, _name1("sN", n)) for n in nodes), ">=", alpha * len(nodes)))
 
     # position of the first covering heuristic: pmin = min over h of
     # (position if h covers the node else the heuristic count)
     for n in nodes:
+        pmin = _name1("pmin", n)
         for h in heuristics:
+            m, s, p = _name2("m", n, h), _name2("s", n, h), _name1("p", h)
             linear.append(LinearConstraint(
-                f"min_term_cover_lb[{n},{h}]",
-                ((1, _mn(n, h)), (-1, _pn(h)), (-count, _sn(n, h))), ">=", -count))
+                f"min_term_cover_lb[{n},{h}]", ((1, m), (-1, p), (-count, s)), ">=", -count))
             linear.append(LinearConstraint(
-                f"min_term_cover_ub[{n},{h}]",
-                ((1, _mn(n, h)), (-1, _pn(h)), (count, _sn(n, h))), "<=", count))
+                f"min_term_cover_ub[{n},{h}]", ((1, m), (-1, p), (count, s)), "<=", count))
             linear.append(LinearConstraint(
-                f"min_term_miss_lb[{n},{h}]",
-                ((1, _mn(n, h)), (count, _sn(n, h))), ">=", count))
+                f"min_term_miss_lb[{n},{h}]", ((1, m), (count, s)), ">=", count))
             linear.append(LinearConstraint(
-                f"first_position_ub[{n},{h}]",
-                ((1, _pminn(n)), (-1, _mn(n, h))), "<=", 0))
+                f"first_position_ub[{n},{h}]", ((1, pmin), (-1, m)), "<=", 0))
             linear.append(LinearConstraint(
                 f"first_position_lb[{n},{h}]",
-                ((1, _pminn(n)), (-1, _mn(n, h)), (-count, _yn(n, h))), ">=", -count))
+                ((1, pmin), (-1, m), (-count, _name2("y", n, h))), ">=", -count))
         linear.append(LinearConstraint(
             f"first_position_pick[{n}]",
-            tuple((1, _yn(n, h)) for h in heuristics), "=", 1))
+            tuple((1, _name2("y", n, h)) for h in heuristics), "=", 1))
 
     # strict order indicators around pmin: z before, w after, f exactly at
     for n in nodes:
+        pmin = _name1("pmin", n)
         for h in heuristics:
+            p, z, w = _name1("p", h), _name2("z", n, h), _name2("w", n, h)
             linear.append(LinearConstraint(
-                f"before_first_ub[{n},{h}]",
-                ((1, _pminn(n)), (-1, _pn(h)), (-count, _zn(n, h))), "<=", 0))
+                f"before_first_ub[{n},{h}]", ((1, pmin), (-1, p), (-count, z)), "<=", 0))
             linear.append(LinearConstraint(
-                f"before_first_lb[{n},{h}]",
-                ((1, _pminn(n)), (-1, _pn(h)), (-count, _zn(n, h))), ">=", 1 - count))
+                f"before_first_lb[{n},{h}]", ((1, pmin), (-1, p), (-count, z)), ">=", 1 - count))
             linear.append(LinearConstraint(
-                f"after_first_ub[{n},{h}]",
-                ((1, _pn(h)), (-1, _pminn(n)), (-count, _wn(n, h))), "<=", 0))
+                f"after_first_ub[{n},{h}]", ((1, p), (-1, pmin), (-count, w)), "<=", 0))
             linear.append(LinearConstraint(
-                f"after_first_lb[{n},{h}]",
-                ((1, _pn(h)), (-1, _pminn(n)), (-(count + 1), _wn(n, h))), ">=", -count))
+                f"after_first_lb[{n},{h}]", ((1, p), (-1, pmin), (-(count + 1), w)), ">=", -count))
             linear.append(LinearConstraint(
-                f"first_solver_def[{n},{h}]",
-                ((1, _zn(n, h)), (1, _wn(n, h)), (1, _fn(n, h))), "=", 1))
+                f"first_solver_def[{n},{h}]", ((1, z), (1, w), (1, _name2("f", n, h))), "=", 1))
 
     # products with the node-solved flag, used by the node-time constraint
     for n in nodes:
         for h in heuristics:
-            for aux, other, tag in ((_un(n, h), _zn(n, h), "solved_and_before"),
-                                    (_vn(n, h), _fn(n, h), "solved_and_first")):
+            for aux, other, tag in ((_name2("u", n, h), _name2("z", n, h), "solved_and_before"),
+                                    (_name2("v", n, h), _name2("f", n, h), "solved_and_first")):
                 linear.append(LinearConstraint(
-                    f"{tag}_ub1[{n},{h}]", ((1, aux), (-1, _snn(n))), "<=", 0))
+                    f"{tag}_ub1[{n},{h}]", ((1, aux), (-1, _name1("sN", n))), "<=", 0))
                 linear.append(LinearConstraint(
                     f"{tag}_ub2[{n},{h}]", ((1, aux), (-1, other)), "<=", 0))
                 linear.append(LinearConstraint(
                     f"{tag}_lb[{n},{h}]",
-                    ((1, aux), (-1, _snn(n)), (-1, other)), ">=", -1))
+                    ((1, aux), (-1, _name1("sN", n)), (-1, other)), ">=", -1))
 
     quadratic: list[QuadraticConstraint] = []
     for n in nodes:
-        lin_terms: list[tuple[float, str]] = [(1, _tnn(n)), (1, _snn(n))]
+        lin_terms: list[tuple[float, str]] = [(1, _name1("tN", n)), (1, _name1("sN", n))]
         quad_terms: list[tuple[float, str, str]] = []
         for h in heuristics:
-            lin_terms.append((-1, _tn(h)))
+            lin_terms.append((-1, _name1("t", h)))
             t_req = tau[(n, h)]
             if t_req is not None:
-                lin_terms.append((-t_req, _vn(n, h)))
-            quad_terms.append((-1, _un(n, h), _tn(h)))
-            quad_terms.append((1, _snn(n), _tn(h)))
+                lin_terms.append((-t_req, _name2("v", n, h)))
+            quad_terms.append((-1, _name2("u", n, h), _name1("t", h)))
+            quad_terms.append((1, _name1("sN", n), _name1("t", h)))
         quadratic.append(QuadraticConstraint(
             f"node_time[{n}]", tuple(lin_terms), tuple(quad_terms), "=", 1))
 
-    objective = tuple((1.0, _tnn(n)) for n in nodes)
+    objective = tuple((1.0, _name1("tN", n)) for n in nodes)
     return MiqpModel(
         heuristics=heuristics,
         nodes=nodes,
@@ -389,6 +338,7 @@ def _coerce_assignment(model: MiqpModel, assignment) -> tuple[dict, list[str]]:
         if variable.name not in assignment:
             raise InputError(f"assignment is missing variable {variable.name!r}")
         raw = assignment[variable.name]
+        require_finite(raw, f"value of {variable.name}")
         rounded = round(raw)
         if abs(raw - rounded) > _INTEGRALITY_TOL:
             violations.append(f"integrality[{variable.name}]")
@@ -416,14 +366,14 @@ def check_assignment(model: MiqpModel, assignment) -> CheckResult:
         return values[name]
 
     for p in range(1, count + 1):
-        if sum(val(_xn(h, p)) for h in heuristics) > 1:
+        if sum(val(_name2("x", h, p)) for h in heuristics) > 1:
             violations.append(f"position_capacity[{p}]")
     for h in heuristics:
-        if sum(val(_xn(h, p)) for p in range(count + 1)) != 1:
+        if sum(val(_name2("x", h, p)) for p in range(count + 1)) != 1:
             violations.append(f"placement[{h}]")
-        if val(_pn(h)) != sum(p * val(_xn(h, p)) for p in range(count + 1)):
+        if val(_name1("p", h)) != sum(p * val(_name2("x", h, p)) for p in range(count + 1)):
             violations.append(f"position_link[{h}]")
-        if model.horizon[h] * (1 - val(_xn(h, 0))) < val(_tn(h)):
+        if model.horizon[h] * (1 - val(_name2("x", h, 0))) < val(_name1("t", h)):
             violations.append(f"budget_link[{h}]")
 
     for n in nodes:
@@ -432,45 +382,47 @@ def check_assignment(model: MiqpModel, assignment) -> CheckResult:
             if t_req is None:
                 expected = 0
             else:
-                expected = max(0, min(1, val(_tn(h)) - t_req + 1))
-            if val(_sn(n, h)) != expected:
+                expected = max(0, min(1, val(_name1("t", h)) - t_req + 1))
+            if val(_name2("s", n, h)) != expected:
                 violations.append(f"solve_indicator[{n},{h}]")
 
     for n in nodes:
-        if val(_snn(n)) != min(1, sum(val(_sn(n, h)) for h in heuristics)):
+        if val(_name1("sN", n)) != min(1, sum(val(_name2("s", n, h)) for h in heuristics)):
             violations.append(f"node_solved[{n}]")
 
-    coverage = sum(val(_snn(n)) for n in nodes) / len(nodes)
+    coverage = sum(val(_name1("sN", n)) for n in nodes) / len(nodes)
     if coverage < model.alpha:
         violations.append("coverage")
 
     for n in nodes:
-        first = min(val(_pn(h)) * val(_sn(n, h)) + (1 - val(_sn(n, h))) * count
+        first = min(val(_name1("p", h)) * val(_name2("s", n, h))
+                    + (1 - val(_name2("s", n, h))) * count
                     for h in heuristics)
-        if val(_pminn(n)) != first:
+        if val(_name1("pmin", n)) != first:
             violations.append(f"first_position[{n}]")
         for h in heuristics:
-            if val(_zn(n, h)) != (1 if val(_pn(h)) < val(_pminn(n)) else 0):
+            position, first_position = val(_name1("p", h)), val(_name1("pmin", n))
+            if val(_name2("z", n, h)) != (1 if position < first_position else 0):
                 violations.append(f"before_first[{n},{h}]")
-            if val(_fn(n, h)) != (1 if val(_pn(h)) == val(_pminn(n)) else 0):
+            if val(_name2("f", n, h)) != (1 if position == first_position else 0):
                 violations.append(f"first_solver[{n},{h}]")
 
     for n in nodes:
-        if val(_snn(n)) == 1:
-            expected = sum(val(_zn(n, h)) * val(_tn(h)) for h in heuristics)
+        if val(_name1("sN", n)) == 1:
+            expected = sum(val(_name2("z", n, h)) * val(_name1("t", h)) for h in heuristics)
             solver_time = math.inf
             for h in heuristics:
-                if val(_fn(n, h)) == 1:
+                if val(_name2("f", n, h)) == 1:
                     t_req = model.tau[(n, h)]
                     solver_time = t_req if t_req is not None else math.inf
             expected = expected + solver_time
         else:
-            expected = 1 + sum(val(_xn(h, p)) * val(_tn(h))
+            expected = 1 + sum(val(_name2("x", h, p)) * val(_name1("t", h))
                                for h in heuristics for p in range(count + 1))
-        if val(_tnn(n)) != expected:
+        if val(_name1("tN", n)) != expected:
             violations.append(f"node_time[{n}]")
 
-    objective = sum(val(_tnn(n)) for n in nodes)
+    objective = sum(val(_name1("tN", n)) for n in nodes)
     return CheckResult(not violations, objective, tuple(violations))
 
 
@@ -524,40 +476,40 @@ def schedule_assignment(model: MiqpModel, schedule: Schedule) -> dict:
     values: dict[str, int] = {}
     for h in heuristics:
         for p in range(count + 1):
-            values[_xn(h, p)] = 1 if position[h] == p else 0
-        values[_tn(h)] = budget[h]
-        values[_pn(h)] = position[h]
+            values[_name2("x", h, p)] = 1 if position[h] == p else 0
+        values[_name1("t", h)] = budget[h]
+        values[_name1("p", h)] = position[h]
 
     for n in nodes:
         covered = {}
         for h in heuristics:
             t_req = model.tau[(n, h)]
             covered[h] = 1 if (t_req is not None and budget[h] >= t_req) else 0
-            values[_sn(n, h)] = covered[h]
+            values[_name2("s", n, h)] = covered[h]
         solved = 1 if any(covered.values()) else 0
-        values[_snn(n)] = solved
+        values[_name1("sN", n)] = solved
         first = min(position[h] if covered[h] else count for h in heuristics)
-        values[_pminn(n)] = first
+        values[_name1("pmin", n)] = first
         argmin_done = False
         for h in heuristics:
             term = position[h] if covered[h] else count
             pick = 1 if (term == first and not argmin_done) else 0
             if pick:
                 argmin_done = True
-            values[_yn(n, h)] = pick
-            values[_mn(n, h)] = term
-            values[_zn(n, h)] = 1 if position[h] < first else 0
-            values[_fn(n, h)] = 1 if position[h] == first else 0
-            values[_wn(n, h)] = 1 if position[h] > first else 0
-            values[_un(n, h)] = solved * values[_zn(n, h)]
-            values[_vn(n, h)] = solved * values[_fn(n, h)]
+            values[_name2("y", n, h)] = pick
+            values[_name2("m", n, h)] = term
+            values[_name2("z", n, h)] = 1 if position[h] < first else 0
+            values[_name2("f", n, h)] = 1 if position[h] == first else 0
+            values[_name2("w", n, h)] = 1 if position[h] > first else 0
+            values[_name2("u", n, h)] = solved * values[_name2("z", n, h)]
+            values[_name2("v", n, h)] = solved * values[_name2("f", n, h)]
         if solved:
-            spent = sum(values[_zn(n, h)] * budget[h] for h in heuristics)
+            spent = sum(values[_name2("z", n, h)] * budget[h] for h in heuristics)
             solver = next(h for h in heuristics if covered[h] and position[h] == first)
             spent += model.tau[(n, solver)]
         else:
             spent = 1 + sum(budget[h] for h in heuristics)
-        values[_tnn(n)] = spent
+        values[_name1("tN", n)] = spent
     return values
 
 

@@ -15,7 +15,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .dataset import Dataset, IterationCostProfile, avg_iteration_cost, validate_identifier
+from .dataset import (Dataset, IterationCostProfile, avg_iteration_cost, read_rows,
+                      validate_identifier)
 from .errors import InputError
 
 SCHEDULE_HEADER = "position,heuristic,max_iterations"
@@ -89,10 +90,11 @@ def replay_tables(d: Dataset, costs: IterationCostProfile | None = None,
                   normalize: bool = False) -> ReplayTables:
     """Build lookup tables for fast repeated replays against one dataset.
 
-    ``tau_of[h]`` maps node id to the finite iterations-to-solution of
-    heuristic ``h`` (failed and unobserved pairs are absent).  Weights are
-    1 per iteration unless normalization is requested, in which case they
-    come from ``costs`` (computed from the dataset when not supplied).
+    ``tau_of[h]`` is the dataset's read-only ``tau_column(h)``: node id to
+    the finite iterations-to-solution of heuristic ``h`` (failed and
+    unobserved pairs are absent).  Weights are 1 per iteration unless
+    normalization is requested, in which case they come from ``costs``
+    (computed from the dataset when not supplied).
     """
     if normalize:
         if costs is None:
@@ -100,11 +102,7 @@ def replay_tables(d: Dataset, costs: IterationCostProfile | None = None,
         weight_of = {h: costs[h] for h in d.heuristics}
     else:
         weight_of = {h: 1 for h in d.heuristics}
-    tau_of: dict[str, dict[str, int]] = {h: {} for h in d.heuristics}
-    for obs in d.observations:
-        if obs.succeeded:
-            tau_of[obs.heuristic][obs.node] = obs.iterations_to_solution
-    return ReplayTables(weight_of, tau_of)
+    return ReplayTables(weight_of, {h: d.tau_column(h) for h in d.heuristics})
 
 
 def replay_node(entries, tables: ReplayTables, node: str):
@@ -179,20 +177,8 @@ def load_schedule(source: str) -> Schedule:
     Positions must be exactly 1..k; rows may appear in any order.
     """
     rows: dict[int, tuple[str, int]] = {}
-    header_found = False
-    for lineno, raw in enumerate(source.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if not header_found:
-            if line != SCHEDULE_HEADER:
-                raise InputError(f"line {lineno}: expected header {SCHEDULE_HEADER!r}, got {line!r}")
-            header_found = True
-            continue
-        fields = [f.strip() for f in line.split(",")]
-        if len(fields) != 3:
-            raise InputError(f"line {lineno}: expected 3 fields, got {len(fields)}")
-        position_text, heuristic, budget_text = fields
+    for lineno, (position_text, heuristic, budget_text) in read_rows(
+            source, SCHEDULE_HEADER, "schedule"):
         try:
             position = int(position_text)
             budget = int(budget_text)
@@ -201,8 +187,6 @@ def load_schedule(source: str) -> Schedule:
         if position in rows:
             raise InputError(f"line {lineno}: duplicate position {position}")
         rows[position] = (heuristic, budget)
-    if not header_found:
-        raise InputError("schedule is missing its header line")
     if sorted(rows) != list(range(1, len(rows) + 1)):
         raise InputError(f"schedule positions must be contiguous from 1, got {sorted(rows)}")
     entries = tuple(rows[p] for p in range(1, len(rows) + 1))

@@ -32,17 +32,19 @@ import statistics
 from dataclasses import dataclass
 
 from .dataset import Dataset, Observation, validate_identifier
-from .errors import InputError
-from .metrics import IncumbentTimeline, primal_integral
+from .errors import InputError, require_finite
+from .metrics import IncumbentTimeline, primal_integral, require_time_limit
 from .schedule import Schedule
 
 HEURISTIC_CLASSES = ("DIVING", "LNS")
 
 _CONFIG_KEYS = ("name", "instances", "nodes_min", "nodes_max", "interarrival_seconds",
                 "optimum_value", "time_limit_seconds", "heuristics")
-_HEURISTIC_KEYS = ("class", "success_probability", "iteration_success_rate",
-                   "max_iterations", "seconds_per_iteration", "quality_mean",
-                   "quality_spread")
+# per-heuristic configuration keys and their types, in HeuristicSpec field order
+_HEURISTIC_KEYS = (("class", str), ("success_probability", float),
+                   ("iteration_success_rate", float), ("max_iterations", int),
+                   ("seconds_per_iteration", float), ("quality_mean", float),
+                   ("quality_spread", float))
 
 
 @dataclass(frozen=True)
@@ -60,6 +62,9 @@ class HeuristicSpec:
 
     def __post_init__(self) -> None:
         validate_identifier(self.id, "heuristic")
+        # the range checks below already reject NaN and infinities in the two rates
+        for name in ("seconds_per_iteration", "quality_mean", "quality_spread"):
+            require_finite(getattr(self, name), name)
         if self.klass not in HEURISTIC_CLASSES:
             raise InputError(f"heuristic class must be one of {HEURISTIC_CLASSES}, "
                              f"got {self.klass!r}")
@@ -103,6 +108,10 @@ class SimConfig:
             raise InputError(f"instances must be positive, got {self.instances!r}")
         if not 1 <= self.nodes_min <= self.nodes_max:
             raise InputError(f"node count range [{self.nodes_min}, {self.nodes_max}] is invalid")
+        require_finite(self.interarrival_seconds, "interarrival_seconds")
+        require_finite(self.optimum_value, "optimum_value")
+        if self.time_limit_seconds is not None:
+            require_finite(self.time_limit_seconds, "time_limit_seconds")
         if self.interarrival_seconds <= 0:
             raise InputError("interarrival_seconds must be positive")
         if self.time_limit_seconds is not None and self.time_limit_seconds <= 0:
@@ -259,8 +268,7 @@ def run_with_schedule(inst: SimInstance, s: Schedule, time_limit: float) -> RunT
     event; non-improving successes cost their iterations but the loop goes
     on.  The run stops once the clock reaches the time limit.
     """
-    if time_limit <= 0:
-        raise InputError(f"time limit must be positive, got {time_limit!r}")
+    require_time_limit(time_limit)
     spec_of = {spec.id: spec for spec in inst.heuristics}
     for heuristic in s.heuristics:
         if heuristic not in spec_of:
@@ -418,7 +426,7 @@ def load_sim_config(source: str) -> SimConfig:
 
     allowed = set(_CONFIG_KEYS)
     for hid in ids:
-        for sub in _HEURISTIC_KEYS:
+        for sub, _ in _HEURISTIC_KEYS:
             allowed.add(f"{hid}.{sub}")
     unknown = sorted(set(entries) - allowed)
     if unknown:
@@ -426,27 +434,12 @@ def load_sim_config(source: str) -> SimConfig:
 
     specs: list[HeuristicSpec] = []
     for hid in ids:
-        values: dict[str, str] = {}
-        for sub in _HEURISTIC_KEYS:
-            key = f"{hid}.{sub}"
+        keys = [(f"{hid}.{sub}", kind) for sub, kind in _HEURISTIC_KEYS]
+        for key, _ in keys:
             if key not in entries:
                 raise InputError(f"configuration is missing key {key!r}")
-            values[sub] = entries[key]
-        specs.append(HeuristicSpec(
-            id=hid,
-            klass=values["class"],
-            success_probability=_parse_scalar(f"{hid}.success_probability",
-                                              values["success_probability"], float),
-            iteration_success_rate=_parse_scalar(f"{hid}.iteration_success_rate",
-                                                 values["iteration_success_rate"], float),
-            max_iterations=_parse_scalar(f"{hid}.max_iterations",
-                                         values["max_iterations"], int),
-            seconds_per_iteration=_parse_scalar(f"{hid}.seconds_per_iteration",
-                                                values["seconds_per_iteration"], float),
-            quality_mean=_parse_scalar(f"{hid}.quality_mean", values["quality_mean"], float),
-            quality_spread=_parse_scalar(f"{hid}.quality_spread",
-                                         values["quality_spread"], float),
-        ))
+        specs.append(HeuristicSpec(hid, *(_parse_scalar(key, entries[key], kind)
+                                          for key, kind in keys)))
 
     time_limit = None
     if "time_limit_seconds" in entries:

@@ -187,6 +187,17 @@ def test_exit_codes(tmp_path, monkeypatch, capsys):
     capsys.readouterr()
 
 
+def test_non_finite_time_limit_exits_cleanly(tmp_path, capsys):
+    timeline = tmp_path / "timeline.csv"
+    timeline.write_text("time_seconds,objective_value\n1.0,5.0\n", encoding="utf-8")
+    assert dispatch(["metrics", "--timeline", str(timeline), "--best-known", "1",
+                     "--time-limit", "nan"]) == 1
+    captured = capsys.readouterr()
+    assert "time limit must be finite" in captured.err
+    assert "Traceback" not in captured.err
+    assert "primal integral" not in captured.out
+
+
 def test_non_finite_duration_exits_cleanly(tmp_path, capsys):
     data = tmp_path / "nan.csv"
     data.write_text("heuristic,node,iterations_to_solution,iterations_executed,duration_seconds\n"

@@ -1,11 +1,16 @@
 from __future__ import annotations
 
+import math
 import random
+import warnings
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from heursched import (Dataset, InputError, IterationCostProfile, Observation,
                        avg_iteration_cost, breakpoints, dump_dataset, load_dataset)
+from heursched.schedule import replay_tables
 
 from conftest import WORKED_CSV, random_dataset
 
@@ -185,3 +190,50 @@ def test_breakpoints_subset_and_increasing():
 def test_dataset_rejects_unregistered_references():
     with pytest.raises(InputError, match="unregistered"):
         Dataset(("h",), ("N1",), (Observation("h", "N2", 1, 1),))
+
+
+@st.composite
+def shuffled_datasets(draw):
+    """Up to 5 heuristics x 8 nodes; pairs unobserved, failed or solved.
+
+    Durations may be missing or zero, and registration order, node order
+    and row order are independent permutations.
+    """
+    n_heuristics = draw(st.integers(1, 5))
+    n_nodes = draw(st.integers(1, 8))
+    observations = []
+    for h in range(n_heuristics):
+        for n in range(n_nodes):
+            outcome = draw(st.sampled_from(("unobserved", "failed", "solved")))
+            if outcome == "unobserved":
+                continue
+            executed = draw(st.integers(1, 6))
+            tau = None if outcome == "failed" else draw(st.integers(1, executed))
+            duration = draw(st.none() | st.just(0.0) | st.floats(0.001, 100.0))
+            observations.append(Observation(f"h{h}", f"n{n}", tau, executed, duration))
+    heuristics = draw(st.permutations([f"h{h}" for h in range(n_heuristics)]))
+    nodes = draw(st.permutations([f"n{n}" for n in range(n_nodes)]))
+    return Dataset(tuple(heuristics), tuple(nodes), tuple(draw(st.permutations(observations))))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(d=shuffled_datasets())
+def test_indexed_columns_match_a_scan_of_the_observations(d):
+    tables = replay_tables(d)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # all-zero durations warn and fall back
+        costs = avg_iteration_cost(d).seconds_per_iteration
+    for h in d.heuristics:
+        rows = [o for o in d.observations if o.heuristic == h]
+        solved = {o.node: o.iterations_to_solution for o in rows if o.succeeded}
+        assert breakpoints(d, h) == sorted(set(solved.values()))
+        assert dict(tables.tau_of[h]) == solved
+        with pytest.raises(TypeError):
+            tables.tau_of[h]["new"] = 1
+        assert [d.iterations_to_solution(h, n) for n in d.nodes] == \
+            [solved.get(n) for n in d.nodes]
+        assert d.registration_index(h) == d.heuristics.index(h)
+        timed = [o for o in rows if o.duration_seconds is not None]
+        seconds = math.fsum(o.duration_seconds for o in timed)
+        expected = seconds / sum(o.iterations_executed for o in timed) if seconds > 0 else 1.0
+        assert costs[h] == expected

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from heursched import (IncumbentTimeline, InputError, dump_timeline,
+from heursched import (GapFunction, IncumbentTimeline, InputError, dump_timeline,
                        gap_function, load_timeline, primal_gap, primal_integral)
 
 
@@ -50,6 +50,24 @@ def test_primal_integral_rejects_bad_horizon():
     for horizon in (0.0, -1.0):
         with pytest.raises(InputError, match="positive"):
             primal_integral(tl, horizon)
+
+
+NON_FINITE = [float("nan"), float("inf"), float("-inf")]
+
+
+@pytest.mark.parametrize("bad", NON_FINITE)
+@pytest.mark.parametrize("boundary", [
+    lambda x: IncumbentTimeline(((x, 5.0),), best_known=1.0),
+    lambda x: IncumbentTimeline(((1.0, x),), best_known=1.0),
+    lambda x: IncumbentTimeline((), best_known=x),
+    lambda x: primal_integral(IncumbentTimeline((), best_known=0.0), x),
+    lambda x: gap_function(IncumbentTimeline((), best_known=0.0)).area(x),
+    lambda x: GapFunction(((0.0, 1.0), (x, 0.5))),
+], ids=["event_time", "event_value", "best_known", "integral_horizon", "area_horizon",
+        "gap_breakpoint_time"])
+def test_non_finite_numbers_rejected(boundary, bad):
+    with pytest.raises(InputError, match="must be finite"):
+        boundary(bad)
 
 
 def test_events_at_or_after_horizon_are_ignored():

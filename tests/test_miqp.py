@@ -83,6 +83,16 @@ def test_missing_variable_rejected(worked):
         check_assignment(model, a)
 
 
+@pytest.mark.parametrize("checker", [check_assignment, check_linearized])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_assignment_value_rejected(worked, checker, bad):
+    model = build_miqp(worked, 0.5)
+    a = schedule_assignment(model, Schedule((("h1", 1),)))
+    a["t[h1]"] = bad
+    with pytest.raises(InputError, match=r"value of t\[h1\] must be finite"):
+        checker(model, a)
+
+
 def test_budget_above_horizon_rejected(worked):
     model = build_miqp(worked, 0.5)
     with pytest.raises(InputError, match="horizon"):

@@ -192,6 +192,33 @@ def test_time_limit_truncates_the_run():
         run_with_schedule(inst, Schedule(), 0.0)
 
 
+def _spec(**overrides) -> HeuristicSpec:
+    fields = dict(id="a", klass="DIVING", success_probability=0.5, iteration_success_rate=0.5,
+                  max_iterations=3, seconds_per_iteration=0.1, quality_mean=1.0,
+                  quality_spread=1.0)
+    fields.update(overrides)
+    return HeuristicSpec(**fields)
+
+
+NON_FINITE = [float("nan"), float("inf"), float("-inf")]
+
+
+@pytest.mark.parametrize("bad", NON_FINITE)
+@pytest.mark.parametrize("boundary", [
+    lambda x: _spec(seconds_per_iteration=x),
+    lambda x: _spec(quality_mean=x),
+    lambda x: _spec(quality_spread=x),
+    lambda x: _cfg(interarrival_seconds=x),
+    lambda x: _cfg(optimum_value=x),
+    lambda x: _cfg(time_limit_seconds=x),
+    lambda x: run_with_schedule(generate_instance(_cfg(), 0), Schedule(), x),
+], ids=["seconds_per_iteration", "quality_mean", "quality_spread", "interarrival_seconds",
+        "optimum_value", "time_limit_seconds", "run_time_limit"])
+def test_non_finite_numbers_rejected(boundary, bad):
+    with pytest.raises(InputError, match="must be finite"):
+        boundary(bad)
+
+
 def test_compare_identity_is_exactly_one():
     cfg = load_sim_config(PLANTED_CFG)
     baseline = default_baseline(cfg)
