@@ -8,6 +8,11 @@ counts observed in the data: coverage is a step function that only jumps
 at observed values while cost grows strictly in between, so no in-between
 budget can ever score a better ratio.
 
+Gains are counted once per heuristic per step: the taus of the heuristic's
+still unsolved nodes are sorted into one hit list, and the number of nodes
+a budget newly solves is a bisection into that list.  A step thus costs
+O(H·N log N) rather than a rescan of every tau for every candidate budget.
+
 Two refinements on top of the plain ratio rule:
 
 * instead of adding a new heuristic, the most recently added one may be
@@ -31,6 +36,7 @@ first, then earlier heuristic registration, then smaller budget.
 from __future__ import annotations
 
 import warnings
+from bisect import bisect_right
 from dataclasses import dataclass
 
 from .dataset import Dataset, IterationCostProfile, avg_iteration_cost, breakpoints
@@ -108,9 +114,9 @@ def _best_action(d: Dataset, unsolved, scheduled, last_entry, tables: ReplayTabl
         if is_last:
             budgets = [b for b in budgets if b > last_entry[1]]
         weight = tables.weight_of[heuristic]
-        taus = tables.tau_of[heuristic]
+        hits = sorted(tau for node, tau in tables.tau_of[heuristic].items() if node in unsolved)
         for budget in budgets:
-            newly = sum(1 for node, tau in taus.items() if tau <= budget and node in unsolved)
+            newly = bisect_right(hits, budget)
             if newly == 0:
                 continue
             cost = weight * (budget - last_entry[1]) if is_last else weight * budget

@@ -168,9 +168,15 @@ def load_timeline(source: str, best_known: float, sense: str = "min") -> Incumbe
     events: list[tuple[float, float]] = []
     for lineno, (time_text, value_text) in read_rows(source, TIMELINE_HEADER, "timeline"):
         try:
-            events.append((float(time_text), float(value_text)))
+            time, value = float(time_text), float(value_text)
         except ValueError:
             raise InputError(f"line {lineno}: times and values must be numbers") from None
+        try:
+            require_finite(time, "time_seconds")
+            require_finite(value, "objective_value")
+        except InputError as exc:
+            raise InputError(f"line {lineno}: {exc}") from None
+        events.append((time, value))
     return IncumbentTimeline(tuple(events), best_known=best_known, sense=sense)
 
 

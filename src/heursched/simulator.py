@@ -104,6 +104,10 @@ class SimConfig:
         ids = [spec.id for spec in self.heuristics]
         if len(set(ids)) != len(ids):
             raise InputError("heuristic ids must be unique")
+        for name in ("instances", "nodes_min", "nodes_max"):
+            count = getattr(self, name)
+            if not isinstance(count, int):
+                raise InputError(f"{name} must be an integer, got {count!r}")
         if self.instances < 1:
             raise InputError(f"instances must be positive, got {self.instances!r}")
         if not 1 <= self.nodes_min <= self.nodes_max:
@@ -382,8 +386,8 @@ def _parse_scalar(key: str, text: str, kind):
     try:
         return kind(text)
     except ValueError:
-        raise InputError(f"configuration key {key!r} must be a {kind.__name__}, "
-                         f"got {text!r}") from None
+        noun = "an integer" if kind is int else "a number"
+        raise InputError(f"configuration key {key!r} must be {noun}, got {text!r}") from None
 
 
 def load_sim_config(source: str) -> SimConfig:

@@ -206,3 +206,17 @@ def test_non_finite_duration_exits_cleanly(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "line 2: duration_seconds must be finite" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("row, column", [
+    ("2.0,nan", "objective_value"), ("2.0,inf", "objective_value"),
+    ("nan,3.0", "time_seconds"), ("inf,3.0", "time_seconds"),
+])
+def test_non_finite_timeline_row_names_its_line(tmp_path, capsys, row, column):
+    timeline = tmp_path / "timeline.csv"
+    timeline.write_text(f"time_seconds,objective_value\n1.0,5.0\n{row}\n", encoding="utf-8")
+    assert dispatch(["metrics", "--timeline", str(timeline), "--best-known", "1",
+                     "--time-limit", "10"]) == 1
+    err = capsys.readouterr().err
+    assert f"line 3: {column} must be finite" in err
+    assert "Traceback" not in err

@@ -3,10 +3,13 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from heursched import (Dataset, GreedyOptions, InputError, Observation, Schedule,
-                       avg_iteration_cost, best_action, breakpoints, build_schedule,
-                       evaluate)
+from heursched import (Dataset, GreedyOptions, GreedyStep, InputError, Observation,
+                       Schedule, avg_iteration_cost, best_action, breakpoints,
+                       build_schedule, evaluate)
+from heursched.schedule import replay_tables
 
 from conftest import random_dataset
 
@@ -137,3 +140,83 @@ def test_trace_rendering_one_line_per_step(worked):
     text = trace.render()
     assert len(text.splitlines()) == len(trace.steps)
     assert "h1" in text and "ratio" in text
+
+
+def recount_best_action(d, unsolved, scheduled, last_entry, tables):
+    """Reference scorer: recount every tau for every (heuristic, budget)."""
+    registration = {h: i for i, h in enumerate(d.heuristics)}
+    best, best_key = None, None
+    for heuristic in d.heuristics:
+        is_last = last_entry is not None and heuristic == last_entry[0]
+        if heuristic in scheduled and not is_last:
+            continue
+        weight = tables.weight_of[heuristic]
+        taus = tables.tau_of[heuristic]
+        for budget in breakpoints(d, heuristic):
+            if is_last and budget <= last_entry[1]:
+                continue
+            newly = sum(1 for node, tau in taus.items() if tau <= budget and node in unsolved)
+            if newly == 0:
+                continue
+            cost = weight * (budget - last_entry[1]) if is_last else weight * budget
+            key = (-(newly / cost), cost, registration[heuristic], budget)
+            if best_key is None or key < best_key:
+                best_key = key
+                best = GreedyStep(heuristic, budget, newly, cost, newly / cost, is_last)
+    return best
+
+
+def recount_greedy(d, opts):
+    """Reference greedy loop driven by ``recount_best_action``."""
+    costs = avg_iteration_cost(d) if opts.normalize_costs else None
+    tables = replay_tables(d, costs, opts.normalize_costs)
+    unsolved = set(d.nodes)
+    entries, steps = [], []
+    while unsolved:
+        last_entry = entries[-1] if (entries and opts.allow_extension) else None
+        step = recount_best_action(d, unsolved, {h for h, _ in entries}, last_entry, tables)
+        if step is None:
+            break
+        if step.extends_last:
+            entries[-1] = (step.heuristic, step.budget)
+        else:
+            entries.append((step.heuristic, step.budget))
+        taus = tables.tau_of[step.heuristic]
+        unsolved = {n for n in unsolved if not (n in taus and taus[n] <= step.budget)}
+        steps.append(step)
+    schedule = Schedule(tuple(entries))
+    evaluation = evaluate(schedule, d, opts.alpha_report,
+                          costs=costs, normalize=opts.normalize_costs)
+    return schedule, tuple(steps), evaluation
+
+
+@st.composite
+def tied_datasets(draw):
+    """Up to 5 heuristics x 8 nodes with few distinct taus, so ratios tie often."""
+    n_heuristics = draw(st.integers(1, 5))
+    n_nodes = draw(st.integers(1, 8))
+    observations = []
+    for h in range(n_heuristics):
+        rate = draw(st.sampled_from((0.5, 1.0, 2.0)) | st.floats(0.01, 10.0))
+        for n in range(n_nodes):
+            outcome = draw(st.sampled_from(("unobserved", "failed", "solved", "solved")))
+            if outcome == "unobserved":
+                continue
+            tau = None if outcome == "failed" else draw(st.integers(1, 4))
+            executed = tau if tau is not None else draw(st.integers(1, 6))
+            duration = draw(st.none() | st.just(executed * rate))
+            observations.append(Observation(f"h{h}", f"n{n}", tau, executed, duration))
+    heuristics = tuple(f"h{h}" for h in range(n_heuristics))
+    nodes = tuple(f"n{n}" for n in range(n_nodes))
+    return Dataset(heuristics, nodes, tuple(observations))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(d=tied_datasets(), allow_extension=st.booleans(), normalize=st.booleans())
+def test_sorted_sweep_matches_recount(d, allow_extension, normalize):
+    opts = GreedyOptions(allow_extension=allow_extension, normalize_costs=normalize)
+    schedule, trace, evaluation = build_schedule(d, opts)
+    expected = recount_greedy(d, opts)
+    assert schedule == expected[0]
+    assert repr(trace.steps) == repr(expected[1])
+    assert repr(evaluation) == repr(expected[2])

@@ -257,3 +257,20 @@ def test_comparison_report_formats():
     csv_text = comparison.to_csv()
     assert csv_text.splitlines()[0] == "seed,schedule_integral,baseline_integral,ratio"
     assert len(csv_text.splitlines()) == 4
+
+
+@pytest.mark.parametrize("field", ["instances", "nodes_min", "nodes_max"])
+def test_non_integer_counts_rejected(field):
+    with pytest.raises(InputError, match=f"{field} must be an integer, got 1.5"):
+        _cfg(**{field: 1.5})
+
+
+def test_config_type_errors_name_the_expected_kind():
+    integer_key = PLANTED_CFG.replace("slow_a.max_iterations = 30", "slow_a.max_iterations = 1.5")
+    with pytest.raises(InputError,
+                       match=r"key 'slow_a.max_iterations' must be an integer, got '1.5'"):
+        load_sim_config(integer_key)
+    number_key = PLANTED_CFG.replace("interarrival_seconds = 0.5", "interarrival_seconds = soon")
+    with pytest.raises(InputError,
+                       match=r"key 'interarrival_seconds' must be a number, got 'soon'"):
+        load_sim_config(number_key)
