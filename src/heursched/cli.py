@@ -29,7 +29,7 @@ from .errors import InputError
 from .exact import ExactLimits, solve_exact
 from .greedy import GreedyOptions, build_schedule
 from .metrics import dump_timeline, gap_function, load_timeline, primal_integral
-from .miqp import build_miqp
+from .miqp import export_miqp
 from .schedule import Schedule, dump_schedule, evaluate, load_schedule
 from .simulator import (SimConfig, collect_shadow_dataset, compare_policies,
                         default_baseline, generate_instance, load_sim_config,
@@ -55,6 +55,10 @@ def _read(path: str) -> str:
 
 def _write_output(path: str, text: str, manifest: dict) -> None:
     Path(path).write_text(text, encoding="utf-8")
+    _write_manifest(path, manifest)
+
+
+def _write_manifest(path: str, manifest: dict) -> None:
     manifest_path = Path(path).with_name(Path(path).name + ".manifest.json")
     manifest_path.write_text(
         json.dumps(manifest, sort_keys=True, indent=2) + "\n", encoding="utf-8")
@@ -146,9 +150,9 @@ def _cmd_exact(args) -> int:
 
 def _cmd_export_miqp(args) -> int:
     d = load_dataset(_read(args.data))
-    model = build_miqp(d, args.alpha)
-    manifest = _manifest(args, "export-miqp", [args.data], [args.out], alpha=args.alpha)
-    _write_output(args.out, model.render(), manifest)
+    model = export_miqp(d, args.alpha, args.out)
+    _write_manifest(args.out, _manifest(args, "export-miqp", [args.data], [args.out],
+                                        alpha=args.alpha))
     print(f"variables: {len(model.variables)}")
     print(f"linear constraints: {len(model.linear)}")
     print(f"quadratic constraints: {len(model.quadratic)}")
@@ -446,3 +450,7 @@ def dispatch(argv) -> int:
 
 def main(argv=None) -> None:
     raise SystemExit(dispatch(sys.argv[1:] if argv is None else argv))
+
+
+if __name__ == "__main__":
+    main()

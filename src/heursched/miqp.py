@@ -38,14 +38,26 @@ selector), ``w[n][h]`` (``h`` sits strictly after ``pmin[n]``),
 
 Costs are raw iterations; they agree with normalized schedule evaluation
 only when every heuristic's average seconds per iteration is 1.
+
+A few hundred nodes make hundreds of thousands of rows, so the records are
+named tuples: ``MiqpVariable`` (name, kind, bounds, family),
+``LinearConstraint`` (id, terms, operator, right-hand side) and
+``QuadraticConstraint`` (id, linear terms, quadratic terms, operator,
+right-hand side).  Terms are one flat tuple per row: ``(c1, name1, c2,
+name2, ...)`` for linear terms and the objective, ``(c1, a1, b1, ...)`` for
+quadratic terms ``c * a * b``.  Every row using a variable shares its one
+name string.  ``export_miqp`` streams the text into its sink in chunks;
+``MiqpModel.render`` joins them.
 """
 
 from __future__ import annotations
 
-import io
 import math
+from contextlib import nullcontext
 from dataclasses import dataclass, field
-from pathlib import Path
+from functools import lru_cache
+from itertools import chain, islice
+from typing import NamedTuple
 
 from .dataset import Dataset
 from .errors import InputError, require_finite
@@ -53,10 +65,10 @@ from .schedule import Schedule
 
 _INTEGRALITY_TOL = 1e-9
 _NUMERIC_TOL = 1e-9
+_CHUNK_ROWS = 4096
 
 
-@dataclass(frozen=True)
-class MiqpVariable:
+class MiqpVariable(NamedTuple):
     name: str
     kind: str  # "binary" | "integer"
     lower: int
@@ -64,19 +76,17 @@ class MiqpVariable:
     family: str
 
 
-@dataclass(frozen=True)
-class LinearConstraint:
+class LinearConstraint(NamedTuple):
     cid: str
-    terms: tuple[tuple[float, str], ...]
+    terms: tuple  # flat: coef, name, coef, name, ...
     op: str  # "<=", ">=", "="
     rhs: float
 
 
-@dataclass(frozen=True)
-class QuadraticConstraint:
+class QuadraticConstraint(NamedTuple):
     cid: str
-    linear: tuple[tuple[float, str], ...]
-    quadratic: tuple[tuple[float, str, str], ...]
+    linear: tuple  # flat: coef, name, ...
+    quadratic: tuple  # flat: coef, name, name, ...
     op: str
     rhs: float
 
@@ -98,7 +108,7 @@ class MiqpModel:
     tau: dict
     horizon: dict
     variables: tuple[MiqpVariable, ...]
-    objective: tuple[tuple[float, str], ...]
+    objective: tuple  # flat: coef, name, ...
     linear: tuple[LinearConstraint, ...]
     quadratic: tuple[QuadraticConstraint, ...]
     _by_name: dict = field(init=False, repr=False, compare=False, default=None)
@@ -116,7 +126,7 @@ class MiqpModel:
         return sum(1 for v in self.variables if v.family == family)
 
     def render(self) -> str:
-        return _render(self)
+        return "".join(_chunks(self))
 
 
 # Model variable names.  Exporting a large dataset builds about a million of
@@ -127,6 +137,11 @@ def _name1(family: str, index) -> str:
 
 def _name2(family: str, first, second) -> str:
     return f"{family}[{first}][{second}]"
+
+
+def _same(coef, names) -> tuple:
+    """Flat terms giving every name the coefficient ``coef``."""
+    return tuple(chain.from_iterable((coef, name) for name in names))
 
 
 def _check_model_identifier(value: str, what: str) -> None:
@@ -155,154 +170,122 @@ def build_miqp(d: Dataset, alpha: float) -> MiqpModel:
     tau = {(n, h): columns[h].get(n) for n in nodes for h in heuristics}
     horizon = {h: max(columns[h].values(), default=0) for h in heuristics}
     total_horizon = sum(horizon.values())
+    by_node = tuple(enumerate(nodes))
+    by_heuristic = tuple(enumerate(heuristics))
 
-    variables: list[MiqpVariable] = []
-    for h in heuristics:
-        for p in range(count + 1):
-            variables.append(MiqpVariable(_name2("x", h, p), "binary", 0, 1, "x"))
-    for h in heuristics:
-        variables.append(MiqpVariable(_name1("t", h), "integer", 0, horizon[h], "t"))
-    for h in heuristics:
-        variables.append(MiqpVariable(_name1("p", h), "integer", 0, count, "p"))
-    for n in nodes:
-        for h in heuristics:
-            variables.append(MiqpVariable(_name2("s", n, h), "binary", 0, 1, "s"))
-    for n in nodes:
-        variables.append(MiqpVariable(_name1("sN", n), "binary", 0, 1, "s_node"))
-    for n in nodes:
-        variables.append(MiqpVariable(_name1("pmin", n), "integer", 1, count, "p_min"))
-    for n in nodes:
-        for h in heuristics:
-            variables.append(MiqpVariable(_name2("z", n, h), "binary", 0, 1, "z"))
-    for n in nodes:
-        for h in heuristics:
-            variables.append(MiqpVariable(_name2("f", n, h), "binary", 0, 1, "f"))
-    for n in nodes:
-        variables.append(MiqpVariable(_name1("tN", n), "integer", 1, 1 + total_horizon, "t_node"))
-    for n in nodes:
-        for h in heuristics:
-            variables.append(MiqpVariable(_name2("m", n, h), "integer", 1, count, "aux_min_term"))
-            variables.append(MiqpVariable(_name2("y", n, h), "binary", 0, 1, "aux_argmin"))
-            variables.append(MiqpVariable(_name2("w", n, h), "binary", 0, 1, "aux_after_first"))
-            variables.append(MiqpVariable(_name2("u", n, h), "binary", 0, 1,
-                                          "aux_solved_and_before"))
-            variables.append(MiqpVariable(_name2("v", n, h), "binary", 0, 1,
-                                          "aux_solved_and_first"))
+    # Every variable name is made once, here, and shared by all rows using it:
+    # x[j][p], t[j] and pos[j] per heuristic index j; sN[i], pmin[i] and tN[i]
+    # per node index i; s[i][j] and the other pair families per (node, heuristic).
+    x = [[_name2("x", h, p) for p in range(count + 1)] for h in heuristics]
+    t = [_name1("t", h) for h in heuristics]
+    pos = [_name1("p", h) for h in heuristics]
+    sN, pmin, tN = ([_name1(family, n) for n in nodes] for family in ("sN", "pmin", "tN"))
+    s, z, f, m, y, w, u, v = ([[_name2(family, n, h) for h in heuristics] for n in nodes]
+                              for family in "szfmywuv")
+
+    def declare(names, kind: str, lower: int, upper: int, label: str) -> list[MiqpVariable]:
+        return [MiqpVariable(name, kind, lower, upper, label) for name in names]
+
+    flat = chain.from_iterable
+    variables = declare(flat(x), "binary", 0, 1, "x")
+    variables += [MiqpVariable(t[j], "integer", 0, horizon[h], "t") for j, h in by_heuristic]
+    variables += declare(pos, "integer", 0, count, "p")
+    variables += declare(flat(s), "binary", 0, 1, "s")
+    variables += declare(sN, "binary", 0, 1, "s_node")
+    variables += declare(pmin, "integer", 1, count, "p_min")
+    variables += declare(flat(z), "binary", 0, 1, "z")
+    variables += declare(flat(f), "binary", 0, 1, "f")
+    variables += declare(tN, "integer", 1, 1 + total_horizon, "t_node")
+    for i, _ in by_node:
+        for j, _ in by_heuristic:
+            variables += (MiqpVariable(m[i][j], "integer", 1, count, "aux_min_term"),
+                          MiqpVariable(y[i][j], "binary", 0, 1, "aux_argmin"),
+                          MiqpVariable(w[i][j], "binary", 0, 1, "aux_after_first"),
+                          MiqpVariable(u[i][j], "binary", 0, 1, "aux_solved_and_before"),
+                          MiqpVariable(v[i][j], "binary", 0, 1, "aux_solved_and_first"))
 
     linear: list[LinearConstraint] = []
+    add = linear.append
+    Row = LinearConstraint
 
     # each position holds at most one heuristic; each heuristic gets one position
     for p in range(1, count + 1):
-        linear.append(LinearConstraint(
-            f"position_capacity[{p}]",
-            tuple((1, _name2("x", h, p)) for h in heuristics), "<=", 1))
-    for h in heuristics:
-        linear.append(LinearConstraint(
-            f"placement[{h}]",
-            tuple((1, _name2("x", h, p)) for p in range(count + 1)), "=", 1))
-        linear.append(LinearConstraint(
-            f"position_link[{h}]",
-            ((1, _name1("p", h)),) + tuple((-p, _name2("x", h, p)) for p in range(1, count + 1)),
-            "=", 0))
+        add(Row(f"position_capacity[{p}]", _same(1, (x_h[p] for x_h in x)), "<=", 1))
+    for j, h in by_heuristic:
+        add(Row(f"placement[{h}]", _same(1, x[j]), "=", 1))
+        add(Row(f"position_link[{h}]",
+                (1, pos[j], *flat((-p, x[j][p]) for p in range(1, count + 1))), "=", 0))
         # a heuristic outside the schedule gets budget zero
-        linear.append(LinearConstraint(
-            f"budget_link[{h}]",
-            ((1, _name1("t", h)), (horizon[h], _name2("x", h, 0))), "<=", horizon[h]))
+        add(Row(f"budget_link[{h}]", (1, t[j], horizon[h], x[j][0]), "<=", horizon[h]))
 
     # budget-coverage indicator per (node, heuristic); M = horizon + 1
-    for n in nodes:
-        for h in heuristics:
+    for i, n in by_node:
+        for j, h in by_heuristic:
             t_req = tau[(n, h)]
             if t_req is None:
-                linear.append(LinearConstraint(
-                    f"solve_never[{n},{h}]", ((1, _name2("s", n, h)),), "=", 0))
+                add(Row(f"solve_never[{n},{h}]", (1, s[i][j]), "=", 0))
             else:
-                linear.append(LinearConstraint(
-                    f"solve_lb[{n},{h}]",
-                    ((1, _name1("t", h)), (-t_req, _name2("s", n, h))), ">=", 0))
-                linear.append(LinearConstraint(
-                    f"solve_ub[{n},{h}]",
-                    ((1, _name1("t", h)), (-(horizon[h] + 1), _name2("s", n, h))), "<=", t_req - 1))
+                add(Row(f"solve_lb[{n},{h}]", (1, t[j], -t_req, s[i][j]), ">=", 0))
+                add(Row(f"solve_ub[{n},{h}]", (1, t[j], -(horizon[h] + 1), s[i][j]),
+                        "<=", t_req - 1))
 
     # a node is solved exactly when some heuristic covers it
-    for n in nodes:
-        linear.append(LinearConstraint(
-            f"node_solved_ub[{n}]",
-            ((1, _name1("sN", n)),) + tuple((-1, _name2("s", n, h)) for h in heuristics), "<=", 0))
-        for h in heuristics:
-            linear.append(LinearConstraint(
-                f"node_solved_lb[{n},{h}]",
-                ((1, _name1("sN", n)), (-1, _name2("s", n, h))), ">=", 0))
+    for i, n in by_node:
+        add(Row(f"node_solved_ub[{n}]", (1, sN[i], *_same(-1, s[i])), "<=", 0))
+        for j, h in by_heuristic:
+            add(Row(f"node_solved_lb[{n},{h}]", (1, sN[i], -1, s[i][j]), ">=", 0))
 
-    linear.append(LinearConstraint(
-        "coverage",
-        tuple((1, _name1("sN", n)) for n in nodes), ">=", alpha * len(nodes)))
+    add(Row("coverage", _same(1, sN), ">=", alpha * len(nodes)))
 
     # position of the first covering heuristic: pmin = min over h of
     # (position if h covers the node else the heuristic count)
-    for n in nodes:
-        pmin = _name1("pmin", n)
-        for h in heuristics:
-            m, s, p = _name2("m", n, h), _name2("s", n, h), _name1("p", h)
-            linear.append(LinearConstraint(
-                f"min_term_cover_lb[{n},{h}]", ((1, m), (-1, p), (-count, s)), ">=", -count))
-            linear.append(LinearConstraint(
-                f"min_term_cover_ub[{n},{h}]", ((1, m), (-1, p), (count, s)), "<=", count))
-            linear.append(LinearConstraint(
-                f"min_term_miss_lb[{n},{h}]", ((1, m), (count, s)), ">=", count))
-            linear.append(LinearConstraint(
-                f"first_position_ub[{n},{h}]", ((1, pmin), (-1, m)), "<=", 0))
-            linear.append(LinearConstraint(
-                f"first_position_lb[{n},{h}]",
-                ((1, pmin), (-1, m), (-count, _name2("y", n, h))), ">=", -count))
-        linear.append(LinearConstraint(
-            f"first_position_pick[{n}]",
-            tuple((1, _name2("y", n, h)) for h in heuristics), "=", 1))
+    for i, n in by_node:
+        for j, h in by_heuristic:
+            m_ij, s_ij = m[i][j], s[i][j]
+            add(Row(f"min_term_cover_lb[{n},{h}]", (1, m_ij, -1, pos[j], -count, s_ij),
+                    ">=", -count))
+            add(Row(f"min_term_cover_ub[{n},{h}]", (1, m_ij, -1, pos[j], count, s_ij),
+                    "<=", count))
+            add(Row(f"min_term_miss_lb[{n},{h}]", (1, m_ij, count, s_ij), ">=", count))
+            add(Row(f"first_position_ub[{n},{h}]", (1, pmin[i], -1, m_ij), "<=", 0))
+            add(Row(f"first_position_lb[{n},{h}]", (1, pmin[i], -1, m_ij, -count, y[i][j]),
+                    ">=", -count))
+        add(Row(f"first_position_pick[{n}]", _same(1, y[i]), "=", 1))
 
     # strict order indicators around pmin: z before, w after, f exactly at
-    for n in nodes:
-        pmin = _name1("pmin", n)
-        for h in heuristics:
-            p, z, w = _name1("p", h), _name2("z", n, h), _name2("w", n, h)
-            linear.append(LinearConstraint(
-                f"before_first_ub[{n},{h}]", ((1, pmin), (-1, p), (-count, z)), "<=", 0))
-            linear.append(LinearConstraint(
-                f"before_first_lb[{n},{h}]", ((1, pmin), (-1, p), (-count, z)), ">=", 1 - count))
-            linear.append(LinearConstraint(
-                f"after_first_ub[{n},{h}]", ((1, p), (-1, pmin), (-count, w)), "<=", 0))
-            linear.append(LinearConstraint(
-                f"after_first_lb[{n},{h}]", ((1, p), (-1, pmin), (-(count + 1), w)), ">=", -count))
-            linear.append(LinearConstraint(
-                f"first_solver_def[{n},{h}]", ((1, z), (1, w), (1, _name2("f", n, h))), "=", 1))
+    for i, n in by_node:
+        for j, h in by_heuristic:
+            p, z_ij, w_ij = pos[j], z[i][j], w[i][j]
+            add(Row(f"before_first_ub[{n},{h}]", (1, pmin[i], -1, p, -count, z_ij), "<=", 0))
+            add(Row(f"before_first_lb[{n},{h}]", (1, pmin[i], -1, p, -count, z_ij),
+                    ">=", 1 - count))
+            add(Row(f"after_first_ub[{n},{h}]", (1, p, -1, pmin[i], -count, w_ij), "<=", 0))
+            add(Row(f"after_first_lb[{n},{h}]", (1, p, -1, pmin[i], -(count + 1), w_ij),
+                    ">=", -count))
+            add(Row(f"first_solver_def[{n},{h}]", (1, z_ij, 1, w_ij, 1, f[i][j]), "=", 1))
 
     # products with the node-solved flag, used by the node-time constraint
-    for n in nodes:
-        for h in heuristics:
-            for aux, other, tag in ((_name2("u", n, h), _name2("z", n, h), "solved_and_before"),
-                                    (_name2("v", n, h), _name2("f", n, h), "solved_and_first")):
-                linear.append(LinearConstraint(
-                    f"{tag}_ub1[{n},{h}]", ((1, aux), (-1, _name1("sN", n))), "<=", 0))
-                linear.append(LinearConstraint(
-                    f"{tag}_ub2[{n},{h}]", ((1, aux), (-1, other)), "<=", 0))
-                linear.append(LinearConstraint(
-                    f"{tag}_lb[{n},{h}]",
-                    ((1, aux), (-1, _name1("sN", n)), (-1, other)), ">=", -1))
+    for i, n in by_node:
+        for j, h in by_heuristic:
+            for aux, other, tag in ((u[i][j], z[i][j], "solved_and_before"),
+                                    (v[i][j], f[i][j], "solved_and_first")):
+                add(Row(f"{tag}_ub1[{n},{h}]", (1, aux, -1, sN[i]), "<=", 0))
+                add(Row(f"{tag}_ub2[{n},{h}]", (1, aux, -1, other), "<=", 0))
+                add(Row(f"{tag}_lb[{n},{h}]", (1, aux, -1, sN[i], -1, other), ">=", -1))
 
     quadratic: list[QuadraticConstraint] = []
-    for n in nodes:
-        lin_terms: list[tuple[float, str]] = [(1, _name1("tN", n)), (1, _name1("sN", n))]
-        quad_terms: list[tuple[float, str, str]] = []
-        for h in heuristics:
-            lin_terms.append((-1, _name1("t", h)))
+    for i, n in by_node:
+        lin_terms = [1, tN[i], 1, sN[i]]
+        quad_terms = []
+        for j, h in by_heuristic:
+            lin_terms += (-1, t[j])
             t_req = tau[(n, h)]
             if t_req is not None:
-                lin_terms.append((-t_req, _name2("v", n, h)))
-            quad_terms.append((-1, _name2("u", n, h), _name1("t", h)))
-            quad_terms.append((1, _name1("sN", n), _name1("t", h)))
+                lin_terms += (-t_req, v[i][j])
+            quad_terms += (-1, u[i][j], t[j], 1, sN[i], t[j])
         quadratic.append(QuadraticConstraint(
             f"node_time[{n}]", tuple(lin_terms), tuple(quad_terms), "=", 1))
 
-    objective = tuple((1.0, _name1("tN", n)) for n in nodes)
     return MiqpModel(
         heuristics=heuristics,
         nodes=nodes,
@@ -310,23 +293,22 @@ def build_miqp(d: Dataset, alpha: float) -> MiqpModel:
         tau=tau,
         horizon=horizon,
         variables=tuple(variables),
-        objective=objective,
+        objective=_same(1.0, tN),
         linear=tuple(linear),
         quadratic=tuple(quadratic),
     )
 
 
 def export_miqp(d: Dataset, alpha: float, sink) -> MiqpModel:
-    """Build the model and write its text rendering to ``sink``.
+    """Build the model and stream its text rendering into ``sink``.
 
-    ``sink`` may be a path or a writable text stream.
+    ``sink`` may be a path or a writable text stream.  A path is opened
+    only once the model is built, so rejected input creates no file.
     """
     model = build_miqp(d, alpha)
-    text = model.render()
-    if hasattr(sink, "write"):
-        sink.write(text)
-    else:
-        Path(sink).write_text(text, encoding="utf-8")
+    with nullcontext(sink) if hasattr(sink, "write") else open(sink, "w", encoding="utf-8") as out:
+        for chunk in _chunks(model):
+            out.write(chunk)
     return model
 
 
@@ -334,18 +316,18 @@ def _coerce_assignment(model: MiqpModel, assignment) -> tuple[dict, list[str]]:
     """Validate coverage, integrality and bounds; return integer values."""
     violations: list[str] = []
     values: dict[str, int] = {}
-    for variable in model.variables:
-        if variable.name not in assignment:
-            raise InputError(f"assignment is missing variable {variable.name!r}")
-        raw = assignment[variable.name]
-        require_finite(raw, f"value of {variable.name}")
+    for name, _, lower, upper, _ in model.variables:
+        if name not in assignment:
+            raise InputError(f"assignment is missing variable {name!r}")
+        raw = assignment[name]
+        require_finite(raw, f"value of {name}")
         rounded = round(raw)
         if abs(raw - rounded) > _INTEGRALITY_TOL:
-            violations.append(f"integrality[{variable.name}]")
+            violations.append(f"integrality[{name}]")
             rounded = int(rounded)
-        if not variable.lower <= rounded <= variable.upper:
-            violations.append(f"domain[{variable.name}]")
-        values[variable.name] = int(rounded)
+        if not lower <= rounded <= upper:
+            violations.append(f"domain[{name}]")
+        values[name] = int(rounded)
     return values, violations
 
 
@@ -437,18 +419,23 @@ def check_linearized(model: MiqpModel, assignment) -> CheckResult:
             return lhs >= rhs - _NUMERIC_TOL
         return abs(lhs - rhs) <= _NUMERIC_TOL
 
-    for constraint in model.linear:
-        lhs = sum(coef * values[name] for coef, name in constraint.terms)
-        if not holds(lhs, constraint.op, constraint.rhs):
-            violations.append(constraint.cid)
-    for constraint in model.quadratic:
-        lhs = sum(coef * values[name] for coef, name in constraint.linear)
-        lhs += sum(coef * values[a] * values[b] for coef, a, b in constraint.quadratic)
-        if not holds(lhs, constraint.op, constraint.rhs):
-            violations.append(constraint.cid)
+    def dot(terms) -> float:
+        # from int 0 in term order, so integer rows stay exact
+        total = 0
+        items = iter(terms)
+        for coef, name in zip(items, items):
+            total += coef * values[name]
+        return total
 
-    objective = sum(coef * values[name] for coef, name in model.objective)
-    return CheckResult(not violations, objective, tuple(violations))
+    for cid, terms, op, rhs in model.linear:
+        if not holds(dot(terms), op, rhs):
+            violations.append(cid)
+    for cid, lin_terms, quad_terms, op, rhs in model.quadratic:
+        items = iter(quad_terms)
+        product = sum(coef * values[a] * values[b] for coef, a, b in zip(items, items, items))
+        if not holds(dot(lin_terms) + product, op, rhs):
+            violations.append(cid)
+    return CheckResult(not violations, dot(model.objective), tuple(violations))
 
 
 def schedule_assignment(model: MiqpModel, schedule: Schedule) -> dict:
@@ -520,72 +507,76 @@ def _num(x: float) -> str:
     return repr(value)
 
 
-def _term_text(terms) -> str:
-    parts: list[str] = []
-    for term in terms:
-        if len(term) == 2:
-            coef, name = term
-            body = f"{_num(abs(coef))} {name}"
-        else:
-            coef, a, b = term
-            body = f"{_num(abs(coef))} {a}*{b}"
-        if not parts:
-            parts.append(body if coef >= 0 else f"- {body}")
-        else:
-            parts.append(f"+ {body}" if coef >= 0 else f"- {body}")
-    return " ".join(parts)
+@lru_cache(maxsize=1024)
+def _signed(coef) -> str:
+    """A term's coefficient with its sign, such as ``+ 1`` or ``- 12``."""
+    return f"{'+' if coef >= 0 else '-'} {_num(abs(coef))}"
 
 
-def _render(model: MiqpModel) -> str:
-    out = io.StringIO()
-    write = out.write
-    write("# minimum-cost heuristic scheduling model (mixed-integer, quadratic)\n")
-    write("# sections: VARIABLES, OBJECTIVE, LINEAR, QUADRATIC, COMMENTS\n")
-    write("VARIABLES\n")
-    for v in model.variables:
-        write(f"{v.name} {v.kind} in [{v.lower}, {v.upper}]\n")
-    write("OBJECTIVE\n")
-    write(f"minimize: {_term_text(model.objective)}\n")
-    write("LINEAR\n")
-    for c in model.linear:
-        write(f"{c.cid}: {_term_text(c.terms)} {c.op} {_num(c.rhs)}\n")
-    write("QUADRATIC\n")
-    for c in model.quadratic:
-        terms = _term_text(tuple(c.linear) + tuple(c.quadratic))
-        write(f"{c.cid}: {terms} {c.op} {_num(c.rhs)}\n")
-    write("COMMENTS\n")
+def _term_text(terms: tuple, width: int = 2, lead: bool = True) -> str:
+    """Flat terms of ``width`` items (a coefficient, then its factors) as text;
+    ``lead`` drops the ``+`` of a first term that opens the expression."""
+    items = iter(terms)
+    if width == 2:
+        text = " ".join([f"{_signed(coef)} {name}" for coef, name in zip(items, items)])
+    else:
+        text = " ".join([f"{_signed(coef)} {a}*{b}" for coef, a, b in zip(items, items, items)])
+    return text[2:] if lead and text.startswith("+") else text
+
+
+def _batched(lines):
+    """Join consecutive lines into chunks of at most ``_CHUNK_ROWS`` lines."""
+    lines = iter(lines)
+    while chunk := "".join(islice(lines, _CHUNK_ROWS)):
+        yield chunk
+
+
+def _chunks(model: MiqpModel):
+    """The model's text rendering, section by section, in bounded chunks."""
+    yield ("# minimum-cost heuristic scheduling model (mixed-integer, quadratic)\n"
+           "# sections: VARIABLES, OBJECTIVE, LINEAR, QUADRATIC, COMMENTS\n"
+           "VARIABLES\n")
+    yield from _batched(f"{name} {kind} in [{lower}, {upper}]\n"
+                        for name, kind, lower, upper, _ in model.variables)
+    yield f"OBJECTIVE\nminimize: {_term_text(model.objective)}\nLINEAR\n"
+    yield from _batched(f"{cid}: {_term_text(terms)} {op} {_num(rhs)}\n"
+                        for cid, terms, op, rhs in model.linear)
+    yield "QUADRATIC\n"
+    yield from _batched(f"{cid}: {_term_text(lin_terms)} {_term_text(quad_terms, 3, False)}"
+                        f" {op} {_num(rhs)}\n"
+                        for cid, lin_terms, quad_terms, op, rhs in model.quadratic)
     count = len(model.heuristics)
-    write(f"heuristics: {count}; nodes: {len(model.nodes)}; "
-          f"required coverage fraction: {_num(model.alpha)}\n")
-    write("objective counts iterations spent per node, plus one penalty unit per"
-          " unsolved node\n")
-    write("units are raw iterations; comparable to seconds-normalized schedule"
-          " costs only when every heuristic averages 1 second per iteration\n")
-    write("x[h][p]=1 places heuristic h at position p (p=0: not scheduled);"
-          " t[h] is its iteration budget; p[h] its position\n")
-    write("s[n][h]=1 when t[h] reaches the iterations h needs at node n;"
-          " sN[n]=1 when any heuristic does; pmin[n] is the position of the"
-          " first one (the heuristic count if none)\n")
-    write("linearizations used:\n")
-    write("  budget-coverage indicator s[n][h]: big-M pair with M = horizon(h)+1"
-          " (solve_lb/solve_ub); pairs the heuristic never solves are pinned to 0"
-          " (solve_never)\n")
-    write("  node-solved flag sN[n]: upper bound by the sum of s[n][h], lower"
-          " bound by each (node_solved_ub/node_solved_lb)\n")
-    write(f"  position minimum pmin[n]: per-heuristic terms m[n][h] equal p[h]"
-          f" when s[n][h]=1 else {count}, linearized with M = {count}"
-          " (min_term_*); pmin bounded above by every m and matched from below"
-          " through the argmin selector y[n][h] (first_position_*)\n")
-    write(f"  order indicators: z[n][h] (strictly before pmin) and w[n][h]"
-          f" (strictly after) via big-M inequalities with M = {count} and"
-          f" M = {count + 1}; f[n][h] closes the trichotomy z+w+f = 1"
-          " (before_first_*/after_first_*/first_solver_def)\n")
-    write("  products with the node-solved flag: u[n][h] = sN[n] AND z[n][h],"
-          " v[n][h] = sN[n] AND f[n][h], standard three-inequality AND"
-          " encodings\n")
-    write("  node time tN[n]: quadratic equality; solved nodes pay the budgets"
-          " of heuristics before pmin plus the solver's actual iterations"
-          " (through u and v), unsolved nodes pay the whole schedule plus 1\n")
-    write(f"node-time domain upper bound: 1 + total horizon ="
-          f" {1 + sum(model.horizon.values())}\n")
-    return out.getvalue()
+    yield ("COMMENTS\n"
+           f"heuristics: {count}; nodes: {len(model.nodes)}; "
+           f"required coverage fraction: {_num(model.alpha)}\n"
+           "objective counts iterations spent per node, plus one penalty unit per"
+           " unsolved node\n"
+           "units are raw iterations; comparable to seconds-normalized schedule"
+           " costs only when every heuristic averages 1 second per iteration\n"
+           "x[h][p]=1 places heuristic h at position p (p=0: not scheduled);"
+           " t[h] is its iteration budget; p[h] its position\n"
+           "s[n][h]=1 when t[h] reaches the iterations h needs at node n;"
+           " sN[n]=1 when any heuristic does; pmin[n] is the position of the"
+           " first one (the heuristic count if none)\n"
+           "linearizations used:\n"
+           "  budget-coverage indicator s[n][h]: big-M pair with M = horizon(h)+1"
+           " (solve_lb/solve_ub); pairs the heuristic never solves are pinned to 0"
+           " (solve_never)\n"
+           "  node-solved flag sN[n]: upper bound by the sum of s[n][h], lower"
+           " bound by each (node_solved_ub/node_solved_lb)\n"
+           f"  position minimum pmin[n]: per-heuristic terms m[n][h] equal p[h]"
+           f" when s[n][h]=1 else {count}, linearized with M = {count}"
+           " (min_term_*); pmin bounded above by every m and matched from below"
+           " through the argmin selector y[n][h] (first_position_*)\n"
+           f"  order indicators: z[n][h] (strictly before pmin) and w[n][h]"
+           f" (strictly after) via big-M inequalities with M = {count} and"
+           f" M = {count + 1}; f[n][h] closes the trichotomy z+w+f = 1"
+           " (before_first_*/after_first_*/first_solver_def)\n"
+           "  products with the node-solved flag: u[n][h] = sN[n] AND z[n][h],"
+           " v[n][h] = sN[n] AND f[n][h], standard three-inequality AND"
+           " encodings\n"
+           "  node time tN[n]: quadratic equality; solved nodes pay the budgets"
+           " of heuristics before pmin plus the solver's actual iterations"
+           " (through u and v), unsolved nodes pay the whole schedule plus 1\n"
+           f"node-time domain upper bound: 1 + total horizon ="
+           f" {1 + sum(model.horizon.values())}\n")

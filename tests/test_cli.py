@@ -1,6 +1,10 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -220,3 +224,45 @@ def test_non_finite_timeline_row_names_its_line(tmp_path, capsys, row, column):
     err = capsys.readouterr().err
     assert f"line 3: {column} must be finite" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("data, alpha", [
+    (WORKED_CSV.replace("N1", "N[1]"), "0.5"),  # brackets are reserved in model names
+    (WORKED_CSV, "1.5"),
+])
+def test_rejected_export_writes_no_files(tmp_path, capsys, data, alpha):
+    path = tmp_path / "data.csv"
+    path.write_text(data, encoding="utf-8")
+    out = tmp_path / "model.txt"
+    assert dispatch(["export-miqp", "--data", str(path), "--alpha", alpha, "--out", str(out)]) == 1
+    assert not out.exists()
+    assert not (tmp_path / "model.txt.manifest.json").exists()
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_export_into_missing_directory_exits_cleanly(tmp_path, worked_csv, capsys):
+    out = tmp_path / "missing" / "model.txt"
+    assert dispatch(["export-miqp", "--data", str(worked_csv), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("heursched: error:")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("module", ["heursched", "heursched.cli"])
+def test_module_runs_from_a_source_checkout(tmp_path, worked_csv, module):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        part for part in (src, os.environ.get("PYTHONPATH")) if part))
+
+    def run(*argv):
+        return subprocess.run([sys.executable, "-m", module, *argv], cwd=tmp_path, env=env,
+                              capture_output=True, text=True, timeout=60)
+
+    done = run("--help")
+    assert done.returncode == 0
+    assert done.stdout.startswith("usage: heursched")
+    done = run("export-miqp", "--data", str(worked_csv), "--alpha", "1.5",
+               "--out", str(tmp_path / "model.txt"))
+    assert done.returncode == 1
+    assert "alpha must lie in [0, 1]" in done.stderr
+    assert not (tmp_path / "model.txt").exists()

@@ -1,9 +1,12 @@
 from __future__ import annotations
 
+import hashlib
 import io
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from heursched import (Dataset, InputError, Observation, Schedule, breakpoints,
                        build_miqp, check_assignment, check_linearized, evaluate,
@@ -194,3 +197,68 @@ def test_random_optima_certified_by_both_checkers():
         assert original.objective == objective
         assert linearized.objective == objective
         checked += 1
+
+
+# SHA-256 of the rendered model text, recorded from an earlier implementation
+# of the model; any change to a byte of the export fails.
+RENDER_DIGESTS = {
+    "worked": "c542fb09ca37cebfebb622ac374740080891528ee212f1e891cf83af2d68b93f",
+    0: "a775c510e24e9f96d3b04c8ac389f16158477b97064b523e18158d4948660e05",
+    5: "4aadeaf702619bbed443c45c316cb8301e94d238d029086e61b7419155701b7b",
+    30: "97c12ad9cc97daf5e421996ef93be11aead491ea2d633da8274e04ecf5b83101",
+}
+
+
+@pytest.mark.parametrize("case, alpha", [("worked", 0.5), (0, 0.85), (5, 0.5), (30, 0.3)])
+def test_rendered_bytes_are_pinned(worked, case, alpha):
+    d = worked if case == "worked" else random_dataset(random.Random(case))
+    if case == 30:  # h2 never succeeds, so its rows are pinned by solve_never
+        assert not d.tau_column("h2")
+    text = build_miqp(d, alpha).render()
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == RENDER_DIGESTS[case]
+
+
+def test_export_streams_chunks_that_join_to_the_rendering():
+    def tau(i, j):
+        return (i * (j + 1)) % 9 + 1 if (i + j) % 4 else None
+
+    d = Dataset.from_observations(Observation(f"h{j}", f"N{i}", tau(i, j), 10)
+                                  for j in range(12) for i in range(200))
+
+    class CountingStream:
+        def __init__(self):
+            self.writes = []
+
+        def write(self, text):
+            self.writes.append(text)
+            return len(text)
+
+    stream = CountingStream()
+    model = export_miqp(d, 0.5, stream)
+    text = model.render()
+    assert len(stream.writes) > 1
+    assert max(len(chunk) for chunk in stream.writes) < len(text) / 4  # no whole section
+    assert "".join(stream.writes) == text
+
+
+@st.composite
+def datasets_with_schedules(draw):
+    """A small random dataset and a schedule whose budgets fit each horizon."""
+    d = random_dataset(draw(st.randoms(use_true_random=False)), max_heuristics=4, max_nodes=6)
+    horizon = {h: max(d.tau_column(h).values(), default=0) for h in d.heuristics}
+    order = draw(st.permutations([h for h in d.heuristics if horizon[h] > 0]))
+    chosen = order[:draw(st.integers(0, len(order)))]
+    return d, Schedule(tuple((h, draw(st.integers(1, horizon[h]))) for h in chosen))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(case=datasets_with_schedules(), alpha=st.sampled_from((0.0, 0.25, 0.5, 0.75, 1.0)))
+def test_schedule_assignments_pass_both_checkers(case, alpha):
+    d, schedule = case
+    model = build_miqp(d, alpha)
+    assignment = schedule_assignment(model, schedule)
+    replay = evaluate(schedule, d, alpha)
+    expected = () if replay.feasible else ("coverage",)
+    for result in (check_assignment(model, assignment), check_linearized(model, assignment)):
+        assert result.objective == replay.objective
+        assert result.violations == expected
