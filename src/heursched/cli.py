@@ -173,7 +173,7 @@ def _cmd_simulate(args) -> int:
     print(f"instances: {count}")
     print(f"heuristics: {len(d.heuristics)}")
     print(f"nodes: {len(d.nodes)}")
-    print(f"observations: {len(d.observations)}")
+    print(f"observations: {len(d._rows)}")
     return 0
 
 

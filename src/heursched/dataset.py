@@ -11,12 +11,12 @@ without an observation are treated as failed calls that executed zero
 iterations, since a data collector may simply never have run that
 heuristic at that node.
 
-A ``Dataset`` indexes its observations once, when it is constructed:
-``registration_index(h)`` is a dict lookup, and ``tau_column(h)`` is a
-read-only map from node id to the iterations heuristic ``h`` needed there,
-holding its successful calls only.  Breakpoints, replay tables, the greedy
-builder, the exact oracle and the MIQP model all read these columns
-instead of rescanning the observations.
+A ``Dataset`` holds columns: its rows as plain tuples in wire order, and a
+read-only ``tau_column(h)`` per heuristic, mapping node id to the iterations
+``h`` needed there (successful calls only).  ``load_dataset`` and shadow
+collection fill the columns as they read, validating each distinct id once,
+and every consumer reads them.  ``Dataset.observations`` is built from the
+rows on first access only.
 """
 
 from __future__ import annotations
@@ -60,12 +60,27 @@ def read_rows(source: str, header: str, what: str) -> Iterator[tuple[int, list[s
                 raise InputError(f"line {lineno}: expected header {header!r}, got {line!r}")
             header_found = True
             continue
-        fields = [f.strip() for f in line.split(",")]
+        fields = list(map(str.strip, line.split(",")))
         if len(fields) != width:
             raise InputError(f"line {lineno}: expected {width} fields, got {len(fields)}")
         yield lineno, fields
     if not header_found:
         raise InputError(f"{what} is missing its header line")
+
+
+def check_row(heuristic: str, node: str, tau: int | None, executed: int,
+              duration: float | None) -> None:
+    """Reject a row's counts and duration; its ids are checked by the caller."""
+    if not isinstance(executed, int) or executed < 1:
+        raise InputError(f"iterations_executed must be a positive integer, got {executed!r}")
+    if tau is not None:
+        if not isinstance(tau, int) or tau < 1:
+            raise InputError(f"iterations_to_solution must be a positive integer, got {tau!r}")
+        if tau > executed:
+            raise InputError(f"iterations_to_solution ({tau}) exceeds iterations_executed "
+                             f"({executed}) for ({heuristic}, {node})")
+    if duration is not None and not (math.isfinite(duration) and duration >= 0):
+        raise InputError(f"duration_seconds must be finite and nonnegative, got {duration!r}")
 
 
 @dataclass(frozen=True)
@@ -86,20 +101,8 @@ class Observation:
     def __post_init__(self) -> None:
         validate_identifier(self.heuristic, "heuristic")
         validate_identifier(self.node, "node")
-        if not isinstance(self.iterations_executed, int) or self.iterations_executed < 1:
-            raise InputError(
-                f"iterations_executed must be a positive integer, got {self.iterations_executed!r}")
-        tau = self.iterations_to_solution
-        if tau is not None:
-            if not isinstance(tau, int) or tau < 1:
-                raise InputError(f"iterations_to_solution must be a positive integer, got {tau!r}")
-            if tau > self.iterations_executed:
-                raise InputError(
-                    f"iterations_to_solution ({tau}) exceeds iterations_executed "
-                    f"({self.iterations_executed}) for ({self.heuristic}, {self.node})")
-        duration = self.duration_seconds
-        if duration is not None and not (math.isfinite(duration) and duration >= 0):
-            raise InputError(f"duration_seconds must be finite and nonnegative, got {duration!r}")
+        check_row(self.heuristic, self.node, self.iterations_to_solution,
+                  self.iterations_executed, self.duration_seconds)
 
     @property
     def succeeded(self) -> bool:
@@ -116,33 +119,57 @@ class Dataset:
     _registration: dict = field(init=False, repr=False, compare=False, default=None)
     _node_set: frozenset = field(init=False, repr=False, compare=False, default=None)
     _observed: dict = field(init=False, repr=False, compare=False, default=None)
+    _rows: list = field(init=False, repr=False, compare=False, default=None)
     _taus: dict = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self) -> None:
-        registration = {h: i for i, h in enumerate(self.heuristics)}
-        if len(registration) != len(self.heuristics):
-            raise InputError("duplicate heuristic registration")
-        node_set = frozenset(self.nodes)
-        if len(node_set) != len(self.nodes):
-            raise InputError("duplicate node registration")
-        observed: dict[str, dict[str, Observation]] = {h: {} for h in self.heuristics}
         taus: dict[str, dict[str, int]] = {h: {} for h in self.heuristics}
+        rows: list[tuple] = []
+        self._index(self.heuristics, self.nodes, rows, taus)
+        seen: set[tuple[str, str]] = set()
         for obs in self.observations:
-            by_node = observed.get(obs.heuristic)
-            if by_node is None:
+            column = taus.get(obs.heuristic)
+            if column is None:
                 raise InputError(f"observation references unregistered heuristic {obs.heuristic!r}")
-            if obs.node not in node_set:
+            if obs.node not in self._node_set:
                 raise InputError(f"observation references unregistered node {obs.node!r}")
-            if obs.node in by_node:
+            if (obs.heuristic, obs.node) in seen:
                 raise InputError(f"duplicate observation for pair ({obs.heuristic}, {obs.node})")
-            by_node[obs.node] = obs
-            if obs.iterations_to_solution is not None:
-                taus[obs.heuristic][obs.node] = obs.iterations_to_solution
-        object.__setattr__(self, "_registration", registration)
-        object.__setattr__(self, "_node_set", node_set)
-        object.__setattr__(self, "_observed", observed)
-        object.__setattr__(self, "_taus",
-                           {h: MappingProxyType(column) for h, column in taus.items()})
+            seen.add((obs.heuristic, obs.node))
+            tau = obs.iterations_to_solution
+            if tau is not None:
+                column[obs.node] = tau
+            rows.append((obs.heuristic, obs.node, tau, obs.iterations_executed,
+                         obs.duration_seconds))
+
+    @classmethod
+    def _from_columns(cls, heuristics, nodes, rows, taus) -> "Dataset":
+        """Trusted constructor: ``rows`` passed ``check_row``, hold valid, registered
+        ids and no repeated pair; ``taus[h]`` maps node to tau where ``h`` succeeded."""
+        d = cls.__new__(cls)
+        d._index(heuristics, nodes, rows, taus)
+        return d
+
+    def _index(self, heuristics, nodes, rows, taus) -> None:
+        registration = {h: i for i, h in enumerate(heuristics)}
+        if len(registration) != len(heuristics):
+            raise InputError("duplicate heuristic registration")
+        node_set = frozenset(nodes)
+        if len(node_set) != len(nodes):
+            raise InputError("duplicate node registration")
+        taus = {h: MappingProxyType(column) for h, column in taus.items()}
+        for name, value in (("heuristics", heuristics), ("nodes", nodes), ("_rows", rows),
+                            ("_registration", registration), ("_node_set", node_set),
+                            ("_taus", taus)):
+            object.__setattr__(self, name, value)
+
+    def __getattr__(self, name: str):
+        # reached only while unset: the observations of a _from_columns dataset
+        if name != "observations":
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        observations = tuple(Observation(*row) for row in self._rows)
+        object.__setattr__(self, "observations", observations)
+        return observations
 
     @classmethod
     def from_observations(cls, observations) -> "Dataset":
@@ -155,7 +182,10 @@ class Dataset:
     def observation(self, heuristic: str, node: str) -> Observation | None:
         self._require_heuristic(heuristic)
         self._require_node(node)
-        return self._observed[heuristic].get(node)
+        if self._observed is None:
+            object.__setattr__(self, "_observed",
+                               {(o.heuristic, o.node): o for o in self.observations})
+        return self._observed.get((heuristic, node))
 
     def tau_column(self, heuristic: str) -> Mapping[str, int]:
         """Read-only map from node id to the heuristic's iterations-to-solution.
@@ -231,8 +261,10 @@ def load_dataset(source: str) -> Dataset:
     call; an empty duration means the duration was not tracked.  Lines
     starting with ``#`` are comments.  Fields are never quoted.
     """
-    observations: list[Observation] = []
-    seen: set[tuple[str, str]] = set()
+    taus: dict[str, dict[str, int]] = {}
+    seen: dict[str, set[str]] = {}  # per heuristic, the nodes it has a row at
+    nodes: dict[str, None] = {}
+    rows: list[tuple] = []
     for lineno, fields in read_rows(source, DATASET_HEADER, "dataset"):
         heuristic, node, tau_text, executed_text, duration_text = fields
         if tau_text == "" or tau_text.lower() == "inf":
@@ -249,24 +281,35 @@ def load_dataset(source: str) -> Dataset:
                 raise InputError(
                     f"line {lineno}: duration_seconds must be a number, got {duration_text!r}"
                 ) from None
+        column = taus.get(heuristic)
         try:
-            obs = Observation(heuristic, node, tau, executed, duration)
+            if column is None:
+                validate_identifier(heuristic, "heuristic")
+                column = taus[heuristic] = {}
+                seen[heuristic] = set()
+            if node not in nodes:
+                validate_identifier(node, "node")
+                nodes[node] = None
+            check_row(heuristic, node, tau, executed, duration)
         except InputError as exc:
             raise InputError(f"line {lineno}: {exc}") from None
-        if (heuristic, node) in seen:
+        observed = seen[heuristic]
+        if node in observed:
             raise InputError(f"line {lineno}: duplicate row for pair ({heuristic}, {node})")
-        seen.add((heuristic, node))
-        observations.append(obs)
-    return Dataset.from_observations(observations)
+        observed.add(node)
+        if tau is not None:
+            column[node] = tau
+        rows.append((heuristic, node, tau, executed, duration))
+    return Dataset._from_columns(tuple(taus), tuple(nodes), rows, taus)
 
 
 def dump_dataset(d: Dataset) -> str:
     """Serialize a dataset back to its CSV wire format."""
     lines = [DATASET_HEADER]
-    for obs in d.observations:
-        tau = "inf" if obs.iterations_to_solution is None else str(obs.iterations_to_solution)
-        duration = "" if obs.duration_seconds is None else repr(float(obs.duration_seconds))
-        lines.append(f"{obs.heuristic},{obs.node},{tau},{obs.iterations_executed},{duration}")
+    for heuristic, node, tau, executed, duration in d._rows:
+        tau = "inf" if tau is None else str(tau)
+        duration = "" if duration is None else repr(float(duration))
+        lines.append(f"{heuristic},{node},{tau},{executed},{duration}")
     return "\n".join(lines) + "\n"
 
 
@@ -279,11 +322,16 @@ def avg_iteration_cost(d: Dataset) -> IterationCostProfile:
     any usable duration data fall back to 1.0 second per iteration, i.e.
     pure-iteration costing.
     """
+    seconds: dict[str, list[float]] = {h: [] for h in d.heuristics}
+    executed = dict.fromkeys(d.heuristics, 0)
+    for heuristic, _, _, iterations, duration in d._rows:
+        if duration is not None:
+            seconds[heuristic].append(duration)
+            executed[heuristic] += iterations
     costs: dict[str, float] = {}
-    for heuristic in d.heuristics:
-        timed = [o for o in d._observed[heuristic].values() if o.duration_seconds is not None]
-        # fsum: exactly rounded, so the average ignores observation order
-        total_seconds = math.fsum(o.duration_seconds for o in timed)
+    for heuristic, timed in seconds.items():
+        # fsum: exactly rounded, so the average ignores row order
+        total_seconds = math.fsum(timed)
         if not timed:
             costs[heuristic] = 1.0
         elif total_seconds <= 0.0:
@@ -291,7 +339,7 @@ def avg_iteration_cost(d: Dataset) -> IterationCostProfile:
                           "falling back to 1.0 s/iteration")
             costs[heuristic] = 1.0
         else:
-            costs[heuristic] = total_seconds / sum(o.iterations_executed for o in timed)
+            costs[heuristic] = total_seconds / executed[heuristic]
     return IterationCostProfile(costs)
 
 

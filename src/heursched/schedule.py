@@ -22,6 +22,16 @@ from .errors import InputError
 SCHEDULE_HEADER = "position,heuristic,max_iterations"
 
 
+def _check_entry(heuristic: str, budget: int, seen: set[str]) -> None:
+    """Reject a bad id, a bad budget or a repeat of a heuristic in ``seen``; add it."""
+    validate_identifier(heuristic, "heuristic")
+    if not isinstance(budget, int) or budget < 1:
+        raise InputError(f"budget for {heuristic!r} must be a positive integer, got {budget!r}")
+    if heuristic in seen:
+        raise InputError(f"heuristic {heuristic!r} appears more than once in the schedule")
+    seen.add(heuristic)
+
+
 @dataclass(frozen=True)
 class Schedule:
     """Ordered (heuristic, budget) entries; possibly empty."""
@@ -33,13 +43,7 @@ class Schedule:
         for entry in self.entries:
             if len(entry) != 2:
                 raise InputError(f"schedule entry must be (heuristic, budget), got {entry!r}")
-            heuristic, budget = entry
-            validate_identifier(heuristic, "heuristic")
-            if not isinstance(budget, int) or budget < 1:
-                raise InputError(f"budget for {heuristic!r} must be a positive integer, got {budget!r}")
-            if heuristic in seen:
-                raise InputError(f"heuristic {heuristic!r} appears more than once in the schedule")
-            seen.add(heuristic)
+            _check_entry(*entry, seen)
 
     @property
     def heuristics(self) -> tuple[str, ...]:
@@ -174,9 +178,10 @@ def evaluate(s: Schedule, d: Dataset, alpha: float,
 def load_schedule(source: str) -> Schedule:
     """Parse schedule CSV text (header ``position,heuristic,max_iterations``).
 
-    Positions must be exactly 1..k; rows may appear in any order.
+    Positions must be exactly 1..k, in any row order; row errors name their line.
     """
     rows: dict[int, tuple[str, int]] = {}
+    seen: set[str] = set()
     for lineno, (position_text, heuristic, budget_text) in read_rows(
             source, SCHEDULE_HEADER, "schedule"):
         try:
@@ -186,6 +191,10 @@ def load_schedule(source: str) -> Schedule:
             raise InputError(f"line {lineno}: position and max_iterations must be integers") from None
         if position in rows:
             raise InputError(f"line {lineno}: duplicate position {position}")
+        try:
+            _check_entry(heuristic, budget, seen)
+        except InputError as exc:
+            raise InputError(f"line {lineno}: {exc}") from None
         rows[position] = (heuristic, budget)
     if sorted(rows) != list(range(1, len(rows) + 1)):
         raise InputError(f"schedule positions must be contiguous from 1, got {sorted(rows)}")

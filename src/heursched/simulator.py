@@ -31,7 +31,7 @@ import random
 import statistics
 from dataclasses import dataclass
 
-from .dataset import Dataset, Observation, validate_identifier
+from .dataset import Dataset, check_row, validate_identifier
 from .errors import InputError, require_finite
 from .metrics import IncumbentTimeline, primal_integral, require_time_limit
 from .schedule import Schedule
@@ -240,25 +240,27 @@ def collect_shadow_dataset(instances) -> Dataset:
     for inst in instances[1:]:
         if inst.heuristics != reference:
             raise InputError("instances do not share a heuristic universe")
+    heuristic_ids = tuple(spec.id for spec in reference)
+    taus: dict[str, dict[str, int]] = {h: {} for h in heuristic_ids}
     seen_nodes: set[str] = set()
-    observations: list[Observation] = []
+    rows: list[tuple] = []
     for inst in instances:
         for node in inst.nodes:
             if node in seen_nodes:
                 raise InputError(f"duplicate node id {node!r} across instances")
             seen_nodes.add(node)
+            validate_identifier(node, "node")
             for spec in inst.heuristics:
                 outcome = inst.outcome(node, spec.id)
-                observations.append(Observation(
-                    heuristic=spec.id,
-                    node=node,
-                    iterations_to_solution=outcome.iterations if outcome.succeeds else None,
-                    iterations_executed=outcome.iterations,
-                    duration_seconds=outcome.iterations * spec.seconds_per_iteration,
-                ))
-    heuristic_ids = tuple(spec.id for spec in reference)
+                iterations = outcome.iterations
+                tau = iterations if outcome.succeeds else None
+                duration = iterations * spec.seconds_per_iteration
+                check_row(spec.id, node, tau, iterations, duration)
+                if tau is not None:
+                    taus[spec.id][node] = tau
+                rows.append((spec.id, node, tau, iterations, duration))
     nodes = tuple(node for inst in instances for node in inst.nodes)
-    return Dataset(heuristic_ids, nodes, tuple(observations))
+    return Dataset._from_columns(heuristic_ids, nodes, rows, taus)
 
 
 def run_with_schedule(inst: SimInstance, s: Schedule, time_limit: float) -> RunTrace:

@@ -9,10 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from heursched import (Dataset, InputError, IterationCostProfile, Observation,
-                       avg_iteration_cost, breakpoints, dump_dataset, load_dataset)
+                       avg_iteration_cost, breakpoints, collect_shadow_dataset,
+                       dump_dataset, generate_instance, load_dataset, load_sim_config)
+from heursched.dataset import DATASET_HEADER
 from heursched.schedule import replay_tables
 
-from conftest import WORKED_CSV, random_dataset
+from conftest import COVERAGE_CFG, PLANTED_CFG, WORKED_CSV, random_dataset
 
 
 def test_load_small_dataset():
@@ -237,3 +239,178 @@ def test_indexed_columns_match_a_scan_of_the_observations(d):
         seconds = math.fsum(o.duration_seconds for o in timed)
         expected = seconds / sum(o.iterations_executed for o in timed) if seconds > 0 else 1.0
         assert costs[h] == expected
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(d=shuffled_datasets())
+def test_dump_load_round_trip(d):
+    d = Dataset.from_observations(d.observations)  # ids registered in row order
+    text = dump_dataset(d)
+    again = load_dataset(text)
+    assert again == d
+    assert dump_dataset(again) == text
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(config=st.sampled_from((PLANTED_CFG, COVERAGE_CFG)), seed=st.integers(0, 10**6),
+       instances=st.integers(1, 3))
+def test_shadow_dataset_dump_load_round_trip(config, seed, instances):
+    cfg = load_sim_config(config)
+    d = collect_shadow_dataset(generate_instance(cfg, seed + i) for i in range(instances))
+    text = dump_dataset(d)
+    again = load_dataset(text)
+    assert again == d
+    assert dump_dataset(again) == text
+
+
+# The dataset loader as it was before it filled the columns directly: every
+# row became a validated Observation, re-indexed by Dataset.  Kept as the
+# reference that the columnar loader must match, error texts included.
+def reference_read_rows(source, header, what):
+    width = header.count(",") + 1
+    header_found = False
+    for lineno, raw in enumerate(source.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if not header_found:
+            if line != header:
+                raise InputError(f"line {lineno}: expected header {header!r}, got {line!r}")
+            header_found = True
+            continue
+        fields = [f.strip() for f in line.split(",")]
+        if len(fields) != width:
+            raise InputError(f"line {lineno}: expected {width} fields, got {len(fields)}")
+        yield lineno, fields
+    if not header_found:
+        raise InputError(f"{what} is missing its header line")
+
+
+def reference_observation(heuristic, node, tau, executed, duration):
+    for value, what in ((heuristic, "heuristic"), (node, "node")):
+        if not isinstance(value, str) or not value:
+            raise InputError(f"{what} identifier must be a non-empty string, got {value!r}")
+        if "," in value or "\n" in value or "\r" in value or value.startswith("#"):
+            raise InputError(f"invalid {what} identifier {value!r}: "
+                             "commas, newlines and a leading '#' are reserved")
+    if not isinstance(executed, int) or executed < 1:
+        raise InputError(f"iterations_executed must be a positive integer, got {executed!r}")
+    if tau is not None:
+        if not isinstance(tau, int) or tau < 1:
+            raise InputError(f"iterations_to_solution must be a positive integer, got {tau!r}")
+        if tau > executed:
+            raise InputError(f"iterations_to_solution ({tau}) exceeds iterations_executed "
+                             f"({executed}) for ({heuristic}, {node})")
+    if duration is not None and not (math.isfinite(duration) and duration >= 0):
+        raise InputError(f"duration_seconds must be finite and nonnegative, got {duration!r}")
+    return Observation(heuristic, node, tau, executed, duration)
+
+
+def reference_positive_int(text, lineno, column):
+    try:
+        value = int(text)
+    except ValueError:
+        raise InputError(f"line {lineno}: {column} must be an integer, got {text!r}") from None
+    if value < 1:
+        raise InputError(f"line {lineno}: {column} must be positive, got {value}")
+    return value
+
+
+def reference_load_dataset(source):
+    observations = []
+    seen = set()
+    for lineno, fields in reference_read_rows(source, DATASET_HEADER, "dataset"):
+        heuristic, node, tau_text, executed_text, duration_text = fields
+        if tau_text == "" or tau_text.lower() == "inf":
+            tau = None
+        else:
+            tau = reference_positive_int(tau_text, lineno, "iterations_to_solution")
+        executed = reference_positive_int(executed_text, lineno, "iterations_executed")
+        if duration_text == "":
+            duration = None
+        else:
+            try:
+                duration = float(duration_text)
+            except ValueError:
+                raise InputError(
+                    f"line {lineno}: duration_seconds must be a number, got {duration_text!r}"
+                ) from None
+        try:
+            obs = reference_observation(heuristic, node, tau, executed, duration)
+        except InputError as exc:
+            raise InputError(f"line {lineno}: {exc}") from None
+        if (heuristic, node) in seen:
+            raise InputError(f"line {lineno}: duplicate row for pair ({heuristic}, {node})")
+        seen.add((heuristic, node))
+        observations.append(obs)
+    return observations
+
+
+_FIELDS = (
+    st.sampled_from(("h1", "h2", "h3", " h1 ", "")),
+    st.sampled_from(("n1", "n2", "n3", "n4", "n2 ", "", "#n")),
+    st.sampled_from(("", "inf", "INF", "1", "2", "3", "4", "0", "-1", "x", "1.5", " 2")),
+    st.sampled_from(("1", "2", "3", "4", "0", "-2", "y", "1e3")),
+    st.sampled_from(("", "0", "0.0", "0.5", "1e3", "-1", "-0.0", "nan", "inf", "-inf", "abc")),
+)
+
+
+@st.composite
+def dataset_texts(draw):
+    """Dataset CSV texts, mostly valid, with malformed rows mixed in.
+
+    Valid rows use each (heuristic, node) pair once; the malformed lines may
+    carry a bad id on a later row, tau > executed, NaN or infinite
+    durations, a repeated pair, a wrong field count, or a bad header.
+    """
+    pairs = draw(st.lists(st.tuples(st.sampled_from(("h1", "h2", "h3")),
+                                    st.sampled_from(("n1", "n2", "n3", "n4"))),
+                          max_size=10, unique=True))
+    lines = []
+    for heuristic, node in pairs:
+        executed = draw(st.integers(1, 5))
+        tau = draw(st.sampled_from(("inf", "", "Inf", str(draw(st.integers(1, executed))))))
+        duration = draw(st.sampled_from(("", "0.0", repr(0.25 * executed), "3")))
+        lines.append(f"{heuristic},{node},{tau},{executed},{duration}")
+    near_valid = st.tuples(st.sampled_from(("h1", "h2", "")),
+                           st.sampled_from(("n1", "n3", "", "#n")),
+                           st.integers(1, 6).map(str), st.integers(1, 5).map(str),
+                           st.sampled_from(("", "0.5", "nan", "inf", "-inf", "-1")))
+    for _ in range(draw(st.integers(0, 3))):
+        bad = draw(st.one_of(
+            st.tuples(*_FIELDS).map(",".join),
+            near_valid.map(",".join),
+            st.sampled_from(lines or ["h1,n1,1,1,"]),
+            st.lists(st.sampled_from(("h1", "n1", "1", "")), max_size=7).map(",".join),
+            st.sampled_from(("", "# comment", "  ", DATASET_HEADER))))
+        lines.insert(draw(st.integers(0, len(lines))), bad)
+    header = draw(st.sampled_from((DATASET_HEADER,) * 12 + (
+        f"  {DATASET_HEADER}", "# note\n" + DATASET_HEADER, "heuristic,node", "")))
+    return "\n".join([header] + lines) + draw(st.sampled_from(("\n", "", "\r\n")))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(text=dataset_texts())
+def test_loader_matches_the_reference_loader(text):
+    try:
+        expected = reference_load_dataset(text)
+    except InputError as exc:
+        with pytest.raises(InputError) as excinfo:
+            load_dataset(text)
+        assert str(excinfo.value) == str(exc)
+        return
+    d = load_dataset(text)
+    assert d.heuristics == tuple(dict.fromkeys(o.heuristic for o in expected))
+    assert d.nodes == tuple(dict.fromkeys(o.node for o in expected))
+    assert d.observations == tuple(expected)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # all-zero durations warn and fall back
+        costs = avg_iteration_cost(d).seconds_per_iteration
+    for h in d.heuristics:
+        rows = [o for o in expected if o.heuristic == h]
+        assert dict(d.tau_column(h)) == {o.node: o.iterations_to_solution
+                                         for o in rows if o.succeeded}
+        timed = [o for o in rows if o.duration_seconds is not None]
+        seconds = math.fsum(o.duration_seconds for o in timed)
+        assert costs[h] == (seconds / sum(o.iterations_executed for o in timed)
+                            if seconds > 0 else 1.0)

@@ -3,6 +3,8 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from heursched import (GapFunction, IncumbentTimeline, InputError, dump_timeline,
                        gap_function, load_timeline, primal_gap, primal_integral)
@@ -161,3 +163,17 @@ def test_timeline_csv_round_trip():
     assert again == tl
     with pytest.raises(InputError, match="header"):
         load_timeline("1.5,80\n", best_known=0.0)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(times=st.lists(st.floats(0.0, 1e12), max_size=8, unique=True),
+       values=st.lists(st.floats(-1e12, 1e12), min_size=8, max_size=8, unique=True),
+       best_known=st.floats(-1e12, 1e12), sense=st.sampled_from(("min", "max")))
+def test_timeline_dump_load_round_trip(times, values, best_known, sense):
+    improving = sorted(values, reverse=sense == "min")[:len(times)]
+    tl = IncumbentTimeline(tuple(zip(sorted(times), improving)), best_known=best_known,
+                           sense=sense)
+    text = dump_timeline(tl)
+    again = load_timeline(text, best_known=best_known, sense=sense)
+    assert again == tl
+    assert dump_timeline(again) == text

@@ -3,6 +3,8 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from heursched import (InputError, IterationCostProfile, Schedule,
                        dump_schedule, evaluate, load_schedule, node_cost)
@@ -36,6 +38,38 @@ def test_schedule_csv_contiguity_and_duplicates():
         load_schedule("position,heuristic,max_iterations\n1,h1,1\n3,h2,3\n")
     with pytest.raises(InputError, match="duplicate position"):
         load_schedule("position,heuristic,max_iterations\n1,h1,1\n1,h2,3\n")
+
+
+@pytest.mark.parametrize("rows,fragment", [
+    ("1,h1,0\n", "budget for 'h1' must be a positive integer, got 0"),
+    ("1,h1,2\n2,h1,3\n", "heuristic 'h1' appears more than once"),
+    ("1,#h,2\n", "invalid heuristic identifier '#h'"),
+    ("2,h2,1\n1,h1,-4\n", "budget for 'h1' must be a positive integer, got -4"),
+])
+def test_schedule_csv_errors_name_their_line(rows, fragment):
+    text = "position,heuristic,max_iterations\n" + rows
+    bad_line = len(text.splitlines())
+    with pytest.raises(InputError) as excinfo:
+        load_schedule(text)
+    assert str(excinfo.value).startswith(f"line {bad_line}: {fragment}")
+
+
+def test_schedule_csv_first_bad_line_wins():
+    text = "position,heuristic,max_iterations\n1,h1,0\n2,h1,1\n3,,1\n"
+    with pytest.raises(InputError, match=r"^line 2: budget for 'h1'"):
+        load_schedule(text)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(entries=st.lists(st.tuples(st.sampled_from([f"h{i}" for i in range(8)] + ["a b", "x#"]),
+                                  st.integers(1, 10**6)),
+                        max_size=8, unique_by=lambda entry: entry[0]))
+def test_schedule_dump_load_round_trip(entries):
+    s = Schedule(tuple(entries))
+    text = dump_schedule(s)
+    again = load_schedule(text)
+    assert again == s
+    assert dump_schedule(again) == text
 
 
 def test_node_cost_worked_example(worked):

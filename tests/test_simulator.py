@@ -2,11 +2,12 @@ from __future__ import annotations
 
 import pytest
 
-from heursched import (HeuristicSpec, InputError, LatentOutcome, Schedule, SimConfig,
-                       SimInstance, breakpoints, collect_shadow_dataset,
+from heursched import (HeuristicSpec, InputError, LatentOutcome, Observation, Schedule,
+                       SimConfig, SimInstance, breakpoints, collect_shadow_dataset,
                        compare_policies, default_baseline, generate_instance,
-                       load_sim_config, node_cost, primal_integral,
+                       load_dataset, load_sim_config, node_cost, primal_integral,
                        run_with_schedule)
+from heursched.cli import dispatch
 
 from conftest import COVERAGE_CFG, PLANTED_CFG
 
@@ -89,6 +90,54 @@ def test_shadow_dataset_rejects_duplicate_nodes():
     inst = generate_instance(cfg, 0)
     with pytest.raises(InputError, match="duplicate node"):
         collect_shadow_dataset([inst, inst])
+
+
+def _one_node_instance(spec: HeuristicSpec, node: str, outcome: LatentOutcome) -> SimInstance:
+    return SimInstance(seed=0, heuristics=(spec,), nodes=(node,),
+                       outcomes={(node, spec.id): outcome},
+                       interarrival_seconds=0.5, optimum_value=0.0)
+
+
+@pytest.mark.parametrize("spec,node,outcome,fragment", [
+    (HeuristicSpec("h", "DIVING", 0.5, 0.5, 2, 0.1, 1.0, 1.0), "a,b",
+     LatentOutcome(False, 2, None), "invalid node identifier 'a,b'"),
+    (HeuristicSpec("h", "DIVING", 0.0, 0.5, 2, 1e308, 1.0, 1.0), "n",
+     LatentOutcome(False, 2, None), "duration_seconds must be finite and nonnegative, got inf"),
+    (HeuristicSpec("h", "DIVING", 0.5, 0.5, 2, 0.1, 1.0, 1.0), "n",
+     LatentOutcome(True, 0, 1.0), "iterations_executed must be a positive integer, got 0"),
+])
+def test_shadow_dataset_rejects_bad_rows(spec, node, outcome, fragment):
+    with pytest.raises(InputError, match=fragment):
+        collect_shadow_dataset([_one_node_instance(spec, node, outcome)])
+
+
+def test_simulate_build_eval_constructs_no_observation(tmp_path, monkeypatch):
+    built = []
+    checks = Observation.__post_init__
+
+    def counting(self):
+        built.append(self)
+        checks(self)
+
+    cfg_path, data, schedule = tmp_path / "planted.cfg", tmp_path / "d.csv", tmp_path / "s.csv"
+    cfg_path.write_text(PLANTED_CFG, encoding="utf-8")
+    monkeypatch.setattr(Observation, "__post_init__", counting)
+    assert dispatch(["simulate", "--config", str(cfg_path), "--seed", "3",
+                     "--instances", "2", "--out", str(data)]) == 0
+    assert dispatch(["build", "--data", str(data), "--normalize", "--out", str(schedule)]) == 0
+    assert dispatch(["eval", "--data", str(data), "--schedule", str(schedule),
+                     "--normalize"]) == 0
+    assert built == []
+
+    cfg = load_sim_config(PLANTED_CFG)
+    instances = [generate_instance(cfg, seed) for seed in (3, 4)]
+    reference = tuple(
+        Observation(spec.id, node, o.iterations if o.succeeds else None, o.iterations,
+                    o.iterations * spec.seconds_per_iteration)
+        for inst in instances for node in inst.nodes for spec in inst.heuristics
+        for o in [inst.outcome(node, spec.id)])
+    assert load_dataset(data.read_text(encoding="utf-8")).observations == reference
+    assert collect_shadow_dataset(instances).observations == reference
 
 
 def test_shadow_dataset_is_registration_order_invariant():
