@@ -33,12 +33,22 @@ DATASET_HEADER = "heuristic,node,iterations_to_solution,iterations_executed,dura
 
 
 def validate_identifier(value: str, what: str) -> None:
-    """Reject identifiers that would break the line-oriented wire formats."""
+    """Reject identifiers that would not survive the line-oriented wire formats.
+
+    ``read_rows`` splits lines with ``str.splitlines`` and strips every
+    field, so an id may hold no line break of any kind and may not start or
+    end with whitespace.
+    """
     if not isinstance(value, str) or not value:
         raise InputError(f"{what} identifier must be a non-empty string, got {value!r}")
     if "," in value or "\n" in value or "\r" in value or value.startswith("#"):
         raise InputError(f"invalid {what} identifier {value!r}: "
                          "commas, newlines and a leading '#' are reserved")
+    if value.splitlines() != [value]:
+        raise InputError(f"invalid {what} identifier {value!r}: line breaks are reserved")
+    if value.strip() != value:
+        raise InputError(f"invalid {what} identifier {value!r}: "
+                         "leading and trailing whitespace would be stripped")
 
 
 def read_rows(source: str, header: str, what: str) -> Iterator[tuple[int, list[str]]]:

@@ -39,23 +39,26 @@ selector), ``w[n][h]`` (``h`` sits strictly after ``pmin[n]``),
 Costs are raw iterations; they agree with normalized schedule evaluation
 only when every heuristic's average seconds per iteration is 1.
 
-A few hundred nodes make hundreds of thousands of rows, so the records are
-named tuples: ``MiqpVariable`` (name, kind, bounds, family),
-``LinearConstraint`` (id, terms, operator, right-hand side) and
-``QuadraticConstraint`` (id, linear terms, quadratic terms, operator,
-right-hand side).  Terms are one flat tuple per row: ``(c1, name1, c2,
-name2, ...)`` for linear terms and the objective, ``(c1, a1, b1, ...)`` for
-quadratic terms ``c * a * b``.  Every row using a variable shares its one
-name string.  ``export_miqp`` streams the text into its sink in chunks;
-``MiqpModel.render`` joins them.
+A few hundred nodes make hundreds of thousands of rows, so every row is a
+plain tuple of strings and numbers, which the cyclic garbage collector
+stops tracking: a linear row is ``(id, terms, operator, right-hand side)``,
+a quadratic row ``(id, linear terms, quadratic terms, operator, right-hand
+side)`` and a variable ``(name, kind, lower, upper, family)``.
+``MiqpModel.variables`` holds the variable rows and hands out each as a
+``MiqpVariable`` named tuple on access.  Terms are one flat tuple per row:
+``(c1, name1, c2, name2, ...)`` for linear terms and the objective, ``(c1,
+a1, b1, ...)`` for quadratic terms ``c * a * b``.  Every row using a
+variable shares its one name string.  ``export_miqp`` streams the text into
+its sink in chunks; ``MiqpModel.render`` joins them.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from contextlib import nullcontext
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from itertools import chain, islice
 from typing import NamedTuple
 
@@ -76,19 +79,27 @@ class MiqpVariable(NamedTuple):
     family: str
 
 
-class LinearConstraint(NamedTuple):
-    cid: str
-    terms: tuple  # flat: coef, name, coef, name, ...
-    op: str  # "<=", ">=", "="
-    rhs: float
+class _VariableRows(Sequence):
+    """Read-only sequence of plain variable rows, each read as a ``MiqpVariable``."""
 
+    __slots__ = ("rows",)
 
-class QuadraticConstraint(NamedTuple):
-    cid: str
-    linear: tuple  # flat: coef, name, ...
-    quadratic: tuple  # flat: coef, name, name, ...
-    op: str
-    rhs: float
+    def __init__(self, rows) -> None:
+        self.rows = tuple(map(tuple, rows))
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return tuple(map(MiqpVariable._make, self.rows[index]))
+        return MiqpVariable._make(self.rows[index])
+
+    def __iter__(self):
+        return map(MiqpVariable._make, self.rows)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, _VariableRows) and self.rows == other.rows
 
 
 @dataclass(frozen=True)
@@ -107,23 +118,26 @@ class MiqpModel:
     alpha: float
     tau: dict
     horizon: dict
-    variables: tuple[MiqpVariable, ...]
+    variables: Sequence[MiqpVariable]
     objective: tuple  # flat: coef, name, ...
-    linear: tuple[LinearConstraint, ...]
-    quadratic: tuple[QuadraticConstraint, ...]
-    _by_name: dict = field(init=False, repr=False, compare=False, default=None)
+    linear: tuple
+    quadratic: tuple
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "_by_name", {v.name: v for v in self.variables})
+        object.__setattr__(self, "variables", _VariableRows(self.variables))
+
+    @cached_property
+    def _by_name(self) -> dict:
+        return {row[0]: row for row in self.variables.rows}
 
     def variable(self, name: str) -> MiqpVariable:
         try:
-            return self._by_name[name]
+            return MiqpVariable._make(self._by_name[name])
         except KeyError:
             raise InputError(f"model has no variable named {name!r}") from None
 
     def family_size(self, family: str) -> int:
-        return sum(1 for v in self.variables if v.family == family)
+        return sum(1 for row in self.variables.rows if row[4] == family)
 
     def render(self) -> str:
         return "".join(_chunks(self))
@@ -183,12 +197,12 @@ def build_miqp(d: Dataset, alpha: float) -> MiqpModel:
     s, z, f, m, y, w, u, v = ([[_name2(family, n, h) for h in heuristics] for n in nodes]
                               for family in "szfmywuv")
 
-    def declare(names, kind: str, lower: int, upper: int, label: str) -> list[MiqpVariable]:
-        return [MiqpVariable(name, kind, lower, upper, label) for name in names]
+    def declare(names, kind: str, lower: int, upper: int, label: str) -> list[tuple]:
+        return [(name, kind, lower, upper, label) for name in names]
 
     flat = chain.from_iterable
     variables = declare(flat(x), "binary", 0, 1, "x")
-    variables += [MiqpVariable(t[j], "integer", 0, horizon[h], "t") for j, h in by_heuristic]
+    variables += [(t[j], "integer", 0, horizon[h], "t") for j, h in by_heuristic]
     variables += declare(pos, "integer", 0, count, "p")
     variables += declare(flat(s), "binary", 0, 1, "s")
     variables += declare(sN, "binary", 0, 1, "s_node")
@@ -198,82 +212,76 @@ def build_miqp(d: Dataset, alpha: float) -> MiqpModel:
     variables += declare(tN, "integer", 1, 1 + total_horizon, "t_node")
     for i, _ in by_node:
         for j, _ in by_heuristic:
-            variables += (MiqpVariable(m[i][j], "integer", 1, count, "aux_min_term"),
-                          MiqpVariable(y[i][j], "binary", 0, 1, "aux_argmin"),
-                          MiqpVariable(w[i][j], "binary", 0, 1, "aux_after_first"),
-                          MiqpVariable(u[i][j], "binary", 0, 1, "aux_solved_and_before"),
-                          MiqpVariable(v[i][j], "binary", 0, 1, "aux_solved_and_first"))
+            variables += ((m[i][j], "integer", 1, count, "aux_min_term"),
+                          (y[i][j], "binary", 0, 1, "aux_argmin"),
+                          (w[i][j], "binary", 0, 1, "aux_after_first"),
+                          (u[i][j], "binary", 0, 1, "aux_solved_and_before"),
+                          (v[i][j], "binary", 0, 1, "aux_solved_and_first"))
 
-    linear: list[LinearConstraint] = []
+    linear: list[tuple] = []
     add = linear.append
-    Row = LinearConstraint
 
     # each position holds at most one heuristic; each heuristic gets one position
     for p in range(1, count + 1):
-        add(Row(f"position_capacity[{p}]", _same(1, (x_h[p] for x_h in x)), "<=", 1))
+        add((f"position_capacity[{p}]", _same(1, (x_h[p] for x_h in x)), "<=", 1))
     for j, h in by_heuristic:
-        add(Row(f"placement[{h}]", _same(1, x[j]), "=", 1))
-        add(Row(f"position_link[{h}]",
-                (1, pos[j], *flat((-p, x[j][p]) for p in range(1, count + 1))), "=", 0))
+        add((f"placement[{h}]", _same(1, x[j]), "=", 1))
+        add((f"position_link[{h}]",
+             (1, pos[j], *flat((-p, x[j][p]) for p in range(1, count + 1))), "=", 0))
         # a heuristic outside the schedule gets budget zero
-        add(Row(f"budget_link[{h}]", (1, t[j], horizon[h], x[j][0]), "<=", horizon[h]))
+        add((f"budget_link[{h}]", (1, t[j], horizon[h], x[j][0]), "<=", horizon[h]))
 
     # budget-coverage indicator per (node, heuristic); M = horizon + 1
     for i, n in by_node:
         for j, h in by_heuristic:
             t_req = tau[(n, h)]
             if t_req is None:
-                add(Row(f"solve_never[{n},{h}]", (1, s[i][j]), "=", 0))
+                add((f"solve_never[{n},{h}]", (1, s[i][j]), "=", 0))
             else:
-                add(Row(f"solve_lb[{n},{h}]", (1, t[j], -t_req, s[i][j]), ">=", 0))
-                add(Row(f"solve_ub[{n},{h}]", (1, t[j], -(horizon[h] + 1), s[i][j]),
-                        "<=", t_req - 1))
+                add((f"solve_lb[{n},{h}]", (1, t[j], -t_req, s[i][j]), ">=", 0))
+                add((f"solve_ub[{n},{h}]", (1, t[j], -(horizon[h] + 1), s[i][j]), "<=", t_req - 1))
 
     # a node is solved exactly when some heuristic covers it
     for i, n in by_node:
-        add(Row(f"node_solved_ub[{n}]", (1, sN[i], *_same(-1, s[i])), "<=", 0))
+        add((f"node_solved_ub[{n}]", (1, sN[i], *_same(-1, s[i])), "<=", 0))
         for j, h in by_heuristic:
-            add(Row(f"node_solved_lb[{n},{h}]", (1, sN[i], -1, s[i][j]), ">=", 0))
+            add((f"node_solved_lb[{n},{h}]", (1, sN[i], -1, s[i][j]), ">=", 0))
 
-    add(Row("coverage", _same(1, sN), ">=", alpha * len(nodes)))
+    add(("coverage", _same(1, sN), ">=", alpha * len(nodes)))
 
     # position of the first covering heuristic: pmin = min over h of
     # (position if h covers the node else the heuristic count)
     for i, n in by_node:
         for j, h in by_heuristic:
             m_ij, s_ij = m[i][j], s[i][j]
-            add(Row(f"min_term_cover_lb[{n},{h}]", (1, m_ij, -1, pos[j], -count, s_ij),
-                    ">=", -count))
-            add(Row(f"min_term_cover_ub[{n},{h}]", (1, m_ij, -1, pos[j], count, s_ij),
-                    "<=", count))
-            add(Row(f"min_term_miss_lb[{n},{h}]", (1, m_ij, count, s_ij), ">=", count))
-            add(Row(f"first_position_ub[{n},{h}]", (1, pmin[i], -1, m_ij), "<=", 0))
-            add(Row(f"first_position_lb[{n},{h}]", (1, pmin[i], -1, m_ij, -count, y[i][j]),
-                    ">=", -count))
-        add(Row(f"first_position_pick[{n}]", _same(1, y[i]), "=", 1))
+            add((f"min_term_cover_lb[{n},{h}]", (1, m_ij, -1, pos[j], -count, s_ij), ">=", -count))
+            add((f"min_term_cover_ub[{n},{h}]", (1, m_ij, -1, pos[j], count, s_ij), "<=", count))
+            add((f"min_term_miss_lb[{n},{h}]", (1, m_ij, count, s_ij), ">=", count))
+            add((f"first_position_ub[{n},{h}]", (1, pmin[i], -1, m_ij), "<=", 0))
+            add((f"first_position_lb[{n},{h}]", (1, pmin[i], -1, m_ij, -count, y[i][j]),
+                 ">=", -count))
+        add((f"first_position_pick[{n}]", _same(1, y[i]), "=", 1))
 
     # strict order indicators around pmin: z before, w after, f exactly at
     for i, n in by_node:
         for j, h in by_heuristic:
             p, z_ij, w_ij = pos[j], z[i][j], w[i][j]
-            add(Row(f"before_first_ub[{n},{h}]", (1, pmin[i], -1, p, -count, z_ij), "<=", 0))
-            add(Row(f"before_first_lb[{n},{h}]", (1, pmin[i], -1, p, -count, z_ij),
-                    ">=", 1 - count))
-            add(Row(f"after_first_ub[{n},{h}]", (1, p, -1, pmin[i], -count, w_ij), "<=", 0))
-            add(Row(f"after_first_lb[{n},{h}]", (1, p, -1, pmin[i], -(count + 1), w_ij),
-                    ">=", -count))
-            add(Row(f"first_solver_def[{n},{h}]", (1, z_ij, 1, w_ij, 1, f[i][j]), "=", 1))
+            add((f"before_first_ub[{n},{h}]", (1, pmin[i], -1, p, -count, z_ij), "<=", 0))
+            add((f"before_first_lb[{n},{h}]", (1, pmin[i], -1, p, -count, z_ij), ">=", 1 - count))
+            add((f"after_first_ub[{n},{h}]", (1, p, -1, pmin[i], -count, w_ij), "<=", 0))
+            add((f"after_first_lb[{n},{h}]", (1, p, -1, pmin[i], -(count + 1), w_ij), ">=", -count))
+            add((f"first_solver_def[{n},{h}]", (1, z_ij, 1, w_ij, 1, f[i][j]), "=", 1))
 
     # products with the node-solved flag, used by the node-time constraint
     for i, n in by_node:
         for j, h in by_heuristic:
             for aux, other, tag in ((u[i][j], z[i][j], "solved_and_before"),
                                     (v[i][j], f[i][j], "solved_and_first")):
-                add(Row(f"{tag}_ub1[{n},{h}]", (1, aux, -1, sN[i]), "<=", 0))
-                add(Row(f"{tag}_ub2[{n},{h}]", (1, aux, -1, other), "<=", 0))
-                add(Row(f"{tag}_lb[{n},{h}]", (1, aux, -1, sN[i], -1, other), ">=", -1))
+                add((f"{tag}_ub1[{n},{h}]", (1, aux, -1, sN[i]), "<=", 0))
+                add((f"{tag}_ub2[{n},{h}]", (1, aux, -1, other), "<=", 0))
+                add((f"{tag}_lb[{n},{h}]", (1, aux, -1, sN[i], -1, other), ">=", -1))
 
-    quadratic: list[QuadraticConstraint] = []
+    quadratic: list[tuple] = []
     for i, n in by_node:
         lin_terms = [1, tN[i], 1, sN[i]]
         quad_terms = []
@@ -283,20 +291,11 @@ def build_miqp(d: Dataset, alpha: float) -> MiqpModel:
             if t_req is not None:
                 lin_terms += (-t_req, v[i][j])
             quad_terms += (-1, u[i][j], t[j], 1, sN[i], t[j])
-        quadratic.append(QuadraticConstraint(
-            f"node_time[{n}]", tuple(lin_terms), tuple(quad_terms), "=", 1))
+        quadratic.append((f"node_time[{n}]", tuple(lin_terms), tuple(quad_terms), "=", 1))
 
-    return MiqpModel(
-        heuristics=heuristics,
-        nodes=nodes,
-        alpha=alpha,
-        tau=tau,
-        horizon=horizon,
-        variables=tuple(variables),
-        objective=_same(1.0, tN),
-        linear=tuple(linear),
-        quadratic=tuple(quadratic),
-    )
+    return MiqpModel(heuristics=heuristics, nodes=nodes, alpha=alpha, tau=tau, horizon=horizon,
+                     variables=variables, objective=_same(1.0, tN), linear=tuple(linear),
+                     quadratic=tuple(quadratic))
 
 
 def export_miqp(d: Dataset, alpha: float, sink) -> MiqpModel:
@@ -316,18 +315,19 @@ def _coerce_assignment(model: MiqpModel, assignment) -> tuple[dict, list[str]]:
     """Validate coverage, integrality and bounds; return integer values."""
     violations: list[str] = []
     values: dict[str, int] = {}
-    for name, _, lower, upper, _ in model.variables:
+    for name, _, lower, upper, _ in model.variables.rows:
         if name not in assignment:
             raise InputError(f"assignment is missing variable {name!r}")
-        raw = assignment[name]
-        require_finite(raw, f"value of {name}")
-        rounded = round(raw)
-        if abs(raw - rounded) > _INTEGRALITY_TOL:
-            violations.append(f"integrality[{name}]")
-            rounded = int(rounded)
-        if not lower <= rounded <= upper:
+        value = assignment[name]
+        if type(value) is not int:  # exact ints, as schedule_assignment yields, are integral
+            require_finite(value, f"value of {name}")
+            rounded = round(value)
+            if abs(value - rounded) > _INTEGRALITY_TOL:
+                violations.append(f"integrality[{name}]")
+            value = int(rounded)
+        if not lower <= value <= upper:
             violations.append(f"domain[{name}]")
-        values[name] = int(rounded)
+        values[name] = value
     return values, violations
 
 
@@ -344,67 +344,61 @@ def check_assignment(model: MiqpModel, assignment) -> CheckResult:
     nodes = model.nodes
     count = len(heuristics)
 
-    def val(name: str) -> int:
-        return values[name]
-
     for p in range(1, count + 1):
-        if sum(val(_name2("x", h, p)) for h in heuristics) > 1:
+        if sum(values[_name2("x", h, p)] for h in heuristics) > 1:
             violations.append(f"position_capacity[{p}]")
     for h in heuristics:
-        if sum(val(_name2("x", h, p)) for p in range(count + 1)) != 1:
+        if sum(values[_name2("x", h, p)] for p in range(count + 1)) != 1:
             violations.append(f"placement[{h}]")
-        if val(_name1("p", h)) != sum(p * val(_name2("x", h, p)) for p in range(count + 1)):
+        if values[_name1("p", h)] != sum(p * values[_name2("x", h, p)] for p in range(count + 1)):
             violations.append(f"position_link[{h}]")
-        if model.horizon[h] * (1 - val(_name2("x", h, 0))) < val(_name1("t", h)):
+        if model.horizon[h] * (1 - values[_name2("x", h, 0)]) < values[_name1("t", h)]:
             violations.append(f"budget_link[{h}]")
 
     for n in nodes:
         for h in heuristics:
             t_req = model.tau[(n, h)]
-            if t_req is None:
-                expected = 0
-            else:
-                expected = max(0, min(1, val(_name1("t", h)) - t_req + 1))
-            if val(_name2("s", n, h)) != expected:
+            expected = 0 if t_req is None else max(0, min(1, values[_name1("t", h)] - t_req + 1))
+            if values[_name2("s", n, h)] != expected:
                 violations.append(f"solve_indicator[{n},{h}]")
 
     for n in nodes:
-        if val(_name1("sN", n)) != min(1, sum(val(_name2("s", n, h)) for h in heuristics)):
+        if values[_name1("sN", n)] != min(1, sum(values[_name2("s", n, h)] for h in heuristics)):
             violations.append(f"node_solved[{n}]")
 
-    coverage = sum(val(_name1("sN", n)) for n in nodes) / len(nodes)
+    coverage = sum(values[_name1("sN", n)] for n in nodes) / len(nodes)
     if coverage < model.alpha:
         violations.append("coverage")
 
     for n in nodes:
-        first = min(val(_name1("p", h)) * val(_name2("s", n, h))
-                    + (1 - val(_name2("s", n, h))) * count
+        first = min(values[_name1("p", h)] * values[_name2("s", n, h)]
+                    + (1 - values[_name2("s", n, h)]) * count
                     for h in heuristics)
-        if val(_name1("pmin", n)) != first:
+        if values[_name1("pmin", n)] != first:
             violations.append(f"first_position[{n}]")
         for h in heuristics:
-            position, first_position = val(_name1("p", h)), val(_name1("pmin", n))
-            if val(_name2("z", n, h)) != (1 if position < first_position else 0):
+            position, first_position = values[_name1("p", h)], values[_name1("pmin", n)]
+            if values[_name2("z", n, h)] != (1 if position < first_position else 0):
                 violations.append(f"before_first[{n},{h}]")
-            if val(_name2("f", n, h)) != (1 if position == first_position else 0):
+            if values[_name2("f", n, h)] != (1 if position == first_position else 0):
                 violations.append(f"first_solver[{n},{h}]")
 
     for n in nodes:
-        if val(_name1("sN", n)) == 1:
-            expected = sum(val(_name2("z", n, h)) * val(_name1("t", h)) for h in heuristics)
+        if values[_name1("sN", n)] == 1:
+            expected = sum(values[_name2("z", n, h)] * values[_name1("t", h)] for h in heuristics)
             solver_time = math.inf
             for h in heuristics:
-                if val(_name2("f", n, h)) == 1:
+                if values[_name2("f", n, h)] == 1:
                     t_req = model.tau[(n, h)]
                     solver_time = t_req if t_req is not None else math.inf
             expected = expected + solver_time
         else:
-            expected = 1 + sum(val(_name2("x", h, p)) * val(_name1("t", h))
+            expected = 1 + sum(values[_name2("x", h, p)] * values[_name1("t", h)]
                                for h in heuristics for p in range(count + 1))
-        if val(_name1("tN", n)) != expected:
+        if values[_name1("tN", n)] != expected:
             violations.append(f"node_time[{n}]")
 
-    objective = sum(val(_name1("tN", n)) for n in nodes)
+    objective = sum(values[_name1("tN", n)] for n in nodes)
     return CheckResult(not violations, objective, tuple(violations))
 
 
@@ -500,6 +494,7 @@ def schedule_assignment(model: MiqpModel, schedule: Schedule) -> dict:
     return values
 
 
+@lru_cache(maxsize=1024)
 def _num(x: float) -> str:
     value = float(x)
     if value.is_integer():
@@ -537,7 +532,7 @@ def _chunks(model: MiqpModel):
            "# sections: VARIABLES, OBJECTIVE, LINEAR, QUADRATIC, COMMENTS\n"
            "VARIABLES\n")
     yield from _batched(f"{name} {kind} in [{lower}, {upper}]\n"
-                        for name, kind, lower, upper, _ in model.variables)
+                        for name, kind, lower, upper, _ in model.variables.rows)
     yield f"OBJECTIVE\nminimize: {_term_text(model.objective)}\nLINEAR\n"
     yield from _batched(f"{cid}: {_term_text(terms)} {op} {_num(rhs)}\n"
                         for cid, terms, op, rhs in model.linear)

@@ -8,9 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from heursched import (Dataset, InputError, IterationCostProfile, Observation,
+from heursched import (Dataset, InputError, IterationCostProfile, Observation, Schedule,
                        avg_iteration_cost, breakpoints, collect_shadow_dataset,
-                       dump_dataset, generate_instance, load_dataset, load_sim_config)
+                       dump_dataset, dump_schedule, generate_instance, load_dataset,
+                       load_schedule, load_sim_config)
 from heursched.dataset import DATASET_HEADER
 from heursched.schedule import replay_tables
 
@@ -414,3 +415,43 @@ def test_loader_matches_the_reference_loader(text):
         seconds = math.fsum(o.duration_seconds for o in timed)
         assert costs[h] == (seconds / sum(o.iterations_executed for o in timed)
                             if seconds > 0 else 1.0)
+
+
+@pytest.mark.parametrize("value, reason", [
+    ("a,b", "commas, newlines and a leading '#' are reserved"),
+    ("a\nb", "commas, newlines and a leading '#' are reserved"),
+    ("a\rb", "commas, newlines and a leading '#' are reserved"),
+    ("#a", "commas, newlines and a leading '#' are reserved"),
+    ("a\u2028b", "line breaks are reserved"),
+    ("a\x0cb", "line breaks are reserved"),
+    (" a", "leading and trailing whitespace would be stripped"),
+    ("a\t", "leading and trailing whitespace would be stripped"),
+])
+def test_identifiers_the_wire_formats_cannot_carry_are_rejected(value, reason):
+    with pytest.raises(InputError) as excinfo:
+        Observation("h", value, 1, 1)
+    assert str(excinfo.value) == f"invalid node identifier {value!r}: {reason}"
+
+
+# Every character str.splitlines breaks at, whitespace str.strip removes, and
+# the characters the wire formats reserve outright.
+_ID_CHARACTERS = st.one_of(
+    st.sampled_from(list("\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029 \t\xa0\u3000,#")),
+    st.sampled_from("ab1_[]."), st.characters())
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(value=st.text(_ID_CHARACTERS, max_size=5))
+def test_accepted_identifiers_round_trip_through_the_wire_formats(value):
+    try:
+        d = Dataset.from_observations([Observation(value, "n", 1, 2, 0.5),
+                                       Observation("h", value, None, 3)])
+    except InputError:
+        for build in (lambda: Observation("h", value, 1, 1),
+                      lambda: Schedule(((value, 1),))):
+            with pytest.raises(InputError):
+                build()
+        return
+    assert load_dataset(dump_dataset(d)) == d
+    s = Schedule(((value, 2), ("h" if value != "h" else "g", 1)))
+    assert load_schedule(dump_schedule(s)) == s

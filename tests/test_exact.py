@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import warnings
 
 import pytest
 from hypothesis import given, settings
@@ -154,6 +155,21 @@ def test_oracle_never_beaten_by_greedy():
                 ev = evaluate(exact[0], d, alpha)
                 assert ev.feasible
                 assert ev.objective == exact[1]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(rng=st.randoms(use_true_random=False), alpha=st.sampled_from((0.0, 0.25, 0.5, 0.75, 1.0)),
+       normalize=st.booleans())
+def test_greedy_meeting_alpha_never_beats_the_exact_optimum(rng, alpha, normalize):
+    d = random_dataset(rng, with_durations=normalize)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # coverage below alpha and duration fallbacks warn
+        _, _, greedy = build_schedule(d, GreedyOptions(normalize_costs=normalize,
+                                                       alpha_report=alpha))
+        exact = solve_exact(d, alpha, normalize=normalize)
+    if greedy.success_rate >= alpha:
+        assert exact is not None
+        assert greedy.objective >= exact[1]
 
 
 def test_relabeling_invariance():

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import gc
 import hashlib
 import io
+import math
 import random
 
 import pytest
@@ -11,6 +13,7 @@ from hypothesis import strategies as st
 from heursched import (Dataset, InputError, Observation, Schedule, breakpoints,
                        build_miqp, check_assignment, check_linearized, evaluate,
                        export_miqp, schedule_assignment, solve_exact)
+from heursched.miqp import _coerce_assignment
 
 from conftest import random_dataset
 
@@ -262,3 +265,72 @@ def test_schedule_assignments_pass_both_checkers(case, alpha):
     for result in (check_assignment(model, assignment), check_linearized(model, assignment)):
         assert result.objective == replay.objective
         assert result.violations == expected
+
+
+def test_built_model_rows_are_left_to_reference_counting(worked):
+    # Exact tuples of strings and numbers drop out of the cyclic collector
+    # once it has seen them; named tuples never do, and hundreds of thousands
+    # of them made every collection rescan the whole model.  A full collection
+    # reaches a row before the terms tuple it holds, so the terms drop out in
+    # the first one and the rows holding them in the second.
+    model = build_miqp(worked, 0.5)
+    gc.collect()
+    gc.collect()
+    records = (*model.variables.rows, *model.linear, *model.quadratic)
+    assert len(records) == len(model.variables) + len(model.linear) + len(model.quadratic)
+    assert [r for r in records if gc.is_tracked(r)] == []
+    assert model.variable("t[h1]").upper == model.horizon["h1"]
+
+
+# _coerce_assignment as it was before exact ints took a fast path: kept as the
+# reference that the fast path must match, violation order included.
+def reference_coerce_assignment(model, assignment):
+    violations = []
+    values = {}
+    for variable in model.variables:
+        name = variable.name
+        if name not in assignment:
+            raise InputError(f"assignment is missing variable {name!r}")
+        raw = assignment[name]
+        if not math.isfinite(raw):
+            raise InputError(f"value of {name} must be finite, got {raw!r}")
+        rounded = round(raw)
+        if abs(raw - rounded) > 1e-9:
+            violations.append(f"integrality[{name}]")
+            rounded = int(rounded)
+        if not variable.lower <= rounded <= variable.upper:
+            violations.append(f"domain[{name}]")
+        values[name] = int(rounded)
+    return values, violations
+
+
+_MISSING = object()
+_ODD_VALUES = (0, 1, 2, -1, 7, True, False, 1.0, 0.0, 0.5, -0.5, 2.0000000001, 10**20,
+               float("nan"), _MISSING)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(case=datasets_with_schedules(),
+       changes=st.lists(st.tuples(st.integers(0, 10**6), st.sampled_from(_ODD_VALUES)),
+                        max_size=6))
+def test_coercion_matches_the_reference(case, changes):
+    d, schedule = case
+    model = build_miqp(d, 0.5)
+    assignment = schedule_assignment(model, schedule)
+    names = [v.name for v in model.variables]
+    for index, value in changes:
+        name = names[index % len(names)]
+        if value is _MISSING:
+            assignment.pop(name, None)
+        else:
+            assignment[name] = value
+    try:
+        expected = reference_coerce_assignment(model, assignment)
+    except InputError as exc:
+        with pytest.raises(InputError) as excinfo:
+            _coerce_assignment(model, assignment)
+        assert str(excinfo.value) == str(exc)
+        return
+    values, violations = _coerce_assignment(model, assignment)
+    assert (values, violations) == expected
+    assert [type(v) for v in values.values()] == [int] * len(names)

@@ -1,6 +1,10 @@
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from heursched import (HeuristicSpec, InputError, LatentOutcome, Observation, Schedule,
                        SimConfig, SimInstance, breakpoints, collect_shadow_dataset,
@@ -152,6 +156,25 @@ def test_shadow_dataset_is_registration_order_invariant():
     by_pair_1 = {(o.heuristic, o.node): o for o in d1.observations}
     by_pair_2 = {(o.heuristic, o.node): o for o in d2.observations}
     assert by_pair_1 == by_pair_2
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(data=st.data(), config=st.sampled_from((PLANTED_CFG, COVERAGE_CFG)),
+       seed=st.integers(0, 10**6), instances=st.integers(1, 3))
+def test_shadow_dataset_only_registers_in_another_order_when_permuted(data, config, seed,
+                                                                       instances):
+    cfg = load_sim_config(config)
+    permuted = dataclasses.replace(cfg, heuristics=data.draw(st.permutations(cfg.heuristics)))
+    d1, d2 = (collect_shadow_dataset(generate_instance(c, seed + i) for i in range(instances))
+              for c in (cfg, permuted))
+    assert d2.heuristics == permuted.heuristic_ids()
+    assert sorted(d1.heuristics) == sorted(d2.heuristics)
+    assert d1.nodes == d2.nodes
+    assert len(d1.observations) == len(d2.observations)
+    assert ({(o.heuristic, o.node): o for o in d1.observations}
+            == {(o.heuristic, o.node): o for o in d2.observations})
+    for h in d1.heuristics:
+        assert dict(d1.tau_column(h)) == dict(d2.tau_column(h))
 
 
 def test_empty_schedule_never_finds_anything():
