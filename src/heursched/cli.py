@@ -17,10 +17,9 @@ from __future__ import annotations
 
 import argparse
 import json
-import statistics
 import sys
 import traceback
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
@@ -30,10 +29,10 @@ from .exact import ExactLimits, solve_exact
 from .greedy import GreedyOptions, build_schedule
 from .metrics import dump_timeline, gap_function, load_timeline, primal_integral
 from .miqp import export_miqp
-from .schedule import Schedule, dump_schedule, evaluate, load_schedule
+from .schedule import dump_schedule, evaluate, load_schedule
 from .simulator import (SimConfig, collect_shadow_dataset, compare_policies,
                         default_baseline, generate_instance, load_sim_config,
-                        run_with_schedule)
+                        run_crossval, run_with_schedule)
 
 _PROG = "heursched"
 
@@ -53,27 +52,25 @@ def _read(path: str) -> str:
     return Path(path).read_text(encoding="utf-8")
 
 
-def _write_output(path: str, text: str, manifest: dict) -> None:
-    Path(path).write_text(text, encoding="utf-8")
-    _write_manifest(path, manifest)
+def _write_output(args, text: str, inputs, seeds=(), **flags) -> None:
+    Path(args.out).write_text(text, encoding="utf-8")
+    _write_manifest(args, inputs, seeds, **flags)
 
 
-def _write_manifest(path: str, manifest: dict) -> None:
-    manifest_path = Path(path).with_name(Path(path).name + ".manifest.json")
-    manifest_path.write_text(
-        json.dumps(manifest, sort_keys=True, indent=2) + "\n", encoding="utf-8")
-
-
-def _manifest(args, command: str, inputs, outputs, seeds=(), **flags) -> dict:
-    return {
-        "command": command,
+def _write_manifest(args, inputs, seeds=(), **flags) -> None:
+    """Record the command's argv, inputs, output, seeds and flags next to ``args.out``."""
+    manifest = {
+        "command": args.command,
         "argv": list(args._argv),
         "version": __version__,
         "inputs": list(inputs),
-        "outputs": list(outputs),
+        "outputs": [args.out],
         "seeds": list(seeds),
         "flags": flags,
     }
+    manifest_path = Path(args.out).with_name(Path(args.out).name + ".manifest.json")
+    manifest_path.write_text(
+        json.dumps(manifest, sort_keys=True, indent=2) + "\n", encoding="utf-8")
 
 
 def _parse_seeds(text: str) -> list[int]:
@@ -106,10 +103,8 @@ def _cmd_build(args) -> int:
           f"({evaluation.solved_nodes}/{len(d.nodes)} nodes)")
     print(f"coverage target {_fmt(args.alpha)}: {'met' if evaluation.feasible else 'MISSED'}")
     if args.out:
-        manifest = _manifest(args, "build", [args.data], [args.out],
-                             alpha=args.alpha, normalize=args.normalize,
-                             no_extension=args.no_extension)
-        _write_output(args.out, dump_schedule(schedule), manifest)
+        _write_output(args, dump_schedule(schedule), [args.data], alpha=args.alpha,
+                      normalize=args.normalize, no_extension=args.no_extension)
     return 0
 
 
@@ -140,19 +135,16 @@ def _cmd_exact(args) -> int:
     for position, (heuristic, budget) in enumerate(schedule.entries, start=1):
         print(f"  {position}. {heuristic} up to {budget} iterations")
     if args.out:
-        manifest = _manifest(args, "exact", [args.data], [args.out],
-                             alpha=args.alpha, normalize=args.normalize,
-                             max_heuristics=args.max_heuristics,
-                             max_breakpoints=args.max_breakpoints)
-        _write_output(args.out, dump_schedule(schedule), manifest)
+        _write_output(args, dump_schedule(schedule), [args.data], alpha=args.alpha,
+                      normalize=args.normalize, max_heuristics=args.max_heuristics,
+                      max_breakpoints=args.max_breakpoints)
     return 0
 
 
 def _cmd_export_miqp(args) -> int:
     d = load_dataset(_read(args.data))
     model = export_miqp(d, args.alpha, args.out)
-    _write_manifest(args.out, _manifest(args, "export-miqp", [args.data], [args.out],
-                                        alpha=args.alpha))
+    _write_manifest(args, [args.data], alpha=args.alpha)
     print(f"variables: {len(model.variables)}")
     print(f"linear constraints: {len(model.linear)}")
     print(f"quadratic constraints: {len(model.quadratic)}")
@@ -167,9 +159,7 @@ def _cmd_simulate(args) -> int:
     seeds = [args.seed + i for i in range(count)]
     instances = [generate_instance(cfg, seed) for seed in seeds]
     d = collect_shadow_dataset(instances)
-    manifest = _manifest(args, "simulate", [args.config], [args.out], seeds=seeds,
-                         instances=count)
-    _write_output(args.out, dump_dataset(d), manifest)
+    _write_output(args, dump_dataset(d), [args.config], seeds, instances=count)
     print(f"instances: {count}")
     print(f"heuristics: {len(d.heuristics)}")
     print(f"nodes: {len(d.nodes)}")
@@ -192,9 +182,8 @@ def _cmd_run(args) -> int:
               f"(gap {_fmt(trace.timeline.gap_of(final))})")
     print(f"primal integral: {_fmt(integral)} (time limit {_fmt(limit)})")
     if args.out:
-        manifest = _manifest(args, "run", [args.config, args.schedule], [args.out],
-                             seeds=[args.seed], time_limit=limit)
-        _write_output(args.out, dump_timeline(trace.timeline), manifest)
+        _write_output(args, dump_timeline(trace.timeline), [args.config, args.schedule],
+                      [args.seed], time_limit=limit)
     return 0
 
 
@@ -207,9 +196,8 @@ def _cmd_compare(args) -> int:
     print(comparison.format_table())
     if args.out:
         inputs = [args.config, args.schedule] + ([args.baseline] if args.baseline else [])
-        manifest = _manifest(args, "compare", inputs, [args.out], seeds=seeds,
-                             time_limit=comparison.time_limit)
-        _write_output(args.out, comparison.to_csv(), manifest)
+        _write_output(args, comparison.to_csv(), inputs, seeds,
+                      time_limit=comparison.time_limit)
     return 0
 
 
@@ -223,110 +211,6 @@ def _cmd_metrics(args) -> int:
     return 0
 
 
-@dataclass(frozen=True)
-class CrossvalReport:
-    """Train-by-test matrix of relative primal integrals."""
-
-    train_labels: tuple[str, ...]
-    test_labels: tuple[str, ...]
-    cells: dict
-    baseline_label: str
-
-    def format_table(self) -> str:
-        width = max(14, *(len(label) + 2 for label in
-                          self.train_labels + self.test_labels + (self.baseline_label,)))
-        header = "train\\test".ljust(width) + "".join(
-            label.rjust(width) for label in self.test_labels)
-        lines = [header, "-" * len(header)]
-        for i, train in enumerate(self.train_labels):
-            row = train.ljust(width)
-            for j in range(len(self.test_labels)):
-                mean, std = self.cells[(i, j)]
-                row += f"{mean:.2f} ± {std:.2f}".rjust(width)
-            lines.append(row)
-        lines.append("-" * len(header))
-        row = self.baseline_label.ljust(width)
-        for _ in self.test_labels:
-            row += f"{1.0:.2f} ± {0.0:.2f}".rjust(width)
-        lines.append(row)
-        return "\n".join(lines)
-
-    def to_csv(self) -> str:
-        lines = ["train,test,mean_ratio,std_ratio"]
-        for i, train in enumerate(self.train_labels):
-            for j, test in enumerate(self.test_labels):
-                mean, std = self.cells[(i, j)]
-                lines.append(f"{train},{test},{repr(mean)},{repr(std)}")
-        for test in self.test_labels:
-            lines.append(f"{self.baseline_label},{test},{repr(1.0)},{repr(0.0)}")
-        return "\n".join(lines) + "\n"
-
-
-def run_crossval(configs, folds: int, seed: int, time_limit: float | None = None,
-                 baseline: Schedule | None = None) -> CrossvalReport:
-    """Train greedy schedules per configuration fold, test on every family.
-
-    Each configuration's instances are split into ``folds`` groups; every
-    group yields one shadow-mode dataset and one normalized greedy
-    schedule.  Each schedule is then compared, on fresh test instances of
-    every configuration, against the baseline (the test configuration's
-    registration-order cap schedule unless one is supplied).  Cells
-    aggregate the ratios over folds and test seeds.
-    """
-    configs = list(configs)
-    if len(configs) < 2:
-        raise InputError("cross-validation needs at least two configurations")
-    if folds < 1:
-        raise InputError(f"fold count must be positive, got {folds}")
-    universe = configs[0].heuristic_ids()
-    for cfg in configs[1:]:
-        if cfg.heuristic_ids() != universe:
-            raise InputError("configurations must share one heuristic universe")
-    labels = []
-    for index, cfg in enumerate(configs):
-        labels.append(cfg.name if cfg.name else f"cfg{index + 1}")
-        if folds > cfg.instances:
-            raise InputError(f"fold count {folds} exceeds instance count "
-                             f"{cfg.instances} of configuration {labels[-1]!r}")
-
-    base = seed * 100_000_000
-    schedules_per_config: list[list[Schedule]] = []
-    for i, cfg in enumerate(configs):
-        train_seeds = [base + i * 1_000_000 + k for k in range(cfg.instances)]
-        chunk_size = len(train_seeds) // folds
-        remainder = len(train_seeds) % folds
-        schedules: list[Schedule] = []
-        start = 0
-        for fold in range(folds):
-            size = chunk_size + (1 if fold < remainder else 0)
-            chunk = train_seeds[start:start + size]
-            start += size
-            instances = [generate_instance(cfg, s) for s in chunk]
-            fold_dataset = collect_shadow_dataset(instances)
-            schedule, _, _ = build_schedule(
-                fold_dataset, GreedyOptions(normalize_costs=True, alpha_report=0.0))
-            schedules.append(schedule)
-        schedules_per_config.append(schedules)
-
-    cells: dict[tuple[int, int], tuple[float, float]] = {}
-    for j, test_cfg in enumerate(configs):
-        test_seeds = [base + j * 1_000_000 + 500_000 + k for k in range(test_cfg.instances)]
-        test_baseline = baseline if baseline is not None else default_baseline(test_cfg)
-        limit = time_limit if time_limit is not None else test_cfg.effective_time_limit()
-        for i in range(len(configs)):
-            ratios: list[float] = []
-            for schedule in schedules_per_config[i]:
-                comparison = compare_policies(test_cfg, test_seeds, schedule,
-                                              test_baseline, limit)
-                ratios.extend(row.ratio for row in comparison.rows)
-            mean = statistics.fmean(ratios)
-            std = statistics.stdev(ratios) if len(ratios) > 1 else 0.0
-            cells[(i, j)] = (mean, std)
-
-    baseline_label = "baseline (given)" if baseline is not None else "baseline (caps)"
-    return CrossvalReport(tuple(labels), tuple(labels), cells, baseline_label)
-
-
 def _cmd_crossval(args) -> int:
     paths = [part.strip() for part in args.configs.split(",") if part.strip()]
     configs = [_load_config(path) for path in paths]
@@ -336,9 +220,7 @@ def _cmd_crossval(args) -> int:
     print(report.format_table())
     if args.out:
         inputs = paths + ([args.baseline] if args.baseline else [])
-        manifest = _manifest(args, "crossval", inputs, [args.out], seeds=[args.seed],
-                             folds=args.folds)
-        _write_output(args.out, report.to_csv(), manifest)
+        _write_output(args, report.to_csv(), inputs, [args.seed], folds=args.folds)
     return 0
 
 
@@ -435,10 +317,7 @@ def dispatch(argv) -> int:
         args = parser.parse_args(list(argv))
         args._argv = list(argv)
         return args.handler(args)
-    except InputError as exc:
-        print(f"{_PROG}: error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (InputError, OSError) as exc:
         print(f"{_PROG}: error: {exc}", file=sys.stderr)
         return 1
     except SystemExit as exc:  # argparse --version/--help

@@ -8,6 +8,11 @@ Stands in for an instrumented solver in two roles:
 * **schedule replay** — a schedule is executed node by node with the real
   heuristic-loop semantics (first *improving* success ends the loop at a
   node) to produce an incumbent timeline for primal-integral evaluation.
+* **policy comparison and cross-validation** — ``compare_policies`` and
+  ``run_crossval`` share one per-seed loop: each test instance is generated
+  once, every schedule replays on it, then the baseline does, once.
+  Cross-validation trains one greedy schedule per (family, fold) and
+  reports the train-by-test matrix of primal-integral ratios.
 
 Nodes arrive as a linear stream: the surrogate training objective ignores
 tree shape on purpose, so the simulator does too.  Each (node, heuristic)
@@ -33,13 +38,15 @@ from dataclasses import dataclass
 
 from .dataset import Dataset, check_row, validate_identifier
 from .errors import InputError, require_finite
+from .greedy import GreedyOptions, build_schedule
 from .metrics import IncumbentTimeline, primal_integral, require_time_limit
 from .schedule import Schedule
 
 HEURISTIC_CLASSES = ("DIVING", "LNS")
 
-_CONFIG_KEYS = ("name", "instances", "nodes_min", "nodes_max", "interarrival_seconds",
-                "optimum_value", "time_limit_seconds", "heuristics")
+# numeric top-level configuration keys and their types, in parsing order
+_NUMBER_KEYS = (("time_limit_seconds", float), ("instances", int), ("nodes_min", int),
+                ("nodes_max", int), ("interarrival_seconds", float), ("optimum_value", float))
 # per-heuristic configuration keys and their types, in HeuristicSpec field order
 _HEURISTIC_KEYS = (("class", str), ("success_probability", float),
                    ("iteration_success_rate", float), ("max_iterations", int),
@@ -334,7 +341,7 @@ class PolicyComparison:
     std_ratio: float
 
     def summary_cell(self) -> str:
-        return f"{self.mean_ratio:.2f} ± {self.std_ratio:.2f}"
+        return _summary_cell(self.mean_ratio, self.std_ratio)
 
     def to_csv(self) -> str:
         lines = ["seed,schedule_integral,baseline_integral,ratio"]
@@ -354,6 +361,27 @@ class PolicyComparison:
         return "\n".join(lines)
 
 
+def _mean_std(ratios) -> tuple[float, float]:
+    """Mean and sample standard deviation of the ratios (0 for a single one)."""
+    return statistics.fmean(ratios), statistics.stdev(ratios) if len(ratios) > 1 else 0.0
+
+
+def _summary_cell(mean: float, std: float) -> str:
+    return f"{mean:.2f} ± {std:.2f}"
+
+
+def _replay_integrals(cfg: SimConfig, seeds, schedules, baseline: Schedule, limit: float):
+    """Yield ``(seed, schedule integrals, baseline integral)`` per seed.
+
+    Each instance is generated once; the schedules replay on it before the baseline.
+    """
+    for seed in seeds:
+        inst = generate_instance(cfg, seed)
+        integrals = [primal_integral(run_with_schedule(inst, s, limit).timeline, limit)
+                     for s in (*schedules, baseline)]
+        yield seed, integrals[:-1], integrals[-1]
+
+
 def compare_policies(cfg: SimConfig, seeds, s: Schedule, baseline: Schedule,
                      time_limit: float | None = None) -> PolicyComparison:
     """Per-seed primal integrals of two schedules and their ratio."""
@@ -361,18 +389,10 @@ def compare_policies(cfg: SimConfig, seeds, s: Schedule, baseline: Schedule,
     if not seeds:
         raise InputError("at least one seed is required")
     limit = time_limit if time_limit is not None else cfg.effective_time_limit()
-    rows: list[SeedComparison] = []
-    for seed in seeds:
-        inst = generate_instance(cfg, seed)
-        schedule_integral = primal_integral(run_with_schedule(inst, s, limit).timeline, limit)
-        baseline_integral = primal_integral(run_with_schedule(inst, baseline, limit).timeline,
-                                            limit)
-        rows.append(SeedComparison(seed, schedule_integral, baseline_integral,
-                                   schedule_integral / baseline_integral))
-    ratios = [row.ratio for row in rows]
-    mean = statistics.fmean(ratios)
-    std = statistics.stdev(ratios) if len(ratios) > 1 else 0.0
-    return PolicyComparison(tuple(rows), limit, mean, std)
+    rows = tuple(SeedComparison(seed, integral, baseline_integral, integral / baseline_integral)
+                 for seed, (integral,), baseline_integral
+                 in _replay_integrals(cfg, seeds, (s,), baseline, limit))
+    return PolicyComparison(rows, limit, *_mean_std([row.ratio for row in rows]))
 
 
 def default_baseline(cfg: SimConfig) -> Schedule:
@@ -382,6 +402,101 @@ def default_baseline(cfg: SimConfig) -> Schedule:
     schedule file is given.
     """
     return Schedule(tuple((spec.id, spec.max_iterations) for spec in cfg.heuristics))
+
+
+@dataclass(frozen=True)
+class CrossvalReport:
+    """Train-by-test matrix: ``cells[(i, j)]`` is the (mean, std) ratio on
+    family ``labels[j]`` of the schedules trained on family ``labels[i]``."""
+
+    labels: tuple[str, ...]
+    cells: dict
+    baseline_label: str
+
+    def format_table(self) -> str:
+        width = max(14, *(len(label) + 2 for label in self.labels + (self.baseline_label,)))
+        header = "train\\test".ljust(width) + "".join(label.rjust(width) for label in self.labels)
+        lines = [header, "-" * len(header)]
+        for i, train in enumerate(self.labels):
+            lines.append(train.ljust(width) + "".join(
+                _summary_cell(*self.cells[(i, j)]).rjust(width) for j in range(len(self.labels))))
+        lines.append("-" * len(header))
+        lines.append(self.baseline_label.ljust(width)
+                     + _summary_cell(1.0, 0.0).rjust(width) * len(self.labels))
+        return "\n".join(lines)
+
+    def to_csv(self) -> str:
+        lines = ["train,test,mean_ratio,std_ratio"]
+        for i, train in enumerate(self.labels):
+            for j, test in enumerate(self.labels):
+                mean, std = self.cells[(i, j)]
+                lines.append(f"{train},{test},{repr(mean)},{repr(std)}")
+        for test in self.labels:
+            lines.append(f"{self.baseline_label},{test},{repr(1.0)},{repr(0.0)}")
+        return "\n".join(lines) + "\n"
+
+
+def run_crossval(configs, folds: int, seed: int, time_limit: float | None = None,
+                 baseline: Schedule | None = None) -> CrossvalReport:
+    """Train greedy schedules per configuration fold, test on every family.
+
+    Each configuration's instances are split into ``folds`` groups; every
+    group yields one shadow-mode dataset and one normalized greedy
+    schedule.  Each test seed of every configuration is then generated once,
+    and all schedules and the baseline (the test configuration's
+    registration-order cap schedule unless one is supplied) replay on it.
+    Cells aggregate the ratios over folds, then test seeds.  Configuration
+    labels (the name, else ``cfg<k>``) must be valid identifiers and unique.
+    """
+    configs = list(configs)
+    if len(configs) < 2:
+        raise InputError("cross-validation needs at least two configurations")
+    if folds < 1:
+        raise InputError(f"fold count must be positive, got {folds}")
+    universe = configs[0].heuristic_ids()
+    for cfg in configs[1:]:
+        if cfg.heuristic_ids() != universe:
+            raise InputError("configurations must share one heuristic universe")
+    labels: list[str] = []
+    for index, cfg in enumerate(configs):
+        label = cfg.name if cfg.name else f"cfg{index + 1}"
+        validate_identifier(label, "configuration")
+        if label in labels:
+            raise InputError(f"configuration label {label!r} is used more than once")
+        if folds > cfg.instances:
+            raise InputError(f"fold count {folds} exceeds instance count "
+                             f"{cfg.instances} of configuration {label!r}")
+        labels.append(label)
+
+    base = seed * 100_000_000
+    schedules: list[Schedule] = []  # configuration-major, then fold
+    for i, cfg in enumerate(configs):
+        train_seeds = [base + i * 1_000_000 + k for k in range(cfg.instances)]
+        chunk_size, remainder = divmod(len(train_seeds), folds)
+        start = 0
+        for fold in range(folds):
+            size = chunk_size + (1 if fold < remainder else 0)
+            fold_dataset = collect_shadow_dataset(
+                generate_instance(cfg, s) for s in train_seeds[start:start + size])
+            start += size
+            schedule, _, _ = build_schedule(
+                fold_dataset, GreedyOptions(normalize_costs=True, alpha_report=0.0))
+            schedules.append(schedule)
+
+    cells: dict[tuple[int, int], tuple[float, float]] = {}
+    for j, test_cfg in enumerate(configs):
+        test_seeds = [base + j * 1_000_000 + 500_000 + k for k in range(test_cfg.instances)]
+        test_baseline = baseline if baseline is not None else default_baseline(test_cfg)
+        limit = time_limit if time_limit is not None else test_cfg.effective_time_limit()
+        per_seed = [[integral / baseline_integral for integral in integrals]
+                    for _, integrals, baseline_integral
+                    in _replay_integrals(test_cfg, test_seeds, schedules, test_baseline, limit)]
+        for i in range(len(configs)):
+            cells[(i, j)] = _mean_std([ratios[i * folds + fold]
+                                       for fold in range(folds) for ratios in per_seed])
+
+    baseline_label = "baseline (given)" if baseline is not None else "baseline (caps)"
+    return CrossvalReport(tuple(labels), cells, baseline_label)
 
 
 def _parse_scalar(key: str, text: str, kind):
@@ -430,7 +545,7 @@ def load_sim_config(source: str) -> SimConfig:
     if not ids:
         raise InputError("configuration key 'heuristics' lists no heuristic ids")
 
-    allowed = set(_CONFIG_KEYS)
+    allowed = {"name", "heuristics", *(key for key, _ in _NUMBER_KEYS)}
     for hid in ids:
         for sub, _ in _HEURISTIC_KEYS:
             allowed.add(f"{hid}.{sub}")
@@ -447,17 +562,6 @@ def load_sim_config(source: str) -> SimConfig:
         specs.append(HeuristicSpec(hid, *(_parse_scalar(key, entries[key], kind)
                                           for key, kind in keys)))
 
-    time_limit = None
-    if "time_limit_seconds" in entries:
-        time_limit = _parse_scalar("time_limit_seconds", entries["time_limit_seconds"], float)
-    return SimConfig(
-        heuristics=tuple(specs),
-        instances=_parse_scalar("instances", entries["instances"], int),
-        nodes_min=_parse_scalar("nodes_min", entries["nodes_min"], int),
-        nodes_max=_parse_scalar("nodes_max", entries["nodes_max"], int),
-        interarrival_seconds=_parse_scalar("interarrival_seconds",
-                                           entries["interarrival_seconds"], float),
-        optimum_value=_parse_scalar("optimum_value", entries.get("optimum_value", "0"), float),
-        time_limit_seconds=time_limit,
-        name=entries.get("name", ""),
-    )
+    numbers = {key: _parse_scalar(key, entries[key], kind)
+               for key, kind in _NUMBER_KEYS if key in entries}
+    return SimConfig(heuristics=tuple(specs), name=entries.get("name", ""), **numbers)

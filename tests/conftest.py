@@ -5,8 +5,14 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import settings
 
 from heursched import Dataset, Observation, load_dataset
+
+# Every property test is deterministic and unhurried; each keeps its own
+# max_examples in its @settings decorator.
+settings.register_profile("heursched", deadline=None, derandomize=True)
+settings.load_profile("heursched")
 
 # Three heuristics, three nodes; h1 solves only N1 (fast), h2 solves all
 # three (budget 3 catches two of them), h3 solves N2 and N3.

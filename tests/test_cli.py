@@ -170,6 +170,35 @@ def test_crossval_rejects_excess_folds():
         run_crossval(configs[:1], folds=1, seed=0)
 
 
+def test_crossval_rejects_labels_the_csv_cannot_carry(tmp_path, capsys):
+    plain = load_sim_config(COVERAGE_CFG)
+    comma = load_sim_config(COVERAGE_CFG.replace("name = coverage", "name = a,b"))
+    with pytest.raises(InputError, match="invalid configuration identifier 'a,b'"):
+        run_crossval([plain, comma], folds=1, seed=0)
+    first, second = tmp_path / "first.cfg", tmp_path / "second.cfg"
+    first.write_text(COVERAGE_CFG, encoding="utf-8")
+    second.write_text(COVERAGE_CFG.replace("name = coverage", "name = a,b"), encoding="utf-8")
+    out = tmp_path / "cv.csv"
+    assert dispatch(["crossval", "--configs", f"{first},{second}", "--folds", "1",
+                     "--out", str(out)]) == 1
+    assert "invalid configuration identifier 'a,b'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_crossval_rejects_repeated_labels(tmp_path, capsys):
+    cfg = load_sim_config(COVERAGE_CFG)
+    with pytest.raises(InputError, match="configuration label 'coverage' is used more than once"):
+        run_crossval([cfg, cfg], folds=1, seed=0)
+    # unnamed configurations take their file stem as the label
+    unnamed = COVERAGE_CFG.replace("name = coverage\n", "")
+    paths = [tmp_path / "a" / "family.cfg", tmp_path / "b" / "family.cfg"]
+    for path in paths:
+        path.parent.mkdir()
+        path.write_text(unnamed, encoding="utf-8")
+    assert dispatch(["crossval", "--configs", ",".join(map(str, paths)), "--folds", "1"]) == 1
+    assert "'family' is used more than once" in capsys.readouterr().err
+
+
 def test_exit_codes(tmp_path, monkeypatch, capsys):
     assert dispatch(["--version"]) == 0
     assert dispatch(["nonsense"]) == 1

@@ -219,7 +219,7 @@ def shuffled_datasets(draw):
     return Dataset(tuple(heuristics), tuple(nodes), tuple(draw(st.permutations(observations))))
 
 
-@settings(max_examples=200, deadline=None, derandomize=True)
+@settings(max_examples=200)
 @given(d=shuffled_datasets())
 def test_indexed_columns_match_a_scan_of_the_observations(d):
     tables = replay_tables(d)
@@ -242,7 +242,7 @@ def test_indexed_columns_match_a_scan_of_the_observations(d):
         assert costs[h] == expected
 
 
-@settings(max_examples=200, deadline=None, derandomize=True)
+@settings(max_examples=200)
 @given(d=shuffled_datasets())
 def test_dump_load_round_trip(d):
     d = Dataset.from_observations(d.observations)  # ids registered in row order
@@ -252,7 +252,7 @@ def test_dump_load_round_trip(d):
     assert dump_dataset(again) == text
 
 
-@settings(max_examples=30, deadline=None, derandomize=True)
+@settings(max_examples=30)
 @given(config=st.sampled_from((PLANTED_CFG, COVERAGE_CFG)), seed=st.integers(0, 10**6),
        instances=st.integers(1, 3))
 def test_shadow_dataset_dump_load_round_trip(config, seed, instances):
@@ -390,7 +390,7 @@ def dataset_texts(draw):
     return "\n".join([header] + lines) + draw(st.sampled_from(("\n", "", "\r\n")))
 
 
-@settings(max_examples=300, deadline=None, derandomize=True)
+@settings(max_examples=300)
 @given(text=dataset_texts())
 def test_loader_matches_the_reference_loader(text):
     try:
@@ -440,7 +440,7 @@ _ID_CHARACTERS = st.one_of(
     st.sampled_from("ab1_[]."), st.characters())
 
 
-@settings(max_examples=400, deadline=None, derandomize=True)
+@settings(max_examples=400)
 @given(value=st.text(_ID_CHARACTERS, max_size=5))
 def test_accepted_identifiers_round_trip_through_the_wire_formats(value):
     try:

@@ -76,7 +76,7 @@ def small_datasets(draw):
     return Dataset(heuristics, nodes, tuple(observations))
 
 
-@settings(max_examples=200, deadline=None, derandomize=True)
+@settings(max_examples=200)
 @given(d=small_datasets(), normalize=st.booleans())
 def test_pruned_search_matches_enumeration(d, normalize):
     for alpha in (0.0, 0.3, 0.5, 0.9, 1.0):
@@ -157,7 +157,7 @@ def test_oracle_never_beaten_by_greedy():
                 assert ev.objective == exact[1]
 
 
-@settings(max_examples=150, deadline=None, derandomize=True)
+@settings(max_examples=150)
 @given(rng=st.randoms(use_true_random=False), alpha=st.sampled_from((0.0, 0.25, 0.5, 0.75, 1.0)),
        normalize=st.booleans())
 def test_greedy_meeting_alpha_never_beats_the_exact_optimum(rng, alpha, normalize):

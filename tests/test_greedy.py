@@ -211,7 +211,7 @@ def tied_datasets(draw):
     return Dataset(heuristics, nodes, tuple(observations))
 
 
-@settings(max_examples=200, deadline=None, derandomize=True)
+@settings(max_examples=200)
 @given(d=tied_datasets(), allow_extension=st.booleans(), normalize=st.booleans())
 def test_sorted_sweep_matches_recount(d, allow_extension, normalize):
     opts = GreedyOptions(allow_extension=allow_extension, normalize_costs=normalize)

@@ -165,7 +165,7 @@ def test_timeline_csv_round_trip():
         load_timeline("1.5,80\n", best_known=0.0)
 
 
-@settings(max_examples=200, deadline=None, derandomize=True)
+@settings(max_examples=200)
 @given(times=st.lists(st.floats(0.0, 1e12), max_size=8, unique=True),
        values=st.lists(st.floats(-1e12, 1e12), min_size=8, max_size=8, unique=True),
        best_known=st.floats(-1e12, 1e12), sense=st.sampled_from(("min", "max")))

@@ -254,7 +254,7 @@ def datasets_with_schedules(draw):
     return d, Schedule(tuple((h, draw(st.integers(1, horizon[h]))) for h in chosen))
 
 
-@settings(max_examples=200, deadline=None, derandomize=True)
+@settings(max_examples=200)
 @given(case=datasets_with_schedules(), alpha=st.sampled_from((0.0, 0.25, 0.5, 0.75, 1.0)))
 def test_schedule_assignments_pass_both_checkers(case, alpha):
     d, schedule = case
@@ -309,7 +309,7 @@ _ODD_VALUES = (0, 1, 2, -1, 7, True, False, 1.0, 0.0, 0.5, -0.5, 2.0000000001, 1
                float("nan"), _MISSING)
 
 
-@settings(max_examples=200, deadline=None, derandomize=True)
+@settings(max_examples=200)
 @given(case=datasets_with_schedules(),
        changes=st.lists(st.tuples(st.integers(0, 10**6), st.sampled_from(_ODD_VALUES)),
                         max_size=6))

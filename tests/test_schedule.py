@@ -60,7 +60,7 @@ def test_schedule_csv_first_bad_line_wins():
         load_schedule(text)
 
 
-@settings(max_examples=200, deadline=None, derandomize=True)
+@settings(max_examples=200)
 @given(entries=st.lists(st.tuples(st.sampled_from([f"h{i}" for i in range(8)] + ["a b", "x#"]),
                                   st.integers(1, 10**6)),
                         max_size=8, unique_by=lambda entry: entry[0]))

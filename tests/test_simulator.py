@@ -1,17 +1,20 @@
 from __future__ import annotations
 
 import dataclasses
+import statistics
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from heursched import (HeuristicSpec, InputError, LatentOutcome, Observation, Schedule,
-                       SimConfig, SimInstance, breakpoints, collect_shadow_dataset,
-                       compare_policies, default_baseline, generate_instance,
-                       load_dataset, load_sim_config, node_cost, primal_integral,
-                       run_with_schedule)
+import heursched.simulator as simulator
+from heursched import (GreedyOptions, HeuristicSpec, InputError, LatentOutcome, Observation,
+                       Schedule, SimConfig, SimInstance, breakpoints, build_schedule,
+                       collect_shadow_dataset, compare_policies, default_baseline, evaluate,
+                       generate_instance, load_dataset, load_sim_config, node_cost,
+                       primal_integral, run_with_schedule)
 from heursched.cli import dispatch
+from heursched.simulator import run_crossval
 
 from conftest import COVERAGE_CFG, PLANTED_CFG
 
@@ -158,7 +161,7 @@ def test_shadow_dataset_is_registration_order_invariant():
     assert by_pair_1 == by_pair_2
 
 
-@settings(max_examples=40, deadline=None, derandomize=True)
+@settings(max_examples=40)
 @given(data=st.data(), config=st.sampled_from((PLANTED_CFG, COVERAGE_CFG)),
        seed=st.integers(0, 10**6), instances=st.integers(1, 3))
 def test_shadow_dataset_only_registers_in_another_order_when_permuted(data, config, seed,
@@ -233,6 +236,48 @@ def test_replay_agrees_with_schedule_costing():
         penalty = 0 if outcome.first_success_position is not None else 1
         assert spent == outcome.cost - penalty
         assert record.success_position == outcome.first_success_position
+
+
+@st.composite
+def improving_instances(draw):
+    """A hand-built instance whose successes improve strictly from node to node,
+    so every success is an incumbent, plus a schedule over its heuristics."""
+    ids = [f"h{i}" for i in range(draw(st.integers(1, 4)))]
+    specs = tuple(HeuristicSpec(h, "DIVING", 0.5, 0.5, draw(st.integers(1, 8)),
+                                draw(st.sampled_from((0.05, 0.5, 2.0))), 1.0, 1.0)
+                  for h in ids)
+    nodes = tuple(f"n{k}" for k in range(draw(st.integers(1, 6))))
+    outcomes = {}
+    for k, node in enumerate(nodes):
+        for spec in specs:
+            if draw(st.booleans()):
+                quality = 1000.0 - 10.0 * k - draw(st.floats(0.0, 9.0))
+                outcomes[(node, spec.id)] = LatentOutcome(
+                    True, draw(st.integers(1, spec.max_iterations)), quality)
+            else:
+                outcomes[(node, spec.id)] = LatentOutcome(False, spec.max_iterations, None)
+    inst = SimInstance(seed=0, heuristics=specs, nodes=nodes, outcomes=outcomes,
+                       interarrival_seconds=draw(st.sampled_from((0.1, 1.0))),
+                       optimum_value=0.0)
+    order = draw(st.permutations(specs))[:draw(st.integers(0, len(specs)))]
+    schedule = Schedule(tuple((spec.id, draw(st.integers(1, spec.max_iterations + 2)))
+                              for spec in order))
+    return inst, schedule
+
+
+@settings(max_examples=300)
+@given(case=improving_instances())
+def test_replay_agrees_with_evaluate_when_every_success_improves(case):
+    inst, schedule = case
+    evaluation = evaluate(schedule, collect_shadow_dataset([inst]), 0.0)
+    trace = run_with_schedule(inst, schedule, 1e9)
+    assert len(trace.nodes) == len(evaluation.per_node) == len(inst.nodes)
+    for record, outcome in zip(trace.nodes, evaluation.per_node):
+        assert record.node == outcome.node
+        penalty = 0 if outcome.first_success_position is not None else 1
+        assert sum(iterations for _, iterations in record.calls) == outcome.cost - penalty
+        assert record.success_position == outcome.first_success_position
+    assert len(trace.timeline.events) == evaluation.solved_nodes
 
 
 def test_non_improving_success_does_not_stop_the_loop():
@@ -329,6 +374,124 @@ def test_comparison_report_formats():
     csv_text = comparison.to_csv()
     assert csv_text.splitlines()[0] == "seed,schedule_integral,baseline_integral,ratio"
     assert len(csv_text.splitlines()) == 4
+
+
+def reference_crossval(configs, folds, seed, time_limit=None, baseline=None):
+    """Reference cross-validation: one ``compare_policies`` call per trained
+    schedule and test family, so every test instance is regenerated and the
+    baseline replayed once per schedule.  Returns the report's CSV and table
+    and, per cell, its ratios in summation order: fold-major, then by seed."""
+    labels = [cfg.name if cfg.name else f"cfg{index + 1}" for index, cfg in enumerate(configs)]
+    base = seed * 100_000_000
+    schedules_per_config = []
+    for i, cfg in enumerate(configs):
+        train_seeds = [base + i * 1_000_000 + k for k in range(cfg.instances)]
+        chunk_size, remainder = divmod(len(train_seeds), folds)
+        schedules, start = [], 0
+        for fold in range(folds):
+            size = chunk_size + (1 if fold < remainder else 0)
+            instances = [generate_instance(cfg, s) for s in train_seeds[start:start + size]]
+            start += size
+            schedule, _, _ = build_schedule(collect_shadow_dataset(instances),
+                                            GreedyOptions(normalize_costs=True, alpha_report=0.0))
+            schedules.append(schedule)
+        schedules_per_config.append(schedules)
+    cells, cell_ratios = {}, []
+    for j, test_cfg in enumerate(configs):
+        test_seeds = [base + j * 1_000_000 + 500_000 + k for k in range(test_cfg.instances)]
+        test_baseline = baseline if baseline is not None else default_baseline(test_cfg)
+        limit = time_limit if time_limit is not None else test_cfg.effective_time_limit()
+        for i in range(len(configs)):
+            ratios = []
+            for schedule in schedules_per_config[i]:
+                comparison = compare_policies(test_cfg, test_seeds, schedule, test_baseline, limit)
+                ratios.extend(row.ratio for row in comparison.rows)
+            cell_ratios.append(ratios)
+            cells[(i, j)] = (statistics.fmean(ratios),
+                             statistics.stdev(ratios) if len(ratios) > 1 else 0.0)
+    baseline_label = "baseline (given)" if baseline is not None else "baseline (caps)"
+
+    csv_lines = ["train,test,mean_ratio,std_ratio"]
+    for i, train in enumerate(labels):
+        for j, test in enumerate(labels):
+            mean, std = cells[(i, j)]
+            csv_lines.append(f"{train},{test},{repr(mean)},{repr(std)}")
+    csv_lines.extend(f"{baseline_label},{test},{repr(1.0)},{repr(0.0)}" for test in labels)
+
+    width = max(14, *(len(label) + 2 for label in labels + [baseline_label]))
+    header = "train\\test".ljust(width) + "".join(label.rjust(width) for label in labels)
+    table = [header, "-" * len(header)]
+    for i, train in enumerate(labels):
+        row = train.ljust(width)
+        for j in range(len(labels)):
+            mean, std = cells[(i, j)]
+            row += f"{mean:.2f} ± {std:.2f}".rjust(width)
+        table.append(row)
+    table.append("-" * len(header))
+    table.append(baseline_label.ljust(width) + f"{1.0:.2f} ± {0.0:.2f}".rjust(width) * len(labels))
+    return "\n".join(csv_lines) + "\n", "\n".join(table), cell_ratios
+
+
+def _two_families(config: str) -> list[SimConfig]:
+    """A family and a larger sibling over the same heuristics, five instances each."""
+    cfg = load_sim_config(config)
+    small = dataclasses.replace(cfg, name="small", instances=5)
+    large = dataclasses.replace(cfg, name="large-family", instances=5,
+                                nodes_min=cfg.nodes_min + 10, nodes_max=cfg.nodes_max + 14)
+    return [small, large]
+
+
+@pytest.mark.parametrize("config", [COVERAGE_CFG, PLANTED_CFG], ids=["coverage", "planted"])
+@pytest.mark.parametrize("folds", [1, 2, 3])
+@pytest.mark.parametrize("given_baseline", [False, True])
+@pytest.mark.parametrize("time_limit", [None, 12.5])
+def test_crossval_matches_reference(config, folds, given_baseline, time_limit, monkeypatch):
+    configs = _two_families(config)
+    # the last-registered heuristic alone, at half its cap
+    spec = configs[0].heuristics[-1]
+    baseline = Schedule(((spec.id, max(1, spec.max_iterations // 2)),)) if given_baseline \
+        else None
+    expected_csv, expected_table, expected_ratios = reference_crossval(
+        configs, folds, 2, time_limit, baseline)
+    summed = []
+    mean_std = simulator._mean_std
+    monkeypatch.setattr(simulator, "_mean_std",
+                        lambda ratios: summed.append(list(ratios)) or mean_std(ratios))
+    report = run_crossval(configs, folds, seed=2, time_limit=time_limit, baseline=baseline)
+    assert report.to_csv() == expected_csv
+    assert report.format_table() == expected_table
+    assert summed == expected_ratios
+
+
+def test_crossval_draws_each_instance_once(monkeypatch):
+    configs = _two_families(PLANTED_CFG)
+    configs[1] = dataclasses.replace(configs[1], instances=4)
+    drawn, replays = [], []
+    generate, replay = simulator.generate_instance, simulator.run_with_schedule
+
+    def counting_generate(cfg, seed):
+        drawn.append(seed)
+        return generate(cfg, seed)
+
+    def counting_replay(inst, s, limit):
+        replays.append((inst.seed, s))
+        return replay(inst, s, limit)
+
+    monkeypatch.setattr(simulator, "generate_instance", counting_generate)
+    monkeypatch.setattr(simulator, "run_with_schedule", counting_replay)
+    folds = 2
+    run_crossval(configs, folds, seed=1)
+    training = sum(cfg.instances for cfg in configs)
+    test_seeds = sum(cfg.instances for cfg in configs)
+    assert len(drawn) == training + test_seeds == len(set(drawn))
+    # per test seed: every trained schedule, then the baseline, once
+    per_seed = {}
+    for seed, s in replays:
+        per_seed.setdefault(seed, []).append(s)
+    assert len(per_seed) == test_seeds
+    for replayed in per_seed.values():
+        assert len(replayed) == len(configs) * folds + 1
+        assert replayed[-1] == default_baseline(configs[0])
 
 
 @pytest.mark.parametrize("field", ["instances", "nodes_min", "nodes_max"])
