@@ -163,7 +163,7 @@ def _cmd_simulate(args) -> int:
     print(f"instances: {count}")
     print(f"heuristics: {len(d.heuristics)}")
     print(f"nodes: {len(d.nodes)}")
-    print(f"observations: {len(d._rows)}")
+    print(f"observations: {len(d.heuristics) * len(d.nodes)}")
     return 0
 
 

@@ -13,10 +13,10 @@ heuristic at that node.
 
 A ``Dataset`` holds columns: its rows as plain tuples in wire order, and a
 read-only ``tau_column(h)`` per heuristic, mapping node id to the iterations
-``h`` needed there (successful calls only).  ``load_dataset`` and shadow
-collection fill the columns as they read, validating each distinct id once,
-and every consumer reads them.  ``Dataset.observations`` is built from the
-rows on first access only.
+``h`` needed there (successful calls only).  Only ``Dataset`` derives the
+tau columns, from the rows; ``load_dataset`` and shadow collection hand it
+rows whose ids they validated once each, and every consumer reads the
+columns.  ``Dataset.observations`` is built from the rows on first access only.
 """
 
 from __future__ import annotations
@@ -129,52 +129,61 @@ class Dataset:
     _registration: dict = field(init=False, repr=False, compare=False, default=None)
     _node_set: frozenset = field(init=False, repr=False, compare=False, default=None)
     _observed: dict = field(init=False, repr=False, compare=False, default=None)
-    _rows: list = field(init=False, repr=False, compare=False, default=None)
+    _rows: tuple = field(init=False, repr=False, compare=False, default=None)
     _taus: dict = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self) -> None:
-        taus: dict[str, dict[str, int]] = {h: {} for h in self.heuristics}
-        rows: list[tuple] = []
-        self._index(self.heuristics, self.nodes, rows, taus)
+        for name in ("heuristics", "nodes", "observations"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
+        for heuristic in self.heuristics:
+            validate_identifier(heuristic, "heuristic")
+        for node in self.nodes:
+            validate_identifier(node, "node")
+        self._index(self.heuristics, self.nodes, self._observed_rows())
+
+    def _observed_rows(self) -> Iterator[tuple]:
+        # consumed by _index once the ids are registered
         seen: set[tuple[str, str]] = set()
         for obs in self.observations:
-            column = taus.get(obs.heuristic)
-            if column is None:
+            if obs.heuristic not in self._registration:
                 raise InputError(f"observation references unregistered heuristic {obs.heuristic!r}")
             if obs.node not in self._node_set:
                 raise InputError(f"observation references unregistered node {obs.node!r}")
             if (obs.heuristic, obs.node) in seen:
                 raise InputError(f"duplicate observation for pair ({obs.heuristic}, {obs.node})")
             seen.add((obs.heuristic, obs.node))
-            tau = obs.iterations_to_solution
-            if tau is not None:
-                column[obs.node] = tau
-            rows.append((obs.heuristic, obs.node, tau, obs.iterations_executed,
-                         obs.duration_seconds))
+            yield (obs.heuristic, obs.node, obs.iterations_to_solution, obs.iterations_executed,
+                   obs.duration_seconds)
 
     @classmethod
-    def _from_columns(cls, heuristics, nodes, rows, taus) -> "Dataset":
+    def _from_rows(cls, heuristics, nodes, rows) -> "Dataset":
         """Trusted constructor: ``rows`` passed ``check_row``, hold valid, registered
-        ids and no repeated pair; ``taus[h]`` maps node to tau where ``h`` succeeded."""
+        ids and no repeated pair."""
         d = cls.__new__(cls)
-        d._index(heuristics, nodes, rows, taus)
+        d._index(heuristics, nodes, rows)
         return d
 
-    def _index(self, heuristics, nodes, rows, taus) -> None:
+    def _index(self, heuristics, nodes, rows) -> None:
+        """Register the ids, then store the rows and derive the tau columns from them."""
         registration = {h: i for i, h in enumerate(heuristics)}
         if len(registration) != len(heuristics):
             raise InputError("duplicate heuristic registration")
         node_set = frozenset(nodes)
         if len(node_set) != len(nodes):
             raise InputError("duplicate node registration")
-        taus = {h: MappingProxyType(column) for h, column in taus.items()}
-        for name, value in (("heuristics", heuristics), ("nodes", nodes), ("_rows", rows),
-                            ("_registration", registration), ("_node_set", node_set),
-                            ("_taus", taus)):
+        for name, value in (("heuristics", heuristics), ("nodes", nodes),
+                            ("_registration", registration), ("_node_set", node_set)):
             object.__setattr__(self, name, value)
+        rows = tuple(rows)
+        taus: dict[str, dict[str, int]] = {h: {} for h in heuristics}
+        for heuristic, node, tau, _, _ in rows:
+            if tau is not None:
+                taus[heuristic][node] = tau
+        object.__setattr__(self, "_rows", rows)
+        object.__setattr__(self, "_taus", {h: MappingProxyType(c) for h, c in taus.items()})
 
     def __getattr__(self, name: str):
-        # reached only while unset: the observations of a _from_columns dataset
+        # reached only while unset: the observations of a _from_rows dataset
         if name != "observations":
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
         observations = tuple(Observation(*row) for row in self._rows)
@@ -271,8 +280,7 @@ def load_dataset(source: str) -> Dataset:
     call; an empty duration means the duration was not tracked.  Lines
     starting with ``#`` are comments.  Fields are never quoted.
     """
-    taus: dict[str, dict[str, int]] = {}
-    seen: dict[str, set[str]] = {}  # per heuristic, the nodes it has a row at
+    seen: dict[str, set[str]] = {}  # registered heuristic -> the nodes it has a row at
     nodes: dict[str, None] = {}
     rows: list[tuple] = []
     for lineno, fields in read_rows(source, DATASET_HEADER, "dataset"):
@@ -291,26 +299,22 @@ def load_dataset(source: str) -> Dataset:
                 raise InputError(
                     f"line {lineno}: duration_seconds must be a number, got {duration_text!r}"
                 ) from None
-        column = taus.get(heuristic)
+        observed = seen.get(heuristic)
         try:
-            if column is None:
+            if observed is None:
                 validate_identifier(heuristic, "heuristic")
-                column = taus[heuristic] = {}
-                seen[heuristic] = set()
+                observed = seen[heuristic] = set()
             if node not in nodes:
                 validate_identifier(node, "node")
                 nodes[node] = None
             check_row(heuristic, node, tau, executed, duration)
         except InputError as exc:
             raise InputError(f"line {lineno}: {exc}") from None
-        observed = seen[heuristic]
         if node in observed:
             raise InputError(f"line {lineno}: duplicate row for pair ({heuristic}, {node})")
         observed.add(node)
-        if tau is not None:
-            column[node] = tau
         rows.append((heuristic, node, tau, executed, duration))
-    return Dataset._from_columns(tuple(taus), tuple(nodes), rows, taus)
+    return Dataset._from_rows(tuple(seen), tuple(nodes), rows)
 
 
 def dump_dataset(d: Dataset) -> str:

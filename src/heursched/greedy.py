@@ -89,24 +89,10 @@ class GreedyTrace:
         return "\n".join(lines)
 
 
-def _is_better(candidate: GreedyStep, incumbent: GreedyStep | None, d: Dataset) -> bool:
-    if incumbent is None:
-        return True
-    if candidate.ratio != incumbent.ratio:
-        return candidate.ratio > incumbent.ratio
-    if candidate.marginal_cost != incumbent.marginal_cost:
-        return candidate.marginal_cost < incumbent.marginal_cost
-    rank = d.registration_index(candidate.heuristic)
-    incumbent_rank = d.registration_index(incumbent.heuristic)
-    if rank != incumbent_rank:
-        return rank < incumbent_rank
-    return candidate.budget < incumbent.budget
-
-
 def _best_action(d: Dataset, unsolved, scheduled, last_entry, tables: ReplayTables,
                  breakpoints_of: dict) -> GreedyStep | None:
-    best: GreedyStep | None = None
-    for heuristic in d.heuristics:
+    best_key = best = None
+    for rank, heuristic in enumerate(d.heuristics):
         is_last = last_entry is not None and heuristic == last_entry[0]
         if heuristic in scheduled and not is_last:
             continue  # mid-schedule heuristics can be neither rerun nor extended
@@ -120,10 +106,11 @@ def _best_action(d: Dataset, unsolved, scheduled, last_entry, tables: ReplayTabl
             if newly == 0:
                 continue
             cost = weight * (budget - last_entry[1]) if is_last else weight * budget
-            candidate = GreedyStep(heuristic, budget, newly, cost, newly / cost, is_last)
-            if _is_better(candidate, best, d):
-                best = candidate
-    return best
+            ratio = newly / cost
+            key = (-ratio, cost, rank, budget)  # the tie-break the module docstring documents
+            if best_key is None or key < best_key:
+                best_key, best = key, (heuristic, budget, newly, cost, ratio, is_last)
+    return None if best is None else GreedyStep(*best)
 
 
 def best_action(d: Dataset, unsolved, *, scheduled=(), last_entry=None,

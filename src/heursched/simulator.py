@@ -56,7 +56,8 @@ _HEURISTIC_KEYS = (("class", str), ("success_probability", float),
 
 @dataclass(frozen=True)
 class HeuristicSpec:
-    """Latent behavior of one simulated heuristic."""
+    """Latent behavior of one simulated heuristic.  ``klass`` (DIVING or LNS)
+    is a validated label that nothing reads: every class joins one schedule."""
 
     id: str
     klass: str
@@ -248,7 +249,6 @@ def collect_shadow_dataset(instances) -> Dataset:
         if inst.heuristics != reference:
             raise InputError("instances do not share a heuristic universe")
     heuristic_ids = tuple(spec.id for spec in reference)
-    taus: dict[str, dict[str, int]] = {h: {} for h in heuristic_ids}
     seen_nodes: set[str] = set()
     rows: list[tuple] = []
     for inst in instances:
@@ -263,11 +263,9 @@ def collect_shadow_dataset(instances) -> Dataset:
                 tau = iterations if outcome.succeeds else None
                 duration = iterations * spec.seconds_per_iteration
                 check_row(spec.id, node, tau, iterations, duration)
-                if tau is not None:
-                    taus[spec.id][node] = tau
                 rows.append((spec.id, node, tau, iterations, duration))
     nodes = tuple(node for inst in instances for node in inst.nodes)
-    return Dataset._from_columns(heuristic_ids, nodes, rows, taus)
+    return Dataset._from_rows(heuristic_ids, nodes, rows)
 
 
 def run_with_schedule(inst: SimInstance, s: Schedule, time_limit: float) -> RunTrace:
@@ -446,7 +444,8 @@ def run_crossval(configs, folds: int, seed: int, time_limit: float | None = None
     and all schedules and the baseline (the test configuration's
     registration-order cap schedule unless one is supplied) replay on it.
     Cells aggregate the ratios over folds, then test seeds.  Configuration
-    labels (the name, else ``cfg<k>``) must be valid identifiers and unique.
+    labels (the name, else ``cfg<k>``) must be valid identifiers, unique and
+    unlike the baseline row's label.
     """
     configs = list(configs)
     if len(configs) < 2:
@@ -457,12 +456,15 @@ def run_crossval(configs, folds: int, seed: int, time_limit: float | None = None
     for cfg in configs[1:]:
         if cfg.heuristic_ids() != universe:
             raise InputError("configurations must share one heuristic universe")
+    baseline_label = "baseline (given)" if baseline is not None else "baseline (caps)"
     labels: list[str] = []
     for index, cfg in enumerate(configs):
         label = cfg.name if cfg.name else f"cfg{index + 1}"
         validate_identifier(label, "configuration")
         if label in labels:
             raise InputError(f"configuration label {label!r} is used more than once")
+        if label == baseline_label:
+            raise InputError(f"configuration label {label!r} is reserved for the baseline row")
         if folds > cfg.instances:
             raise InputError(f"fold count {folds} exceeds instance count "
                              f"{cfg.instances} of configuration {label!r}")
@@ -494,8 +496,6 @@ def run_crossval(configs, folds: int, seed: int, time_limit: float | None = None
         for i in range(len(configs)):
             cells[(i, j)] = _mean_std([ratios[i * folds + fold]
                                        for fold in range(folds) for ratios in per_seed])
-
-    baseline_label = "baseline (given)" if baseline is not None else "baseline (caps)"
     return CrossvalReport(tuple(labels), cells, baseline_label)
 
 

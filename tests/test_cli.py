@@ -2,13 +2,14 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from heursched import __version__, load_dataset, load_schedule
+from heursched import Schedule, __version__, load_dataset, load_schedule
 from heursched.cli import dispatch, run_crossval
 from heursched import InputError, load_sim_config
 
@@ -197,6 +198,47 @@ def test_crossval_rejects_repeated_labels(tmp_path, capsys):
         path.write_text(unnamed, encoding="utf-8")
     assert dispatch(["crossval", "--configs", ",".join(map(str, paths)), "--folds", "1"]) == 1
     assert "'family' is used more than once" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("given", [False, True], ids=["caps", "given"])
+def test_crossval_rejects_the_baseline_rows_label(given):
+    label = "baseline (given)" if given else "baseline (caps)"
+    baseline = Schedule((("dive_a", 10),)) if given else None
+    clash = load_sim_config(COVERAGE_CFG.replace("name = coverage", f"name = {label}"))
+    with pytest.raises(InputError, match=re.escape(
+            f"configuration label '{label}' is reserved for the baseline row")):
+        run_crossval([load_sim_config(COVERAGE_CFG), clash], folds=1, seed=0,
+                     baseline=baseline)
+    # the other baseline's label is an ordinary configuration name
+    other = "baseline (caps)" if given else "baseline (given)"
+    run_crossval([load_sim_config(COVERAGE_CFG),
+                  load_sim_config(COVERAGE_CFG.replace("name = coverage", f"name = {other}"))],
+                 folds=1, seed=0, baseline=baseline)
+
+
+def test_crossval_cli_rejects_the_baseline_rows_label(tmp_path, capsys):
+    first, second = tmp_path / "first.cfg", tmp_path / "second.cfg"
+    first.write_text(COVERAGE_CFG, encoding="utf-8")
+    second.write_text(COVERAGE_CFG.replace("name = coverage", "name = baseline (caps)"),
+                      encoding="utf-8")
+    out = tmp_path / "cv.csv"
+    assert dispatch(["crossval", "--configs", f"{first},{second}", "--folds", "1",
+                     "--out", str(out)]) == 1
+    assert ("configuration label 'baseline (caps)' is reserved for the baseline row"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
+def test_simulate_counts_the_rows_it_writes(tmp_path, capsys):
+    cfg_path = tmp_path / "coverage.cfg"
+    cfg_path.write_text(COVERAGE_CFG, encoding="utf-8")
+    data_path = tmp_path / "shadow.csv"
+    assert dispatch(["simulate", "--config", str(cfg_path), "--seed", "4",
+                     "--instances", "3", "--out", str(data_path)]) == 0
+    printed = capsys.readouterr().out
+    rows = data_path.read_text(encoding="utf-8").splitlines()[1:]
+    assert f"observations: {len(rows)}\n" in printed
+    assert "instances: 3\n" in printed and len(rows) > 3
 
 
 def test_exit_codes(tmp_path, monkeypatch, capsys):

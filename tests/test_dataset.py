@@ -1,13 +1,16 @@
 from __future__ import annotations
 
+import ast
 import math
 import random
 import warnings
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import heursched
 from heursched import (Dataset, InputError, IterationCostProfile, Observation, Schedule,
                        avg_iteration_cost, breakpoints, collect_shadow_dataset,
                        dump_dataset, dump_schedule, generate_instance, load_dataset,
@@ -193,6 +196,63 @@ def test_breakpoints_subset_and_increasing():
 def test_dataset_rejects_unregistered_references():
     with pytest.raises(InputError, match="unregistered"):
         Dataset(("h",), ("N1",), (Observation("h", "N2", 1, 1),))
+
+
+def test_dataset_does_not_share_the_callers_list():
+    observations = [Observation("h", "N1", 1, 1)]
+    heuristics, nodes = ["h"], ["N1", "N2"]
+    d = Dataset(heuristics, nodes, observations)
+    observations.append(Observation("h", "N2", 2, 2))
+    heuristics.append("g")
+    nodes.append("N3")
+    assert (d.heuristics, d.nodes) == (("h",), ("N1", "N2"))
+    assert d.observations == (Observation("h", "N1", 1, 1),)
+    assert dump_dataset(d) == DATASET_HEADER + "\nh,N1,1,1,\n"
+    assert dict(d.tau_column("h")) == {"N1": 1}
+
+
+def test_dataset_built_from_lists_is_hashable():
+    d = Dataset(["h"], ["N1"], [Observation("h", "N1", 1, 1)])
+    assert hash(d) == hash(Dataset(("h",), ("N1",), (Observation("h", "N1", 1, 1),)))
+
+
+def test_dataset_built_from_generators_keeps_its_observations():
+    expected = (Observation("h", "N1", 1, 1), Observation("h", "N2", None, 3))
+    d = Dataset((h for h in ("h",)), (n for n in ("N1", "N2")), (o for o in expected))
+    assert (d.heuristics, d.nodes, d.observations) == (("h",), ("N1", "N2"), expected)
+    assert dict(d.tau_column("h")) == {"N1": 1}
+    assert load_dataset(dump_dataset(d)) == d
+
+
+@pytest.mark.parametrize("heuristics, nodes, message", [
+    (("h", "bad,h"), ("N1",), "invalid heuristic identifier 'bad,h': commas, newlines "
+                               "and a leading '#' are reserved"),
+    (("h", " g"), ("N1",), "invalid heuristic identifier ' g': leading and trailing "
+                           "whitespace would be stripped"),
+    (("h",), ("N1", ""), "node identifier must be a non-empty string, got ''"),
+    (("h",), ("N1", 7), "node identifier must be a non-empty string, got 7"),
+    (("h",), ("N1", "a\u2028b"), "invalid node identifier 'a\\u2028b': line breaks are reserved"),
+], ids=["comma", "whitespace", "empty", "not-a-string", "line-break"])
+def test_dataset_validates_every_registered_id(heuristics, nodes, message):
+    # the bad id is registered but used by no observation
+    with pytest.raises(InputError) as excinfo:
+        Dataset(heuristics, nodes, (Observation("h", "N1", 1, 1),))
+    assert str(excinfo.value) == message
+
+
+def test_only_dataset_reads_its_columns():
+    # the tau columns are derived in dataset.py alone; the trusted constructor
+    # serves dataset.py and shadow collection only
+    private = {"_rows", "_taus"}
+    trusted = {"_from_rows"}
+    package = Path(heursched.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        attrs = {node.attr for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                 if isinstance(node, ast.Attribute)}
+        if path.name != "dataset.py":
+            assert not attrs & private, f"{path.name} reads {sorted(attrs & private)}"
+        if path.name not in ("dataset.py", "simulator.py"):
+            assert not attrs & trusted, f"{path.name} calls {sorted(attrs & trusted)}"
 
 
 @st.composite
