@@ -119,6 +119,11 @@ class Observation:
         return self.iterations_to_solution is not None
 
 
+def _require_observation(obs) -> None:
+    if not isinstance(obs, Observation):
+        raise InputError(f"observations must be Observation records, got {obs!r}")
+
+
 @dataclass(frozen=True)
 class Dataset:
     """Immutable training dataset with registered heuristic and node ids."""
@@ -145,6 +150,7 @@ class Dataset:
         # consumed by _index once the ids are registered
         seen: set[tuple[str, str]] = set()
         for obs in self.observations:
+            _require_observation(obs)
             if obs.heuristic not in self._registration:
                 raise InputError(f"observation references unregistered heuristic {obs.heuristic!r}")
             if obs.node not in self._node_set:
@@ -194,6 +200,8 @@ class Dataset:
     def from_observations(cls, observations) -> "Dataset":
         """Build a dataset registering ids in first-appearance order."""
         observations = tuple(observations)
+        for obs in observations:
+            _require_observation(obs)
         heuristics = tuple(dict.fromkeys(obs.heuristic for obs in observations))
         nodes = tuple(dict.fromkeys(obs.node for obs in observations))
         return cls(heuristics, nodes, observations)

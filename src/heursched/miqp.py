@@ -68,7 +68,7 @@ from .schedule import Schedule
 
 _INTEGRALITY_TOL = 1e-9
 _NUMERIC_TOL = 1e-9
-_CHUNK_ROWS = 4096
+_CHUNK_ROWS = 256
 
 
 class MiqpVariable(NamedTuple):

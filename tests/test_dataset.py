@@ -82,6 +82,14 @@ def test_iteration_cost_must_be_finite_and_positive(cost):
         IterationCostProfile({"h": cost})
 
 
+@pytest.mark.parametrize("item", [("h", "N1", 1, 1), {"heuristic": "h"}, None])
+def test_non_observation_items_are_rejected(item):
+    with pytest.raises(InputError, match="must be Observation records"):
+        Dataset(("h",), ("N1",), (item,))
+    with pytest.raises(InputError, match="must be Observation records"):
+        Dataset.from_observations([Observation("h", "N1", 1, 1), item])
+
+
 def test_registration_follows_first_appearance():
     text = ("heuristic,node,iterations_to_solution,iterations_executed,duration_seconds\n"
             "h2,N3,1,1,\n"

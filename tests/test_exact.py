@@ -8,9 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from heursched import (Dataset, ExactLimits, GreedyOptions, InputError, Observation,
-                       Schedule, breakpoints, build_schedule, candidate_count, evaluate,
-                       load_dataset, solve_exact)
+from heursched import (Dataset, ExactLimits, GreedyOptions, HeuristicSpec, InputError,
+                       IterationCostProfile, Observation, Schedule, SimConfig, breakpoints,
+                       build_schedule, candidate_count, collect_shadow_dataset, evaluate,
+                       generate_instance, load_dataset, solve_exact)
 from heursched.schedule import replay_node, replay_tables
 
 from conftest import random_dataset
@@ -51,6 +52,67 @@ def enumerate_exact(d, alpha, normalize=False):
             best_key = key
             best = (entries, objective)
     return best
+
+
+def list_based_exact(d, alpha, normalize=False):
+    """Reference oracle: the prefix search over node lists, every bound and
+    objective summed over all nodes in node order (limits not checked)."""
+    budgets_of = {h: breakpoints(d, h) for h in d.heuristics}
+    usable = [h for h in d.heuristics if budgets_of[h]]
+    tables = replay_tables(d, None, normalize)
+    total_nodes = len(d.nodes)
+    tau_at = {h: [tables.tau_of[h].get(node) for node in d.nodes] for h in usable}
+    solvers = [sum(1 << g for g, h in enumerate(usable) if tau_at[h][i] is not None)
+               for i in range(total_nodes)]
+    final = [None] * total_nodes
+    best = {}
+
+    def consider(entries, objective, solved):
+        if (solved / total_nodes if total_nodes else 1.0) < alpha:
+            return
+        key = (objective, len(entries), tuple(d.registration_index(h) for h, _ in entries),
+               tuple(b for _, b in entries))
+        if not best or key < best["key"]:
+            best.update(key=key, entries=entries, objective=objective)
+
+    def extend(entries, unsolved, total, unused):
+        for g, heuristic in enumerate(usable):
+            if not unused >> g & 1:
+                continue
+            rest = unused & ~(1 << g)
+            weight = tables.weight_of[heuristic]
+            taus = tau_at[heuristic]
+            for budget in budgets_of[heuristic]:
+                newly = [i for i in unsolved if taus[i] is not None and taus[i] <= budget]
+                if not newly:
+                    continue
+                remaining = [i for i in unsolved if taus[i] is None or taus[i] > budget]
+                solved = total_nodes - len(remaining)
+                reachable = sum(1 for i in remaining if solvers[i] & rest)
+                if (solved + reachable) / total_nodes < alpha:
+                    continue
+                for i in newly:
+                    final[i] = total + weight * taus[i]
+                new_total = total + weight * budget
+                bound = objective = 0
+                for cost in final:
+                    if cost is None:
+                        bound += new_total
+                        objective += new_total + 1
+                    else:
+                        bound += cost
+                        objective += cost
+                if not best or bound <= best["objective"]:
+                    child = entries + ((heuristic, budget),)
+                    consider(child, objective, solved)
+                    if remaining and rest:
+                        extend(child, remaining, new_total, rest)
+                for i in newly:
+                    final[i] = None
+
+    consider((), total_nodes, 0)
+    extend((), list(range(total_nodes)), 0, (1 << len(usable)) - 1)
+    return (best["entries"], best["objective"]) if best else None
 
 
 @st.composite
@@ -272,3 +334,70 @@ h0,n0,2,2,0.5
 h1,n1,1,1,0.25
 """)
     assert solve_exact(d, 0.0, normalize=True) == (Schedule((("h1", 1), ("h0", 2))), 1.0)
+
+
+@st.composite
+def simulator_families(draw):
+    """Shadow datasets of 5-8 simulated heuristics on 60-150 nodes, caps 2-3."""
+    cap = draw(st.integers(2, 3))
+    unit = st.floats(0.0, 1.0)
+    specs = tuple(
+        HeuristicSpec(f"h{k}", "DIVING", 0.1 + 0.8 * draw(unit), 0.01 + 0.49 * draw(unit),
+                      cap, 0.01 + 0.99 * draw(unit), 5.0, 1.0)
+        for k in range(draw(st.integers(5, 8))))
+    nodes = draw(st.integers(60, 150))
+    cfg = SimConfig(specs, 1, nodes, nodes, 0.5)
+    return collect_shadow_dataset([generate_instance(cfg, draw(st.integers(0, 10**6)))])
+
+
+@settings(max_examples=12)
+@given(d=simulator_families())
+def test_mask_search_matches_list_search_past_enumeration_reach(d):
+    # masks wider than one machine word, normalized and raw costs
+    limits = ExactLimits(max_heuristics=8, enumeration_budget=10**12)
+    for alpha in (0.0, 0.5, 0.9, 1.0):
+        for normalize in (False, True):
+            expected = list_based_exact(d, alpha, normalize)
+            result = solve_exact(d, alpha, normalize=normalize, limits=limits)
+            if expected is None:
+                assert result is None
+                continue
+            assert result is not None
+            assert result[0].entries == expected[0]
+            assert repr(result[1]) == repr(expected[1])
+
+
+def test_float_near_tie_is_decided_in_node_order():
+    # at 0.1 s per iteration, (h1, 1), (h0, 2) is found first and costs
+    # 0.2 + 0.30000000000000004 + 0.1 = 0.6 in node order; (h1, 3) costs
+    # 0.30000000000000004 + 0.2 + 0.1 = 0.6 too and wins the tie as the
+    # shorter schedule, but its running sum 0.1 * 6 = 0.6000000000000001 lies
+    # above the incumbent: only the slack keeps it from the first prune stage
+    d = Dataset(("h0", "h1", "h2"), ("n0", "n1", "n2"), (
+        Observation("h0", "n0", 1, 3), Observation("h0", "n1", 2, 3),
+        Observation("h0", "n2", 3, 3), Observation("h1", "n0", 3, 3),
+        Observation("h1", "n1", 2, 3), Observation("h1", "n2", 1, 3),
+        Observation("h2", "n0", 3, 3), Observation("h2", "n1", 1, 3),
+        Observation("h2", "n2", 3, 3)))
+    costs = IterationCostProfile({"h0": 0.1, "h1": 0.1, "h2": 0.2})
+    tie = Schedule((("h1", 1), ("h0", 2)))
+    for alpha in (0.0, 0.5, 1.0):
+        schedule, objective = solve_exact(d, alpha, costs, normalize=True)
+        assert schedule.entries == (("h1", 3),)
+        assert repr(objective) == "0.6"
+        for s in (schedule, tie):
+            assert evaluate(s, d, alpha, costs, normalize=True).objective == objective
+
+
+@pytest.mark.parametrize("field", ["max_heuristics", "max_breakpoints_per_heuristic",
+                                   "enumeration_budget"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), 2.0, "3", True, None])
+def test_limits_reject_non_integers(field, value):
+    with pytest.raises(InputError, match=f"{field} must be an integer"):
+        ExactLimits(**{field: value})
+
+
+@pytest.mark.parametrize("value", [0, -1])
+def test_limits_reject_non_positive(value):
+    with pytest.raises(InputError, match="enumeration_budget must be positive"):
+        ExactLimits(enumeration_budget=value)
