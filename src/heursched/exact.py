@@ -38,7 +38,6 @@ then heuristic registration order, then smaller budgets.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -67,13 +66,13 @@ class ExactLimits:
 
 def candidate_count(d: Dataset) -> int:
     """Number of candidate schedules before pruning: the search's worst case."""
-    sizes = [len(breakpoints(d, h)) for h in d.heuristics]
-    sizes = [s for s in sizes if s > 0]
-    total = 1  # the empty schedule
-    for k in range(1, len(sizes) + 1):
-        for combo in itertools.combinations(sizes, k):
-            total += math.factorial(k) * math.prod(combo)
-    return total
+    # sum over k of k! e_k(sizes): e_k, the elementary symmetric sum of the
+    # breakpoint counts, totals the budget choices of every k-subset, and k!
+    # orders each; building e_k one heuristic at a time takes O(G^2) steps
+    sums = [1]  # e_0
+    for size in (len(breakpoints(d, h)) for h in d.heuristics):
+        sums = [a + size * b for a, b in zip([*sums, 0], [0, *sums])]
+    return sum(math.factorial(k) * e_k for k, e_k in enumerate(sums))
 
 
 def solve_exact(d: Dataset, alpha: float,

@@ -39,17 +39,12 @@ selector), ``w[n][h]`` (``h`` sits strictly after ``pmin[n]``),
 Costs are raw iterations; they agree with normalized schedule evaluation
 only when every heuristic's average seconds per iteration is 1.
 
-A few hundred nodes make hundreds of thousands of rows, so every row is a
-plain tuple of strings and numbers, which the cyclic garbage collector
-stops tracking: a linear row is ``(id, terms, operator, right-hand side)``,
-a quadratic row ``(id, linear terms, quadratic terms, operator, right-hand
-side)`` and a variable ``(name, kind, lower, upper, family)``.
-``MiqpModel.variables`` holds the variable rows and hands out each as a
-``MiqpVariable`` named tuple on access.  Terms are one flat tuple per row:
-``(c1, name1, c2, name2, ...)`` for linear terms and the objective, ``(c1,
-a1, b1, ...)`` for quadratic terms ``c * a * b``.  Every row using a
-variable shares its one name string.  ``export_miqp`` streams the text into
-its sink in chunks; ``MiqpModel.render`` joins them.
+The model's variables, rows and objective are stored by ``miqp_columns``
+as flat columns in which rows name variables by index; ``layout`` there
+gives the variable order and ``VariableRows.declare`` the variables.  The
+build fills the row columns one constraint family at a time, and both
+checkers read one list of values in variable order.  ``export_miqp``
+streams the text into its sink in chunks; ``MiqpModel.render`` joins them.
 """
 
 from __future__ import annotations
@@ -58,48 +53,18 @@ import math
 from collections.abc import Sequence
 from contextlib import nullcontext
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
-from itertools import chain, islice
-from typing import NamedTuple
+from functools import cached_property
+from itertools import accumulate, chain, islice
+from operator import mul
 
 from .dataset import Dataset
 from .errors import InputError, require_finite
+from .miqp_columns import (CHUNK_ROWS, FAMILIES, MiqpVariable, Rows, Terms, VariableRows,
+                           convert_rows, indexed, layout, num, row_chunks, row_sums, row_texts)
 from .schedule import Schedule
 
 _INTEGRALITY_TOL = 1e-9
-_NUMERIC_TOL = 1e-9
-_CHUNK_ROWS = 256
-
-
-class MiqpVariable(NamedTuple):
-    name: str
-    kind: str  # "binary" | "integer"
-    lower: int
-    upper: int
-    family: str
-
-
-class _VariableRows(Sequence):
-    """Read-only sequence of plain variable rows, each read as a ``MiqpVariable``."""
-
-    __slots__ = ("rows",)
-
-    def __init__(self, rows) -> None:
-        self.rows = tuple(map(tuple, rows))
-
-    def __len__(self) -> int:
-        return len(self.rows)
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return tuple(map(MiqpVariable._make, self.rows[index]))
-        return MiqpVariable._make(self.rows[index])
-
-    def __iter__(self):
-        return map(MiqpVariable._make, self.rows)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, _VariableRows) and self.rows == other.rows
+_flat = chain.from_iterable
 
 
 @dataclass(frozen=True)
@@ -119,43 +84,38 @@ class MiqpModel:
     tau: dict
     horizon: dict
     variables: Sequence[MiqpVariable]
-    objective: tuple  # flat: coef, name, ...
-    linear: tuple
-    quadratic: tuple
+    objective: Sequence  # reads as flat (coef, name, ...)
+    linear: Sequence
+    quadratic: Sequence
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "variables", _VariableRows(self.variables))
+        if not isinstance(self.variables, VariableRows):
+            object.__setattr__(self, "variables", VariableRows.of(self.variables))
+        names = self.variables.names
+        if not (isinstance(self.objective, Terms) and self.objective.names is names):
+            terms = Terms(names, *indexed(self.objective, 1, self._index, "objective"))
+            object.__setattr__(self, "objective", terms)
+        for field, quadratic in (("linear", False), ("quadratic", True)):
+            rows = getattr(self, field)
+            if not (isinstance(rows, Rows) and rows.names is names
+                    and (rows.qends is not None) is quadratic):
+                object.__setattr__(self, field, convert_rows(rows, names, self._index, quadratic))
 
     @cached_property
-    def _by_name(self) -> dict:
-        return {row[0]: row for row in self.variables.rows}
+    def _index(self) -> dict:
+        return dict(zip(self.variables.names, range(len(self.variables))))
 
     def variable(self, name: str) -> MiqpVariable:
         try:
-            return MiqpVariable._make(self._by_name[name])
+            return self.variables[self._index[name]]
         except KeyError:
             raise InputError(f"model has no variable named {name!r}") from None
 
     def family_size(self, family: str) -> int:
-        return sum(1 for row in self.variables.rows if row[4] == family)
+        return self.variables.families.count(family)
 
     def render(self) -> str:
         return "".join(_chunks(self))
-
-
-# Model variable names.  Exporting a large dataset builds about a million of
-# them, and an f-string is several times faster than str.format or str.join.
-def _name1(family: str, index) -> str:
-    return f"{family}[{index}]"
-
-
-def _name2(family: str, first, second) -> str:
-    return f"{family}[{first}][{second}]"
-
-
-def _same(coef, names) -> tuple:
-    """Flat terms giving every name the coefficient ``coef``."""
-    return tuple(chain.from_iterable((coef, name) for name in names))
 
 
 def _check_model_identifier(value: str, what: str) -> None:
@@ -179,123 +139,122 @@ def build_miqp(d: Dataset, alpha: float) -> MiqpModel:
 
     heuristics = d.heuristics
     nodes = d.nodes
-    count = len(heuristics)
     columns = {h: d.tau_column(h) for h in heuristics}
     tau = {(n, h): columns[h].get(n) for n in nodes for h in heuristics}
     horizon = {h: max(columns[h].values(), default=0) for h in heuristics}
-    total_horizon = sum(horizon.values())
-    by_node = tuple(enumerate(nodes))
-    by_heuristic = tuple(enumerate(heuristics))
+    variables = VariableRows.declare(heuristics, nodes, horizon)
+    # variable indices per family, all taken from one list
+    index = list(range(len(variables)))
+    family = {name: index[where] for name, where in layout(len(heuristics), len(nodes)).items()}
+    taus = [tau[(n, h)] for n in nodes for h in heuristics]
+    return MiqpModel(heuristics=heuristics, nodes=nodes, alpha=alpha, tau=tau, horizon=horizon,
+                     variables=variables,
+                     objective=Terms(variables.names, [1.0] * len(nodes), family["tN"]),
+                     linear=_linear_rows(variables.names, family, d, taus, horizon, alpha),
+                     quadratic=_node_time_rows(variables.names, family, d, taus))
 
-    # Every variable name is made once, here, and shared by all rows using it:
-    # x[j][p], t[j] and pos[j] per heuristic index j; sN[i], pmin[i] and tN[i]
-    # per node index i; s[i][j] and the other pair families per (node, heuristic).
-    x = [[_name2("x", h, p) for p in range(count + 1)] for h in heuristics]
-    t = [_name1("t", h) for h in heuristics]
-    pos = [_name1("p", h) for h in heuristics]
-    sN, pmin, tN = ([_name1(family, n) for n in nodes] for family in ("sN", "pmin", "tN"))
-    s, z, f, m, y, w, u, v = ([[_name2(family, n, h) for h in heuristics] for n in nodes]
-                              for family in "szfmywuv")
 
-    def declare(names, kind: str, lower: int, upper: int, label: str) -> list[tuple]:
-        return [(name, kind, lower, upper, label) for name in names]
+def _per_pair(items: list, count: int) -> list:
+    """Each item repeated ``count`` times: a node's index for each of its pairs."""
+    return [item for item in items for _ in range(count)]
 
-    flat = chain.from_iterable
-    variables = declare(flat(x), "binary", 0, 1, "x")
-    variables += [(t[j], "integer", 0, horizon[h], "t") for j, h in by_heuristic]
-    variables += declare(pos, "integer", 0, count, "p")
-    variables += declare(flat(s), "binary", 0, 1, "s")
-    variables += declare(sN, "binary", 0, 1, "s_node")
-    variables += declare(pmin, "integer", 1, count, "p_min")
-    variables += declare(flat(z), "binary", 0, 1, "z")
-    variables += declare(flat(f), "binary", 0, 1, "f")
-    variables += declare(tN, "integer", 1, 1 + total_horizon, "t_node")
-    for i, _ in by_node:
-        for j, _ in by_heuristic:
-            variables += ((m[i][j], "integer", 1, count, "aux_min_term"),
-                          (y[i][j], "binary", 0, 1, "aux_argmin"),
-                          (w[i][j], "binary", 0, 1, "aux_after_first"),
-                          (u[i][j], "binary", 0, 1, "aux_solved_and_before"),
-                          (v[i][j], "binary", 0, 1, "aux_solved_and_first"))
 
-    linear: list[tuple] = []
-    add = linear.append
+def _linear_rows(names: list, family: dict, d: Dataset, taus: list, horizon: dict,
+                 alpha: float) -> Rows:
+    """The linear rows, one block per constraint family; no Python call per row."""
+    heuristics, nodes = d.heuristics, d.nodes
+    H, N = len(heuristics), len(nodes)
+    pairs = N * H
+    X, T, P, S, SN, PMIN, Z, F, TN, M, Y, W, U, V = family.values()
+    # per pair, the index of its heuristic's t and p and of its node's sN and pmin
+    Tj, Pj, SNi, PMINi = T * N, P * N, _per_pair(SN, H), _per_pair(PMIN, H)
+    XJ = [X[j * (H + 1):(j + 1) * (H + 1)] for j in range(H)]
+    keys = [f"{n},{h}" for n in nodes for h in heuristics]
+
+    def per_node(*parts):
+        """Node by node, each part's run for that node; a part is (flat list, run length)."""
+        return _flat(items[i * run:(i + 1) * run] for i in range(N) for items, run in parts)
+
+    linear = Rows(names)
+    add = linear.add
 
     # each position holds at most one heuristic; each heuristic gets one position
-    for p in range(1, count + 1):
-        add((f"position_capacity[{p}]", _same(1, (x_h[p] for x_h in x)), "<=", 1))
-    for j, h in by_heuristic:
-        add((f"placement[{h}]", _same(1, x[j]), "=", 1))
-        add((f"position_link[{h}]",
-             (1, pos[j], *flat((-p, x[j][p]) for p in range(1, count + 1))), "=", 0))
-        # a heuristic outside the schedule gets budget zero
-        add((f"budget_link[{h}]", (1, t[j], horizon[h], x[j][0]), "<=", horizon[h]))
+    add([f"position_capacity[{p}]" for p in range(1, H + 1)], [H] * H, [1] * (H * H),
+        _flat(X[p::H + 1] for p in range(1, H + 1)), ["<="] * H, [1] * H)
+    # a heuristic outside the schedule gets budget zero
+    tags = ("placement", "position_link", "budget_link")
+    add([f"{tag}[{h}]" for h in heuristics for tag in tags], [H + 1, H + 1, 2] * H,
+        _flat([*[1] * (H + 1), 1, *range(-1, -H - 1, -1), 1, horizon[h]] for h in heuristics),
+        _flat([*XJ[j], P[j], *XJ[j][1:], T[j], XJ[j][0]] for j in range(H)),
+        ["=", "=", "<="] * H, _flat((1, 0, horizon[h]) for h in heuristics))
 
     # budget-coverage indicator per (node, heuristic); M = horizon + 1
-    for i, n in by_node:
-        for j, h in by_heuristic:
-            t_req = tau[(n, h)]
-            if t_req is None:
-                add((f"solve_never[{n},{h}]", (1, s[i][j]), "=", 0))
-            else:
-                add((f"solve_lb[{n},{h}]", (1, t[j], -t_req, s[i][j]), ">=", 0))
-                add((f"solve_ub[{n},{h}]", (1, t[j], -(horizon[h] + 1), s[i][j]), "<=", t_req - 1))
+    bigs = [horizon[h] + 1 for h in heuristics] * N
+    add([cid for key, t_req in zip(keys, taus) for cid in
+         ((f"solve_never[{key}]",) if t_req is None else (f"solve_lb[{key}]", f"solve_ub[{key}]"))],
+        [k for t_req in taus for k in ((1,) if t_req is None else (2, 2))],
+        [c for t_req, big in zip(taus, bigs)
+         for c in ((1,) if t_req is None else (1, -t_req, 1, -big))],
+        [v for t_req, t, s in zip(taus, Tj, S) for v in ((s,) if t_req is None else (t, s, t, s))],
+        [op for t_req in taus for op in (("=",) if t_req is None else (">=", "<="))],
+        [r for t_req in taus for r in ((0,) if t_req is None else (0, t_req - 1))])
 
     # a node is solved exactly when some heuristic covers it
-    for i, n in by_node:
-        add((f"node_solved_ub[{n}]", (1, sN[i], *_same(-1, s[i])), "<=", 0))
-        for j, h in by_heuristic:
-            add((f"node_solved_lb[{n},{h}]", (1, sN[i], -1, s[i][j]), ">=", 0))
+    add(per_node(([f"node_solved_ub[{n}]" for n in nodes], 1),
+                 ([f"node_solved_lb[{key}]" for key in keys], H)),
+        ([H + 1] + [2] * H) * N, ([1] + [-1] * H + [1, -1] * H) * N,
+        per_node((SN, 1), (S, H), (list(_flat(zip(SNi, S))), 2 * H)),
+        (["<="] + [">="] * H) * N, [0] * (N * (H + 1)))
 
-    add(("coverage", _same(1, sN), ">=", alpha * len(nodes)))
+    add(["coverage"], [N], [1] * N, SN, [">="], [alpha * N])
 
     # position of the first covering heuristic: pmin = min over h of
     # (position if h covers the node else the heuristic count)
-    for i, n in by_node:
-        for j, h in by_heuristic:
-            m_ij, s_ij = m[i][j], s[i][j]
-            add((f"min_term_cover_lb[{n},{h}]", (1, m_ij, -1, pos[j], -count, s_ij), ">=", -count))
-            add((f"min_term_cover_ub[{n},{h}]", (1, m_ij, -1, pos[j], count, s_ij), "<=", count))
-            add((f"min_term_miss_lb[{n},{h}]", (1, m_ij, count, s_ij), ">=", count))
-            add((f"first_position_ub[{n},{h}]", (1, pmin[i], -1, m_ij), "<=", 0))
-            add((f"first_position_lb[{n},{h}]", (1, pmin[i], -1, m_ij, -count, y[i][j]),
-                 ">=", -count))
-        add((f"first_position_pick[{n}]", _same(1, y[i]), "=", 1))
+    tags = ("min_term_cover_lb", "min_term_cover_ub", "min_term_miss_lb", "first_position_ub",
+            "first_position_lb")
+    add(per_node(([f"{tag}[{key}]" for key in keys for tag in tags], 5 * H),
+                 ([f"first_position_pick[{n}]" for n in nodes], 1)),
+        ([3, 3, 2, 2, 3] * H + [H]) * N,
+        ([1, -1, -H, 1, -1, H, 1, H, 1, -1, 1, -1, -H] * H + [1] * H) * N,
+        per_node((list(_flat(zip(M, Pj, S, M, Pj, S, M, S, PMINi, M, PMINi, M, Y))), 13 * H),
+                 (Y, H)),
+        ([">=", "<=", ">=", "<=", ">="] * H + ["="]) * N, ([-H, H, H, 0, -H] * H + [1]) * N)
 
     # strict order indicators around pmin: z before, w after, f exactly at
-    for i, n in by_node:
-        for j, h in by_heuristic:
-            p, z_ij, w_ij = pos[j], z[i][j], w[i][j]
-            add((f"before_first_ub[{n},{h}]", (1, pmin[i], -1, p, -count, z_ij), "<=", 0))
-            add((f"before_first_lb[{n},{h}]", (1, pmin[i], -1, p, -count, z_ij), ">=", 1 - count))
-            add((f"after_first_ub[{n},{h}]", (1, p, -1, pmin[i], -count, w_ij), "<=", 0))
-            add((f"after_first_lb[{n},{h}]", (1, p, -1, pmin[i], -(count + 1), w_ij), ">=", -count))
-            add((f"first_solver_def[{n},{h}]", (1, z_ij, 1, w_ij, 1, f[i][j]), "=", 1))
+    tags = ("before_first_ub", "before_first_lb", "after_first_ub", "after_first_lb",
+            "first_solver_def")
+    add([f"{tag}[{key}]" for key in keys for tag in tags], [3] * (5 * pairs),
+        [1, -1, -H, 1, -1, -H, 1, -1, -H, 1, -1, -(H + 1), 1, 1, 1] * pairs,
+        _flat(zip(PMINi, Pj, Z, PMINi, Pj, Z, Pj, PMINi, W, Pj, PMINi, W, Z, W, F)),
+        ["<=", ">=", "<=", ">=", "="] * pairs, [0, 1 - H, 0, -H, 1] * pairs)
 
     # products with the node-solved flag, used by the node-time constraint
-    for i, n in by_node:
-        for j, h in by_heuristic:
-            for aux, other, tag in ((u[i][j], z[i][j], "solved_and_before"),
-                                    (v[i][j], f[i][j], "solved_and_first")):
-                add((f"{tag}_ub1[{n},{h}]", (1, aux, -1, sN[i]), "<=", 0))
-                add((f"{tag}_ub2[{n},{h}]", (1, aux, -1, other), "<=", 0))
-                add((f"{tag}_lb[{n},{h}]", (1, aux, -1, sN[i], -1, other), ">=", -1))
+    tags = [f"{tag}_{bound}" for tag in ("solved_and_before", "solved_and_first")
+            for bound in ("ub1", "ub2", "lb")]
+    add([f"{tag}[{key}]" for key in keys for tag in tags], [2, 2, 3, 2, 2, 3] * pairs,
+        [1, -1, 1, -1, 1, -1, -1] * (2 * pairs),
+        _flat(zip(U, SNi, U, Z, U, SNi, Z, V, SNi, V, F, V, SNi, F)),
+        ["<=", "<=", ">="] * (2 * pairs), [0, 0, -1] * (2 * pairs))
+    return linear
 
-    quadratic: list[tuple] = []
-    for i, n in by_node:
-        lin_terms = [1, tN[i], 1, sN[i]]
-        quad_terms = []
-        for j, h in by_heuristic:
-            lin_terms += (-1, t[j])
-            t_req = tau[(n, h)]
-            if t_req is not None:
-                lin_terms += (-t_req, v[i][j])
-            quad_terms += (-1, u[i][j], t[j], 1, sN[i], t[j])
-        quadratic.append((f"node_time[{n}]", tuple(lin_terms), tuple(quad_terms), "=", 1))
 
-    return MiqpModel(heuristics=heuristics, nodes=nodes, alpha=alpha, tau=tau, horizon=horizon,
-                     variables=variables, objective=_same(1.0, tN), linear=tuple(linear),
-                     quadratic=tuple(quadratic))
+def _node_time_rows(names: list, family: dict, d: Dataset, taus: list) -> Rows:
+    """Per node: tN + sN - sum over h of t[h] (and of tau * v[n][h] where h can
+    solve n) - sum over h of u[n][h] * t[h] + sum over h of sN[n] * t[h] = 1."""
+    H, N = len(d.heuristics), len(d.nodes)
+    Tj, TN, SN, U, V = family["t"] * N, family["tN"], family["sN"], family["u"], family["v"]
+    pair_coefs = [c for t_req in taus for c in ((-1,) if t_req is None else (-1, -t_req))]
+    pair_vars = [i for t_req, t, v in zip(taus, Tj, V) for i in ((t,) if t_req is None else (t, v))]
+    bounds = list(accumulate((1 if t_req is None else 2 for t_req in taus), initial=0))[::H]
+    quadratic = Rows(names, quadratic=True)
+    quadratic.add([f"node_time[{n}]" for n in d.nodes],
+                  [2 + b - a for a, b in zip(bounds, bounds[1:])],
+                  _flat(chain((1, 1), pair_coefs[a:b]) for a, b in zip(bounds, bounds[1:])),
+                  _flat(chain((tn, sn), pair_vars[a:b])
+                        for tn, sn, a, b in zip(TN, SN, bounds, bounds[1:])),
+                  ["="] * N, [1] * N, [2 * H] * N, [-1, 1] * (N * H),
+                  _flat(zip(U, Tj, _per_pair(SN, H), Tj)))
+    return quadratic
 
 
 def export_miqp(d: Dataset, alpha: float, sink) -> MiqpModel:
@@ -311,11 +270,13 @@ def export_miqp(d: Dataset, alpha: float, sink) -> MiqpModel:
     return model
 
 
-def _coerce_assignment(model: MiqpModel, assignment) -> tuple[dict, list[str]]:
-    """Validate coverage, integrality and bounds; return integer values."""
+def _coerce_assignment(model: MiqpModel, assignment) -> tuple[list, list[str]]:
+    """Validate coverage, integrality and bounds; return integer values in variable order."""
     violations: list[str] = []
-    values: dict[str, int] = {}
-    for name, _, lower, upper, _ in model.variables.rows:
+    values: list[int] = []
+    append = values.append
+    variables = model.variables
+    for name, lower, upper in zip(variables.names, variables.lowers, variables.uppers):
         if name not in assignment:
             raise InputError(f"assignment is missing variable {name!r}")
         value = assignment[name]
@@ -327,7 +288,7 @@ def _coerce_assignment(model: MiqpModel, assignment) -> tuple[dict, list[str]]:
             value = int(rounded)
         if not lower <= value <= upper:
             violations.append(f"domain[{name}]")
-        values[name] = value
+        append(value)
     return values, violations
 
 
@@ -337,99 +298,75 @@ def check_assignment(model: MiqpModel, assignment) -> CheckResult:
     Every constraint is re-evaluated in its min/max/indicator form rather
     than through the exported linearization, which makes this an
     independent feasibility check.  Returns the objective (total
-    iterations over nodes) and the ids of violated constraints.
+    iterations over nodes) and the ids of violated constraints.  Values are
+    read by their place in ``build_miqp``'s variable order.
     """
     values, violations = _coerce_assignment(model, assignment)
-    heuristics = model.heuristics
-    nodes = model.nodes
+    report = violations.append
+    heuristics, nodes, tau = model.heuristics, model.nodes, model.tau
     count = len(heuristics)
+    at = layout(count, len(nodes))
+    x, t, pos, s, sN, pmin, z, f, tN = (values[at[family]] for family in FAMILIES[:9])
+    width = count + 1  # x[h][p] of the j-th heuristic is x[j * width + p]
+    starts = range(0, len(s), count)  # node i's pairs are [i * count, (i + 1) * count)
 
-    for p in range(1, count + 1):
-        if sum(values[_name2("x", h, p)] for h in heuristics) > 1:
-            violations.append(f"position_capacity[{p}]")
-    for h in heuristics:
-        if sum(values[_name2("x", h, p)] for p in range(count + 1)) != 1:
-            violations.append(f"placement[{h}]")
-        if values[_name1("p", h)] != sum(p * values[_name2("x", h, p)] for p in range(count + 1)):
-            violations.append(f"position_link[{h}]")
-        if model.horizon[h] * (1 - values[_name2("x", h, 0)]) < values[_name1("t", h)]:
-            violations.append(f"budget_link[{h}]")
+    for p in range(1, width):
+        if sum(x[p::width]) > 1:
+            report(f"position_capacity[{p}]")
+    for j, h in enumerate(heuristics):
+        placed = x[j * width:(j + 1) * width]
+        if sum(placed) != 1:
+            report(f"placement[{h}]")
+        if pos[j] != sum(map(mul, range(width), placed)):
+            report(f"position_link[{h}]")
+        if model.horizon[h] * (1 - placed[0]) < t[j]:
+            report(f"budget_link[{h}]")
 
-    for n in nodes:
-        for h in heuristics:
-            t_req = model.tau[(n, h)]
-            expected = 0 if t_req is None else max(0, min(1, values[_name1("t", h)] - t_req + 1))
-            if values[_name2("s", n, h)] != expected:
-                violations.append(f"solve_indicator[{n},{h}]")
+    for n, i in zip(nodes, starts):
+        for h, t_h, s_nh in zip(heuristics, t, s[i:i + count]):
+            t_req = tau[(n, h)]
+            if s_nh != (0 if t_req is None else max(0, min(1, t_h - t_req + 1))):
+                report(f"solve_indicator[{n},{h}]")
 
-    for n in nodes:
-        if values[_name1("sN", n)] != min(1, sum(values[_name2("s", n, h)] for h in heuristics)):
-            violations.append(f"node_solved[{n}]")
+    for n, i, solved in zip(nodes, starts, sN):
+        if solved != min(1, sum(s[i:i + count])):
+            report(f"node_solved[{n}]")
 
-    coverage = sum(values[_name1("sN", n)] for n in nodes) / len(nodes)
-    if coverage < model.alpha:
-        violations.append("coverage")
+    if sum(sN) / len(nodes) < model.alpha:
+        report("coverage")
 
-    for n in nodes:
-        first = min(values[_name1("p", h)] * values[_name2("s", n, h)]
-                    + (1 - values[_name2("s", n, h)]) * count
-                    for h in heuristics)
-        if values[_name1("pmin", n)] != first:
-            violations.append(f"first_position[{n}]")
-        for h in heuristics:
-            position, first_position = values[_name1("p", h)], values[_name1("pmin", n)]
-            if values[_name2("z", n, h)] != (1 if position < first_position else 0):
-                violations.append(f"before_first[{n},{h}]")
-            if values[_name2("f", n, h)] != (1 if position == first_position else 0):
-                violations.append(f"first_solver[{n},{h}]")
+    for n, i, first_position in zip(nodes, starts, pmin):
+        if first_position != min(p * c + (1 - c) * count for p, c in zip(pos, s[i:i + count])):
+            report(f"first_position[{n}]")
+        for h, position, z_nh, f_nh in zip(heuristics, pos, z[i:i + count], f[i:i + count]):
+            if z_nh != (1 if position < first_position else 0):
+                report(f"before_first[{n},{h}]")
+            if f_nh != (1 if position == first_position else 0):
+                report(f"first_solver[{n},{h}]")
 
-    for n in nodes:
-        if values[_name1("sN", n)] == 1:
-            expected = sum(values[_name2("z", n, h)] * values[_name1("t", h)] for h in heuristics)
+    unsolved_time = 1 + sum(map(mul, x, [t_h for t_h in t for _ in range(width)]))
+    for n, i, solved, spent in zip(nodes, starts, sN, tN):
+        expected = unsolved_time
+        if solved == 1:
             solver_time = math.inf
-            for h in heuristics:
-                if values[_name2("f", n, h)] == 1:
-                    t_req = model.tau[(n, h)]
+            for h, f_nh in zip(heuristics, f[i:i + count]):
+                if f_nh == 1:
+                    t_req = tau[(n, h)]
                     solver_time = t_req if t_req is not None else math.inf
-            expected = expected + solver_time
-        else:
-            expected = 1 + sum(values[_name2("x", h, p)] * values[_name1("t", h)]
-                               for h in heuristics for p in range(count + 1))
-        if values[_name1("tN", n)] != expected:
-            violations.append(f"node_time[{n}]")
+            expected = sum(map(mul, z[i:i + count], t)) + solver_time
+        if spent != expected:
+            report(f"node_time[{n}]")
 
-    objective = sum(values[_name1("tN", n)] for n in nodes)
-    return CheckResult(not violations, objective, tuple(violations))
+    return CheckResult(not violations, sum(tN), tuple(violations))
 
 
 def check_linearized(model: MiqpModel, assignment) -> CheckResult:
     """Audit an assignment against the exported linearized constraints."""
     values, violations = _coerce_assignment(model, assignment)
-
-    def holds(lhs: float, op: str, rhs: float) -> bool:
-        if op == "<=":
-            return lhs <= rhs + _NUMERIC_TOL
-        if op == ">=":
-            return lhs >= rhs - _NUMERIC_TOL
-        return abs(lhs - rhs) <= _NUMERIC_TOL
-
-    def dot(terms) -> float:
-        # from int 0 in term order, so integer rows stay exact
-        total = 0
-        items = iter(terms)
-        for coef, name in zip(items, items):
-            total += coef * values[name]
-        return total
-
-    for cid, terms, op, rhs in model.linear:
-        if not holds(dot(terms), op, rhs):
-            violations.append(cid)
-    for cid, lin_terms, quad_terms, op, rhs in model.quadratic:
-        items = iter(quad_terms)
-        product = sum(coef * values[a] * values[b] for coef, a, b in zip(items, items, items))
-        if not holds(dot(lin_terms) + product, op, rhs):
-            violations.append(cid)
-    return CheckResult(not violations, dot(model.objective), tuple(violations))
+    violations += model.linear.violated(values) + model.quadratic.violated(values)
+    terms = model.objective
+    objective, = row_sums([len(terms.coefs)], terms.coefs, values, terms.vars)
+    return CheckResult(not violations, objective, tuple(violations))
 
 
 def schedule_assignment(model: MiqpModel, schedule: Schedule) -> dict:
@@ -437,93 +374,53 @@ def schedule_assignment(model: MiqpModel, schedule: Schedule) -> dict:
 
     Scheduled heuristics occupy positions 1..k in order; everything else
     sits at position 0 with budget 0.  Budgets above a heuristic's
-    iteration horizon cannot be represented and are rejected.
+    iteration horizon cannot be represented and are rejected.  Values are
+    named by their place in ``build_miqp``'s variable order.
     """
     heuristics = model.heuristics
-    nodes = model.nodes
     count = len(heuristics)
-    position = {h: 0 for h in heuristics}
-    budget = {h: 0 for h in heuristics}
+    column = {h: j for j, h in enumerate(heuristics)}
+    position = [0] * count
+    budget = [0] * count
     for index, (heuristic, entry_budget) in enumerate(schedule.entries, start=1):
-        if heuristic not in position:
+        if heuristic not in column:
             raise InputError(f"schedule heuristic {heuristic!r} is not part of the model")
         if entry_budget > model.horizon[heuristic]:
             raise InputError(
                 f"budget {entry_budget} for {heuristic!r} exceeds the model's iteration "
                 f"horizon {model.horizon[heuristic]}")
-        position[heuristic] = index
-        budget[heuristic] = entry_budget
+        position[column[heuristic]] = index
+        budget[column[heuristic]] = entry_budget
 
-    values: dict[str, int] = {}
-    for h in heuristics:
-        for p in range(count + 1):
-            values[_name2("x", h, p)] = 1 if position[h] == p else 0
-        values[_name1("t", h)] = budget[h]
-        values[_name1("p", h)] = position[h]
-
-    for n in nodes:
-        covered = {}
-        for h in heuristics:
-            t_req = model.tau[(n, h)]
-            covered[h] = 1 if (t_req is not None and budget[h] >= t_req) else 0
-            values[_name2("s", n, h)] = covered[h]
-        solved = 1 if any(covered.values()) else 0
-        values[_name1("sN", n)] = solved
-        first = min(position[h] if covered[h] else count for h in heuristics)
-        values[_name1("pmin", n)] = first
-        argmin_done = False
-        for h in heuristics:
-            term = position[h] if covered[h] else count
-            pick = 1 if (term == first and not argmin_done) else 0
-            if pick:
-                argmin_done = True
-            values[_name2("y", n, h)] = pick
-            values[_name2("m", n, h)] = term
-            values[_name2("z", n, h)] = 1 if position[h] < first else 0
-            values[_name2("f", n, h)] = 1 if position[h] == first else 0
-            values[_name2("w", n, h)] = 1 if position[h] > first else 0
-            values[_name2("u", n, h)] = solved * values[_name2("z", n, h)]
-            values[_name2("v", n, h)] = solved * values[_name2("f", n, h)]
+    family = {name: [] for name in FAMILIES}  # filled in place: no container per node
+    family.update(x=[1 if at == p else 0 for at in position for p in range(count + 1)],
+                  t=budget, p=position)
+    unsolved_time = 1 + sum(budget)
+    for n in model.nodes:
+        taus = [model.tau[(n, h)] for h in heuristics]
+        covered = [1 if (t_req is not None and b >= t_req) else 0 for t_req, b in zip(taus, budget)]
+        solved = 1 if any(covered) else 0
+        terms = [p if c else count for p, c in zip(position, covered)]
+        first = min(terms)
+        pick = terms.index(first)  # the argmin selector takes the first minimal term
+        before = [1 if p < first else 0 for p in position]
+        at_first = [1 if p == first else 0 for p in position]
+        spent = unsolved_time
         if solved:
-            spent = sum(values[_name2("z", n, h)] * budget[h] for h in heuristics)
-            solver = next(h for h in heuristics if covered[h] and position[h] == first)
-            spent += model.tau[(n, solver)]
-        else:
-            spent = 1 + sum(budget[h] for h in heuristics)
-        values[_name1("tN", n)] = spent
-    return values
+            solver = next(j for j in range(count) if covered[j] and position[j] == first)
+            spent = sum(map(mul, before, budget)) + taus[solver]
+        for name, items in (("s", covered), ("sN", (solved,)), ("pmin", (first,)), ("z", before),
+                            ("f", at_first), ("tN", (spent,)), ("m", terms),
+                            ("y", [1 if j == pick else 0 for j in range(count)]),
+                            ("w", [1 if p > first else 0 for p in position]),
+                            ("u", [solved * b for b in before]),
+                            ("v", [solved * a for a in at_first])):
+            family[name] += items
 
-
-@lru_cache(maxsize=1024)
-def _num(x: float) -> str:
-    value = float(x)
-    if value.is_integer():
-        return str(int(value))
-    return repr(value)
-
-
-@lru_cache(maxsize=1024)
-def _signed(coef) -> str:
-    """A term's coefficient with its sign, such as ``+ 1`` or ``- 12``."""
-    return f"{'+' if coef >= 0 else '-'} {_num(abs(coef))}"
-
-
-def _term_text(terms: tuple, width: int = 2, lead: bool = True) -> str:
-    """Flat terms of ``width`` items (a coefficient, then its factors) as text;
-    ``lead`` drops the ``+`` of a first term that opens the expression."""
-    items = iter(terms)
-    if width == 2:
-        text = " ".join([f"{_signed(coef)} {name}" for coef, name in zip(items, items)])
-    else:
-        text = " ".join([f"{_signed(coef)} {a}*{b}" for coef, a, b in zip(items, items, items)])
-    return text[2:] if lead and text.startswith("+") else text
-
-
-def _batched(lines):
-    """Join consecutive lines into chunks of at most ``_CHUNK_ROWS`` lines."""
-    lines = iter(lines)
-    while chunk := "".join(islice(lines, _CHUNK_ROWS)):
-        yield chunk
+    values = [0] * len(model.variables)
+    for name, where in layout(count, len(model.nodes)).items():
+        values[where] = family[name]
+    return dict(zip(model.variables.names, values))
 
 
 def _chunks(model: MiqpModel):
@@ -531,19 +428,21 @@ def _chunks(model: MiqpModel):
     yield ("# minimum-cost heuristic scheduling model (mixed-integer, quadratic)\n"
            "# sections: VARIABLES, OBJECTIVE, LINEAR, QUADRATIC, COMMENTS\n"
            "VARIABLES\n")
-    yield from _batched(f"{name} {kind} in [{lower}, {upper}]\n"
-                        for name, kind, lower, upper, _ in model.variables.rows)
-    yield f"OBJECTIVE\nminimize: {_term_text(model.objective)}\nLINEAR\n"
-    yield from _batched(f"{cid}: {_term_text(terms)} {op} {_num(rhs)}\n"
-                        for cid, terms, op, rhs in model.linear)
+    variables = model.variables
+    lines = map("{} {} in [{}, {}]\n".format, variables.names, variables.kinds, variables.lowers,
+                variables.uppers)
+    while chunk := "".join(islice(lines, CHUNK_ROWS)):
+        yield chunk
+    terms = model.objective
+    text, = row_texts([len(terms.coefs)], terms.coefs, terms.vars, terms.names, 0, 1)
+    yield f"OBJECTIVE\nminimize: {text.removeprefix('+ ')}\nLINEAR\n"
+    yield from row_chunks(model.linear)
     yield "QUADRATIC\n"
-    yield from _batched(f"{cid}: {_term_text(lin_terms)} {_term_text(quad_terms, 3, False)}"
-                        f" {op} {_num(rhs)}\n"
-                        for cid, lin_terms, quad_terms, op, rhs in model.quadratic)
+    yield from row_chunks(model.quadratic)
     count = len(model.heuristics)
     yield ("COMMENTS\n"
            f"heuristics: {count}; nodes: {len(model.nodes)}; "
-           f"required coverage fraction: {_num(model.alpha)}\n"
+           f"required coverage fraction: {num(model.alpha)}\n"
            "objective counts iterations spent per node, plus one penalty unit per"
            " unsolved node\n"
            "units are raw iterations; comparable to seconds-normalized schedule"

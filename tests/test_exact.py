@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 import random
 import warnings
 
@@ -201,6 +202,34 @@ def test_candidate_count_worked_example(worked):
     # breakpoint set sizes 1, 2, 2: 1 + (1+2+2) + 2*(1*2 + 1*2 + 2*2)
     #   + 6*(1*2*2) = 1 + 5 + 16 + 24 = 46
     assert candidate_count(worked) == 46
+
+
+def dataset_with_breakpoints(sizes):
+    """Heuristic ``h{j}`` solves ``sizes[j]`` nodes, each at a distinct iteration count."""
+    nodes = max(sizes, default=0) + 1
+    return Dataset.from_observations(
+        Observation(f"h{j}", f"N{i}", i + 1 if i < size else None, nodes)
+        for j, size in enumerate(sizes) for i in range(nodes))
+
+
+def test_candidate_count_matches_the_combinations_formula():
+    rng = random.Random(11)
+    for heuristics in range(11):
+        for _ in range(3):
+            sizes = [rng.randint(0, 4) for _ in range(heuristics)]
+            d = dataset_with_breakpoints(sizes)
+            assert [len(breakpoints(d, h)) for h in d.heuristics] == sizes
+            expected = 1 + sum(math.factorial(k) * math.prod(combo)
+                               for k in range(1, heuristics + 1)
+                               for combo in itertools.combinations(sizes, k))
+            assert candidate_count(d) == expected
+
+
+def test_candidate_count_returns_at_forty_heuristics():
+    # a subset walk would visit 2**40 subsets; every size is 2, so the count
+    # is the sum over k of 40!/(40-k)! * 2**k
+    d = dataset_with_breakpoints([2] * 40)
+    assert candidate_count(d) == sum(math.perm(40, k) * 2 ** k for k in range(41))
 
 
 def test_oracle_never_beaten_by_greedy():

@@ -1,17 +1,19 @@
 from __future__ import annotations
 
+import dataclasses
 import gc
 import hashlib
 import io
 import math
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from heursched import (Dataset, InputError, Observation, Schedule, breakpoints,
-                       build_miqp, check_assignment, check_linearized, evaluate,
+from heursched import (CheckResult, Dataset, InputError, MiqpModel, Observation, Schedule,
+                       breakpoints, build_miqp, check_assignment, check_linearized, evaluate,
                        export_miqp, schedule_assignment, solve_exact)
 from heursched.miqp import _coerce_assignment
 
@@ -267,19 +269,30 @@ def test_schedule_assignments_pass_both_checkers(case, alpha):
         assert result.violations == expected
 
 
-def test_built_model_rows_are_left_to_reference_counting(worked):
-    # Exact tuples of strings and numbers drop out of the cyclic collector
-    # once it has seen them; named tuples never do, and hundreds of thousands
-    # of them made every collection rescan the whole model.  A full collection
-    # reaches a row before the terms tuple it holds, so the terms drop out in
-    # the first one and the rows holding them in the second.
-    model = build_miqp(worked, 0.5)
-    gc.collect()
-    gc.collect()
-    records = (*model.variables.rows, *model.linear, *model.quadratic)
-    assert len(records) == len(model.variables) + len(model.linear) + len(model.quadratic)
-    assert [r for r in records if gc.is_tracked(r)] == []
-    assert model.variable("t[h1]").upper == model.horizon["h1"]
+def test_model_storage_is_a_fixed_set_of_flat_lists(worked):
+    # Hundreds of thousands of row or variable containers made every garbage
+    # collection rescan the whole model.  The model keeps its variables, rows
+    # and objective in flat columns instead: the same few lists of numbers and
+    # strings whatever the model size, none of which the collector looks into.
+    def columns(model):  # linear rows leave the quadratic-term columns unset
+        return [getattr(part, column)
+                for part in (model.variables, model.objective, model.linear, model.quadratic)
+                for column in part.__slots__
+                if (column != "names" or part is model.variables)
+                and getattr(part, column) is not None]
+
+    small = build_miqp(worked, 0.5)
+    large = build_miqp(Dataset.from_observations(
+        Observation(f"h{j}", f"N{i}", (i + j) % 5 + 1 if (i + j) % 3 else None, 9)
+        for j in range(5) for i in range(40)), 0.5)
+    assert len(large.linear) > 20 * len(small.linear)
+    for model in (small, large):
+        assert [type(column) for column in columns(model)] == [list] * 22
+        items = [item for column in columns(model) for item in column]
+        assert {type(item) for item in items} <= {int, float, str}
+        assert not any(gc.is_tracked(item) for item in items)
+        assert sum(map(len, columns(model))) == len(items)
+    assert small.variable("t[h1]").upper == small.horizon["h1"]
 
 
 # _coerce_assignment as it was before exact ints took a fast path: kept as the
@@ -332,5 +345,178 @@ def test_coercion_matches_the_reference(case, changes):
         assert str(excinfo.value) == str(exc)
         return
     values, violations = _coerce_assignment(model, assignment)
-    assert (values, violations) == expected
-    assert [type(v) for v in values.values()] == [int] * len(names)
+    assert (dict(zip(names, values)), violations) == expected
+    assert [type(v) for v in values] == [int] * len(names)
+
+
+# check_assignment and check_linearized as they were when rows held variable
+# names and values sat in a dict keyed by name: kept as the reference the
+# index-based checkers must match, violation order and objective included.
+def _name1(family, index):
+    return f"{family}[{index}]"
+
+
+def _name2(family, first, second):
+    return f"{family}[{first}][{second}]"
+
+
+def reference_check_assignment(model, assignment):
+    values, violations = reference_coerce_assignment(model, assignment)
+    heuristics = model.heuristics
+    nodes = model.nodes
+    count = len(heuristics)
+
+    for p in range(1, count + 1):
+        if sum(values[_name2("x", h, p)] for h in heuristics) > 1:
+            violations.append(f"position_capacity[{p}]")
+    for h in heuristics:
+        if sum(values[_name2("x", h, p)] for p in range(count + 1)) != 1:
+            violations.append(f"placement[{h}]")
+        if values[_name1("p", h)] != sum(p * values[_name2("x", h, p)] for p in range(count + 1)):
+            violations.append(f"position_link[{h}]")
+        if model.horizon[h] * (1 - values[_name2("x", h, 0)]) < values[_name1("t", h)]:
+            violations.append(f"budget_link[{h}]")
+
+    for n in nodes:
+        for h in heuristics:
+            t_req = model.tau[(n, h)]
+            expected = 0 if t_req is None else max(0, min(1, values[_name1("t", h)] - t_req + 1))
+            if values[_name2("s", n, h)] != expected:
+                violations.append(f"solve_indicator[{n},{h}]")
+
+    for n in nodes:
+        if values[_name1("sN", n)] != min(1, sum(values[_name2("s", n, h)] for h in heuristics)):
+            violations.append(f"node_solved[{n}]")
+
+    coverage = sum(values[_name1("sN", n)] for n in nodes) / len(nodes)
+    if coverage < model.alpha:
+        violations.append("coverage")
+
+    for n in nodes:
+        first = min(values[_name1("p", h)] * values[_name2("s", n, h)]
+                    + (1 - values[_name2("s", n, h)]) * count
+                    for h in heuristics)
+        if values[_name1("pmin", n)] != first:
+            violations.append(f"first_position[{n}]")
+        for h in heuristics:
+            position, first_position = values[_name1("p", h)], values[_name1("pmin", n)]
+            if values[_name2("z", n, h)] != (1 if position < first_position else 0):
+                violations.append(f"before_first[{n},{h}]")
+            if values[_name2("f", n, h)] != (1 if position == first_position else 0):
+                violations.append(f"first_solver[{n},{h}]")
+
+    for n in nodes:
+        if values[_name1("sN", n)] == 1:
+            expected = sum(values[_name2("z", n, h)] * values[_name1("t", h)] for h in heuristics)
+            solver_time = math.inf
+            for h in heuristics:
+                if values[_name2("f", n, h)] == 1:
+                    t_req = model.tau[(n, h)]
+                    solver_time = t_req if t_req is not None else math.inf
+            expected = expected + solver_time
+        else:
+            expected = 1 + sum(values[_name2("x", h, p)] * values[_name1("t", h)]
+                               for h in heuristics for p in range(count + 1))
+        if values[_name1("tN", n)] != expected:
+            violations.append(f"node_time[{n}]")
+
+    objective = sum(values[_name1("tN", n)] for n in nodes)
+    return CheckResult(not violations, objective, tuple(violations))
+
+
+def reference_check_linearized(model, assignment):
+    values, violations = reference_coerce_assignment(model, assignment)
+
+    def holds(lhs, op, rhs):
+        if op == "<=":
+            return lhs <= rhs + 1e-9
+        if op == ">=":
+            return lhs >= rhs - 1e-9
+        return abs(lhs - rhs) <= 1e-9
+
+    def dot(terms):
+        total = 0
+        items = iter(terms)
+        for coef, name in zip(items, items):
+            total += coef * values[name]
+        return total
+
+    for cid, terms, op, rhs in model.linear:
+        if not holds(dot(terms), op, rhs):
+            violations.append(cid)
+    for cid, lin_terms, quad_terms, op, rhs in model.quadratic:
+        items = iter(quad_terms)
+        product = sum(coef * values[a] * values[b] for coef, a, b in zip(items, items, items))
+        if not holds(dot(lin_terms) + product, op, rhs):
+            violations.append(cid)
+    return CheckResult(not violations, dot(model.objective), tuple(violations))
+
+
+@settings(max_examples=150, derandomize=True)
+@given(case=datasets_with_schedules(), alpha=st.sampled_from((0.0, 0.5, 0.85, 1.0)),
+       changes=st.lists(st.tuples(st.integers(0, 10**6),
+                                  st.one_of(st.integers(-1, 9),
+                                            st.sampled_from((0.5, 1.0, 2.0000000001)))),
+                        max_size=6))
+def test_index_checkers_match_the_name_keyed_reference(case, alpha, changes):
+    d, schedule = case
+    model = build_miqp(d, alpha)
+    assignment = schedule_assignment(model, schedule)
+    names = [v.name for v in model.variables]
+    for index, value in changes:
+        assignment[names[index % len(names)]] = value
+    for checker, reference in ((check_assignment, reference_check_assignment),
+                               (check_linearized, reference_check_linearized)):
+        result, expected = checker(model, assignment), reference(model, assignment)
+        assert result.violations == expected.violations
+        assert result.feasible == expected.feasible
+        assert repr(result.objective) == repr(expected.objective)
+
+
+def model_fields(model):
+    return {field.name: getattr(model, field.name) for field in dataclasses.fields(model)}
+
+
+def test_rows_round_trip_through_the_constructor(worked):
+    model = build_miqp(worked, 0.5)
+    fields = model_fields(model)
+    again = MiqpModel(**{**fields, "linear": list(model.linear)})
+    assert again == model
+    assert again.render() == model.render()
+    plain = MiqpModel(**{**fields, "variables": list(model.variables),
+                         "objective": tuple(model.objective), "linear": list(model.linear),
+                         "quadratic": list(model.quadratic)})
+    assert plain == model
+    assert plain.render() == model.render()
+    assert model.linear[0] == ("position_capacity[1]", (1, "x[h1][1]", 1, "x[h2][1]", 1, "x[h3][1]"),
+                               "<=", 1)
+    assert model.linear[-1] == model.linear[len(model.linear) - 1] == model.linear[-2:][1]
+    assert model.quadratic[0][:2] == ("node_time[N1]", (1, "tN[N1]", 1, "sN[N1]", -1, "t[h1]",
+                                                        -1, "v[N1][h1]", -1, "t[h2]",
+                                                        -4, "v[N1][h2]", -1, "t[h3]"))
+    assert model.quadratic[0][2][:6] == (-1, "u[N1][h1]", "t[h1]", 1, "sN[N1]", "t[h1]")
+    assert tuple(model.objective) == (1.0, "tN[N1]", 1.0, "tN[N2]", 1.0, "tN[N3]")
+
+
+@pytest.mark.parametrize("field, value, message", [
+    # an odd item count used to drop its last item from the rendering
+    ("linear", [("r1", (1, "x[h1][0]", 2), "<=", 1)], "terms must be groups"),
+    # an unknown operator used to be exported and checked as an equality
+    ("linear", [("r1", (1, "x[h1][0]"), "=<", 1)], "operator '=<'"),
+    # a NaN right-hand side used to render as nan
+    ("linear", [("r1", (1, "x[h1][0]"), "<=", float("nan"))], "r1: right-hand side must be a finite number, got nan"),
+    # an unknown name used to render and then fail the checker with a KeyError
+    ("linear", [("r1", (1, "a"), "<=", 1)], "no variable named 'a'"),
+    ("linear", [("r1", (float("inf"), "x[h1][0]"), "<=", 1)], "r1: coefficient must be a finite number, got inf"),
+    ("linear", [("r1", ("1", "x[h1][0]"), "<=", 1)], "coefficient must be a finite number, got '1'"),
+    ("linear", [("r1", (1, "x[h1][0]"), "<=", "1")], "right-hand side must be a finite number, got '1'"),
+    ("linear", [("r1", (1, "x[h1][0]"), "<=")], "has 4 items"),
+    ("quadratic", [("q1", (), (1, "x[h1][0]"), "=", 1)], "terms must be groups"),
+    ("quadratic", [("q1", (1, "x[h1][0]"), "=", 1)], "has 5 items"),
+    ("objective", (1.0, "tN[N9]"), "objective: model has no variable named 'tN[N9]'"),
+    ("variables", [("a", "binary", 0, 1)], "a variable row is"),
+])
+def test_malformed_rows_rejected(worked, field, value, message):
+    fields = model_fields(build_miqp(worked, 0.5))
+    with pytest.raises(InputError, match=re.escape(message)):
+        MiqpModel(**{**fields, field: value})
