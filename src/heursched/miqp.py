@@ -40,8 +40,11 @@ Costs are raw iterations; they agree with normalized schedule evaluation
 only when every heuristic's average seconds per iteration is 1.
 
 The model's variables, rows and objective are stored by ``miqp_columns``
-as flat columns in which rows name variables by index; ``layout`` there
-gives the variable order and ``VariableRows.declare`` the variables.  The
+as flat columns in which rows name variables by index.  ``Layout`` there is
+the one place that knows the variable order: the build, both checkers and
+``schedule_assignment`` take each family's slice, and the per-heuristic,
+per-node and per-pair runs within it, from its helpers.  A model whose
+variables are not those of that order is refused at construction.  The
 build fills the row columns one constraint family at a time, and both
 checkers read one list of values in variable order.  ``export_miqp``
 streams the text into its sink in chunks; ``MiqpModel.render`` joins them.
@@ -59,8 +62,9 @@ from operator import mul
 
 from .dataset import Dataset
 from .errors import InputError, require_finite
-from .miqp_columns import (CHUNK_ROWS, FAMILIES, MiqpVariable, Rows, Terms, VariableRows,
-                           convert_rows, indexed, layout, num, row_chunks, row_sums, row_texts)
+from .miqp_columns import (CHUNK_ROWS, Families, Layout, MiqpVariable, Rows, Terms, VariableRows,
+                           convert_rows, indexed, num, row_chunks, row_sums, row_texts,
+                           variable_names)
 from .schedule import Schedule
 
 _INTEGRALITY_TOL = 1e-9
@@ -89,9 +93,16 @@ class MiqpModel:
     quadratic: Sequence
 
     def __post_init__(self) -> None:
-        if not isinstance(self.variables, VariableRows):
-            object.__setattr__(self, "variables", VariableRows.of(self.variables))
-        names = self.variables.names
+        variables = self.variables
+        if not isinstance(variables, VariableRows):
+            variables = VariableRows.of(variables)
+            object.__setattr__(self, "variables", variables)
+        # the checkers read values by their place in the variable order
+        if (variables.shape != (self.heuristics, self.nodes)
+                and variables.names != variable_names(self.heuristics, self.nodes)):
+            raise InputError("model variables must be those that build_miqp declares for "
+                             "its heuristics and nodes, in the same order")
+        names = variables.names
         if not (isinstance(self.objective, Terms) and self.objective.names is names):
             terms = Terms(names, *indexed(self.objective, 1, self._index, "objective"))
             object.__setattr__(self, "objective", terms)
@@ -143,44 +154,37 @@ def build_miqp(d: Dataset, alpha: float) -> MiqpModel:
     tau = {(n, h): columns[h].get(n) for n in nodes for h in heuristics}
     horizon = {h: max(columns[h].values(), default=0) for h in heuristics}
     variables = VariableRows.declare(heuristics, nodes, horizon)
-    # variable indices per family, all taken from one list
-    index = list(range(len(variables)))
-    family = {name: index[where] for name, where in layout(len(heuristics), len(nodes)).items()}
-    taus = [tau[(n, h)] for n in nodes for h in heuristics]
+    at = Layout(len(heuristics), len(nodes))
+    family = at.split(list(range(len(variables))))  # variable indices, all from one list
+    taus = list(map(tau.__getitem__, at.pairs(nodes, heuristics)))
     return MiqpModel(heuristics=heuristics, nodes=nodes, alpha=alpha, tau=tau, horizon=horizon,
                      variables=variables,
-                     objective=Terms(variables.names, [1.0] * len(nodes), family["tN"]),
-                     linear=_linear_rows(variables.names, family, d, taus, horizon, alpha),
-                     quadratic=_node_time_rows(variables.names, family, d, taus))
+                     objective=Terms(variables.names, [1.0] * len(nodes), family.tN),
+                     linear=_linear_rows(variables.names, at, family, d, taus, horizon, alpha),
+                     quadratic=_node_time_rows(variables.names, at, family, d, taus))
 
 
-def _per_pair(items: list, count: int) -> list:
-    """Each item repeated ``count`` times: a node's index for each of its pairs."""
-    return [item for item in items for _ in range(count)]
-
-
-def _linear_rows(names: list, family: dict, d: Dataset, taus: list, horizon: dict,
-                 alpha: float) -> Rows:
+def _linear_rows(names: list, at: Layout, family: Families, d: Dataset, taus: list,
+                 horizon: dict, alpha: float) -> Rows:
     """The linear rows, one block per constraint family; no Python call per row."""
     heuristics, nodes = d.heuristics, d.nodes
     H, N = len(heuristics), len(nodes)
     pairs = N * H
-    X, T, P, S, SN, PMIN, Z, F, TN, M, Y, W, U, V = family.values()
+    X, T, P, S, SN, PMIN = family.x, family.t, family.p, family.s, family.sN, family.pmin
+    Z, F, M, Y, W, U, V = family.z, family.f, family.m, family.y, family.w, family.u, family.v
     # per pair, the index of its heuristic's t and p and of its node's sN and pmin
-    Tj, Pj, SNi, PMINi = T * N, P * N, _per_pair(SN, H), _per_pair(PMIN, H)
-    XJ = [X[j * (H + 1):(j + 1) * (H + 1)] for j in range(H)]
-    keys = [f"{n},{h}" for n in nodes for h in heuristics]
-
-    def per_node(*parts):
-        """Node by node, each part's run for that node; a part is (flat list, run length)."""
-        return _flat(items[i * run:(i + 1) * run] for i in range(N) for items, run in parts)
+    Tj, Pj = at.pair_heuristic(T), at.pair_heuristic(P)
+    SNi, PMINi = at.pair_node(SN), at.pair_node(PMIN)
+    XJ = at.x_rows(X)
+    keys = [f"{n},{h}" for n, h in at.pairs(nodes, heuristics)]
+    per_node = at.node_major
 
     linear = Rows(names)
     add = linear.add
 
     # each position holds at most one heuristic; each heuristic gets one position
     add([f"position_capacity[{p}]" for p in range(1, H + 1)], [H] * H, [1] * (H * H),
-        _flat(X[p::H + 1] for p in range(1, H + 1)), ["<="] * H, [1] * H)
+        _flat(at.x_columns(X)[1:]), ["<="] * H, [1] * H)
     # a heuristic outside the schedule gets budget zero
     tags = ("placement", "position_link", "budget_link")
     add([f"{tag}[{h}]" for h in heuristics for tag in tags], [H + 1, H + 1, 2] * H,
@@ -200,10 +204,10 @@ def _linear_rows(names: list, family: dict, d: Dataset, taus: list, horizon: dic
         [r for t_req in taus for r in ((0,) if t_req is None else (0, t_req - 1))])
 
     # a node is solved exactly when some heuristic covers it
-    add(per_node(([f"node_solved_ub[{n}]" for n in nodes], 1),
-                 ([f"node_solved_lb[{key}]" for key in keys], H)),
+    add(per_node([f"node_solved_ub[{n}]" for n in nodes],
+                 [f"node_solved_lb[{key}]" for key in keys]),
         ([H + 1] + [2] * H) * N, ([1] + [-1] * H + [1, -1] * H) * N,
-        per_node((SN, 1), (S, H), (list(_flat(zip(SNi, S))), 2 * H)),
+        per_node(SN, S, list(_flat(zip(SNi, S)))),
         (["<="] + [">="] * H) * N, [0] * (N * (H + 1)))
 
     add(["coverage"], [N], [1] * N, SN, [">="], [alpha * N])
@@ -212,12 +216,11 @@ def _linear_rows(names: list, family: dict, d: Dataset, taus: list, horizon: dic
     # (position if h covers the node else the heuristic count)
     tags = ("min_term_cover_lb", "min_term_cover_ub", "min_term_miss_lb", "first_position_ub",
             "first_position_lb")
-    add(per_node(([f"{tag}[{key}]" for key in keys for tag in tags], 5 * H),
-                 ([f"first_position_pick[{n}]" for n in nodes], 1)),
+    add(per_node([f"{tag}[{key}]" for key in keys for tag in tags],
+                 [f"first_position_pick[{n}]" for n in nodes]),
         ([3, 3, 2, 2, 3] * H + [H]) * N,
         ([1, -1, -H, 1, -1, H, 1, H, 1, -1, 1, -1, -H] * H + [1] * H) * N,
-        per_node((list(_flat(zip(M, Pj, S, M, Pj, S, M, S, PMINi, M, PMINi, M, Y))), 13 * H),
-                 (Y, H)),
+        per_node(list(_flat(zip(M, Pj, S, M, Pj, S, M, S, PMINi, M, PMINi, M, Y))), Y),
         ([">=", "<=", ">=", "<=", ">="] * H + ["="]) * N, ([-H, H, H, 0, -H] * H + [1]) * N)
 
     # strict order indicators around pmin: z before, w after, f exactly at
@@ -238,14 +241,15 @@ def _linear_rows(names: list, family: dict, d: Dataset, taus: list, horizon: dic
     return linear
 
 
-def _node_time_rows(names: list, family: dict, d: Dataset, taus: list) -> Rows:
+def _node_time_rows(names: list, at: Layout, family: Families, d: Dataset, taus: list) -> Rows:
     """Per node: tN + sN - sum over h of t[h] (and of tau * v[n][h] where h can
     solve n) - sum over h of u[n][h] * t[h] + sum over h of sN[n] * t[h] = 1."""
     H, N = len(d.heuristics), len(d.nodes)
-    Tj, TN, SN, U, V = family["t"] * N, family["tN"], family["sN"], family["u"], family["v"]
+    Tj, TN, SN, U, V = at.pair_heuristic(family.t), family.tN, family.sN, family.u, family.v
     pair_coefs = [c for t_req in taus for c in ((-1,) if t_req is None else (-1, -t_req))]
     pair_vars = [i for t_req, t, v in zip(taus, Tj, V) for i in ((t,) if t_req is None else (t, v))]
-    bounds = list(accumulate((1 if t_req is None else 2 for t_req in taus), initial=0))[::H]
+    lengths = [1 if t_req is None else 2 for t_req in taus]
+    bounds = list(accumulate(map(sum, at.by_node(lengths)), initial=0))
     quadratic = Rows(names, quadratic=True)
     quadratic.add([f"node_time[{n}]" for n in d.nodes],
                   [2 + b - a for a, b in zip(bounds, bounds[1:])],
@@ -253,7 +257,7 @@ def _node_time_rows(names: list, family: dict, d: Dataset, taus: list) -> Rows:
                   _flat(chain((tn, sn), pair_vars[a:b])
                         for tn, sn, a, b in zip(TN, SN, bounds, bounds[1:])),
                   ["="] * N, [1] * N, [2 * H] * N, [-1, 1] * (N * H),
-                  _flat(zip(U, Tj, _per_pair(SN, H), Tj)))
+                  _flat(zip(U, Tj, at.pair_node(SN), Tj)))
     return quadratic
 
 
@@ -305,55 +309,55 @@ def check_assignment(model: MiqpModel, assignment) -> CheckResult:
     report = violations.append
     heuristics, nodes, tau = model.heuristics, model.nodes, model.tau
     count = len(heuristics)
-    at = layout(count, len(nodes))
-    x, t, pos, s, sN, pmin, z, f, tN = (values[at[family]] for family in FAMILIES[:9])
-    width = count + 1  # x[h][p] of the j-th heuristic is x[j * width + p]
-    starts = range(0, len(s), count)  # node i's pairs are [i * count, (i + 1) * count)
+    at = Layout(count, len(nodes))
+    v = at.split(values)
+    x, t, pos, s, sN, pmin, z, f, tN = v.x, v.t, v.p, v.s, v.sN, v.pmin, v.z, v.f, v.tN
+    placements = at.x_rows(x)
 
-    for p in range(1, width):
-        if sum(x[p::width]) > 1:
+    for p, column in enumerate(at.x_columns(x)[1:], start=1):
+        if sum(column) > 1:
             report(f"position_capacity[{p}]")
-    for j, h in enumerate(heuristics):
-        placed = x[j * width:(j + 1) * width]
+    for h, placed, t_h, position in zip(heuristics, placements, t, pos):
         if sum(placed) != 1:
             report(f"placement[{h}]")
-        if pos[j] != sum(map(mul, range(width), placed)):
+        if position != sum(map(mul, range(len(placed)), placed)):
             report(f"position_link[{h}]")
-        if model.horizon[h] * (1 - placed[0]) < t[j]:
+        if model.horizon[h] * (1 - placed[0]) < t_h:
             report(f"budget_link[{h}]")
 
-    for n, i in zip(nodes, starts):
-        for h, t_h, s_nh in zip(heuristics, t, s[i:i + count]):
+    for n, s_n in zip(nodes, at.by_node(s)):
+        for h, t_h, s_nh in zip(heuristics, t, s_n):
             t_req = tau[(n, h)]
             if s_nh != (0 if t_req is None else max(0, min(1, t_h - t_req + 1))):
                 report(f"solve_indicator[{n},{h}]")
 
-    for n, i, solved in zip(nodes, starts, sN):
-        if solved != min(1, sum(s[i:i + count])):
+    for n, s_n, solved in zip(nodes, at.by_node(s), sN):
+        if solved != min(1, sum(s_n)):
             report(f"node_solved[{n}]")
 
     if sum(sN) / len(nodes) < model.alpha:
         report("coverage")
 
-    for n, i, first_position in zip(nodes, starts, pmin):
-        if first_position != min(p * c + (1 - c) * count for p, c in zip(pos, s[i:i + count])):
+    for n, s_n, z_n, f_n, first_position in zip(nodes, at.by_node(s), at.by_node(z),
+                                                 at.by_node(f), pmin):
+        if first_position != min(p * c + (1 - c) * count for p, c in zip(pos, s_n)):
             report(f"first_position[{n}]")
-        for h, position, z_nh, f_nh in zip(heuristics, pos, z[i:i + count], f[i:i + count]):
+        for h, position, z_nh, f_nh in zip(heuristics, pos, z_n, f_n):
             if z_nh != (1 if position < first_position else 0):
                 report(f"before_first[{n},{h}]")
             if f_nh != (1 if position == first_position else 0):
                 report(f"first_solver[{n},{h}]")
 
-    unsolved_time = 1 + sum(map(mul, x, [t_h for t_h in t for _ in range(width)]))
-    for n, i, solved, spent in zip(nodes, starts, sN, tN):
+    unsolved_time = 1 + sum(t_h * sum(placed) for t_h, placed in zip(t, placements))
+    for n, z_n, f_n, solved, spent in zip(nodes, at.by_node(z), at.by_node(f), sN, tN):
         expected = unsolved_time
         if solved == 1:
             solver_time = math.inf
-            for h, f_nh in zip(heuristics, f[i:i + count]):
+            for h, f_nh in zip(heuristics, f_n):
                 if f_nh == 1:
                     t_req = tau[(n, h)]
                     solver_time = t_req if t_req is not None else math.inf
-            expected = sum(map(mul, z[i:i + count], t)) + solver_time
+            expected = sum(map(mul, z_n, t)) + solver_time
         if spent != expected:
             report(f"node_time[{n}]")
 
@@ -392,34 +396,35 @@ def schedule_assignment(model: MiqpModel, schedule: Schedule) -> dict:
         position[column[heuristic]] = index
         budget[column[heuristic]] = entry_budget
 
-    family = {name: [] for name in FAMILIES}  # filled in place: no container per node
-    family.update(x=[1 if at == p else 0 for at in position for p in range(count + 1)],
-                  t=budget, p=position)
+    # family by family, per pair or per node: no container per node is kept
+    at = Layout(count, len(model.nodes))
+    taus = list(map(model.tau.__getitem__, at.pairs(model.nodes, heuristics)))
+    positions = at.pair_heuristic(position)
+    covered = [1 if (t_req is not None and b >= t_req) else 0
+               for t_req, b in zip(taus, at.pair_heuristic(budget))]
+    solved = [1 if any(c_n) else 0 for c_n in at.by_node(covered)]
+    terms = [p if c else count for p, c in zip(positions, covered)]
+    first = [min(m_n) for m_n in at.by_node(terms)]
+    # the argmin selector takes the first minimal term
+    picks = at.pair_node([m_n.index(least) for m_n, least in zip(at.by_node(terms), first)])
+    firsts, solveds = at.pair_node(first), at.pair_node(solved)
+    before = [1 if p < least else 0 for p, least in zip(positions, firsts)]
+    at_first = [1 if p == least else 0 for p, least in zip(positions, firsts)]
     unsolved_time = 1 + sum(budget)
-    for n in model.nodes:
-        taus = [model.tau[(n, h)] for h in heuristics]
-        covered = [1 if (t_req is not None and b >= t_req) else 0 for t_req, b in zip(taus, budget)]
-        solved = 1 if any(covered) else 0
-        terms = [p if c else count for p, c in zip(position, covered)]
-        first = min(terms)
-        pick = terms.index(first)  # the argmin selector takes the first minimal term
-        before = [1 if p < first else 0 for p in position]
-        at_first = [1 if p == first else 0 for p in position]
-        spent = unsolved_time
-        if solved:
-            solver = next(j for j in range(count) if covered[j] and position[j] == first)
-            spent = sum(map(mul, before, budget)) + taus[solver]
-        for name, items in (("s", covered), ("sN", (solved,)), ("pmin", (first,)), ("z", before),
-                            ("f", at_first), ("tN", (spent,)), ("m", terms),
-                            ("y", [1 if j == pick else 0 for j in range(count)]),
-                            ("w", [1 if p > first else 0 for p in position]),
-                            ("u", [solved * b for b in before]),
-                            ("v", [solved * a for a in at_first])):
-            family[name] += items
-
-    values = [0] * len(model.variables)
-    for name, where in layout(count, len(model.nodes)).items():
-        values[where] = family[name]
+    spent = []
+    for solved_n, least, before_n, taus_n, covered_n in zip(
+            solved, first, at.by_node(before), at.by_node(taus), at.by_node(covered)):
+        if solved_n:  # the first covering heuristic at position pmin solves the node
+            solver_tau = next(t_req for t_req, c, p in zip(taus_n, covered_n, position)
+                              if c and p == least)
+            spent.append(sum(map(mul, before_n, budget)) + solver_tau)
+        else:
+            spent.append(unsolved_time)
+    values = at.join(Families(
+        at.x_of(position), budget, position, covered, solved, first, before, at_first, spent,
+        terms, [1 if j == pick else 0 for j, pick in zip(at.pair_heuristic(range(count)), picks)],
+        [1 if p > least else 0 for p, least in zip(positions, firsts)],
+        list(map(mul, solveds, before)), list(map(mul, solveds, at_first))))
     return dict(zip(model.variables.names, values))
 
 

@@ -2,11 +2,10 @@
 
 A few hundred nodes make hundreds of thousands of rows, so ``miqp`` keeps
 its model in a fixed set of flat lists, whatever the model size, and rows
-name variables by index.  ``layout`` gives each variable family's slice of
-the variable order: the families of ``miqp`` in turn (pair ``(i, j)`` of
-node ``i`` and heuristic ``j`` at ``i * H + j``, ``x[j][p]`` at
-``j * (H + 1) + p``), then the five auxiliary families, one ``m, y, w, u,
-v`` group per pair.  ``VariableRows`` are the columns ``names``, ``kinds``,
+name variables by index.  ``Layout`` is the one place that knows the
+variable order: each family's slice of it (``Families`` holds one item per
+family), and how per-heuristic, per-node and per-pair lists line up with
+those slices.  ``VariableRows`` are the columns ``names``, ``kinds``,
 ``lowers``, ``uppers`` and ``families``.  ``Rows`` are ``cids``, ``ends``
 (cumulative term counts), ``coefs``, ``vars``, ``ops`` and ``rhs``;
 quadratic rows add ``qends``, ``qcoefs`` and ``qvars`` (two indices per term
@@ -17,9 +16,9 @@ as ``(id, (c1, name1, ...), operator, right-hand side)`` (a quadratic row
 adds ``(c1, a1, b1, ...)`` before the operator), the objective as ``(c1,
 name1, ...)``.  ``convert_rows`` and ``indexed`` check rows and terms given
 in that form as they store them.  ``VariableRows.declare`` lays out the
-variables of a built model, ``Rows.violated`` evaluates rows on one list of
-values in variable order, and ``row_chunks`` renders rows as text straight
-from the columns.
+variables of a built model and ``variable_names`` their names,
+``Rows.violated`` evaluates rows on one list of values in variable order,
+and ``row_chunks`` renders rows as text straight from the columns.
 """
 
 from __future__ import annotations
@@ -37,8 +36,95 @@ from .errors import InputError
 CHUNK_ROWS = 256
 NUMERIC_TOL = 1e-9
 OPERATORS = ("<=", ">=", "=")
-FAMILIES = ("x", "t", "p", "s", "sN", "pmin", "z", "f", "tN", "m", "y", "w", "u", "v")
 _flat = chain.from_iterable
+
+
+class Families(NamedTuple):
+    """One item per variable family, in variable order: the families of
+    ``miqp``, then the linearization's auxiliaries."""
+    x: object
+    t: object
+    p: object
+    s: object
+    sN: object
+    pmin: object
+    z: object
+    f: object
+    tN: object
+    m: object
+    y: object
+    w: object
+    u: object
+    v: object
+
+
+class Layout:
+    """Where the variables of a model with ``heuristics`` (H) and ``nodes`` (N)
+    sit in its variable order, and how lists per heuristic, per node and per
+    pair line up with it.  Pairs are ``(node, heuristic)`` in ``pairs`` order;
+    a pair list holds one item per pair, and a per-node list the same number
+    of items for every node.  ``x`` holds ``H + 1`` positions per heuristic.
+    The auxiliary families come last, one ``m, y, w, u, v`` group per pair."""
+
+    def __init__(self, heuristics: int, nodes: int) -> None:
+        H, N = self.heuristics, self.nodes = heuristics, nodes
+        sizes = (H * (H + 1), H, H, N * H, N, N, N * H, N * H, N)
+        starts = list(accumulate(sizes, initial=0))
+        slices = [slice(start, start + size) for start, size in zip(starts, sizes)]
+        aux, end = starts[-1], starts[-1] + 5 * N * H
+        self.slices = Families(*slices, *(slice(aux + k, end, 5) for k in range(5)))
+        self.size = end
+
+    @staticmethod
+    def pairs(nodes, heuristics):
+        """The ``(node, heuristic)`` pairs in pair order, one at a time."""
+        return ((n, h) for n in nodes for h in heuristics)
+
+    def positions(self, heuristics):
+        """The ``(heuristic, position)`` of each ``x`` variable in order, one at a time."""
+        return ((h, p) for h in heuristics for p in range(self.heuristics + 1))
+
+    def split(self, values: list) -> Families:
+        """Each family's values, out of a list in variable order."""
+        return Families(*map(values.__getitem__, self.slices))
+
+    def join(self, families: Families) -> list:
+        """One list in variable order, out of each family's values."""
+        values = [None] * self.size
+        for where, items in zip(self.slices, families):
+            values[where] = items
+        return values
+
+    def x_rows(self, x: list) -> list:
+        """Per heuristic, its ``x`` at positions 0 to H."""
+        width = self.heuristics + 1
+        return [x[start:start + width] for start in range(0, len(x), width)]
+
+    def x_columns(self, x: list) -> list:
+        """Per position 0 to H, the ``x`` of every heuristic there."""
+        width = self.heuristics + 1
+        return [x[p::width] for p in range(width)]
+
+    def x_of(self, positions: list) -> list:
+        """The ``x`` values that put heuristic ``j`` at ``positions[j]``."""
+        return [1 if at == p else 0 for at in positions for p in range(self.heuristics + 1)]
+
+    def pair_heuristic(self, items: list) -> list:
+        """Per pair, its heuristic's item of a per-heuristic list."""
+        return list(items) * self.nodes
+
+    def pair_node(self, items: list) -> list:
+        """Per pair, its node's item of a list with one item per node."""
+        return [item for item in items for _ in range(self.heuristics)]
+
+    def by_node(self, items: list):
+        """Per node, in turn, its run of a per-node list."""
+        run = len(items) // (self.nodes or 1)
+        return (items[i * run:(i + 1) * run] for i in range(self.nodes))
+
+    def node_major(self, *lists: list):
+        """Node by node, each list's run for that node, as one stream."""
+        return _flat(_flat(zip(*map(self.by_node, lists))))
 
 
 class MiqpVariable(NamedTuple):
@@ -50,9 +136,10 @@ class MiqpVariable(NamedTuple):
 
 
 class _Columns(Sequence):
-    """Read-only sequence held in the flat lists that ``__slots__`` names."""
+    """Read-only sequence held in the flat lists that ``columns`` names."""
 
     __slots__ = ()
+    columns: tuple = ()
 
     def __getitem__(self, index):
         if isinstance(index, slice):
@@ -61,16 +148,33 @@ class _Columns(Sequence):
 
     def __eq__(self, other) -> bool:
         return type(other) is type(self) and all(
-            getattr(self, column) == getattr(other, column) for column in self.__slots__)
+            getattr(self, column) == getattr(other, column) for column in self.columns)
+
+
+def variable_names(heuristics, nodes) -> list:
+    """The name of every variable of the model, in variable order."""
+    at = Layout(len(heuristics), len(nodes))
+    pairs = [f"[{n}][{h}]" for n, h in at.pairs(nodes, heuristics)]
+    return at.join(Families(
+        [f"x[{h}][{p}]" for h, p in at.positions(heuristics)],
+        *([f"{family}[{h}]" for h in heuristics] for family in "tp"),
+        ["s" + pair for pair in pairs],
+        *([f"{family}[{n}]" for n in nodes] for family in ("sN", "pmin")),
+        *([family + pair for pair in pairs] for family in "zf"),
+        [f"tN[{n}]" for n in nodes],
+        *([family + pair for pair in pairs] for family in "mywuv")))
 
 
 class VariableRows(_Columns):
-    """Variables, each read as a ``MiqpVariable``."""
+    """Variables, each read as a ``MiqpVariable``.  ``shape`` is the
+    ``(heuristics, nodes)`` whose layout the variables follow, when known."""
 
-    __slots__ = ("names", "kinds", "lowers", "uppers", "families")
+    columns = ("names", "kinds", "lowers", "uppers", "families")
+    __slots__ = (*columns, "shape")
 
-    def __init__(self, *columns: list) -> None:
+    def __init__(self, *columns: list, shape: tuple | None = None) -> None:
         self.names, self.kinds, self.lowers, self.uppers, self.families = columns
+        self.shape = shape
 
     @classmethod
     def of(cls, rows) -> VariableRows:
@@ -82,37 +186,32 @@ class VariableRows(_Columns):
 
     @classmethod
     def declare(cls, heuristics: tuple, nodes: tuple, horizon: dict) -> VariableRows:
-        """Every variable of the model, once, in layout order."""
+        """Every variable of the model, once, in variable order."""
         H, N = len(heuristics), len(nodes)
-        pairs = N * H
-        brackets = [f"[{n}][{h}]" for n in nodes for h in heuristics]
-        names = [f"x[{h}][{p}]" for h in heuristics for p in range(H + 1)]
-        names += [f"{family}[{h}]" for family in "tp" for h in heuristics]
-        names += ["s" + pair for pair in brackets]
-        names += [f"{family}[{n}]" for family in ("sN", "pmin") for n in nodes]
-        names += [family + pair for family in "zf" for pair in brackets]
-        names += [f"tN[{n}]" for n in nodes]
-        names += [family + pair for pair in brackets for family in "mywuv"]
-        # (family, kind, lower bound, upper bounds) per family; the auxiliaries per pair
-        declared = (("x", "binary", 0, [1] * (H * (H + 1))),
-                    ("t", "integer", 0, [horizon[h] for h in heuristics]),
-                    ("p", "integer", 0, [H] * H), ("s", "binary", 0, [1] * pairs),
-                    ("s_node", "binary", 0, [1] * N), ("p_min", "integer", 1, [H] * N),
-                    ("z", "binary", 0, [1] * pairs), ("f", "binary", 0, [1] * pairs),
-                    ("t_node", "integer", 1, [1 + sum(horizon.values())] * N))
-        aux = (("aux_min_term", "integer", 1, H), ("aux_argmin", "binary", 0, 1),
-               ("aux_after_first", "binary", 0, 1), ("aux_solved_and_before", "binary", 0, 1),
-               ("aux_solved_and_first", "binary", 0, 1))
-        families, kinds, lowers = ([*_flat([spec[k]] * len(spec[3]) for spec in declared),
-                                    *[spec[k] for spec in aux] * pairs] for k in range(3))
-        uppers = [*_flat(spec[3] for spec in declared), *[spec[3] for spec in aux] * pairs]
-        return cls(names, kinds, lowers, uppers, families)
+        at = Layout(H, N)
+        # per family: its name in the families column, kind, lower bound, upper bounds
+        specs = Families(("x", "binary", 0, 1), ("t", "integer", 0, None),
+                         ("p", "integer", 0, H), ("s", "binary", 0, 1),
+                         ("s_node", "binary", 0, 1), ("p_min", "integer", 1, H),
+                         ("z", "binary", 0, 1), ("f", "binary", 0, 1),
+                         ("t_node", "integer", 1, 1 + sum(horizon.values())),
+                         ("aux_min_term", "integer", 1, H), ("aux_argmin", "binary", 0, 1),
+                         ("aux_after_first", "binary", 0, 1),
+                         ("aux_solved_and_before", "binary", 0, 1),
+                         ("aux_solved_and_first", "binary", 0, 1))
+        sizes = list(map(len, at.split(range(at.size))))
+        families, kinds, lowers, uppers = (
+            at.join(Families(*([spec[k]] * size for spec, size in zip(specs, sizes))))
+            for k in range(4))
+        uppers[at.slices.t] = [horizon[h] for h in heuristics]
+        return cls(variable_names(heuristics, nodes), kinds, lowers, uppers, families,
+                   shape=(heuristics, nodes))
 
     def __len__(self) -> int:
         return len(self.names)
 
     def _item(self, k: int) -> MiqpVariable:
-        return MiqpVariable(*(getattr(self, column)[k] for column in self.__slots__))
+        return MiqpVariable(*(getattr(self, column)[k] for column in self.columns))
 
 
 def _ends(ends: list, lengths):
@@ -139,7 +238,8 @@ def row_sums(ends: list, coefs: list, values: list, *factors: list):
 class Rows(_Columns):
     """Constraint rows, each read as a tuple with names."""
 
-    __slots__ = ("names", "cids", "ends", "coefs", "vars", "ops", "rhs", "qends", "qcoefs", "qvars")
+    columns = ("names", "cids", "ends", "coefs", "vars", "ops", "rhs", "qends", "qcoefs", "qvars")
+    __slots__ = columns
 
     def __init__(self, names: list, quadratic: bool = False) -> None:
         self.names = names
@@ -188,7 +288,8 @@ class Rows(_Columns):
 class Terms(_Columns):
     """The objective's flat terms ``(c1, name1, ...)``."""
 
-    __slots__ = ("names", "coefs", "vars")
+    columns = ("names", "coefs", "vars")
+    __slots__ = columns
 
     def __init__(self, names: list, coefs: list, variables: list) -> None:
         self.names, self.coefs, self.vars = names, coefs, variables
@@ -240,18 +341,6 @@ def convert_rows(rows, names: list, index: dict, quadratic: bool) -> Rows:
             quad = ((len(qcoefs),), qcoefs, qvars)
         table.add((cid,), (len(coefs),), coefs, variables, (op,), (rhs,), *quad)
     return table
-
-
-def layout(heuristics: int, nodes: int) -> dict:
-    """Each variable family's slice of the variable order."""
-    H, N = heuristics, nodes
-    sizes = (H * (H + 1), H, H, N * H, N, N, N * H, N * H, N)
-    starts = list(accumulate(sizes, initial=0))
-    slices = {family: slice(start, start + size)
-              for family, start, size in zip(FAMILIES, starts, sizes)}
-    aux, end = starts[-1], starts[-1] + 5 * N * H
-    slices.update((family, slice(aux + k, end, 5)) for k, family in enumerate(FAMILIES[9:]))
-    return slices
 
 
 @lru_cache(maxsize=1024)

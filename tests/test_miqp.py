@@ -277,7 +277,7 @@ def test_model_storage_is_a_fixed_set_of_flat_lists(worked):
     def columns(model):  # linear rows leave the quadratic-term columns unset
         return [getattr(part, column)
                 for part in (model.variables, model.objective, model.linear, model.quadratic)
-                for column in part.__slots__
+                for column in part.columns
                 if (column != "names" or part is model.variables)
                 and getattr(part, column) is not None]
 
@@ -520,3 +520,26 @@ def test_malformed_rows_rejected(worked, field, value, message):
     fields = model_fields(build_miqp(worked, 0.5))
     with pytest.raises(InputError, match=re.escape(message)):
         MiqpModel(**{**fields, field: value})
+
+
+def test_variables_outside_the_build_order_rejected(worked):
+    # The checkers read values by their place in the variable order, so a
+    # model whose variables are not build_miqp's, in its order, would be
+    # misread: with the variables reversed, the worked example's canonical
+    # assignment used to get 34 false violations from check_assignment.
+    model = build_miqp(worked, 0.5)
+    fields = model_fields(model)
+    rows = list(model.variables)
+    message = "model variables must be those that build_miqp declares"
+    for variables in (rows[::-1], rows[:-1], rows + [("extra", "binary", 0, 1, "x")],
+                      rows[1:2] + rows[:1] + rows[2:]):
+        with pytest.raises(InputError, match=message):
+            MiqpModel(**{**fields, "variables": variables})
+    # built variables carried over to other heuristics or nodes are checked too
+    for changed in ({"nodes": model.nodes[:-1]}, {"heuristics": model.heuristics[::-1]}):
+        with pytest.raises(InputError, match=message):
+            dataclasses.replace(model, **changed)
+    # the same variables as plain rows, or with other bounds, are accepted
+    assert MiqpModel(**{**fields, "variables": rows}) == model
+    wider = [(name, kind, lower, upper + 1, family) for name, kind, lower, upper, family in rows]
+    assert MiqpModel(**{**fields, "variables": wider}).variables.uppers[0] == 2
