@@ -41,6 +41,7 @@ from .errors import InputError, require_finite
 from .greedy import GreedyOptions, build_schedule
 from .metrics import IncumbentTimeline, primal_integral, require_time_limit
 from .schedule import Schedule
+from .workers import map_jobs
 
 HEURISTIC_CLASSES = ("DIVING", "LNS")
 
@@ -191,15 +192,13 @@ class RunTrace:
     timeline: IncumbentTimeline
 
 
-def _truncated_geometric(rng: random.Random, rate: float, cap: int) -> int:
-    """Sample from a geometric law on {1..cap}, conditioned on <= cap."""
-    if rate >= 1.0 or cap == 1:
-        return 1
-    q = 1.0 - rate
-    mass = 1.0 - q ** cap
-    u = rng.random() * mass
-    k = math.ceil(math.log1p(-u) / math.log(q))
-    return min(max(k, 1), cap)
+def _geometric_constants(spec: HeuristicSpec) -> tuple[float, float] | None:
+    """``(1 - q**cap, log q)`` of the heuristic's geometric law on {1..cap},
+    conditioned on <= cap; None where every success takes one iteration."""
+    if spec.iteration_success_rate >= 1.0 or spec.max_iterations == 1:
+        return None
+    q = 1.0 - spec.iteration_success_rate
+    return 1.0 - q ** spec.max_iterations, math.log(q)
 
 
 def generate_instance(cfg: SimConfig, seed: int) -> SimInstance:
@@ -207,30 +206,41 @@ def generate_instance(cfg: SimConfig, seed: int) -> SimInstance:
 
     Deterministic in (cfg, seed); the per-pair draws are keyed by node and
     heuristic id, so permuting the heuristic order in the configuration
-    permutes nothing but the registration order.
+    permutes nothing but the registration order.  Each pair's draws come
+    from ``random.Random(f"{seed}|{node}|{id}")``: success, then the
+    iteration count by the inverse CDF of the truncated geometric law (no
+    draw where it is always 1), then the quality offset.
     """
     shape_rng = random.Random(f"{seed}|shape")
     node_count = shape_rng.randint(cfg.nodes_min, cfg.nodes_max)
     nodes = tuple(f"s{seed}n{i:03d}" for i in range(node_count))
+    optimum = cfg.optimum_value
+    laws = [(spec.id, spec.success_probability, _geometric_constants(spec), spec.max_iterations,
+             spec.quality_mean, spec.quality_spread, LatentOutcome(False, spec.max_iterations, None))
+            for spec in cfg.heuristics]
+    rng = random.Random()
     outcomes: dict[tuple[str, str], LatentOutcome] = {}
     for node in nodes:
-        for spec in cfg.heuristics:
-            rng = random.Random(f"{seed}|{node}|{spec.id}")
-            if rng.random() < spec.success_probability:
-                iterations = _truncated_geometric(
-                    rng, spec.iteration_success_rate, spec.max_iterations)
-                offset = max(0.0, rng.gauss(spec.quality_mean, spec.quality_spread))
-                outcome = LatentOutcome(True, iterations, cfg.optimum_value + offset)
+        prefix = f"{seed}|{node}|"
+        for hid, success, geometric, cap, mean, spread, failure in laws:
+            rng.seed(prefix + hid)  # the state random.Random(key) starts in, gauss_next too
+            if rng.random() < success:
+                iterations = 1
+                if geometric is not None:
+                    mass, log_q = geometric
+                    u = rng.random() * mass
+                    iterations = min(max(math.ceil(math.log1p(-u) / log_q), 1), cap)
+                offset = max(0.0, rng.gauss(mean, spread))
+                outcomes[node, hid] = LatentOutcome(True, iterations, optimum + offset)
             else:
-                outcome = LatentOutcome(False, spec.max_iterations, None)
-            outcomes[(node, spec.id)] = outcome
+                outcomes[node, hid] = failure
     return SimInstance(
         seed=seed,
         heuristics=cfg.heuristics,
         nodes=nodes,
         outcomes=outcomes,
         interarrival_seconds=cfg.interarrival_seconds,
-        optimum_value=cfg.optimum_value,
+        optimum_value=optimum,
     )
 
 
@@ -369,15 +379,20 @@ def _summary_cell(mean: float, std: float) -> str:
 
 
 def _replay_integrals(cfg: SimConfig, seeds, schedules, baseline: Schedule, limit: float):
-    """Yield ``(seed, schedule integrals, baseline integral)`` per seed.
+    """``(seed, schedule integrals, baseline integral)`` per seed, in seed order.
 
-    Each instance is generated once; the schedules replay on it before the baseline.
+    Each instance is generated once; the schedules replay on it before the
+    baseline.  The seeds run in forked worker processes (see ``workers``).
     """
-    for seed in seeds:
-        inst = generate_instance(cfg, seed)
+    seeds = list(seeds)
+
+    def replay(index):
+        inst = generate_instance(cfg, seeds[index])
         integrals = [primal_integral(run_with_schedule(inst, s, limit).timeline, limit)
                      for s in (*schedules, baseline)]
-        yield seed, integrals[:-1], integrals[-1]
+        return integrals[:-1], integrals[-1]
+
+    return [(seed, *replayed) for seed, replayed in zip(seeds, map_jobs(replay, len(seeds)))]
 
 
 def compare_policies(cfg: SimConfig, seeds, s: Schedule, baseline: Schedule,

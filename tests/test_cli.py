@@ -9,6 +9,8 @@ from pathlib import Path
 
 import pytest
 
+import heursched.simulator as simulator
+import heursched.workers as workers
 from heursched import Schedule, __version__, load_dataset, load_schedule
 from heursched.cli import dispatch, run_crossval
 from heursched import InputError, load_sim_config
@@ -127,6 +129,79 @@ def test_compare_accepts_seed_lists(tmp_path, capsys):
     assert status == 0
     table = capsys.readouterr().out
     assert all(str(seed) in table for seed in (3, 5, 9))
+
+
+def _compare_inputs(tmp_path):
+    cfg_path = tmp_path / "planted.cfg"
+    cfg_path.write_text(PLANTED_CFG, encoding="utf-8")
+    schedule_path = tmp_path / "sched.csv"
+    schedule_path.write_text("position,heuristic,max_iterations\n1,quick,20\n2,slow_b,6\n",
+                             encoding="utf-8")
+    return cfg_path, schedule_path
+
+
+def _outputs_per_worker_count(monkeypatch, capsys, argv, out) -> list:
+    """stdout, output and manifest bytes of ``argv`` with 1 and with 3 replay workers."""
+    manifest = out.with_name(out.name + ".manifest.json")
+    outputs = []
+    for count in (1, 3):
+        monkeypatch.setattr(workers, "_worker_count", lambda: count)
+        assert dispatch(argv) == 0
+        outputs.append((capsys.readouterr().out, out.read_bytes(), manifest.read_bytes()))
+    return outputs
+
+
+@pytest.mark.parametrize("seeds", ["2", "1,1,2", "4,0,7,3,9"])
+def test_compare_bytes_do_not_depend_on_the_worker_count(tmp_path, capsys, monkeypatch, seeds):
+    cfg_path, schedule_path = _compare_inputs(tmp_path)
+    out = tmp_path / "cmp.csv"
+    serial, forked = _outputs_per_worker_count(
+        monkeypatch, capsys, ["compare", "--config", str(cfg_path), "--schedule",
+                              str(schedule_path), "--seeds", seeds, "--time-limit", "300",
+                              "--out", str(out)], out)
+    assert serial == forked
+    rows = len(seeds.split(",")) if "," in seeds else int(seeds)
+    assert serial[1].decode().count("\n") == 1 + rows
+
+
+def test_crossval_bytes_do_not_depend_on_the_worker_count(tmp_path, capsys, monkeypatch):
+    paths = []
+    for name, nodes in (("small", 25), ("large", 40)):
+        path = tmp_path / f"{name}.cfg"
+        path.write_text(COVERAGE_CFG.replace("name = coverage", f"name = {name}")
+                        .replace("nodes_min = 25", f"nodes_min = {nodes}")
+                        .replace("nodes_max = 35", f"nodes_max = {nodes + 10}"),
+                        encoding="utf-8")
+        paths.append(str(path))
+    out = tmp_path / "matrix.csv"
+    serial, forked = _outputs_per_worker_count(
+        monkeypatch, capsys, ["crossval", "--configs", ",".join(paths), "--folds", "2",
+                              "--seed", "1", "--out", str(out)], out)
+    assert serial == forked
+
+
+def test_compare_failing_seeds_exit_cleanly_with_the_first_error(tmp_path, capsys, monkeypatch):
+    cfg_path, schedule_path = _compare_inputs(tmp_path)
+    replay = simulator.run_with_schedule
+
+    def refusing(inst, s, limit):
+        if inst.seed in (9, 5):
+            raise InputError(f"seed {inst.seed} refused")
+        return replay(inst, s, limit)
+
+    monkeypatch.setattr(simulator, "run_with_schedule", refusing)
+    monkeypatch.setattr(workers, "_worker_count", lambda: 3)
+    out = tmp_path / "cmp.csv"
+    # seed 9 is a worker's, seed 5 the caller's second
+    status = dispatch(["compare", "--config", str(cfg_path), "--schedule", str(schedule_path),
+                       "--seeds", "2,9,4,5", "--out", str(out)])
+    captured = capsys.readouterr()
+    assert status == 1
+    assert captured.err == "heursched: error: seed 9 refused\n"
+    assert captured.out == ""
+    assert not out.exists()
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_crossval_matrix_shape(tmp_path, capsys):

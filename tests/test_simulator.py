@@ -1,13 +1,18 @@
 from __future__ import annotations
 
+import ast
 import dataclasses
+import math
+import os
+import random
 import statistics
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import heursched.simulator as simulator
+import heursched.workers as workers
 from heursched import (GreedyOptions, HeuristicSpec, InputError, LatentOutcome, Observation,
                        Schedule, SimConfig, SimInstance, breakpoints, build_schedule,
                        collect_shadow_dataset, compare_policies, default_baseline, evaluate,
@@ -74,6 +79,54 @@ def test_unit_iteration_rate_solves_in_one_iteration():
     inst = generate_instance(cfg, 0)
     assert all(outcome.succeeds and outcome.iterations == 1
                for outcome in inst.outcomes.values())
+
+
+def _reference_instance(cfg: SimConfig, seed: int):
+    """Nodes and outcomes of ``generate_instance`` as first written: a fresh
+    generator per pair, drawing success, iterations (none when always 1),
+    then the quality offset."""
+    shape = random.Random(f"{seed}|shape")
+    nodes = tuple(f"s{seed}n{i:03d}" for i in range(shape.randint(cfg.nodes_min, cfg.nodes_max)))
+    outcomes = {}
+    for node in nodes:
+        for spec in cfg.heuristics:
+            rng = random.Random(f"{seed}|{node}|{spec.id}")
+            if rng.random() < spec.success_probability:
+                rate, cap = spec.iteration_success_rate, spec.max_iterations
+                iterations = 1
+                if rate < 1.0 and cap != 1:
+                    q = 1.0 - rate
+                    u = rng.random() * (1.0 - q ** cap)
+                    iterations = min(max(math.ceil(math.log1p(-u) / math.log(q)), 1), cap)
+                offset = max(0.0, rng.gauss(spec.quality_mean, spec.quality_spread))
+                outcome = LatentOutcome(True, iterations, cfg.optimum_value + offset)
+            else:
+                outcome = LatentOutcome(False, spec.max_iterations, None)
+            outcomes[(node, spec.id)] = outcome
+    return nodes, outcomes
+
+
+# (success probability, iteration success rate, max iterations, quality mean, spread)
+_laws = st.tuples(st.sampled_from((0.0, 1.0)) | st.floats(0.0, 1.0),
+                  st.just(1.0) | st.floats(1e-3, 1.0),
+                  st.just(1) | st.integers(2, 60),
+                  st.floats(-5.0, 10.0),
+                  st.just(0.0) | st.floats(0.0, 5.0))
+
+
+@settings(max_examples=60)
+@given(laws=st.lists(_laws, min_size=1, max_size=4), seed=st.integers(0, 10**6),
+       nodes_max=st.integers(1, 12), optimum=st.floats(-100.0, 100.0))
+@example(laws=[(1.0, 1.0, 10, 5.0, 1.0), (1.0, 0.4, 1, 5.0, 1.0), (0.6, 0.3, 25, 2.0, 0.0)],
+         seed=0, nodes_max=6, optimum=100.0)
+def test_generation_matches_a_fresh_generator_per_pair(laws, seed, nodes_max, optimum):
+    specs = tuple(HeuristicSpec(f"h{k}", "DIVING", p, rate, cap, 0.1, mean, spread)
+                  for k, (p, rate, cap, mean, spread) in enumerate(laws))
+    cfg = _cfg(heuristics=specs, nodes_min=1, nodes_max=nodes_max, optimum_value=optimum)
+    inst = generate_instance(cfg, seed)
+    nodes, outcomes = _reference_instance(cfg, seed)
+    assert inst.nodes == nodes
+    assert list(inst.outcomes.items()) == list(outcomes.items())
 
 
 def test_shadow_dataset_counts_and_durations():
@@ -463,35 +516,109 @@ def test_crossval_matches_reference(config, folds, given_baseline, time_limit, m
     assert summed == expected_ratios
 
 
-def test_crossval_draws_each_instance_once(monkeypatch):
+def _appender(path):
+    """Record calls as lines of a file, so that forked replay workers count too."""
+    def record(*item):
+        with open(path, "a", encoding="utf-8") as sink:
+            sink.write(repr(item) + "\n")
+    return record
+
+
+def _recorded(path) -> list:
+    return [ast.literal_eval(line) for line in path.read_text(encoding="utf-8").splitlines()]
+
+
+def test_crossval_draws_each_instance_once(monkeypatch, tmp_path):
     configs = _two_families(PLANTED_CFG)
     configs[1] = dataclasses.replace(configs[1], instances=4)
-    drawn, replays = [], []
+    log = tmp_path / "calls.txt"
+    record = _appender(log)
     generate, replay = simulator.generate_instance, simulator.run_with_schedule
 
     def counting_generate(cfg, seed):
-        drawn.append(seed)
+        record("draw", seed)
         return generate(cfg, seed)
 
     def counting_replay(inst, s, limit):
-        replays.append((inst.seed, s))
+        record("replay", inst.seed, s.entries)
         return replay(inst, s, limit)
 
     monkeypatch.setattr(simulator, "generate_instance", counting_generate)
     monkeypatch.setattr(simulator, "run_with_schedule", counting_replay)
     folds = 2
-    run_crossval(configs, folds, seed=1)
-    training = sum(cfg.instances for cfg in configs)
-    test_seeds = sum(cfg.instances for cfg in configs)
-    assert len(drawn) == training + test_seeds == len(set(drawn))
-    # per test seed: every trained schedule, then the baseline, once
-    per_seed = {}
-    for seed, s in replays:
-        per_seed.setdefault(seed, []).append(s)
-    assert len(per_seed) == test_seeds
-    for replayed in per_seed.values():
-        assert len(replayed) == len(configs) * folds + 1
-        assert replayed[-1] == default_baseline(configs[0])
+    for count in (1, 3):
+        monkeypatch.setattr(workers, "_worker_count", lambda: count)
+        log.write_text("", encoding="utf-8")
+        run_crossval(configs, folds, seed=1)
+        calls = _recorded(log)
+        drawn = [call[1] for call in calls if call[0] == "draw"]
+        training = sum(cfg.instances for cfg in configs)
+        test_seeds = sum(cfg.instances for cfg in configs)
+        assert len(drawn) == training + test_seeds == len(set(drawn))
+        # per test seed: every trained schedule, then the baseline, once
+        per_seed = {}
+        for _, seed, entries in (call for call in calls if call[0] == "replay"):
+            per_seed.setdefault(seed, []).append(entries)
+        assert len(per_seed) == test_seeds
+        for replayed in per_seed.values():
+            assert len(replayed) == len(configs) * folds + 1
+            assert replayed[-1] == default_baseline(configs[0]).entries
+
+
+@pytest.mark.parametrize("seeds", [[3], [4, 0], [1, 1, 2], [9, 2, 5, 0, 7, 3, 1]],
+                         ids=["one", "fewer-than-workers", "repeated", "seven"])
+def test_worker_count_changes_no_result(seeds, monkeypatch, tmp_path):
+    cfg = load_sim_config(PLANTED_CFG)
+    schedule = Schedule((("quick", 20), ("slow_a", 5)))
+    families = _two_families(COVERAGE_CFG)
+    log = tmp_path / "pids.txt"
+    record = _appender(log)
+    generate = simulator.generate_instance
+
+    def generate_recording_pid(cfg, seed):
+        record(os.getpid())
+        return generate(cfg, seed)
+
+    monkeypatch.setattr(simulator, "generate_instance", generate_recording_pid)
+    results = {}
+    for count in (1, 3):
+        monkeypatch.setattr(workers, "_worker_count", lambda: count)
+        log.write_text("", encoding="utf-8")
+        comparison = compare_policies(cfg, seeds, schedule, default_baseline(cfg), 300.0)
+        processes = {pid for pid, in _recorded(log)}
+        assert len(processes) == min(count, len(seeds))
+        results[count] = comparison, run_crossval(families, 2, seed=len(seeds))
+    assert results[1] == results[3]
+    assert [row.seed for row in results[3][0].rows] == seeds
+
+
+def _refusing_replay(monkeypatch, refused):
+    replay = simulator.run_with_schedule
+
+    def refusing(inst, s, limit):
+        if inst.seed in refused:
+            raise InputError(f"seed {inst.seed} refused")
+        return replay(inst, s, limit)
+
+    monkeypatch.setattr(simulator, "run_with_schedule", refusing)
+
+
+# with 3 workers the caller replays indexes 0, 3, ...; the workers 1, 4, ... and 2, 5, ...
+@pytest.mark.parametrize("seeds,refused,first", [
+    ([4, 7, 2, 9], {7, 9}, 7),          # a worker's seed before the caller's
+    ([9, 2, 5, 7], {9, 7}, 9),          # the caller's seed before its own later one
+    ([2, 5, 7, 1, 3, 9], {9, 7}, 7),    # both in one worker
+    ([2, 5, 1, 3, 9, 4], {4, 5}, 5),    # in two workers
+])
+def test_first_failing_seed_in_order_raises(seeds, refused, first, monkeypatch):
+    cfg = load_sim_config(PLANTED_CFG)
+    _refusing_replay(monkeypatch, refused)
+    for count in (1, 3):
+        monkeypatch.setattr(workers, "_worker_count", lambda: count)
+        with pytest.raises(InputError, match=f"^seed {first} refused$"):
+            compare_policies(cfg, seeds, default_baseline(cfg), Schedule(), 300.0)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.mark.parametrize("field", ["instances", "nodes_min", "nodes_max"])
