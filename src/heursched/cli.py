@@ -30,9 +30,9 @@ from .greedy import GreedyOptions, build_schedule
 from .metrics import dump_timeline, gap_function, load_timeline, primal_integral
 from .miqp import export_miqp
 from .schedule import dump_schedule, evaluate, load_schedule
-from .simulator import (SimConfig, collect_shadow_dataset, compare_policies,
-                        default_baseline, generate_instance, load_sim_config,
-                        run_crossval, run_with_schedule)
+from .simulator import (SimConfig, compare_policies, default_baseline, generate_instance,
+                        load_sim_config, run_crossval, run_with_schedule,
+                        simulate_shadow_dataset)
 
 _PROG = "heursched"
 
@@ -157,8 +157,7 @@ def _cmd_simulate(args) -> int:
     if count < 1:
         raise InputError(f"instance count must be positive, got {count}")
     seeds = [args.seed + i for i in range(count)]
-    instances = [generate_instance(cfg, seed) for seed in seeds]
-    d = collect_shadow_dataset(instances)
+    d = simulate_shadow_dataset(cfg, seeds)
     _write_output(args, dump_dataset(d), [args.config], seeds, instances=count)
     print(f"instances: {count}")
     print(f"heuristics: {len(d.heuristics)}")

@@ -4,7 +4,11 @@ Stands in for an instrumented solver in two roles:
 
 * **shadow-mode collection** — every heuristic is run at every node of a
   simulated search, and its outcome recorded, without any interaction
-  between calls; this produces unbiased training datasets.
+  between calls; this produces unbiased training datasets.  Training
+  collection (``simulate_shadow_dataset``, behind the ``simulate`` command
+  and cross-validation's training folds) draws each instance and builds
+  its rows in one forked job; the dataset is byte-identical to a serial
+  ``collect_shadow_dataset`` run.
 * **schedule replay** — a schedule is executed node by node with the real
   heuristic-loop semantics (first *improving* success ends the loop at a
   node) to produce an incumbent timeline for primal-integral evaluation.
@@ -82,6 +86,9 @@ class HeuristicSpec:
                              f"got {self.success_probability!r}")
         if not 0.0 < self.iteration_success_rate <= 1.0:
             raise InputError(f"iteration_success_rate must lie in (0, 1], "
+                             f"got {self.iteration_success_rate!r}")
+        if 1.0 - self.iteration_success_rate == 1.0:  # log(1 - rate) would be 0
+            raise InputError(f"iteration_success_rate is too small: 1 - rate rounds to 1, "
                              f"got {self.iteration_success_rate!r}")
         if not isinstance(self.max_iterations, int) or self.max_iterations < 1:
             raise InputError(f"max_iterations must be a positive integer, "
@@ -244,6 +251,35 @@ def generate_instance(cfg: SimConfig, seed: int) -> SimInstance:
     )
 
 
+def _shadow_rows(inst: SimInstance, seen_nodes: set) -> list[tuple]:
+    """Checked ``(heuristic, node, tau, executed, duration)`` rows of one
+    instance, node by node; each node joins ``seen_nodes`` and must not be in it."""
+    rows: list[tuple] = []
+    for node in inst.nodes:
+        _claim_node(node, seen_nodes)
+        validate_identifier(node, "node")
+        for spec in inst.heuristics:
+            outcome = inst.outcome(node, spec.id)
+            iterations = outcome.iterations
+            tau = iterations if outcome.succeeds else None
+            duration = iterations * spec.seconds_per_iteration
+            check_row(spec.id, node, tau, iterations, duration)
+            rows.append((spec.id, node, tau, iterations, duration))
+    return rows
+
+
+def _claim_node(node: str, seen_nodes: set) -> None:
+    if node in seen_nodes:
+        raise InputError(f"duplicate node id {node!r} across instances")
+    seen_nodes.add(node)
+
+
+def _shadow_dataset(heuristic_ids, parts) -> Dataset:
+    """One dataset of per-instance ``(nodes, rows)`` parts, in order."""
+    nodes = tuple(node for part_nodes, _ in parts for node in part_nodes)
+    return Dataset._from_rows(heuristic_ids, nodes, [row for _, rows in parts for row in rows])
+
+
 def collect_shadow_dataset(instances) -> Dataset:
     """Record every heuristic at every node of every instance.
 
@@ -258,24 +294,34 @@ def collect_shadow_dataset(instances) -> Dataset:
     for inst in instances[1:]:
         if inst.heuristics != reference:
             raise InputError("instances do not share a heuristic universe")
-    heuristic_ids = tuple(spec.id for spec in reference)
     seen_nodes: set[str] = set()
-    rows: list[tuple] = []
-    for inst in instances:
-        for node in inst.nodes:
-            if node in seen_nodes:
-                raise InputError(f"duplicate node id {node!r} across instances")
-            seen_nodes.add(node)
-            validate_identifier(node, "node")
-            for spec in inst.heuristics:
-                outcome = inst.outcome(node, spec.id)
-                iterations = outcome.iterations
-                tau = iterations if outcome.succeeds else None
-                duration = iterations * spec.seconds_per_iteration
-                check_row(spec.id, node, tau, iterations, duration)
-                rows.append((spec.id, node, tau, iterations, duration))
-    nodes = tuple(node for inst in instances for node in inst.nodes)
-    return Dataset._from_rows(heuristic_ids, nodes, rows)
+    return _shadow_dataset(tuple(spec.id for spec in reference),
+                           [(inst.nodes, _shadow_rows(inst, seen_nodes)) for inst in instances])
+
+
+def simulate_shadow_dataset(cfg: SimConfig, seeds) -> Dataset:
+    """``collect_shadow_dataset(generate_instance(cfg, s) for s in seeds)``.
+
+    Each instance is drawn and turned into its rows in its own job, run in
+    forked workers (see ``workers``), so no process holds more than one
+    instance's latent outcomes at a time.  The first failing instance in
+    seed order raises its error; node ids shared between instances (only a
+    repeated seed gives them) are refused after that.
+    """
+    seeds = list(seeds)
+    if not seeds:
+        raise InputError("at least one instance is required")
+
+    def collect(index):
+        inst = generate_instance(cfg, seeds[index])
+        return inst.nodes, _shadow_rows(inst, set())
+
+    parts = map_jobs(collect, len(seeds))
+    seen_nodes: set[str] = set()
+    for nodes, _ in parts:
+        for node in nodes:
+            _claim_node(node, seen_nodes)
+    return _shadow_dataset(cfg.heuristic_ids(), parts)
 
 
 def run_with_schedule(inst: SimInstance, s: Schedule, time_limit: float) -> RunTrace:
@@ -493,8 +539,7 @@ def run_crossval(configs, folds: int, seed: int, time_limit: float | None = None
         start = 0
         for fold in range(folds):
             size = chunk_size + (1 if fold < remainder else 0)
-            fold_dataset = collect_shadow_dataset(
-                generate_instance(cfg, s) for s in train_seeds[start:start + size])
+            fold_dataset = simulate_shadow_dataset(cfg, train_seeds[start:start + size])
             start += size
             schedule, _, _ = build_schedule(
                 fold_dataset, GreedyOptions(normalize_costs=True, alpha_report=0.0))

@@ -141,7 +141,7 @@ def _compare_inputs(tmp_path):
 
 
 def _outputs_per_worker_count(monkeypatch, capsys, argv, out) -> list:
-    """stdout, output and manifest bytes of ``argv`` with 1 and with 3 replay workers."""
+    """stdout, output and manifest bytes of ``argv`` with 1 and with 3 workers."""
     manifest = out.with_name(out.name + ".manifest.json")
     outputs = []
     for count in (1, 3):
@@ -178,6 +178,51 @@ def test_crossval_bytes_do_not_depend_on_the_worker_count(tmp_path, capsys, monk
         monkeypatch, capsys, ["crossval", "--configs", ",".join(paths), "--folds", "2",
                               "--seed", "1", "--out", str(out)], out)
     assert serial == forked
+
+
+@pytest.mark.parametrize("instances", ["1", "2", "5"])
+def test_simulate_bytes_do_not_depend_on_the_worker_count(tmp_path, capsys, monkeypatch,
+                                                          instances):
+    cfg_path, _ = _compare_inputs(tmp_path)
+    out = tmp_path / "shadow.csv"
+    serial, forked = _outputs_per_worker_count(
+        monkeypatch, capsys, ["simulate", "--config", str(cfg_path), "--seed", "4",
+                              "--instances", instances, "--out", str(out)], out)
+    assert serial == forked
+    assert f"instances: {instances}\n" in serial[0]
+
+
+def test_simulate_overflowing_duration_exits_cleanly(tmp_path, capsys, monkeypatch):
+    cfg_path = tmp_path / "overflow.cfg"
+    cfg_path.write_text(PLANTED_CFG.replace("slow_a.seconds_per_iteration = 1.0",
+                                            "slow_a.seconds_per_iteration = 1e308"),
+                        encoding="utf-8")
+    out = tmp_path / "shadow.csv"
+    for count in (1, 3):
+        monkeypatch.setattr(workers, "_worker_count", lambda: count)
+        status = dispatch(["simulate", "--config", str(cfg_path), "--instances", "5",
+                           "--out", str(out)])
+        captured = capsys.readouterr()
+        assert status == 1
+        assert captured.err == ("heursched: error: duration_seconds must be finite and "
+                                "nonnegative, got inf\n")
+        assert captured.out == ""
+        assert not out.exists()
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+
+def test_simulate_rejects_a_rate_whose_complement_rounds_to_one(tmp_path, capsys):
+    cfg_path = tmp_path / "tiny.cfg"
+    cfg_path.write_text(PLANTED_CFG.replace("quick.iteration_success_rate = 0.5",
+                                            "quick.iteration_success_rate = 1e-17"),
+                        encoding="utf-8")
+    out = tmp_path / "shadow.csv"
+    assert dispatch(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ("heursched: error: iteration_success_rate is too small: "
+                            "1 - rate rounds to 1, got 1e-17\n")
+    assert not out.exists()
 
 
 def test_compare_failing_seeds_exit_cleanly_with_the_first_error(tmp_path, capsys, monkeypatch):

@@ -15,11 +15,11 @@ import heursched.simulator as simulator
 import heursched.workers as workers
 from heursched import (GreedyOptions, HeuristicSpec, InputError, LatentOutcome, Observation,
                        Schedule, SimConfig, SimInstance, breakpoints, build_schedule,
-                       collect_shadow_dataset, compare_policies, default_baseline, evaluate,
-                       generate_instance, load_dataset, load_sim_config, node_cost,
+                       collect_shadow_dataset, compare_policies, default_baseline, dump_dataset,
+                       evaluate, generate_instance, load_dataset, load_sim_config, node_cost,
                        primal_integral, run_with_schedule)
 from heursched.cli import dispatch
-from heursched.simulator import run_crossval
+from heursched.simulator import run_crossval, simulate_shadow_dataset
 
 from conftest import COVERAGE_CFG, PLANTED_CFG
 
@@ -389,6 +389,24 @@ def test_non_finite_numbers_rejected(boundary, bad):
         boundary(bad)
 
 
+@pytest.mark.parametrize("rate", [1e-17, 2.0 ** -54, 5e-324])
+def test_iteration_success_rate_whose_complement_rounds_to_one_rejected(rate):
+    with pytest.raises(InputError, match="iteration_success_rate is too small: "
+                                         "1 - rate rounds to 1, got "):
+        _spec(iteration_success_rate=rate)
+    with pytest.raises(InputError, match="1 - rate rounds to 1"):
+        load_sim_config(PLANTED_CFG.replace("quick.iteration_success_rate = 0.5",
+                                            f"quick.iteration_success_rate = {rate!r}"))
+
+
+def test_smallest_accepted_iteration_success_rate_draws_within_the_cap():
+    # 1 - 2**-53 is the float just below 1, so log(1 - rate) is negative
+    spec = _spec(success_probability=1.0, iteration_success_rate=2.0 ** -53)
+    inst = generate_instance(_cfg(heuristics=(spec,)), 0)
+    assert all(1 <= outcome.iterations <= spec.max_iterations
+               for outcome in inst.outcomes.values())
+
+
 def test_compare_identity_is_exactly_one():
     cfg = load_sim_config(PLANTED_CFG)
     baseline = default_baseline(cfg)
@@ -636,3 +654,89 @@ def test_config_type_errors_name_the_expected_kind():
     with pytest.raises(InputError,
                        match=r"key 'interarrival_seconds' must be a number, got 'soon'"):
         load_sim_config(number_key)
+
+
+def _recording_generation(monkeypatch, log):
+    """Record ``(pid, seed)`` of every instance drawn, in whichever process draws it."""
+    record = _appender(log)
+    generate = simulator.generate_instance
+
+    def generate_recording_pid(cfg, seed):
+        record(os.getpid(), seed)
+        return generate(cfg, seed)
+
+    monkeypatch.setattr(simulator, "generate_instance", generate_recording_pid)
+
+
+@pytest.mark.parametrize("seeds", [[6], [2, 9], [8, 3, 0, 5, 1]], ids=["one", "two", "five"])
+def test_forked_collection_equals_the_serial_one(seeds, monkeypatch, tmp_path):
+    cfg = load_sim_config(PLANTED_CFG)
+    expected = collect_shadow_dataset([generate_instance(cfg, seed) for seed in seeds])
+    log = tmp_path / "draws.txt"
+    _recording_generation(monkeypatch, log)
+    for count in (1, 3):
+        monkeypatch.setattr(workers, "_worker_count", lambda: count)
+        log.write_text("", encoding="utf-8")
+        d = simulate_shadow_dataset(cfg, seeds)
+        assert d == expected
+        assert (d.heuristics, d.nodes, d._rows) == (expected.heuristics, expected.nodes,
+                                                     expected._rows)
+        assert dump_dataset(d) == dump_dataset(expected)
+        draws = _recorded(log)
+        assert sorted(seed for _, seed in draws) == sorted(seeds)
+        assert len({pid for pid, _ in draws}) == min(count, len(seeds))
+
+
+def test_forked_collection_refuses_a_repeated_seed_as_a_duplicate_node():
+    cfg = load_sim_config(PLANTED_CFG)
+    with pytest.raises(InputError, match="duplicate node id 's4n000' across instances"):
+        simulate_shadow_dataset(cfg, [4, 2, 4])
+    with pytest.raises(InputError, match="at least one instance is required"):
+        simulate_shadow_dataset(cfg, [])
+
+
+def test_crossval_training_folds_draw_in_forked_workers(monkeypatch, tmp_path):
+    configs = _two_families(PLANTED_CFG)  # five instances each: folds of 3 and 2
+    log = tmp_path / "draws.txt"
+    _recording_generation(monkeypatch, log)
+    monkeypatch.setattr(workers, "_worker_count", lambda: 3)
+    run_crossval(configs, 2, seed=1)
+    base = 100_000_000
+    training = {seed: pid for pid, seed in _recorded(log) if seed % 1_000_000 < 500_000}
+    assert sorted(training) == [base + i * 1_000_000 + k for i in range(2) for k in range(5)]
+    # the caller draws the first seed of each fold, its workers the others
+    caller = os.getpid()
+    assert sorted(seed for seed, pid in training.items() if pid == caller) == [
+        base + i * 1_000_000 + k for i in range(2) for k in (0, 3)]
+
+
+def _refusing_generation(monkeypatch, refused):
+    generate = simulator.generate_instance
+
+    def refusing(cfg, seed):
+        if seed in refused:
+            raise InputError(f"seed {seed} refused")
+        return generate(cfg, seed)
+
+    monkeypatch.setattr(simulator, "generate_instance", refusing)
+
+
+# with 3 workers the caller draws indexes 0, 3, ...; the workers 1, 4, ... and 2, 5, ...
+@pytest.mark.parametrize("seeds,refused,first", [
+    ([4, 7, 2, 9], {7, 9}, 7),          # a worker's seed before the caller's
+    ([9, 2, 5, 7], {9, 7}, 9),          # the caller's seed before its own later one
+    ([2, 5, 7, 1, 3, 9], {9, 7}, 7),    # both in one worker
+    ([2, 5, 1, 3, 9, 4], {4, 5}, 5),    # in two workers
+    ([4, 2, 4, 7], {7}, 7),             # every instance is drawn before repeated nodes count
+])
+def test_first_refused_instance_in_seed_order_raises(seeds, refused, first, monkeypatch):
+    cfg = load_sim_config(PLANTED_CFG)
+    _refusing_generation(monkeypatch, refused)
+    with pytest.raises(InputError, match=f"^seed {first} refused$"):
+        collect_shadow_dataset(simulator.generate_instance(cfg, seed) for seed in seeds)
+    for count in (1, 3):
+        monkeypatch.setattr(workers, "_worker_count", lambda: count)
+        with pytest.raises(InputError, match=f"^seed {first} refused$"):
+            simulate_shadow_dataset(cfg, seeds)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
