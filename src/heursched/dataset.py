@@ -30,6 +30,9 @@ from types import MappingProxyType
 from .errors import InputError
 
 DATASET_HEADER = "heuristic,node,iterations_to_solution,iterations_executed,duration_seconds"
+# the largest iteration count accepted: costs and averages go through float,
+# which holds every integer up to 2**53 exactly
+MAX_COUNT = 2 ** 53
 
 
 def validate_identifier(value: str, what: str) -> None:
@@ -78,14 +81,20 @@ def read_rows(source: str, header: str, what: str) -> Iterator[tuple[int, list[s
         raise InputError(f"{what} is missing its header line")
 
 
+def check_count(value: int, what: str) -> None:
+    """Reject an iteration count that is not an integer from 1 to ``MAX_COUNT``."""
+    if not isinstance(value, int) or value < 1:
+        raise InputError(f"{what} must be a positive integer, got {value!r}")
+    if value > MAX_COUNT:  # not printed: it may have more digits than str() allows
+        raise InputError(f"{what} must be at most 2**53 = {MAX_COUNT}")
+
+
 def check_row(heuristic: str, node: str, tau: int | None, executed: int,
               duration: float | None) -> None:
     """Reject a row's counts and duration; its ids are checked by the caller."""
-    if not isinstance(executed, int) or executed < 1:
-        raise InputError(f"iterations_executed must be a positive integer, got {executed!r}")
+    check_count(executed, "iterations_executed")
     if tau is not None:
-        if not isinstance(tau, int) or tau < 1:
-            raise InputError(f"iterations_to_solution must be a positive integer, got {tau!r}")
+        check_count(tau, "iterations_to_solution")
         if tau > executed:
             raise InputError(f"iterations_to_solution ({tau}) exceeds iterations_executed "
                              f"({executed}) for ({heuristic}, {node})")

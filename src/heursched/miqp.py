@@ -57,14 +57,13 @@ from collections.abc import Sequence
 from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate, chain, islice
+from itertools import accumulate, chain
 from operator import mul
 
 from .dataset import Dataset
 from .errors import InputError, require_finite
 from .miqp_columns import (CHUNK_ROWS, Families, Layout, MiqpVariable, Rows, Terms, VariableRows,
-                           convert_rows, indexed, num, row_chunks, row_sums, row_texts,
-                           variable_names)
+                           convert_rows, indexed, num, row_chunks, row_sums, variable_names)
 from .schedule import Schedule
 
 _INTEGRALITY_TOL = 1e-9
@@ -434,13 +433,11 @@ def _chunks(model: MiqpModel):
            "# sections: VARIABLES, OBJECTIVE, LINEAR, QUADRATIC, COMMENTS\n"
            "VARIABLES\n")
     variables = model.variables
-    lines = map("{} {} in [{}, {}]\n".format, variables.names, variables.kinds, variables.lowers,
-                variables.uppers)
-    while chunk := "".join(islice(lines, CHUNK_ROWS)):
-        yield chunk
-    terms = model.objective
-    text, = row_texts([len(terms.coefs)], terms.coefs, terms.vars, terms.names, 0, 1)
-    yield f"OBJECTIVE\nminimize: {text.removeprefix('+ ')}\nLINEAR\n"
+    columns = (variables.names, variables.kinds, variables.lowers, variables.uppers)
+    for first in range(0, len(variables), CHUNK_ROWS):
+        yield "".join([f"{name} {kind} in [{lower}, {upper}]\n" for name, kind, lower, upper
+                       in zip(*(column[first:first + CHUNK_ROWS] for column in columns))])
+    yield f"OBJECTIVE\nminimize: {model.objective.text()}\nLINEAR\n"
     yield from row_chunks(model.linear)
     yield "QUADRATIC\n"
     yield from row_chunks(model.quadratic)

@@ -1,33 +1,41 @@
 """Flat column storage of the MIQP model's variables, rows and objective.
 
 A few hundred nodes make hundreds of thousands of rows, so ``miqp`` keeps
-its model in a fixed set of flat lists, whatever the model size, and rows
-name variables by index.  ``Layout`` is the one place that knows the
-variable order: each family's slice of it (``Families`` holds one item per
-family), and how per-heuristic, per-node and per-pair lists line up with
-those slices.  ``VariableRows`` are the columns ``names``, ``kinds``,
-``lowers``, ``uppers`` and ``families``.  ``Rows`` are ``cids``, ``ends``
-(cumulative term counts), ``coefs``, ``vars``, ``ops`` and ``rhs``;
-quadratic rows add ``qends``, ``qcoefs`` and ``qvars`` (two indices per term
-``c * a * b``).  ``Terms``, the objective, are ``coefs`` and ``vars``.
+its model in a fixed set of flat lists, and rows name variables by index.
+``Layout`` is the one place that knows the variable order: each family's
+slice of it (``Families`` holds one item per family), and how per-heuristic,
+per-node and per-pair lists line up with those slices.  ``VariableRows`` are
+the columns ``names``, ``kinds``, ``lowers``, ``uppers`` and ``families``.
+``Rows`` are ``cids``, ``ends`` (cumulative term counts), ``coefs``, ``vars``,
+``ops`` and ``rhs``; quadratic rows add ``qends``, ``qcoefs`` and ``qvars``
+(two indices per term ``c * a * b``).  ``Terms``, the objective, are
+``coefs`` and ``vars``.  Everything reads back with names: a variable as a
+``MiqpVariable``, a row as ``(id, (c1, name1, ...), operator, right-hand
+side)`` (a quadratic row adds ``(c1, a1, b1, ...)`` before the operator),
+the objective as ``(c1, name1, ...)``.  ``convert_rows`` and ``indexed``
+check rows and terms given in that form as they store them.
+``VariableRows.declare`` lays out the variables of a built model and
+``variable_names`` their names, and ``Rows.violated`` evaluates rows on one
+list of values in variable order.
 
-Everything reads back with names: a variable as a ``MiqpVariable``, a row
-as ``(id, (c1, name1, ...), operator, right-hand side)`` (a quadratic row
-adds ``(c1, a1, b1, ...)`` before the operator), the objective as ``(c1,
-name1, ...)``.  ``convert_rows`` and ``indexed`` check rows and terms given
-in that form as they store them.  ``VariableRows.declare`` lays out the
-variables of a built model and ``variable_names`` their names,
-``Rows.violated`` evaluates rows on one list of values in variable order,
-and ``row_chunks`` renders rows as text straight from the columns.
+``row_chunks`` renders rows straight from the columns, one ``"".join`` per
+``CHUNK_ROWS`` rows.  A flat list holds two slots per term, filled by slice
+assignment: the coefficient's cached spaced text, such as `` + 3 ``, and the
+variable's name.  One f-string per row overwrites its first coefficient slot
+with the previous row's `` <op> <rhs>\n``, the row's id and the coefficient
+without ``+ ``.  A row with no linear terms joins the text carried to the
+next row; a quadratic row's products, one join per row, precede its
+operator.  ``num`` writes integers without passing them through ``float``.
 """
 
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from collections.abc import Sequence
 from functools import lru_cache
-from itertools import accumulate, chain, islice, repeat
-from numbers import Real
+from itertools import accumulate, chain, islice
+from numbers import Integral, Real
 from operator import add, mul
 from typing import NamedTuple
 
@@ -39,23 +47,9 @@ OPERATORS = ("<=", ">=", "=")
 _flat = chain.from_iterable
 
 
-class Families(NamedTuple):
-    """One item per variable family, in variable order: the families of
-    ``miqp``, then the linearization's auxiliaries."""
-    x: object
-    t: object
-    p: object
-    s: object
-    sN: object
-    pmin: object
-    z: object
-    f: object
-    tN: object
-    m: object
-    y: object
-    w: object
-    u: object
-    v: object
+# One item per variable family, in variable order: the families of ``miqp``,
+# then the linearization's auxiliaries.
+Families = namedtuple("Families", "x t p s sN pmin z f tN m y w u v")
 
 
 class Layout:
@@ -301,9 +295,14 @@ class Terms(_Columns):
         term, part = divmod(k, 2)
         return self.names[self.vars[term]] if part else self.coefs[term]
 
+    def text(self) -> str:
+        """The terms as exported; the opening one drops its plus sign."""
+        text = "".join(_pieces(self.coefs, map(self.names.__getitem__, self.vars)))
+        return text[3:] if text[1:2] == "+" else text[1:]
+
 
 def _number(value, what: str) -> None:
-    if not isinstance(value, Real) or not math.isfinite(value):
+    if not isinstance(value, Real) or not (isinstance(value, Integral) or math.isfinite(value)):
         raise InputError(f"{what} must be a finite number, got {value!r}")
 
 
@@ -344,43 +343,56 @@ def convert_rows(rows, names: list, index: dict, quadratic: bool) -> Rows:
 
 
 @lru_cache(maxsize=1024)
-def num(x: float) -> str:
-    value = float(x)
-    if value.is_integer():
-        return str(int(value))
-    return repr(value)
+def num(x) -> str:
+    """A number as exported: integers (never through ``float``) and integral floats as ints."""
+    value = int(x) if isinstance(x, Integral) else float(x)
+    return repr(value) if isinstance(value, float) and not value.is_integer() else str(int(value))
 
 
 @lru_cache(maxsize=1024)
-def _signed(coef) -> str:
-    """A term's coefficient with its sign, such as ``+ 1`` or ``- 12``."""
-    return f"{'+' if coef >= 0 else '-'} {num(abs(coef))}"
+def _spaced(coef) -> str:
+    """A coefficient as it follows an earlier term, such as `` + 1 `` or `` - 12 ``."""
+    return f" {'+' if coef >= 0 else '-'} {num(abs(coef))} "
 
 
-def row_texts(ends: list, coefs: list, variables: list, names: list, first: int, last: int,
-               arity: int = 1) -> list[str]:
-    """The terms of rows ``first`` to ``last - 1`` as ``+ c a`` (or ``+ c a*b``), one
-    text per row, built by C-level maps and joins with no loop in Python."""
-    start, stops = ends[first - 1] if first else 0, ends[first:last]
-    factors = [map(names.__getitem__, variables[arity * start + k:arity * stops[-1]:arity])
-               for k in range(arity)]
-    pieces = [""] * (2 * (stops[-1] - start))
-    pieces[::2] = map(_signed, coefs[start:stops[-1]])
-    pieces[1::2] = map("{}*{}".format, *factors) if arity == 2 else factors[0]
-    stops = [2 * (stop - start) for stop in stops]
-    return list(map(" ".join, map(pieces.__getitem__, map(slice, [0, *stops], stops))))
+@lru_cache(maxsize=1024)
+def _lead(coef) -> str:
+    """A coefficient as it opens a row, such as ``1 `` or ``- 12 ``."""
+    return f"{'' if coef >= 0 else '- '}{num(abs(coef))} "
+
+
+def _pieces(coefs: list, names) -> list:
+    """Two slots per term, each coefficient's spaced text and then its variable's name."""
+    pieces = [""] * (2 * len(coefs))
+    pieces[::2] = map(_spaced, coefs)
+    pieces[1::2] = names
+    return pieces
 
 
 def row_chunks(rows: Rows):
-    """The rows as text lines, ``CHUNK_ROWS`` rows per chunk; the opening term
-    of a row drops its plus sign."""
+    """The rows as text lines, ``CHUNK_ROWS`` rows per chunk (see the module docstring)."""
+    names, coefs, variables = rows.names, rows.coefs, rows.vars
     for first in range(0, len(rows), CHUNK_ROWS):
-        last = first + CHUNK_ROWS
-        texts = map(str.removeprefix,
-                    row_texts(rows.ends, rows.coefs, rows.vars, rows.names, first, last),
-                    repeat("+ "))
-        if rows.qends is not None:
-            texts = map("{} {}".format, texts, row_texts(rows.qends, rows.qcoefs, rows.qvars,
-                                                          rows.names, first, last, 2))
-        yield "".join(map("{}: {} {} {}\n".format, rows.cids[first:last], texts,
-                          rows.ops[first:last], map(num, rows.rhs[first:last])))
+        last = min(first + CHUNK_ROWS, len(rows))
+        bounds = rows.ends[first - 1:last] if first else [0, *rows.ends[:last]]
+        start, stop = bounds[0], bounds[-1]
+        pieces = _pieces(coefs[start:stop], map(names.__getitem__, variables[start:stop]))
+        ops = rows.ops[first:last]
+        if rows.qends is not None:  # one join per quadratic row, of which there is one per node
+            qb = rows.qends[first - 1:last] if first else [0, *rows.qends[:last]]
+            pairs = map(names.__getitem__, rows.qvars[2 * qb[0]:2 * qb[-1]])
+            products = _pieces(rows.qcoefs[qb[0]:qb[-1]],
+                               [f"{a}*{b}" for a, b in zip(pairs, pairs)])
+            ops = [f"{''.join(products[2 * (a - qb[0]):2 * (b - qb[0])])[1:]} {op}"
+                   for a, b, op in zip(qb, qb[1:], ops)]
+            del products  # the largest transient of a chunk: freed before the chunk's join
+        tail = ""  # operator, right-hand side and newline of the rows since the last slot
+        for cid, at, end, op, rhs in zip(rows.cids[first:last], bounds, bounds[1:], ops,
+                                         map(num, rows.rhs[first:last])):
+            if at == end:
+                tail = f"{tail}{cid}:  {op} {rhs}\n"
+            else:
+                pieces[2 * (at - start)] = f"{tail}{cid}: {_lead(coefs[at])}"
+                tail = f" {op} {rhs}\n"
+        pieces.append(tail)
+        yield "".join(pieces)

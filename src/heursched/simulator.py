@@ -40,7 +40,7 @@ import random
 import statistics
 from dataclasses import dataclass
 
-from .dataset import Dataset, check_row, validate_identifier
+from .dataset import Dataset, check_count, check_row, validate_identifier
 from .errors import InputError, require_finite
 from .greedy import GreedyOptions, build_schedule
 from .metrics import IncumbentTimeline, primal_integral, require_time_limit
@@ -90,9 +90,7 @@ class HeuristicSpec:
         if 1.0 - self.iteration_success_rate == 1.0:  # log(1 - rate) would be 0
             raise InputError(f"iteration_success_rate is too small: 1 - rate rounds to 1, "
                              f"got {self.iteration_success_rate!r}")
-        if not isinstance(self.max_iterations, int) or self.max_iterations < 1:
-            raise InputError(f"max_iterations must be a positive integer, "
-                             f"got {self.max_iterations!r}")
+        check_count(self.max_iterations, "max_iterations")
         if self.seconds_per_iteration <= 0:
             raise InputError(f"seconds_per_iteration must be positive, "
                              f"got {self.seconds_per_iteration!r}")

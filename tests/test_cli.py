@@ -393,6 +393,43 @@ def test_non_finite_time_limit_exits_cleanly(tmp_path, capsys):
     assert "primal integral" not in captured.out
 
 
+@pytest.mark.parametrize("argv", [
+    ["build", "--data", "big.csv", "--normalize"],
+    ["exact", "--data", "big.csv", "--normalize"],
+    ["export-miqp", "--data", "big.csv", "--out", "model.miqp"],
+])
+def test_iteration_counts_beyond_2_53_exit_cleanly(tmp_path, capsys, monkeypatch, argv):
+    # 10**400 iterations used to overflow float conversion with a traceback,
+    # and export-miqp left a truncated model file behind
+    monkeypatch.chdir(tmp_path)
+    Path("big.csv").write_text(
+        "heuristic,node,iterations_to_solution,iterations_executed,duration_seconds\n"
+        f"h,n,1,1,\nh,m,{10 ** 400},{10 ** 400},\n", encoding="utf-8")
+    assert dispatch(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ("heursched: error: line 3: iterations_executed must be at most "
+                            "2**53 = 9007199254740992\n")
+    assert captured.out == ""
+    assert not Path("model.miqp").exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "compare"])
+def test_max_iterations_beyond_2_53_exits_cleanly(tmp_path, capsys, command):
+    cfg_path, schedule_path = _compare_inputs(tmp_path)
+    cfg_path.write_text(PLANTED_CFG.replace("quick.max_iterations = 20",
+                                            f"quick.max_iterations = {10 ** 400}"),
+                        encoding="utf-8")
+    out = tmp_path / "out.csv"
+    argv = {"simulate": ["simulate", "--config", str(cfg_path)],
+            "compare": ["compare", "--config", str(cfg_path), "--schedule", str(schedule_path),
+                        "--seeds", "2"]}[command]
+    assert dispatch(argv + ["--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ("heursched: error: max_iterations must be at most "
+                            "2**53 = 9007199254740992\n")
+    assert not out.exists()
+
+
 def test_non_finite_duration_exits_cleanly(tmp_path, capsys):
     data = tmp_path / "nan.csv"
     data.write_text("heuristic,node,iterations_to_solution,iterations_executed,duration_seconds\n"

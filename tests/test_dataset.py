@@ -3,6 +3,7 @@ from __future__ import annotations
 import ast
 import math
 import random
+import re
 import warnings
 from pathlib import Path
 
@@ -123,6 +124,18 @@ def test_failure_wire_encodings(encoding):
     d = load_dataset(text)
     assert d.iterations_to_solution("h1", "N1") is None
     assert d.observation("h1", "N1").iterations_executed == 7
+
+
+def test_iteration_counts_are_bounded_by_2_53():
+    big = 2 ** 53
+    assert Observation("h", "n", big, big).iterations_executed == big
+    for tau, executed, column in ((None, big + 1, "iterations_executed"),
+                                  (big + 1, big, "iterations_to_solution"),
+                                  (10 ** 5000, 10 ** 5000, "iterations_executed")):
+        with pytest.raises(InputError, match=re.escape(f"{column} must be at most 2**53 = {big}")):
+            Observation("h", "n", tau, executed)
+    with pytest.raises(InputError, match="line 3: iterations_to_solution must be at most"):
+        load_dataset(f"{DATASET_HEADER}\nh,n,1,1,\nh,m,{big + 1},{big},\n")
 
 
 def test_round_trip_preserves_observations():

@@ -244,6 +244,80 @@ def test_export_streams_chunks_that_join_to_the_rendering():
     assert len(stream.writes) > 1
     assert max(len(chunk) for chunk in stream.writes) < len(text) / 4  # no whole section
     assert "".join(stream.writes) == text
+    # 45,449 linear rows: many chunk boundaries, pinned from an earlier renderer
+    assert (len(model.linear), len(text)) == (45449, 3851424)
+    assert (hashlib.sha256(text.encode("utf-8")).hexdigest()
+            == "4763e17cb8460ea79ae5dda944adba63ce93571f1153732ab4f8b3cf69b28a5d")
+
+
+def test_integers_above_2_53_render_exactly(tmp_path):
+    # integers used to be rendered through float, so 2**53 + 1 came out as 2**53
+    big = 2 ** 53
+    d = Dataset.from_observations([Observation("h1", "N1", big, big),
+                                   Observation("h1", "N2", 1, 1)])
+    path = tmp_path / "model.miqp"
+    export_miqp(d, 0.5, path)
+    text = path.read_text(encoding="utf-8")
+    assert "budget_link[h1]: 1 t[h1] + 9007199254740992 x[h1][0] <= 9007199254740992\n" in text
+    assert "solve_ub[N1,h1]: 1 t[h1] - 9007199254740993 s[N1][h1] <= 9007199254740991\n" in text
+    assert "tN[N1] integer in [1, 9007199254740993]\n" in text
+
+
+def test_integer_coefficients_beyond_float_range_are_accepted(worked):
+    # math.isfinite used to raise OverflowError on an int of 10**400
+    fields = model_fields(build_miqp(worked, 0.5))
+    model = MiqpModel(**{**fields, "linear": [("r1", (10 ** 400, "x[h1][0]"), "<=", 2 ** 53 + 1)]})
+    assert f"\nr1: {10 ** 400} x[h1][0] <= 9007199254740993\n" in model.render()
+
+
+def rendered_rows(worked, linear, quadratic):
+    """The LINEAR and QUADRATIC sections of the worked model with other rows."""
+    fields = model_fields(build_miqp(worked, 0.5))
+    text = MiqpModel(**{**fields, "linear": linear, "quadratic": quadratic}).render()
+    return text[text.index("\nLINEAR\n") + 1:text.index("\nCOMMENTS\n") + 1]
+
+
+def test_hand_built_rows_render_as_pinned(worked):
+    # rows build_miqp never emits: no terms, a negative lead, float numbers
+    linear = [("r1", (), "<=", 1), ("r2", (-2, "x[h1][0]", 3, "t[h1]"), ">=", -1),
+              ("r3", (0.5, "x[h1][0]", -2.25, "t[h1]", 1e-07, "p[h1]"), "=", -2.25),
+              ("r4", (), ">=", 0.5), ("r5", (), "=", 1e-07), ("r6", (1, "t[h1]"), "<=", 0)]
+    quadratic = [("q1", (), (1, "x[h1][0]", "x[h1][1]"), "=", 1),
+                 ("q2", (-1, "t[h1]"), (), "<=", 0.5), ("q3", (), (), ">=", 0),
+                 ("q4", (-0.5, "t[h1]", 2, "p[h1]"), (-2.25, "x[h1][0]", "t[h1]"), "=", 1e-07)]
+    assert rendered_rows(worked, linear, quadratic) == (
+        "LINEAR\n"
+        "r1:  <= 1\n"
+        "r2: - 2 x[h1][0] + 3 t[h1] >= -1\n"
+        "r3: 0.5 x[h1][0] - 2.25 t[h1] + 1e-07 p[h1] = -2.25\n"
+        "r4:  >= 0.5\n"
+        "r5:  = 1e-07\n"
+        "r6: 1 t[h1] <= 0\n"
+        "QUADRATIC\n"
+        "q1:  + 1 x[h1][0]*x[h1][1] = 1\n"
+        "q2: - 1 t[h1]  <= 0.5\n"
+        "q3:   >= 0\n"
+        "q4: - 0.5 t[h1] + 2 p[h1] - 2.25 x[h1][0]*t[h1] = 1e-07\n")
+
+
+@pytest.mark.parametrize("count, digest", [
+    (255, "b31294330ab95491d6aa7daedeae14a33729a7e36c83dde03e484c8e210a0f98"),
+    (256, "4bf9431b6bd41da5b5c6cb0c000ff55b698079e25a41a2467e724c8447dc6b3b"),
+    (257, "c1e3cb57e3222e12282ee8aef6fb72e98c1e349d97640d2f7312ff6a898f0153"),
+])
+def test_hand_built_rows_around_a_chunk_boundary_are_pinned(worked, count, digest):
+    # 0 to 3 terms per row, so every fourth row, 255 (the last of the first
+    # chunk) among them, has no linear terms; SHA-256 recorded from an
+    # earlier renderer
+    names = build_miqp(worked, 0.5).variables.names
+    linear = [(f"r{k}", tuple(item for j in range((k + 1) % 4) for item in (
+        (-1) ** (j + k) * (j + 0.5 * (k % 3)), names[(k + j) % len(names)])),
+        ("<=", ">=", "=")[k % 3], k - 128) for k in range(count)]
+    quadratic = [(f"q{k}", linear[k][1], tuple(item for j in range(k % 3) for item in (
+        j - 1, names[k % len(names)], names[(k + j) % len(names)])), "=", k / 4)
+        for k in range(count)]
+    text = rendered_rows(worked, linear, quadratic)
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
 
 
 @st.composite
