@@ -11,12 +11,14 @@ without an observation are treated as failed calls that executed zero
 iterations, since a data collector may simply never have run that
 heuristic at that node.
 
-A ``Dataset`` holds columns: its rows as plain tuples in wire order, and a
-read-only ``tau_column(h)`` per heuristic, mapping node id to the iterations
-``h`` needed there (successful calls only).  Only ``Dataset`` derives the
-tau columns, from the rows; ``load_dataset`` and shadow collection hand it
-rows whose ids they validated once each, and every consumer reads the
-columns.  ``Dataset.observations`` is built from the rows on first access only.
+A ``Dataset`` numbers its nodes 0..N-1 in registration order and holds
+columns: its rows as plain tuples in wire order and, per heuristic, a tau
+list by node number (``None`` for failed and unobserved pairs) and the sorted
+breakpoints.  ``tau_column(h)`` is a read-only ``Mapping`` view of that list
+(node id to tau, successful calls only); package code reads the list,
+``tau_column(h).taus``.  ``load_dataset`` fills the lists as it reads; the
+other constructors have ``Dataset`` derive them from rows whose ids were
+validated once each.  ``Dataset.observations`` is built on first access only.
 """
 
 from __future__ import annotations
@@ -63,22 +65,23 @@ def read_rows(source: str, header: str, what: str) -> Iterator[tuple[int, list[s
     unquoted.  ``what`` names the format in the missing-header error.
     """
     width = header.count(",") + 1
-    header_found = False
-    for lineno, raw in enumerate(source.splitlines(), start=1):
+    lines = enumerate(source.splitlines(), start=1)
+    for lineno, raw in lines:
         line = raw.strip()
-        if not line or line.startswith("#"):
+        if line and line[0] != "#":
+            break
+    else:
+        raise InputError(f"{what} is missing its header line")
+    if line != header:
+        raise InputError(f"line {lineno}: expected header {header!r}, got {line!r}")
+    for lineno, raw in lines:
+        line = raw.strip()
+        if not line or line[0] == "#":
             continue
-        if not header_found:
-            if line != header:
-                raise InputError(f"line {lineno}: expected header {header!r}, got {line!r}")
-            header_found = True
-            continue
-        fields = list(map(str.strip, line.split(",")))
+        fields = line.split(",")
         if len(fields) != width:
             raise InputError(f"line {lineno}: expected {width} fields, got {len(fields)}")
-        yield lineno, fields
-    if not header_found:
-        raise InputError(f"{what} is missing its header line")
+        yield lineno, list(map(str.strip, fields))
 
 
 def check_count(value: int, what: str) -> None:
@@ -133,6 +136,30 @@ def _require_observation(obs) -> None:
         raise InputError(f"observations must be Observation records, got {obs!r}")
 
 
+class TauColumn(Mapping):
+    """Read-only view of a tau list ``taus`` as node id to tau, successful calls only.
+
+    ``numbers`` maps each node id to its number, the index into ``taus``.
+    """
+
+    __slots__ = ("taus", "numbers")
+
+    def __init__(self, taus: tuple, numbers: Mapping) -> None:
+        self.taus, self.numbers = taus, numbers
+
+    def __getitem__(self, node: str) -> int:
+        tau = self.taus[self.numbers[node]]
+        if tau is None:
+            raise KeyError(node)
+        return tau
+
+    def __iter__(self) -> Iterator[str]:
+        return (node for node, tau in zip(self.numbers, self.taus) if tau is not None)
+
+    def __len__(self) -> int:
+        return len(self.taus) - self.taus.count(None)
+
+
 @dataclass(frozen=True)
 class Dataset:
     """Immutable training dataset with registered heuristic and node ids."""
@@ -141,10 +168,11 @@ class Dataset:
     nodes: tuple[str, ...]
     observations: tuple[Observation, ...]
     _registration: dict = field(init=False, repr=False, compare=False, default=None)
-    _node_set: frozenset = field(init=False, repr=False, compare=False, default=None)
+    _numbers: dict = field(init=False, repr=False, compare=False, default=None)
     _observed: dict = field(init=False, repr=False, compare=False, default=None)
     _rows: tuple = field(init=False, repr=False, compare=False, default=None)
     _taus: dict = field(init=False, repr=False, compare=False, default=None)
+    _breakpoints: dict = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self) -> None:
         for name in ("heuristics", "nodes", "observations"):
@@ -162,7 +190,7 @@ class Dataset:
             _require_observation(obs)
             if obs.heuristic not in self._registration:
                 raise InputError(f"observation references unregistered heuristic {obs.heuristic!r}")
-            if obs.node not in self._node_set:
+            if obs.node not in self._numbers:
                 raise InputError(f"observation references unregistered node {obs.node!r}")
             if (obs.heuristic, obs.node) in seen:
                 raise InputError(f"duplicate observation for pair ({obs.heuristic}, {obs.node})")
@@ -171,31 +199,37 @@ class Dataset:
                    obs.duration_seconds)
 
     @classmethod
-    def _from_rows(cls, heuristics, nodes, rows) -> "Dataset":
+    def _from_rows(cls, heuristics, nodes, rows, taus=None) -> "Dataset":
         """Trusted constructor: ``rows`` passed ``check_row``, hold valid, registered
-        ids and no repeated pair."""
+        ids and no repeated pair; ``taus`` are their tau lists, if known."""
         d = cls.__new__(cls)
-        d._index(heuristics, nodes, rows)
+        d._index(heuristics, nodes, rows, taus)
         return d
 
-    def _index(self, heuristics, nodes, rows) -> None:
-        """Register the ids, then store the rows and derive the tau columns from them."""
+    def _index(self, heuristics, nodes, rows, taus=None) -> None:
+        """Register and number the ids, then store the rows, derive the tau lists
+        from them unless given, and sort the breakpoints."""
         registration = {h: i for i, h in enumerate(heuristics)}
         if len(registration) != len(heuristics):
             raise InputError("duplicate heuristic registration")
-        node_set = frozenset(nodes)
-        if len(node_set) != len(nodes):
+        numbers = {n: i for i, n in enumerate(nodes)}
+        if len(numbers) != len(nodes):
             raise InputError("duplicate node registration")
         for name, value in (("heuristics", heuristics), ("nodes", nodes),
-                            ("_registration", registration), ("_node_set", node_set)):
+                            ("_registration", registration), ("_numbers", numbers)):
             object.__setattr__(self, name, value)
         rows = tuple(rows)
-        taus: dict[str, dict[str, int]] = {h: {} for h in heuristics}
-        for heuristic, node, tau, _, _ in rows:
-            if tau is not None:
-                taus[heuristic][node] = tau
+        if taus is None:
+            taus = [[None] * len(nodes) for _ in heuristics]
+            for heuristic, node, tau, _, _ in rows:
+                if tau is not None:
+                    taus[registration[heuristic]][numbers[node]] = tau
+        view = MappingProxyType(numbers)
         object.__setattr__(self, "_rows", rows)
-        object.__setattr__(self, "_taus", {h: MappingProxyType(c) for h, c in taus.items()})
+        object.__setattr__(self, "_taus", {h: TauColumn(tuple(c), view)
+                                           for h, c in zip(heuristics, taus)})
+        object.__setattr__(self, "_breakpoints", {h: sorted(set(c).difference((None,)))
+                                                  for h, c in zip(heuristics, taus)})
 
     def __getattr__(self, name: str):
         # reached only while unset: the observations of a _from_rows dataset
@@ -223,10 +257,11 @@ class Dataset:
                                {(o.heuristic, o.node): o for o in self.observations})
         return self._observed.get((heuristic, node))
 
-    def tau_column(self, heuristic: str) -> Mapping[str, int]:
+    def tau_column(self, heuristic: str) -> TauColumn:
         """Read-only map from node id to the heuristic's iterations-to-solution.
 
         Holds successful calls only: failed and unobserved nodes are absent.
+        Its ``taus`` is the tau list by node number.
         """
         self._require_heuristic(heuristic)
         return self._taus[heuristic]
@@ -238,7 +273,7 @@ class Dataset:
         """
         column = self.tau_column(heuristic)
         self._require_node(node)
-        return column.get(node)
+        return column.taus[self._numbers[node]]
 
     def registration_index(self, heuristic: str) -> int:
         self._require_heuristic(heuristic)
@@ -249,7 +284,7 @@ class Dataset:
             raise InputError(f"unknown heuristic {heuristic!r}")
 
     def _require_node(self, node: str) -> None:
-        if node not in self._node_set:
+        if node not in self._numbers:
             raise InputError(f"unknown node {node!r}")
 
 
@@ -279,13 +314,20 @@ class IterationCostProfile:
         return cls({h: cost for h in heuristics})
 
 
-def _parse_positive_int(text: str, lineno: int, column: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise InputError(f"line {lineno}: {column} must be an integer, got {text!r}") from None
-    if value < 1:
-        raise InputError(f"line {lineno}: {column} must be positive, got {value}")
+def _read_count(text: str, cache: dict, lineno: int, column: str) -> int:
+    """Parse a count text (``inf``: 0, a failed call, as a tau) and cache it unless
+    above MAX_COUNT, which ``check_row`` then rejects after any bad id on its line."""
+    if column == "iterations_to_solution" and text.lower() == "inf":
+        value = 0
+    else:
+        try:
+            value = int(text)
+        except ValueError:
+            raise InputError(f"line {lineno}: {column} must be an integer, got {text!r}") from None
+        if value < 1:
+            raise InputError(f"line {lineno}: {column} must be positive, got {value}")
+    if value <= MAX_COUNT:
+        cache[text] = value
     return value
 
 
@@ -297,16 +339,22 @@ def load_dataset(source: str) -> Dataset:
     call; an empty duration means the duration was not tracked.  Lines
     starting with ``#`` are comments.  Fields are never quoted.
     """
-    seen: dict[str, set[str]] = {}  # registered heuristic -> the nodes it has a row at
-    nodes: dict[str, None] = {}
+    # a tau of 0 marks a failed call.  Per registered heuristic, its taus by
+    # node number, None where no row was read yet.
+    columns: dict[str, list] = {}
+    numbers: dict[str, int] = {}
     rows: list[tuple] = []
+    # each distinct count text is parsed and checked once per column
+    tau_counts: dict[str, int] = {"": 0}
+    executed_counts: dict[str, int] = {}
     for lineno, fields in read_rows(source, DATASET_HEADER, "dataset"):
         heuristic, node, tau_text, executed_text, duration_text = fields
-        if tau_text == "" or tau_text.lower() == "inf":
-            tau = None
-        else:
-            tau = _parse_positive_int(tau_text, lineno, "iterations_to_solution")
-        executed = _parse_positive_int(executed_text, lineno, "iterations_executed")
+        tau = tau_counts.get(tau_text)
+        if tau is None:
+            tau = _read_count(tau_text, tau_counts, lineno, "iterations_to_solution")
+        executed = executed_counts.get(executed_text)
+        if executed is None:
+            executed = _read_count(executed_text, executed_counts, lineno, "iterations_executed")
         if duration_text == "":
             duration = None
         else:
@@ -316,22 +364,30 @@ def load_dataset(source: str) -> Dataset:
                 raise InputError(
                     f"line {lineno}: duration_seconds must be a number, got {duration_text!r}"
                 ) from None
-        observed = seen.get(heuristic)
-        try:
-            if observed is None:
-                validate_identifier(heuristic, "heuristic")
-                observed = seen[heuristic] = set()
-            if node not in nodes:
-                validate_identifier(node, "node")
-                nodes[node] = None
-            check_row(heuristic, node, tau, executed, duration)
-        except InputError as exc:
-            raise InputError(f"line {lineno}: {exc}") from None
-        if node in observed:
+        column = columns.get(heuristic)
+        number = numbers.get(node)
+        # a row with known ids and cached counts fails check_row only when tau
+        # exceeds executed or the duration is not a finite value >= 0
+        if (column is None or number is None or executed > MAX_COUNT or tau > executed
+                or not (duration is None or 0.0 <= duration < math.inf)):
+            try:
+                if column is None:
+                    validate_identifier(heuristic, "heuristic")
+                    column = columns[heuristic] = [None] * len(numbers)
+                if number is None:
+                    validate_identifier(node, "node")
+                    number = numbers[node] = len(numbers)
+                    for other in columns.values():
+                        other.append(None)
+                check_row(heuristic, node, tau or None, executed, duration)
+            except InputError as exc:
+                raise InputError(f"line {lineno}: {exc}") from None
+        if column[number] is not None:
             raise InputError(f"line {lineno}: duplicate row for pair ({heuristic}, {node})")
-        observed.add(node)
-        rows.append((heuristic, node, tau, executed, duration))
-    return Dataset._from_rows(tuple(seen), tuple(nodes), rows)
+        column[number] = tau
+        rows.append((heuristic, node, tau or None, executed, duration))
+    return Dataset._from_rows(tuple(columns), tuple(numbers), rows,
+                              [[tau or None for tau in column] for column in columns.values()])
 
 
 def dump_dataset(d: Dataset) -> str:
@@ -380,4 +436,5 @@ def breakpoints(d: Dataset, heuristic: str) -> list[int]:
     These are the only iteration budgets worth considering: coverage only
     changes at observed values while cost keeps growing in between.
     """
-    return sorted(set(d.tau_column(heuristic).values()))
+    d._require_heuristic(heuristic)
+    return list(d._breakpoints[heuristic])

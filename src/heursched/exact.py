@@ -107,10 +107,9 @@ def solve_exact(d: Dataset, alpha: float,
 
     usable = [h for h in d.heuristics if budgets_of[h]]
     tables = replay_tables(d, costs, normalize)
-    nodes = d.nodes
-    total_nodes = len(nodes)
+    total_nodes = len(d.nodes)
     weights = [tables.weight_of[h] for h in usable]
-    tau_at = [[tables.tau_of[h].get(node) for node in nodes] for h in usable]
+    tau_at = [tables.tau_of[h].taus for h in usable]
     # bit i of ties[g][k]: node i takes exactly budgets_of[usable[g]][k] iterations
     ties = []
     for taus, heuristic in zip(tau_at, usable):

@@ -8,10 +8,11 @@ counts observed in the data: coverage is a step function that only jumps
 at observed values while cost grows strictly in between, so no in-between
 budget can ever score a better ratio.
 
-Gains are counted once per heuristic per step: the taus of the heuristic's
-still unsolved nodes are sorted into one hit list, and the number of nodes
-a budget newly solves is a bisection into that list.  A step thus costs
-O(H·N log N) rather than a rescan of every tau for every candidate budget.
+Gains are kept current, not recounted: per heuristic, the number of unsolved
+nodes at each breakpoint, so a budget's newly solved count is a running prefix
+sum.  The nodes a step solves lower those counts by their taus, read from each
+tau list at their node numbers.  A step thus costs O(B + H·S + U) for B
+breakpoints in all, S nodes solved and U left unsolved, never a sort.
 
 Two refinements on top of the plain ratio rule:
 
@@ -36,7 +37,7 @@ first, then earlier heuristic registration, then smaller budget.
 from __future__ import annotations
 
 import warnings
-from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass
 
 from .dataset import Dataset, IterationCostProfile, avg_iteration_cost, breakpoints
@@ -89,21 +90,19 @@ class GreedyTrace:
         return "\n".join(lines)
 
 
-def _best_action(d: Dataset, unsolved, scheduled, last_entry, tables: ReplayTables,
-                 breakpoints_of: dict) -> GreedyStep | None:
+def _best_action(d: Dataset, scheduled, last_entry, tables: ReplayTables,
+                 breakpoints_of: dict, counts_of: dict) -> GreedyStep | None:
     best_key = best = None
     for rank, heuristic in enumerate(d.heuristics):
         is_last = last_entry is not None and heuristic == last_entry[0]
         if heuristic in scheduled and not is_last:
             continue  # mid-schedule heuristics can be neither rerun nor extended
-        budgets = breakpoints_of[heuristic]
-        if is_last:
-            budgets = [b for b in budgets if b > last_entry[1]]
         weight = tables.weight_of[heuristic]
-        hits = sorted(tau for node, tau in tables.tau_of[heuristic].items() if node in unsolved)
-        for budget in budgets:
-            newly = bisect_right(hits, budget)
-            if newly == 0:
+        counts = counts_of[heuristic]
+        newly = 0
+        for budget in breakpoints_of[heuristic]:
+            newly += counts[budget]
+            if newly == 0 or (is_last and budget <= last_entry[1]):
                 continue
             cost = weight * (budget - last_entry[1]) if is_last else weight * budget
             ratio = newly / cost
@@ -124,8 +123,13 @@ def best_action(d: Dataset, unsolved, *, scheduled=(), last_entry=None,
     allowed.  None means no candidate solves any unsolved node.
     """
     tables = replay_tables(d, costs, normalize)
+    unsolved = set(unsolved)
+    numbers = [i for i, node in enumerate(d.nodes) if node in unsolved]
+    # per heuristic, how many unsolved nodes take each tau
+    counts_of = {h: Counter(map(column.taus.__getitem__, numbers))
+                 for h, column in tables.tau_of.items()}
     breakpoints_of = {h: breakpoints(d, h) for h in d.heuristics}
-    return _best_action(d, set(unsolved), set(scheduled), last_entry, tables, breakpoints_of)
+    return _best_action(d, set(scheduled), last_entry, tables, breakpoints_of, counts_of)
 
 
 def build_schedule(d: Dataset, opts: GreedyOptions = GreedyOptions()):
@@ -139,23 +143,28 @@ def build_schedule(d: Dataset, opts: GreedyOptions = GreedyOptions()):
         raise InputError("dataset must contain at least one node and one heuristic")
     costs = avg_iteration_cost(d) if opts.normalize_costs else None
     tables = replay_tables(d, costs, opts.normalize_costs)
+    taus_of = {h: column.taus for h, column in tables.tau_of.items()}
+    counts_of = {h: Counter(taus) for h, taus in taus_of.items()}
     breakpoints_of = {h: breakpoints(d, h) for h in d.heuristics}
 
-    unsolved = set(d.nodes)
+    unsolved = set(range(len(d.nodes)))
     entries: list[tuple[str, int]] = []
     steps: list[GreedyStep] = []
     while unsolved:
         last_entry = entries[-1] if (entries and opts.allow_extension) else None
         scheduled = {h for h, _ in entries}
-        step = _best_action(d, unsolved, scheduled, last_entry, tables, breakpoints_of)
+        step = _best_action(d, scheduled, last_entry, tables, breakpoints_of, counts_of)
         if step is None:
             break
         if step.extends_last:
             entries[-1] = (step.heuristic, step.budget)
         else:
             entries.append((step.heuristic, step.budget))
-        taus = tables.tau_of[step.heuristic]
-        unsolved -= {node for node in unsolved if node in taus and taus[node] <= step.budget}
+        taus, budget = taus_of[step.heuristic], step.budget
+        solved = [i for i in unsolved if taus[i] is not None and taus[i] <= budget]
+        unsolved.difference_update(solved)
+        for heuristic, counts in counts_of.items():
+            counts.subtract(Counter(map(taus_of[heuristic].__getitem__, solved)))
         steps.append(step)
 
     schedule = Schedule(tuple(entries))

@@ -149,13 +149,13 @@ def build_miqp(d: Dataset, alpha: float) -> MiqpModel:
 
     heuristics = d.heuristics
     nodes = d.nodes
-    columns = {h: d.tau_column(h) for h in heuristics}
-    tau = {(n, h): columns[h].get(n) for n in nodes for h in heuristics}
-    horizon = {h: max(columns[h].values(), default=0) for h in heuristics}
+    columns = [d.tau_column(h).taus for h in heuristics]
+    taus = [column[i] for i in range(len(nodes)) for column in columns]  # in pair order
+    horizon = {h: max(filter(None, column), default=0) for h, column in zip(heuristics, columns)}
     variables = VariableRows.declare(heuristics, nodes, horizon)
     at = Layout(len(heuristics), len(nodes))
     family = at.split(list(range(len(variables))))  # variable indices, all from one list
-    taus = list(map(tau.__getitem__, at.pairs(nodes, heuristics)))
+    tau = dict(zip(at.pairs(nodes, heuristics), taus))
     return MiqpModel(heuristics=heuristics, nodes=nodes, alpha=alpha, tau=tau, horizon=horizon,
                      variables=variables,
                      objective=Terms(variables.names, [1.0] * len(nodes), family.tN),

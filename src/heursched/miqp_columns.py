@@ -302,7 +302,11 @@ class Terms(_Columns):
 
 
 def _number(value, what: str) -> None:
-    if not isinstance(value, Real) or not (isinstance(value, Integral) or math.isfinite(value)):
+    try:
+        finite = isinstance(value, Real) and math.isfinite(value)
+    except OverflowError:  # not printed: it may have more digits than str() allows
+        raise InputError(f"{what} must be a number that fits in a float") from None
+    if not finite:
         raise InputError(f"{what} must be a finite number, got {value!r}")
 
 

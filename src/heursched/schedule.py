@@ -15,8 +15,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .dataset import (Dataset, IterationCostProfile, avg_iteration_cost, read_rows,
-                      validate_identifier)
+from .dataset import (Dataset, IterationCostProfile, avg_iteration_cost, check_count,
+                      read_rows, validate_identifier)
 from .errors import InputError
 
 SCHEDULE_HEADER = "position,heuristic,max_iterations"
@@ -25,8 +25,7 @@ SCHEDULE_HEADER = "position,heuristic,max_iterations"
 def _check_entry(heuristic: str, budget: int, seen: set[str]) -> None:
     """Reject a bad id, a bad budget or a repeat of a heuristic in ``seen``; add it."""
     validate_identifier(heuristic, "heuristic")
-    if not isinstance(budget, int) or budget < 1:
-        raise InputError(f"budget for {heuristic!r} must be a positive integer, got {budget!r}")
+    check_count(budget, f"budget for {heuristic!r}")
     if heuristic in seen:
         raise InputError(f"heuristic {heuristic!r} appears more than once in the schedule")
     seen.add(heuristic)
@@ -96,9 +95,9 @@ def replay_tables(d: Dataset, costs: IterationCostProfile | None = None,
 
     ``tau_of[h]`` is the dataset's read-only ``tau_column(h)``: node id to
     the finite iterations-to-solution of heuristic ``h`` (failed and
-    unobserved pairs are absent).  Weights are 1 per iteration unless
-    normalization is requested, in which case they come from ``costs``
-    (computed from the dataset when not supplied).
+    unobserved pairs are absent), a view over its tau list ``taus``.  Weights
+    are 1 per iteration unless normalization is requested, in which case they
+    come from ``costs`` (computed from the dataset when not supplied).
     """
     if normalize:
         if costs is None:
@@ -109,6 +108,22 @@ def replay_tables(d: Dataset, costs: IterationCostProfile | None = None,
     return ReplayTables(weight_of, {h: d.tau_column(h) for h in d.heuristics})
 
 
+def _steps(entries, tables: ReplayTables) -> list:
+    """``(tau list, weight, budget)`` of each entry, in order."""
+    return [(tables.tau_of[h].taus, tables.weight_of[h], budget) for h, budget in entries]
+
+
+def _replay(steps, number: int):
+    """``replay_node`` at the node with that number, ``steps`` from ``_steps``."""
+    total = 0
+    for position, (taus, weight, budget) in enumerate(steps, start=1):
+        tau = taus[number]
+        if tau is not None and tau <= budget:
+            return position, total + weight * tau
+        total += weight * budget
+    return None, total + 1
+
+
 def replay_node(entries, tables: ReplayTables, node: str):
     """Replay schedule entries at one node.
 
@@ -116,14 +131,9 @@ def replay_node(entries, tables: ReplayTables, node: str):
     the solving entry or None.  Low-level primitive: ids are assumed
     valid.
     """
-    total = 0
-    for index, (heuristic, budget) in enumerate(entries):
-        tau = tables.tau_of[heuristic].get(node)
-        weight = tables.weight_of[heuristic]
-        if tau is not None and tau <= budget:
-            return index + 1, total + weight * tau
-        total += weight * budget
-    return None, total + 1
+    # every column shares the dataset's node numbers; no entry, no number needed
+    number = tables.tau_of[entries[0][0]].numbers[node] if entries else 0
+    return _replay(_steps(entries, tables), number)
 
 
 def _check_schedule_against(s: Schedule, d: Dataset) -> None:
@@ -153,12 +163,12 @@ def evaluate(s: Schedule, d: Dataset, alpha: float,
     if not 0.0 <= alpha <= 1.0:
         raise InputError(f"alpha must lie in [0, 1], got {alpha!r}")
     _check_schedule_against(s, d)
-    tables = replay_tables(d, costs, normalize)
+    steps = _steps(s.entries, replay_tables(d, costs, normalize))
     outcomes = []
     objective = 0
     solved = 0
-    for node in d.nodes:
-        position, cost = replay_node(s.entries, tables, node)
+    for number, node in enumerate(d.nodes):
+        position, cost = _replay(steps, number)
         outcomes.append(NodeOutcome(node, position, cost))
         objective += cost
         if position is not None:

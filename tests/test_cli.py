@@ -413,6 +413,22 @@ def test_iteration_counts_beyond_2_53_exit_cleanly(tmp_path, capsys, monkeypatch
     assert not Path("model.miqp").exists()
 
 
+@pytest.mark.parametrize("budget, status", [(2 ** 53, 0), (2 ** 53 + 1, 1), (10 ** 400, 1)],
+                         ids=["2**53", "2**53+1", "10**400"])
+def test_eval_bounds_schedule_budgets_at_2_53(tmp_path, worked_csv, capsys, budget, status):
+    # a 401-digit max_iterations used to end in an OverflowError traceback
+    schedule = tmp_path / "big.csv"
+    schedule.write_text(f"position,heuristic,max_iterations\n1,h1,{budget}\n", encoding="utf-8")
+    assert dispatch(["eval", "--data", str(worked_csv), "--schedule", str(schedule)]) == status
+    captured = capsys.readouterr()
+    if status:
+        assert captured.err == ("heursched: error: line 2: budget for 'h1' must be at most "
+                                "2**53 = 9007199254740992\n")
+        assert captured.out == ""
+    else:
+        assert "objective:" in captured.out
+
+
 @pytest.mark.parametrize("command", ["simulate", "compare"])
 def test_max_iterations_beyond_2_53_exits_cleanly(tmp_path, capsys, command):
     cfg_path, schedule_path = _compare_inputs(tmp_path)

@@ -8,7 +8,7 @@ import warnings
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import heursched
@@ -262,9 +262,9 @@ def test_dataset_validates_every_registered_id(heuristics, nodes, message):
 
 
 def test_only_dataset_reads_its_columns():
-    # the tau columns are derived in dataset.py alone; the trusted constructor
-    # serves dataset.py and shadow collection only
-    private = {"_rows", "_taus"}
+    # the tau lists, node numbers and breakpoints are built in dataset.py alone;
+    # the trusted constructor serves dataset.py and shadow collection only
+    private = {"_rows", "_taus", "_numbers", "_breakpoints"}
     trusted = {"_from_rows"}
     package = Path(heursched.__file__).parent
     for path in sorted(package.glob("*.py")):
@@ -316,6 +316,7 @@ def test_indexed_columns_match_a_scan_of_the_observations(d):
             tables.tau_of[h]["new"] = 1
         assert [d.iterations_to_solution(h, n) for n in d.nodes] == \
             [solved.get(n) for n in d.nodes]
+        assert list(tables.tau_of[h].taus) == [d.iterations_to_solution(h, n) for n in d.nodes]
         assert d.registration_index(h) == d.heuristics.index(h)
         timed = [o for o in rows if o.duration_seconds is not None]
         seconds = math.fsum(o.duration_seconds for o in timed)
@@ -368,6 +369,13 @@ def reference_read_rows(source, header, what):
         raise InputError(f"{what} is missing its header line")
 
 
+def reference_count(value, what):
+    if not isinstance(value, int) or value < 1:
+        raise InputError(f"{what} must be a positive integer, got {value!r}")
+    if value > 2 ** 53:
+        raise InputError(f"{what} must be at most 2**53 = {2 ** 53}")
+
+
 def reference_observation(heuristic, node, tau, executed, duration):
     for value, what in ((heuristic, "heuristic"), (node, "node")):
         if not isinstance(value, str) or not value:
@@ -375,11 +383,9 @@ def reference_observation(heuristic, node, tau, executed, duration):
         if "," in value or "\n" in value or "\r" in value or value.startswith("#"):
             raise InputError(f"invalid {what} identifier {value!r}: "
                              "commas, newlines and a leading '#' are reserved")
-    if not isinstance(executed, int) or executed < 1:
-        raise InputError(f"iterations_executed must be a positive integer, got {executed!r}")
+    reference_count(executed, "iterations_executed")
     if tau is not None:
-        if not isinstance(tau, int) or tau < 1:
-            raise InputError(f"iterations_to_solution must be a positive integer, got {tau!r}")
+        reference_count(tau, "iterations_to_solution")
         if tau > executed:
             raise InputError(f"iterations_to_solution ({tau}) exceeds iterations_executed "
                              f"({executed}) for ({heuristic}, {node})")
@@ -471,8 +477,25 @@ def dataset_texts(draw):
     return "\n".join([header] + lines) + draw(st.sampled_from(("\n", "", "\r\n")))
 
 
+_ROWS = DATASET_HEADER + "\n{}\n"
+
+
 @settings(max_examples=300)
 @given(text=dataset_texts())
+# "" is a failed call as a tau, but not a valid iterations_executed
+@example(text=_ROWS.format("h1,n1,,3,\nh1,n2,2,,"))
+@example(text=_ROWS.format("h1,n1,,3,\nh2,n1,inf,,0.5"))
+# cached count texts that give tau > executed
+@example(text=_ROWS.format("h1,n1,3,3,\nh1,n2,2,2,\nh2,n1,3,2,"))
+# a cached count text next to a bad node id, and next to a repeated pair
+@example(text=_ROWS.format("h1,n1,2,2,\nh1,#n,2,2,"))
+@example(text=_ROWS.format("h1,n1,2,2,\nh1,n1,2,2,"))
+# counts of 2**53 are cached and accepted; 2**53 + 1 is rejected on any row,
+# after a bad id on its line
+@example(text=_ROWS.format(f"h1,n1,{2 ** 53},{2 ** 53},\nh1,n2,{2 ** 53},{2 ** 53},"))
+@example(text=_ROWS.format(f"h1,n1,1,{2 ** 53 + 1},\nh1,n2,1,{2 ** 53 + 1},"))
+@example(text=_ROWS.format(f"h1,n1,1,1,\nh1,#n,{2 ** 53 + 1},{2 ** 53 + 1},"))
+@example(text=_ROWS.format(f"h1,n1,{2 ** 53 + 1},2,\nh1,n2,{2 ** 53 + 1},2,"))
 def test_loader_matches_the_reference_loader(text):
     try:
         expected = reference_load_dataset(text)

@@ -212,11 +212,21 @@ def tied_datasets(draw):
 
 
 @settings(max_examples=200)
-@given(d=tied_datasets(), allow_extension=st.booleans(), normalize=st.booleans())
-def test_sorted_sweep_matches_recount(d, allow_extension, normalize):
+@given(d=tied_datasets(), allow_extension=st.booleans(), normalize=st.booleans(),
+       data=st.data())
+def test_sorted_sweep_matches_recount(d, allow_extension, normalize, data):
     opts = GreedyOptions(allow_extension=allow_extension, normalize_costs=normalize)
     schedule, trace, evaluation = build_schedule(d, opts)
     expected = recount_greedy(d, opts)
     assert schedule == expected[0]
     assert repr(trace.steps) == repr(expected[1])
     assert repr(evaluation) == repr(expected[2])
+    # one step from any state: counts built from a partial unsolved set
+    unsolved = data.draw(st.sets(st.sampled_from(d.nodes)))
+    scheduled = data.draw(st.sets(st.sampled_from(d.heuristics)))
+    last_entry = data.draw(st.none() | st.tuples(st.sampled_from(d.heuristics), st.integers(1, 5)))
+    costs = avg_iteration_cost(d) if normalize else None
+    step = best_action(d, unsolved, scheduled=scheduled, last_entry=last_entry,
+                       costs=costs, normalize=normalize)
+    tables = replay_tables(d, costs, normalize)
+    assert repr(step) == repr(recount_best_action(d, unsolved, scheduled, last_entry, tables))

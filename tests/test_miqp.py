@@ -263,11 +263,10 @@ def test_integers_above_2_53_render_exactly(tmp_path):
     assert "tN[N1] integer in [1, 9007199254740993]\n" in text
 
 
-def test_integer_coefficients_beyond_float_range_are_accepted(worked):
-    # math.isfinite used to raise OverflowError on an int of 10**400
+def test_integers_within_float_range_render_exactly(worked):
     fields = model_fields(build_miqp(worked, 0.5))
-    model = MiqpModel(**{**fields, "linear": [("r1", (10 ** 400, "x[h1][0]"), "<=", 2 ** 53 + 1)]})
-    assert f"\nr1: {10 ** 400} x[h1][0] <= 9007199254740993\n" in model.render()
+    model = MiqpModel(**{**fields, "linear": [("r1", (10 ** 300, "x[h1][0]"), "<=", 2 ** 53 + 1)]})
+    assert f"\nr1: {10 ** 300} x[h1][0] <= 9007199254740993\n" in model.render()
 
 
 def rendered_rows(worked, linear, quadratic):
@@ -589,6 +588,12 @@ def test_rows_round_trip_through_the_constructor(worked):
     ("quadratic", [("q1", (1, "x[h1][0]"), "=", 1)], "has 5 items"),
     ("objective", (1.0, "tN[N9]"), "objective: model has no variable named 'tN[N9]'"),
     ("variables", [("a", "binary", 0, 1)], "a variable row is"),
+    # an integer beyond float range: this right-hand side used to raise OverflowError in
+    # check_linearized, this coefficient ValueError (over 4,300 digits) in render()
+    ("linear", [("r1", (1, "x[h1][0]"), "<=", 10 ** 400)],
+     "r1: right-hand side must be a number that fits in a float"),
+    ("linear", [("r1", (10 ** 5000, "x[h1][0]"), "<=", 1)],
+     "r1: coefficient must be a number that fits in a float"),
 ])
 def test_malformed_rows_rejected(worked, field, value, message):
     fields = model_fields(build_miqp(worked, 0.5))

@@ -21,6 +21,19 @@ def test_schedule_validation():
         Schedule((("h1", 0),))
 
 
+def test_budgets_are_bounded_by_2_53():
+    assert Schedule((("h1", 2 ** 53),)).entries == (("h1", 2 ** 53),)
+    with pytest.raises(InputError) as excinfo:
+        Schedule((("h1", 2 ** 53 + 1),))
+    assert str(excinfo.value) == "budget for 'h1' must be at most 2**53 = 9007199254740992"
+    text = "position,heuristic,max_iterations\n1,h1,{}\n"
+    assert load_schedule(text.format(2 ** 53)).entries == (("h1", 2 ** 53),)
+    with pytest.raises(InputError) as excinfo:
+        load_schedule(text.format(2 ** 53 + 1))
+    assert str(excinfo.value) == ("line 2: budget for 'h1' must be at most "
+                                  "2**53 = 9007199254740992")
+
+
 def test_schedule_csv_round_trip():
     s = Schedule((("h1", 1), ("h2", 3)))
     text = dump_schedule(s)
