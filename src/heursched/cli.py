@@ -23,15 +23,15 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
-from .dataset import dump_dataset, load_dataset
+from .dataset import dump_dataset, load_dataset, parse_int
 from .errors import InputError
 from .exact import ExactLimits, solve_exact
 from .greedy import GreedyOptions, build_schedule
 from .metrics import dump_timeline, gap_function, load_timeline, primal_integral
 from .miqp import export_miqp
 from .schedule import dump_schedule, evaluate, load_schedule
-from .simulator import (SimConfig, compare_policies, default_baseline, generate_instance,
-                        load_sim_config, run_crossval, run_with_schedule,
+from .simulator import (SimConfig, check_sim_size, compare_policies, default_baseline,
+                        generate_instance, load_sim_config, run_crossval, run_with_schedule,
                         simulate_shadow_dataset)
 
 _PROG = "heursched"
@@ -78,10 +78,12 @@ def _parse_seeds(text: str) -> list[int]:
     try:
         if "," in text:
             return [int(part) for part in text.split(",") if part.strip() != ""]
-        return list(range(int(text)))
+        count = parse_int(text)
     except ValueError:
         raise InputError(f"cannot parse seeds from {text!r}: expected a count or a "
                          "comma-separated list") from None
+    check_sim_size(count, "seed count")
+    return list(range(count))
 
 
 def _load_config(path: str) -> SimConfig:
@@ -156,6 +158,7 @@ def _cmd_simulate(args) -> int:
     count = args.instances if args.instances is not None else cfg.instances
     if count < 1:
         raise InputError(f"instance count must be positive, got {count}")
+    check_sim_size(count, "instance count")
     seeds = [args.seed + i for i in range(count)]
     d = simulate_shadow_dataset(cfg, seeds)
     _write_output(args, dump_dataset(d), [args.config], seeds, instances=count)

@@ -92,6 +92,17 @@ def check_count(value: int, what: str) -> None:
         raise InputError(f"{what} must be at most 2**53 = {MAX_COUNT}")
 
 
+def parse_int(text: str) -> int:
+    """``int(text)``, except that a decimal text with more digits than ``int()``
+    converts reads as ``MAX_COUNT + 1``, above every count limit."""
+    try:
+        return int(text)
+    except ValueError:
+        if not text.isdecimal():
+            raise
+    return MAX_COUNT + 1
+
+
 def check_row(heuristic: str, node: str, tau: int | None, executed: int,
               duration: float | None) -> None:
     """Reject a row's counts and duration; its ids are checked by the caller."""
@@ -321,7 +332,7 @@ def _read_count(text: str, cache: dict, lineno: int, column: str) -> int:
         value = 0
     else:
         try:
-            value = int(text)
+            value = parse_int(text)
         except ValueError:
             raise InputError(f"line {lineno}: {column} must be an integer, got {text!r}") from None
         if value < 1:

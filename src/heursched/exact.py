@@ -8,8 +8,8 @@ plus its total cost so far and the sum of the final costs of the nodes it
 solves.  Per heuristic, one mask per observed budget marks the nodes whose
 iterations-to-solution equal that budget, so extending a prefix finds the
 newly solved nodes, the coverage and the newly solved cost with ``&`` and
-set-bit counts, never a walk over the nodes.  Every prefix is itself a
-candidate.  Three prunes skip subtrees that cannot hold the optimum:
+set-bit counts.  Every prefix is itself a candidate.  Three prunes skip
+subtrees that cannot hold the optimum:
 
 - an entry that solves no unsolved node only adds cost and length;
 - even the nodes that some unused heuristic could still solve cannot lift
@@ -17,16 +17,15 @@ candidate.  Three prunes skip subtrees that cannot hold the optimum:
 - a lower bound on every cost in the subtree already exceeds the best
   feasible objective found so far.
 
-The cost prune runs in two stages.  The running-sum bound (solved-cost sum
-plus the unsolved count times the prefix total) rejects a prefix only when
-it exceeds the incumbent by more than a relative slack that covers any
-difference floating-point summation order can make.  Where the running
-sums cannot decide, because a prefix lies within that slack of the
-incumbent or is a feasible candidate that might replace it, the prefix's
-costs are summed in node order, as ``evaluate`` sums them; so every prune
-and tie-break is decided on the same numbers as a per-node walk.  With
-integer weights (raw iterations) every sum is exact in any order, and the
-running sums always decide.
+The cost prune compares the running-sum bound (solved-cost sum plus the
+unsolved count times the prefix total) with one cutoff, which lies above
+the incumbent by a relative slack that covers any difference
+floating-point summation order can make.  A feasible candidate whose
+running objective is within the cutoff is priced again by replaying its
+entries with ``evaluate``'s own kernel and summing the costs in node
+order; so the incumbent and every tie-break are decided on the numbers
+``evaluate`` reports.  With integer weights (raw iterations) every sum is
+exact in any order, the cutoff is the incumbent and nothing is repriced.
 
 The scheduling problem generalizes pipelined set cover and is NP-hard, so
 this is strictly a desk-scale ground truth: hard limits guard the
@@ -43,7 +42,7 @@ from dataclasses import dataclass
 
 from .dataset import Dataset, IterationCostProfile, breakpoints
 from .errors import InputError
-from .schedule import Schedule, replay_tables
+from .schedule import Schedule, _replay, _steps, replay_tables
 
 
 @dataclass(frozen=True)
@@ -109,12 +108,11 @@ def solve_exact(d: Dataset, alpha: float,
     tables = replay_tables(d, costs, normalize)
     total_nodes = len(d.nodes)
     weights = [tables.weight_of[h] for h in usable]
-    tau_at = [tables.tau_of[h].taus for h in usable]
     # bit i of ties[g][k]: node i takes exactly budgets_of[usable[g]][k] iterations
     ties = []
-    for taus, heuristic in zip(tau_at, usable):
+    for heuristic in usable:
         bit_of = {budget: 0 for budget in budgets_of[heuristic]}
-        for i, tau in enumerate(taus):
+        for i, tau in enumerate(tables.tau_of[heuristic].taus):
             if tau is not None:
                 bit_of[tau] |= 1 << i
         ties.append(list(bit_of.items()))
@@ -124,27 +122,24 @@ def solve_exact(d: Dataset, alpha: float,
     for subset in range(1, len(reach)):
         low = subset & -subset
         reach[subset] = reach[subset ^ low] | solvable[low.bit_length() - 1]
-    # The running sums add the same nonnegative terms as a node-order walk,
-    # grouped and ordered differently.  With integer weights both are exact
-    # and the band below shrinks to the incumbent itself.  Otherwise each lies within (total_nodes + len(usable) + 8) units of
-    # 2**-53 of the exact sum of those terms, plus as many subnormal steps;
-    # the band [floor, cutoff] around the incumbent reaches eight times that
-    # on each side (twice for the two sums, four times over as margin), so a
-    # running sum outside it is on the same side of the incumbent as the
-    # node-order sum.
+    # The running sums add the same nonnegative terms as ``evaluate``'s walk
+    # in node order, grouped and ordered differently.  With integer weights
+    # both are exact and the cutoff is the incumbent itself.  Otherwise each
+    # lies within (total_nodes + len(usable) + 8) units of 2**-53 of the exact
+    # sum of those terms, plus as many subnormal steps; the cutoff lies eight
+    # times that above the incumbent (twice for the two sums, four times over
+    # as margin), so a running sum above it has a node-order sum above the
+    # incumbent too.
     exact_sums = all(isinstance(w, int) for w in weights)
     steps = 8 * (total_nodes + len(usable) + 8)
     slack, tiny = (0, 0) if exact_sums else (steps * 2.0 ** -53, steps * math.ulp(0.0))
-    # (newly solved nodes, prefix total, weight, taus) of every entry on the path
-    groups = []
 
     best_key = None
     best_entries = None
-    best_objective = None
-    floor = cutoff = math.inf
+    cutoff = math.inf
 
     def consider(entries, objective, solved) -> None:
-        nonlocal best_key, best_entries, best_objective, floor, cutoff
+        nonlocal best_key, best_entries, cutoff
         rate = solved / total_nodes if total_nodes else 1.0
         if rate < alpha:
             return
@@ -154,29 +149,15 @@ def solve_exact(d: Dataset, alpha: float,
         if best_key is None or key < best_key:
             best_key = key
             best_entries = entries
-            best_objective = objective
-            floor = objective * (1 - slack) - tiny
             cutoff = objective * (1 + slack) + tiny
 
-    def node_order_sums(new_total):
-        """The path's bound and objective, summed in node order as ``evaluate`` sums."""
-        final = [None] * total_nodes
-        for newly, total, weight, taus in groups:
-            for i in range(total_nodes):
-                if newly >> i & 1:
-                    final[i] = total + weight * taus[i]
-        # every continuation charges an unsolved node at least new_total;
-        # summing in node order keeps the bound below the rounded objective
-        # of each of them
-        bound = objective = 0
-        for cost in final:
-            if cost is None:
-                bound += new_total
-                objective += new_total + 1
-            else:
-                bound += cost
-                objective += cost
-        return bound, objective
+    def price(entries):
+        """The objective of ``entries`` summed in node order, as ``evaluate`` sums it."""
+        replay_steps = _steps(entries, tables)
+        objective = 0
+        for number in range(total_nodes):
+            objective += _replay(replay_steps, number)[1]
+        return objective
 
     def extend(entries, unsolved, total, solved_sum, unused) -> None:
         unsolved_count = unsolved.bit_count()
@@ -206,29 +187,23 @@ def solve_exact(d: Dataset, alpha: float,
                     continue  # (c) coverage cannot reach alpha below here
                 new_total = total + weight * budget
                 new_solved_sum = solved_sum + (newly_count * total + weight * tau_sum)
-                bound = new_solved_sum + remaining_count * new_total
-                # (b) prune only above the incumbent: equal costs may still
-                # win the tie-break
-                if bound > cutoff:
+                # (b) every continuation charges an unsolved node at least
+                # new_total; prune only above the cutoff, as equal costs may
+                # still win the tie-break
+                if new_solved_sum + remaining_count * new_total > cutoff:
                     continue
                 objective = new_solved_sum + remaining_count * (new_total + 1)
-                groups.append((newly, total, weight, tau_at[g]))
-                # node-order sums settle a bound inside the band and a feasible
-                # candidate that might replace the incumbent; elsewhere the
-                # running sums decide the prune and consider keeps nothing
-                if not exact_sums and (bound >= floor or (
-                        solved / total_nodes >= alpha and objective <= cutoff)):
-                    bound, objective = node_order_sums(new_total)
-                if best_key is None or bound <= best_objective:
-                    child = entries + ((heuristic, budget),)
-                    consider(child, objective, solved)
-                    if remaining and rest:
-                        extend(child, remaining, new_total, new_solved_sum, rest)
-                groups.pop()
+                child = entries + ((heuristic, budget),)
+                # only a feasible child within the cutoff can win in node order
+                if not exact_sums and solved / total_nodes >= alpha and objective <= cutoff:
+                    objective = price(child)
+                consider(child, objective, solved)
+                if remaining and rest:
+                    extend(child, remaining, new_total, new_solved_sum, rest)
 
     consider((), total_nodes, 0)  # the empty schedule charges 0 + 1 per node
     extend((), (1 << total_nodes) - 1, 0, 0, (1 << len(usable)) - 1)
 
     if best_entries is None:
         return None
-    return Schedule(best_entries), best_objective
+    return Schedule(best_entries), best_key[0]

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .dataset import (Dataset, IterationCostProfile, avg_iteration_cost, check_count,
-                      read_rows, validate_identifier)
+                      parse_int, read_rows, validate_identifier)
 from .errors import InputError
 
 SCHEDULE_HEADER = "position,heuristic,max_iterations"
@@ -196,7 +196,7 @@ def load_schedule(source: str) -> Schedule:
             source, SCHEDULE_HEADER, "schedule"):
         try:
             position = int(position_text)
-            budget = int(budget_text)
+            budget = parse_int(budget_text)
         except ValueError:
             raise InputError(f"line {lineno}: position and max_iterations must be integers") from None
         if position in rows:

@@ -40,7 +40,7 @@ import random
 import statistics
 from dataclasses import dataclass
 
-from .dataset import Dataset, check_count, check_row, validate_identifier
+from .dataset import Dataset, check_count, check_row, parse_int, validate_identifier
 from .errors import InputError, require_finite
 from .greedy import GreedyOptions, build_schedule
 from .metrics import IncumbentTimeline, primal_integral, require_time_limit
@@ -48,6 +48,9 @@ from .schedule import Schedule
 from .workers import map_jobs
 
 HEURISTIC_CLASSES = ("DIVING", "LNS")
+# the most instances or seeds one command may draw, and the most (node,
+# heuristic) pairs one instance may draw (nodes_max times the heuristic count)
+MAX_SIM_SIZE = 10 ** 6
 
 # numeric top-level configuration keys and their types, in parsing order
 _NUMBER_KEYS = (("time_limit_seconds", float), ("instances", int), ("nodes_min", int),
@@ -57,6 +60,11 @@ _HEURISTIC_KEYS = (("class", str), ("success_probability", float),
                    ("iteration_success_rate", float), ("max_iterations", int),
                    ("seconds_per_iteration", float), ("quality_mean", float),
                    ("quality_spread", float))
+
+
+def check_sim_size(value: int, what: str) -> None:
+    if value > MAX_SIM_SIZE:  # not printed: it may have more digits than str() allows
+        raise InputError(f"{what} must be at most {MAX_SIM_SIZE}")
 
 
 @dataclass(frozen=True)
@@ -122,10 +130,12 @@ class SimConfig:
             count = getattr(self, name)
             if not isinstance(count, int):
                 raise InputError(f"{name} must be an integer, got {count!r}")
+            check_sim_size(count, name)
         if self.instances < 1:
             raise InputError(f"instances must be positive, got {self.instances!r}")
         if not 1 <= self.nodes_min <= self.nodes_max:
             raise InputError(f"node count range [{self.nodes_min}, {self.nodes_max}] is invalid")
+        check_sim_size(self.nodes_max * len(self.heuristics), "nodes_max times the heuristic count")
         require_finite(self.interarrival_seconds, "interarrival_seconds")
         require_finite(self.optimum_value, "optimum_value")
         if self.time_limit_seconds is not None:
@@ -559,7 +569,7 @@ def run_crossval(configs, folds: int, seed: int, time_limit: float | None = None
 
 def _parse_scalar(key: str, text: str, kind):
     try:
-        return kind(text)
+        return parse_int(text) if kind is int else kind(text)
     except ValueError:
         noun = "an integer" if kind is int else "a number"
         raise InputError(f"configuration key {key!r} must be {noun}, got {text!r}") from None

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+import heursched.cli as cli
 import heursched.simulator as simulator
 import heursched.workers as workers
 from heursched import Schedule, __version__, load_dataset, load_schedule
@@ -443,6 +444,51 @@ def test_max_iterations_beyond_2_53_exits_cleanly(tmp_path, capsys, command):
     captured = capsys.readouterr()
     assert captured.err == ("heursched: error: max_iterations must be at most "
                             "2**53 = 9007199254740992\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["run", "compare"])
+def test_nodes_max_beyond_the_simulator_limit_exits_cleanly(tmp_path, capsys, command):
+    # without --time-limit, 10**400 nodes used to end in an OverflowError
+    # traceback from the default time limit
+    cfg_path, schedule_path = _compare_inputs(tmp_path)
+    cfg_path.write_text(PLANTED_CFG.replace("nodes_max = 12", f"nodes_max = {10 ** 400}"),
+                        encoding="utf-8")
+    out = tmp_path / "out.csv"
+    argv = [command, "--config", str(cfg_path), "--schedule", str(schedule_path),
+            "--out", str(out)] + (["--seeds", "2"] if command == "compare" else [])
+    assert dispatch(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "heursched: error: nodes_max must be at most 1000000\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("count", [str(10 ** 30), "9" * 5000], ids=["31 digits", "5000 digits"])
+def test_seed_count_beyond_the_simulator_limit_exits_cleanly(tmp_path, capsys, count):
+    # a 31-digit count used to end in an OverflowError traceback from range(),
+    # and a count too long for int() in an error that repeated it
+    cfg_path, schedule_path = _compare_inputs(tmp_path)
+    assert dispatch(["compare", "--config", str(cfg_path), "--schedule", str(schedule_path),
+                     "--seeds", count]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "heursched: error: seed count must be at most 1000000\n"
+    assert captured.out == ""
+
+
+def test_instance_count_beyond_the_simulator_limit_draws_nothing(tmp_path, capsys,
+                                                                 monkeypatch):
+    # an instance count of 10**30 used to start drawing with no bound
+    cfg_path, _ = _compare_inputs(tmp_path)
+
+    def refuse(cfg, seeds):
+        raise AssertionError(f"{len(seeds)} instances drawn")
+
+    monkeypatch.setattr(cli, "simulate_shadow_dataset", refuse)
+    out = tmp_path / "shadow.csv"
+    assert dispatch(["simulate", "--config", str(cfg_path), "--instances", "1000001",
+                     "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "heursched: error: instance count must be at most 1000000\n"
     assert not out.exists()
 
 

@@ -138,6 +138,16 @@ def test_iteration_counts_are_bounded_by_2_53():
         load_dataset(f"{DATASET_HEADER}\nh,n,1,1,\nh,m,{big + 1},{big},\n")
 
 
+@pytest.mark.parametrize("column", ["iterations_to_solution", "iterations_executed"])
+def test_count_text_too_long_for_int_reads_as_too_large(column):
+    # int() refuses more than 4,300 digits; the error used to repeat the whole text
+    big = "9" * 5000
+    row = f"h,m,{big},1," if column == "iterations_to_solution" else f"h,m,1,{big},"
+    with pytest.raises(InputError) as excinfo:
+        load_dataset(f"{DATASET_HEADER}\nh,n,1,1,\n{row}\n")
+    assert str(excinfo.value) == f"line 3: {column} must be at most 2**53 = {2 ** 53}"
+
+
 def test_round_trip_preserves_observations():
     rng = random.Random(7)
     for _ in range(25):

@@ -34,6 +34,15 @@ def test_budgets_are_bounded_by_2_53():
                                   "2**53 = 9007199254740992")
 
 
+def test_budget_text_too_long_for_int_reads_as_too_large():
+    # int() refuses more than 4,300 digits; such a budget used to be reported
+    # as "position and max_iterations must be integers"
+    with pytest.raises(InputError) as excinfo:
+        load_schedule(f"position,heuristic,max_iterations\n1,h1,{'9' * 5000}\n")
+    assert str(excinfo.value) == ("line 2: budget for 'h1' must be at most "
+                                  "2**53 = 9007199254740992")
+
+
 def test_schedule_csv_round_trip():
     s = Schedule((("h1", 1), ("h2", 3)))
     text = dump_schedule(s)

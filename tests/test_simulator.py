@@ -645,6 +645,26 @@ def test_non_integer_counts_rejected(field):
         _cfg(**{field: 1.5})
 
 
+@pytest.mark.parametrize("old, new, message", [
+    ("instances = 4", "instances = 1000001", "instances must be at most 1000000"),
+    ("instances = 4", f"instances = {'9' * 5000}", "instances must be at most 1000000"),
+    ("nodes_max = 12", "nodes_max = 333334",
+     "nodes_max times the heuristic count must be at most 1000000"),
+    ("quick.max_iterations = 20", f"quick.max_iterations = {'9' * 5000}",
+     "max_iterations must be at most 2**53 = 9007199254740992"),
+], ids=["instances", "instances 5000 digits", "pairs", "max_iterations 5000 digits"])
+def test_config_sizes_beyond_the_limits_rejected(old, new, message):
+    # the configuration is refused before anything is drawn; larger instance
+    # and pair counts used to be accepted, and texts too long for int()
+    # reported as non-integers, repeating the whole text
+    with pytest.raises(InputError) as excinfo:
+        load_sim_config(PLANTED_CFG.replace(old, new))
+    assert str(excinfo.value) == message
+    boundary = (PLANTED_CFG.replace("instances = 4", "instances = 1000000")
+                .replace("nodes_max = 12", "nodes_max = 333333"))
+    assert load_sim_config(boundary).instances == 1000000
+
+
 def test_config_type_errors_name_the_expected_kind():
     integer_key = PLANTED_CFG.replace("slow_a.max_iterations = 30", "slow_a.max_iterations = 1.5")
     with pytest.raises(InputError,
