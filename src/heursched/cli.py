@@ -16,6 +16,7 @@ rejected input, 2 internal error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import traceback
@@ -73,14 +74,28 @@ def _write_manifest(args, inputs, seeds=(), **flags) -> None:
         json.dumps(manifest, sort_keys=True, indent=2) + "\n", encoding="utf-8")
 
 
+def _quoted(text: str) -> str:
+    """``repr(text)``, cut to the first 20 characters and the length when longer."""
+    return repr(text) if len(text) <= 20 else f"{text[:20]!r}... ({len(text)} characters)"
+
+
+def _integer(text: str) -> int:
+    """The type of every integer flag and ``--seeds`` entry: ``int(text)``, with
+    a refused text quoted as ``_quoted`` does."""
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {_quoted(text)}") from None
+
+
 def _parse_seeds(text: str) -> list[int]:
     """Either a count N (seeds 0..N-1) or a comma-separated seed list."""
     try:
         if "," in text:
-            return [int(part) for part in text.split(",") if part.strip() != ""]
+            return [_integer(part) for part in text.split(",") if part.strip() != ""]
         count = parse_int(text)
-    except ValueError:
-        raise InputError(f"cannot parse seeds from {text!r}: expected a count or a "
+    except (ValueError, argparse.ArgumentTypeError):
+        raise InputError(f"cannot parse seeds from {_quoted(text)}: expected a count or a "
                          "comma-separated list") from None
     check_sim_size(count, "seed count")
     return list(range(count))
@@ -226,6 +241,7 @@ def _cmd_crossval(args) -> int:
     return 0
 
 
+@functools.cache  # one parser per process: each is a web of cycles only a full collection frees
 def build_parser() -> _Parser:
     parser = _Parser(prog=_PROG, description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=f"{_PROG} {__version__}")
@@ -254,10 +270,10 @@ def build_parser() -> _Parser:
     p.add_argument("--data", required=True)
     p.add_argument("--alpha", type=float, default=0.0)
     p.add_argument("--normalize", action="store_true")
-    p.add_argument("--max-heuristics", type=int, default=ExactLimits.max_heuristics)
-    p.add_argument("--max-breakpoints", type=int,
+    p.add_argument("--max-heuristics", type=_integer, default=ExactLimits.max_heuristics)
+    p.add_argument("--max-breakpoints", type=_integer,
                    default=ExactLimits.max_breakpoints_per_heuristic)
-    p.add_argument("--enumeration-budget", type=int, default=ExactLimits.enumeration_budget)
+    p.add_argument("--enumeration-budget", type=_integer, default=ExactLimits.enumeration_budget)
     p.add_argument("--out", help="write the optimal schedule CSV here")
     p.set_defaults(handler=_cmd_exact)
 
@@ -269,16 +285,16 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("simulate", help="collect a shadow-mode dataset from the simulator")
     p.add_argument("--config", required=True, help="simulator configuration path")
-    p.add_argument("--instances", type=int, default=None,
+    p.add_argument("--instances", type=_integer, default=None,
                    help="override the configuration's instance count")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_integer, default=0)
     p.add_argument("--out", required=True, help="write the dataset CSV here")
     p.set_defaults(handler=_cmd_simulate)
 
     p = sub.add_parser("run", help="replay a schedule on one simulated instance")
     p.add_argument("--config", required=True)
     p.add_argument("--schedule", required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_integer, default=0)
     p.add_argument("--time-limit", type=float, default=None)
     p.add_argument("--out", help="write the incumbent timeline CSV here")
     p.set_defaults(handler=_cmd_run)
@@ -303,8 +319,8 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("crossval", help="train/test matrix over configuration families")
     p.add_argument("--configs", required=True, help="comma-separated configuration paths")
-    p.add_argument("--folds", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--folds", type=_integer, required=True)
+    p.add_argument("--seed", type=_integer, default=0)
     p.add_argument("--time-limit", type=float, default=None)
     p.add_argument("--baseline", help="fixed baseline schedule CSV for every test family")
     p.add_argument("--out", help="write the matrix CSV here")

@@ -25,6 +25,9 @@ many iterations, with what solution quality — drawn once per instance
 from the configuration's distributions.  The draw for a pair is seeded by
 (instance seed, node id, heuristic id), so regeneration is bit-identical
 and outcomes do not depend on the order heuristics are registered in.
+They are stored as columns, per heuristic an iterations list and a quality
+list (None on failure) indexed by node number; ``SimInstance.outcomes`` is
+a read-only mapping view over them, and one replay kernel reads them.
 
 Latent iteration counts follow a geometric law truncated at the
 heuristic's iteration cap, which gives the familiar monotone
@@ -38,7 +41,9 @@ from __future__ import annotations
 import math
 import random
 import statistics
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
+from random import _sha512  # what Random.seed hashes a str with; hashlib would load OpenSSL
 
 from .dataset import Dataset, check_count, check_row, parse_int, validate_identifier
 from .errors import InputError, require_finite
@@ -155,8 +160,12 @@ class SimConfig:
         return self.nodes_max * per_node + self.interarrival_seconds
 
     def effective_time_limit(self) -> float:
-        return self.time_limit_seconds if self.time_limit_seconds is not None \
+        limit = self.time_limit_seconds if self.time_limit_seconds is not None \
             else self.default_time_limit()
+        if limit == math.inf:  # only the default can be: its terms are finite and positive
+            raise InputError("the default time limit (every node running every heuristic to "
+                             "its cap) overflows; set time_limit_seconds or pass --time-limit")
+        return limit
 
 
 @dataclass(frozen=True)
@@ -171,17 +180,59 @@ class LatentOutcome:
     iterations: int
     quality: float | None
 
+    def __post_init__(self) -> None:
+        if self.succeeds != (self.quality is not None):
+            raise InputError("a latent outcome has a quality exactly when it succeeds")
+
+
+class OutcomeColumns(Mapping):
+    """Read-only ``(node, heuristic) -> LatentOutcome`` view, node-major, of the lists
+    ``iterations[h]`` and ``qualities[h]`` indexed by node number (``numbers[node]``);
+    a quality of None marks a failure and an iteration count of None a missing pair."""
+
+    __slots__ = ("numbers", "iterations", "qualities")
+
+    def __init__(self, nodes, iterations: dict, qualities: dict) -> None:
+        self.numbers = {node: number for number, node in enumerate(nodes)}
+        self.iterations, self.qualities = iterations, qualities
+
+    def __getitem__(self, pair) -> LatentOutcome:
+        number = self.numbers[pair[0]]
+        iterations, quality = self.iterations[pair[1]][number], self.qualities[pair[1]][number]
+        if iterations is None:
+            raise KeyError(pair)
+        return LatentOutcome(quality is not None, iterations, quality)
+
+    def __iter__(self) -> Iterator[tuple[str, str]]:
+        return ((node, heuristic) for node, number in self.numbers.items()
+                for heuristic, column in self.iterations.items() if column[number] is not None)
+
+    def __len__(self) -> int:
+        return sum(1 for _ in self)
+
 
 @dataclass(frozen=True)
 class SimInstance:
-    """One simulated search; a pure function of (configuration, seed)."""
+    """One simulated search; a pure function of (configuration, seed).  Any other
+    mapping given as ``outcomes`` is converted once to ``OutcomeColumns``."""
 
     seed: int
     heuristics: tuple[HeuristicSpec, ...]
     nodes: tuple[str, ...]
-    outcomes: dict
+    outcomes: Mapping
     interarrival_seconds: float
     optimum_value: float
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.outcomes, OutcomeColumns):
+            found = {spec.id: [self.outcomes.get((node, spec.id)) for node in self.nodes]
+                     for spec in self.heuristics}
+            iterations = {h: [o and o.iterations for o in found[h]] for h in found}
+            qualities = {h: [o and o.quality for o in found[h]] for h in found}
+            columns = OutcomeColumns(self.nodes, iterations, qualities)
+            if len(columns) != len(self.outcomes):
+                raise InputError("latent outcomes name a node or heuristic the instance lacks")
+            object.__setattr__(self, "outcomes", columns)
 
     def outcome(self, node: str, heuristic: str) -> LatentOutcome:
         try:
@@ -207,15 +258,6 @@ class RunTrace:
     timeline: IncumbentTimeline
 
 
-def _geometric_constants(spec: HeuristicSpec) -> tuple[float, float] | None:
-    """``(1 - q**cap, log q)`` of the heuristic's geometric law on {1..cap},
-    conditioned on <= cap; None where every success takes one iteration."""
-    if spec.iteration_success_rate >= 1.0 or spec.max_iterations == 1:
-        return None
-    q = 1.0 - spec.iteration_success_rate
-    return 1.0 - q ** spec.max_iterations, math.log(q)
-
-
 def generate_instance(cfg: SimConfig, seed: int) -> SimInstance:
     """Draw the latent outcomes of one instance.
 
@@ -229,50 +271,50 @@ def generate_instance(cfg: SimConfig, seed: int) -> SimInstance:
     shape_rng = random.Random(f"{seed}|shape")
     node_count = shape_rng.randint(cfg.nodes_min, cfg.nodes_max)
     nodes = tuple(f"s{seed}n{i:03d}" for i in range(node_count))
-    optimum = cfg.optimum_value
-    laws = [(spec.id, spec.success_probability, _geometric_constants(spec), spec.max_iterations,
-             spec.quality_mean, spec.quality_spread, LatentOutcome(False, spec.max_iterations, None))
-            for spec in cfg.heuristics]
+    prefixes = [f"{seed}|{node}|".encode() for node in nodes]
     rng = random.Random()
-    outcomes: dict[tuple[str, str], LatentOutcome] = {}
-    for node in nodes:
-        prefix = f"{seed}|{node}|"
-        for hid, success, geometric, cap, mean, spread, failure in laws:
-            rng.seed(prefix + hid)  # the state random.Random(key) starts in, gauss_next too
-            if rng.random() < success:
-                iterations = 1
-                if geometric is not None:
-                    mass, log_q = geometric
-                    u = rng.random() * mass
-                    iterations = min(max(math.ceil(math.log1p(-u) / log_q), 1), cap)
-                offset = max(0.0, rng.gauss(mean, spread))
-                outcomes[node, hid] = LatentOutcome(True, iterations, optimum + offset)
-            else:
-                outcomes[node, hid] = failure
-    return SimInstance(
-        seed=seed,
-        heuristics=cfg.heuristics,
-        nodes=nodes,
-        outcomes=outcomes,
-        interarrival_seconds=cfg.interarrival_seconds,
-        optimum_value=optimum,
-    )
+    # the generator's own seed: gauss_next, which Random.seed also resets, is never read
+    reseed, draw = super(random.Random, rng).seed, rng.random
+    iterations, qualities = {}, {}
+    for spec in cfg.heuristics:
+        hid, cap, q = spec.id.encode(), spec.max_iterations, 1.0 - spec.iteration_success_rate
+        # (1 - q**cap, log q) of the geometric law on {1..cap}; None where it is always 1
+        geometric = None if q == 0.0 or cap == 1 else (1.0 - q ** cap, math.log(q))
+        needs = iterations[spec.id] = [cap] * node_count
+        values = qualities[spec.id] = [None] * node_count
+        for number, prefix in enumerate(prefixes):
+            key = prefix + hid
+            # the integer that random.Random(key.decode()) seeds its generator with
+            reseed(int.from_bytes(key + _sha512(key).digest(), "big"))
+            if draw() < spec.success_probability:
+                needs[number] = 1 if geometric is None else min(max(math.ceil(
+                    math.log1p(-(draw() * geometric[0])) / geometric[1]), 1), cap)
+                # the first value of rng.gauss(quality_mean, quality_spread) after seeding
+                x2pi = draw() * math.tau
+                z = math.cos(x2pi) * math.sqrt(-2.0 * math.log(1.0 - draw()))
+                offset = max(0.0, spec.quality_mean + z * spec.quality_spread)
+                values[number] = cfg.optimum_value + offset
+    return SimInstance(seed, cfg.heuristics, nodes, OutcomeColumns(nodes, iterations, qualities),
+                       cfg.interarrival_seconds, cfg.optimum_value)
 
 
 def _shadow_rows(inst: SimInstance, seen_nodes: set) -> list[tuple]:
     """Checked ``(heuristic, node, tau, executed, duration)`` rows of one
     instance, node by node; each node joins ``seen_nodes`` and must not be in it."""
+    columns = [(spec.id, spec.seconds_per_iteration, inst.outcomes.iterations[spec.id],
+                inst.outcomes.qualities[spec.id]) for spec in inst.heuristics]
     rows: list[tuple] = []
-    for node in inst.nodes:
+    for number, node in enumerate(inst.nodes):
         _claim_node(node, seen_nodes)
         validate_identifier(node, "node")
-        for spec in inst.heuristics:
-            outcome = inst.outcome(node, spec.id)
-            iterations = outcome.iterations
-            tau = iterations if outcome.succeeds else None
-            duration = iterations * spec.seconds_per_iteration
-            check_row(spec.id, node, tau, iterations, duration)
-            rows.append((spec.id, node, tau, iterations, duration))
+        for hid, seconds, needs, values in columns:
+            iterations = needs[number]
+            if iterations is None:
+                inst.outcome(node, hid)  # raises: the pair has no outcome
+            tau = iterations if values[number] is not None else None
+            duration = iterations * seconds
+            check_row(hid, node, tau, iterations, duration)
+            rows.append((hid, node, tau, iterations, duration))
     return rows
 
 
@@ -332,6 +374,48 @@ def simulate_shadow_dataset(cfg: SimConfig, seeds) -> Dataset:
     return _shadow_dataset(cfg.heuristic_ids(), parts)
 
 
+def _replay(inst: SimInstance, s: Schedule, time_limit: float, spent: list | None = None):
+    """The replay kernel of ``run_with_schedule``: its incumbent timeline and, per
+    node reached, ``(calls made, success position or None)``; ``spent``, if
+    given, receives the iterations of every call in order."""
+    require_time_limit(time_limit)
+    spec_of = {spec.id: spec for spec in inst.heuristics}
+    for heuristic, _ in s.entries:  # see run_with_schedule on tuple free lists
+        if heuristic not in spec_of:
+            raise InputError(f"schedule heuristic {heuristic!r} is unknown to the instance")
+    entries = [(position, heuristic, budget, inst.outcomes.iterations[heuristic],
+                inst.outcomes.qualities[heuristic], spec_of[heuristic].seconds_per_iteration)
+               for position, (heuristic, budget) in enumerate(s.entries, start=1)]
+    clock, incumbent = 0.0, None
+    events, reached = [], []
+    for number in range(len(inst.nodes)):
+        clock += inst.interarrival_seconds
+        if clock >= time_limit:
+            break
+        position, success_position = 0, None
+        for position, heuristic, budget, needs, values, seconds in entries:
+            iterations, quality = needs[number], values[number]
+            hit = quality is not None and iterations <= budget
+            if not hit:  # a miss spends the whole budget
+                if iterations is None:
+                    inst.outcome(inst.nodes[number], heuristic)  # raises: the pair has no outcome
+                iterations = budget
+            clock += iterations * seconds
+            if spent is not None:
+                spent.append(iterations)
+            if clock >= time_limit:
+                break
+            if hit and (incumbent is None or quality < incumbent):
+                incumbent = quality
+                events.append((clock, quality))
+                success_position = position
+                break
+        reached.append((position, success_position))
+        if clock >= time_limit:  # only a call that reached the limit leaves it there
+            break
+    return IncumbentTimeline(tuple(events), best_known=inst.optimum_value, sense="min"), reached
+
+
 def run_with_schedule(inst: SimInstance, s: Schedule, time_limit: float) -> RunTrace:
     """Replay a schedule with heuristic-loop semantics.
 
@@ -343,45 +427,16 @@ def run_with_schedule(inst: SimInstance, s: Schedule, time_limit: float) -> RunT
     event; non-improving successes cost their iterations but the loop goes
     on.  The run stops once the clock reaches the time limit.
     """
-    require_time_limit(time_limit)
-    spec_of = {spec.id: spec for spec in inst.heuristics}
-    for heuristic in s.heuristics:
-        if heuristic not in spec_of:
-            raise InputError(f"schedule heuristic {heuristic!r} is unknown to the instance")
-
-    clock = 0.0
-    incumbent: float | None = None
-    events: list[tuple[float, float]] = []
-    records: list[NodeRecord] = []
-    timed_out = False
-    for node in inst.nodes:
-        clock += inst.interarrival_seconds
-        if clock >= time_limit:
-            timed_out = True
-            break
-        calls: list[tuple[str, int]] = []
-        success_position: int | None = None
-        for position, (heuristic, budget) in enumerate(s.entries, start=1):
-            outcome = inst.outcome(node, heuristic)
-            spec = spec_of[heuristic]
-            hit = outcome.succeeds and outcome.iterations <= budget
-            spent = outcome.iterations if hit else budget
-            clock += spent * spec.seconds_per_iteration
-            calls.append((heuristic, spent))
-            if clock >= time_limit:
-                timed_out = True
-                break
-            if hit:
-                improving = incumbent is None or outcome.quality < incumbent
-                if improving:
-                    incumbent = outcome.quality
-                    events.append((clock, outcome.quality))
-                    success_position = position
-                    break
+    spent: list[int] = []
+    timeline, reached = _replay(inst, s, time_limit, spent)
+    # calls come from lists: tuple() of an iterator is resized, and CPython's free
+    # list for the final length keeps each one, so repeated replays raise peak memory
+    heuristics = [heuristic for heuristic, _ in s.entries]
+    records, start = [], 0
+    for node, (made, success_position) in zip(inst.nodes, reached):
+        calls = list(zip(heuristics, spent[start:start + made]))
         records.append(NodeRecord(node, tuple(calls), success_position))
-        if timed_out:
-            break
-    timeline = IncumbentTimeline(tuple(events), best_known=inst.optimum_value, sense="min")
+        start += made
     return RunTrace(tuple(records), timeline)
 
 
@@ -442,7 +497,7 @@ def _replay_integrals(cfg: SimConfig, seeds, schedules, baseline: Schedule, limi
 
     def replay(index):
         inst = generate_instance(cfg, seeds[index])
-        integrals = [primal_integral(run_with_schedule(inst, s, limit).timeline, limit)
+        integrals = [primal_integral(_replay(inst, s, limit)[0], limit)
                      for s in (*schedules, baseline)]
         return integrals[:-1], integrals[-1]
 
@@ -596,8 +651,7 @@ def load_sim_config(source: str) -> SimConfig:
         if "=" not in line:
             raise InputError(f"line {lineno}: expected 'key = value', got {line!r}")
         key, _, value = line.partition("=")
-        key = key.strip()
-        value = value.strip()
+        key, value = key.strip(), value.strip()
         if not key:
             raise InputError(f"line {lineno}: empty key")
         if key in entries:
@@ -613,10 +667,8 @@ def load_sim_config(source: str) -> SimConfig:
     if not ids:
         raise InputError("configuration key 'heuristics' lists no heuristic ids")
 
-    allowed = {"name", "heuristics", *(key for key, _ in _NUMBER_KEYS)}
-    for hid in ids:
-        for sub, _ in _HEURISTIC_KEYS:
-            allowed.add(f"{hid}.{sub}")
+    allowed = {"name", "heuristics", *(key for key, _ in _NUMBER_KEYS),
+               *(f"{hid}.{sub}" for hid in ids for sub, _ in _HEURISTIC_KEYS)}
     unknown = sorted(set(entries) - allowed)
     if unknown:
         raise InputError(f"unknown configuration keys: {', '.join(unknown)}")

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import gc
+import hashlib
 import json
 import os
 import re
@@ -228,14 +230,14 @@ def test_simulate_rejects_a_rate_whose_complement_rounds_to_one(tmp_path, capsys
 
 def test_compare_failing_seeds_exit_cleanly_with_the_first_error(tmp_path, capsys, monkeypatch):
     cfg_path, schedule_path = _compare_inputs(tmp_path)
-    replay = simulator.run_with_schedule
+    replay = simulator._replay  # the replay kernel that compare runs per schedule
 
     def refusing(inst, s, limit):
         if inst.seed in (9, 5):
             raise InputError(f"seed {inst.seed} refused")
         return replay(inst, s, limit)
 
-    monkeypatch.setattr(simulator, "run_with_schedule", refusing)
+    monkeypatch.setattr(simulator, "_replay", refusing)
     monkeypatch.setattr(workers, "_worker_count", lambda: 3)
     out = tmp_path / "cmp.csv"
     # seed 9 is a worker's, seed 5 the caller's second
@@ -556,3 +558,131 @@ def test_module_runs_from_a_source_checkout(tmp_path, worked_csv, module):
     assert done.returncode == 1
     assert "alpha must lie in [0, 1]" in done.stderr
     assert not (tmp_path / "model.txt").exists()
+
+
+# SHA-256 of the simulate, compare and run outputs below on the planted
+# configuration, recorded with the dict-based simulator (Python 3.11); every
+# supported Python must write the same bytes
+GOLDEN_DIGESTS = {
+    "data.csv": "c4fc22a1df239479487ab678e6ba7d8ddfa2bf4f314b89a73d5a01d6e27ce4c3",
+    "cmp.csv": "a94a6cf59a25e9c0b073d3e7acb558532b058223c9a77feb9c72c1d66f9c10fc",
+    "run.timeline": "fbe7dd5553cf8815e1803d54372a5a34164e56448a79ed3ff592d5d29c23c821",
+}
+
+
+def test_simulator_outputs_match_golden_digests(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    _compare_inputs(tmp_path)
+    for argv in (["simulate", "--config", "planted.cfg", "--seed", "3", "--instances", "6",
+                  "--out", "data.csv"],
+                 ["compare", "--config", "planted.cfg", "--schedule", "sched.csv", "--seeds", "7",
+                  "--time-limit", "300", "--out", "cmp.csv"],
+                 ["run", "--config", "planted.cfg", "--schedule", "sched.csv", "--seed", "0",
+                  "--time-limit", "60", "--out", "run.timeline"]):
+        assert dispatch(argv) == 0
+    capsys.readouterr()
+    assert {name: hashlib.sha256(Path(name).read_bytes()).hexdigest()
+            for name in GOLDEN_DIGESTS} == GOLDEN_DIGESTS
+
+
+def _overflowing_default_limit(tmp_path):
+    cfg_path, schedule_path = _compare_inputs(tmp_path)
+    cfg_path.write_text(PLANTED_CFG.replace("quick.max_iterations = 20",
+                                            f"quick.max_iterations = {2 ** 53}")
+                        .replace("quick.seconds_per_iteration = 0.05",
+                                 "quick.seconds_per_iteration = 1e300"), encoding="utf-8")
+    return cfg_path, schedule_path
+
+
+@pytest.mark.parametrize("command", ["run", "compare"])
+def test_overflowing_default_time_limit_is_named(tmp_path, capsys, command):
+    # the worst-case default limit overflows to inf; it used to be reported as
+    # "time limit must be finite, got inf", a limit nobody gave
+    cfg_path, schedule_path = _overflowing_default_limit(tmp_path)
+    argv = [command, "--config", str(cfg_path), "--schedule", str(schedule_path)] + (
+        ["--seeds", "2"] if command == "compare" else [])
+    assert dispatch(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ("heursched: error: the default time limit (every node running "
+                            "every heuristic to its cap) overflows; set time_limit_seconds or "
+                            "pass --time-limit\n")
+    assert captured.out == ""
+    assert dispatch(argv + ["--time-limit", "60"]) == 0
+    assert "primal integral" in capsys.readouterr().out
+
+
+LONG_TEXTS = ["9" * 5000, "9" * 4999 + "x"]
+
+
+@pytest.mark.parametrize("text", LONG_TEXTS, ids=["5000 digits", "4999 digits and a letter"])
+@pytest.mark.parametrize("argv, flag", [
+    (["simulate", "--config", "planted.cfg", "--out", "d.csv", "--instances"], "--instances"),
+    (["simulate", "--config", "planted.cfg", "--out", "d.csv", "--seed"], "--seed"),
+    (["run", "--config", "planted.cfg", "--schedule", "sched.csv", "--seed"], "--seed"),
+    (["crossval", "--configs", "planted.cfg,planted.cfg", "--folds"], "--folds"),
+    (["crossval", "--configs", "planted.cfg,planted.cfg", "--folds", "1", "--seed"], "--seed"),
+    (["exact", "--data", "worked.csv", "--max-heuristics"], "--max-heuristics"),
+    (["exact", "--data", "worked.csv", "--max-breakpoints"], "--max-breakpoints"),
+    (["exact", "--data", "worked.csv", "--enumeration-budget"], "--enumeration-budget"),
+], ids=["simulate instances", "simulate seed", "run seed", "crossval folds", "crossval seed",
+        "max-heuristics", "max-breakpoints", "enumeration-budget"])
+def test_integer_flags_quote_long_texts_briefly(tmp_path, monkeypatch, capsys, argv, flag, text):
+    # int() refuses these texts; the whole text used to be repeated in the error
+    monkeypatch.chdir(tmp_path)
+    _compare_inputs(tmp_path)
+    assert dispatch(argv + [text]) == 1
+    err = capsys.readouterr().err
+    first = err.splitlines()[0]
+    assert first == (f"heursched: error: argument {flag}: invalid int value: "
+                     f"{text[:20]!r}... (5000 characters)")
+    assert len(err) < 1000
+
+
+def test_seed_lists_quote_long_entries_briefly_and_keep_exact_seeds(tmp_path, capsys):
+    cfg_path, schedule_path = _compare_inputs(tmp_path)
+    argv = ["compare", "--config", str(cfg_path), "--schedule", str(schedule_path), "--seeds"]
+    for text in LONG_TEXTS:
+        seeds = f"1,2,{text}"
+        assert dispatch(argv + [seeds]) == 1
+        assert capsys.readouterr().err == (f"heursched: error: cannot parse seeds from "
+                                           f"{seeds[:20]!r}... (5004 characters): expected a "
+                                           "count or a comma-separated list\n")
+    # short texts keep their messages; a large seed is used as given
+    assert dispatch(argv + ["1,x"]) == 1
+    assert capsys.readouterr().err == ("heursched: error: cannot parse seeds from '1,x': "
+                                       "expected a count or a comma-separated list\n")
+    assert dispatch(["run", "--config", str(cfg_path), "--schedule", str(schedule_path),
+                     "--seed", "x1"]) == 1
+    assert capsys.readouterr().err.splitlines()[0] == ("heursched: error: argument --seed: "
+                                                       "invalid int value: 'x1'")
+    out = tmp_path / "cmp.csv"
+    assert dispatch(argv + [f"5,{10 ** 30}", "--time-limit", "100", "--out", str(out)]) == 0
+    assert [line.split(",")[0] for line in out.read_text(encoding="utf-8").splitlines()[1:]] == [
+        "5", str(10 ** 30)]
+
+
+def test_repeated_dispatch_leaves_no_cyclic_garbage(tmp_path, monkeypatch, capsys):
+    # an argparse parser is a web of reference cycles; building one per call
+    # left garbage that waits for a full collection, which a run that makes
+    # few container objects seldom triggers, so memory crept up call by call
+    # (manifests are not written here: json's indented encoder makes cycles too)
+    monkeypatch.chdir(tmp_path)
+    _compare_inputs(tmp_path)
+    Path("run.timeline").write_text("time_seconds,objective_value\n1.0,105.0\n",
+                                    encoding="utf-8")
+    argv = [["compare", "--config", "planted.cfg", "--schedule", "sched.csv", "--seeds", "3",
+             "--time-limit", "60"],
+            ["run", "--config", "planted.cfg", "--schedule", "sched.csv", "--time-limit", "60"],
+            ["metrics", "--timeline", "run.timeline", "--best-known", "100", "--time-limit", "60"]]
+    for args in argv:
+        assert dispatch(args) == 0
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(3):
+            for args in argv:
+                assert dispatch(args) == 0
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    capsys.readouterr()

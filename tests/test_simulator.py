@@ -13,13 +13,14 @@ from hypothesis import strategies as st
 
 import heursched.simulator as simulator
 import heursched.workers as workers
-from heursched import (GreedyOptions, HeuristicSpec, InputError, LatentOutcome, Observation,
-                       Schedule, SimConfig, SimInstance, breakpoints, build_schedule,
-                       collect_shadow_dataset, compare_policies, default_baseline, dump_dataset,
-                       evaluate, generate_instance, load_dataset, load_sim_config, node_cost,
-                       primal_integral, run_with_schedule)
+from heursched import (GreedyOptions, HeuristicSpec, IncumbentTimeline, InputError,
+                       LatentOutcome, Observation, RunTrace, Schedule, SimConfig, SimInstance,
+                       breakpoints, build_schedule, collect_shadow_dataset, compare_policies,
+                       default_baseline, dump_dataset, evaluate, generate_instance, load_dataset,
+                       load_sim_config, node_cost, primal_integral, run_with_schedule)
 from heursched.cli import dispatch
-from heursched.simulator import run_crossval, simulate_shadow_dataset
+from heursched.simulator import (NodeRecord, OutcomeColumns, SeedComparison, run_crossval,
+                                 simulate_shadow_dataset)
 
 from conftest import COVERAGE_CFG, PLANTED_CFG
 
@@ -551,7 +552,7 @@ def test_crossval_draws_each_instance_once(monkeypatch, tmp_path):
     configs[1] = dataclasses.replace(configs[1], instances=4)
     log = tmp_path / "calls.txt"
     record = _appender(log)
-    generate, replay = simulator.generate_instance, simulator.run_with_schedule
+    generate, replay = simulator.generate_instance, simulator._replay
 
     def counting_generate(cfg, seed):
         record("draw", seed)
@@ -562,7 +563,7 @@ def test_crossval_draws_each_instance_once(monkeypatch, tmp_path):
         return replay(inst, s, limit)
 
     monkeypatch.setattr(simulator, "generate_instance", counting_generate)
-    monkeypatch.setattr(simulator, "run_with_schedule", counting_replay)
+    monkeypatch.setattr(simulator, "_replay", counting_replay)
     folds = 2
     for count in (1, 3):
         monkeypatch.setattr(workers, "_worker_count", lambda: count)
@@ -611,14 +612,14 @@ def test_worker_count_changes_no_result(seeds, monkeypatch, tmp_path):
 
 
 def _refusing_replay(monkeypatch, refused):
-    replay = simulator.run_with_schedule
+    replay = simulator._replay  # the replay kernel that compare runs per schedule
 
     def refusing(inst, s, limit):
         if inst.seed in refused:
             raise InputError(f"seed {inst.seed} refused")
         return replay(inst, s, limit)
 
-    monkeypatch.setattr(simulator, "run_with_schedule", refusing)
+    monkeypatch.setattr(simulator, "_replay", refusing)
 
 
 # with 3 workers the caller replays indexes 0, 3, ...; the workers 1, 4, ... and 2, 5, ...
@@ -760,3 +761,226 @@ def test_first_refused_instance_in_seed_order_raises(seeds, refused, first, monk
             simulate_shadow_dataset(cfg, seeds)
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
+
+
+def _reference_run(inst: SimInstance, outcomes: dict, s: Schedule, time_limit: float,
+                   checkpoints: list | None = None) -> RunTrace:
+    """``run_with_schedule`` as it was before the columns: one loop over the nodes
+    that reads a ``(node, heuristic) -> LatentOutcome`` dict.  ``checkpoints``
+    collects every clock value compared with the time limit."""
+    simulator.require_time_limit(time_limit)
+    spec_of = {spec.id: spec for spec in inst.heuristics}
+    for heuristic in s.heuristics:
+        if heuristic not in spec_of:
+            raise InputError(f"schedule heuristic {heuristic!r} is unknown to the instance")
+    checkpoints = [] if checkpoints is None else checkpoints
+    clock, incumbent, events, records, timed_out = 0.0, None, [], [], False
+    for node in inst.nodes:
+        clock += inst.interarrival_seconds
+        checkpoints.append(clock)
+        if clock >= time_limit:
+            break
+        calls, success_position = [], None
+        for position, (heuristic, budget) in enumerate(s.entries, start=1):
+            try:
+                outcome = outcomes[(node, heuristic)]
+            except KeyError:
+                raise InputError(f"no latent outcome for ({node!r}, {heuristic!r})") from None
+            hit = outcome.succeeds and outcome.iterations <= budget
+            spent = outcome.iterations if hit else budget
+            clock += spent * spec_of[heuristic].seconds_per_iteration
+            checkpoints.append(clock)
+            calls.append((heuristic, spent))
+            if clock >= time_limit:
+                timed_out = True
+                break
+            if hit and (incumbent is None or outcome.quality < incumbent):
+                incumbent = outcome.quality
+                events.append((clock, outcome.quality))
+                success_position = position
+                break
+        records.append(NodeRecord(node, tuple(calls), success_position))
+        if timed_out:
+            break
+    timeline = IncumbentTimeline(tuple(events), best_known=inst.optimum_value, sense="min")
+    return RunTrace(tuple(records), timeline)
+
+
+def _run_or_error(run, *args):
+    try:
+        return run(*args)
+    except InputError as exc:
+        return f"InputError: {exc}"
+
+
+@st.composite
+def replay_cases(draw):
+    """A hand-built instance, the dict it was built from and a schedule.  Few
+    quality levels give equal and non-improving successes; some pairs may be
+    missing; the limit is none, a clock value the replay compares it with
+    (an arrival or a call) or any time up to the end of the run."""
+    ids = [f"h{i}" for i in range(draw(st.integers(1, 4)))]
+    specs = tuple(HeuristicSpec(h, "DIVING", 0.5, 0.5, draw(st.integers(1, 6)),
+                                draw(st.sampled_from((0.05, 0.5, 2.0))), 1.0, 1.0)
+                  for h in ids)
+    nodes = tuple(f"n{k}" for k in range(draw(st.integers(0, 6))))
+    missing = draw(st.sampled_from((0.0, 0.0, 0.1)))
+    outcomes = {}
+    for node in nodes:
+        for spec in specs:
+            kind = draw(st.sampled_from(("success", "success", "failure", "missing")))
+            if kind == "missing" and missing:
+                continue
+            if kind == "success":
+                outcomes[(node, spec.id)] = LatentOutcome(
+                    True, draw(st.integers(1, spec.max_iterations)),
+                    draw(st.sampled_from((70.0, 80.0, 80.0, 90.0))))
+            else:
+                outcomes[(node, spec.id)] = LatentOutcome(False, spec.max_iterations, None)
+    inst = SimInstance(seed=0, heuristics=specs, nodes=nodes, outcomes=outcomes,
+                       interarrival_seconds=draw(st.sampled_from((0.1, 0.5, 1.0))),
+                       optimum_value=60.0)
+    order = draw(st.permutations(specs))[:draw(st.integers(0, len(specs)))]
+    schedule = Schedule(tuple((spec.id, draw(st.integers(1, spec.max_iterations + 2)))
+                              for spec in order))
+    checkpoints = []
+    _run_or_error(_reference_run, inst, outcomes, schedule, 1e9, checkpoints)
+    end = checkpoints[-1] if checkpoints else 1.0
+    limit = draw(st.just(1e9) | st.sampled_from(checkpoints or [1.0])
+                 | st.floats(end / 1000, end))
+    return inst, outcomes, schedule, limit
+
+
+@settings(max_examples=400)
+@given(case=replay_cases())
+def test_replay_equals_the_dict_based_loop(case):
+    inst, outcomes, schedule, limit = case
+    assert (_run_or_error(run_with_schedule, inst, schedule, limit)
+            == _run_or_error(_reference_run, inst, outcomes, schedule, limit))
+
+
+def _two_node_case(outcome_b1):
+    """Nodes n0, n1 and heuristics a, b (one second per iteration, arrivals 1 s
+    apart); a finds 80 at n0, then n1 sees a at 80 again and b as given."""
+    spec_a = HeuristicSpec("a", "DIVING", 1.0, 0.5, 5, 1.0, 5.0, 1.0)
+    spec_b = HeuristicSpec("b", "LNS", 1.0, 0.5, 5, 1.0, 5.0, 1.0)
+    outcomes = {("n0", "a"): LatentOutcome(True, 2, 80.0),
+                ("n0", "b"): LatentOutcome(False, 5, None),
+                ("n1", "a"): LatentOutcome(True, 1, 80.0)}
+    if outcome_b1 is not None:
+        outcomes[("n1", "b")] = outcome_b1
+    inst = SimInstance(seed=0, heuristics=(spec_a, spec_b), nodes=("n0", "n1"), outcomes=outcomes,
+                       interarrival_seconds=1.0, optimum_value=60.0)
+    return inst, outcomes
+
+
+# clock: n0 arrives at 1, a finds 80 at 3; n1 arrives at 4, a (equal, not
+# improving) ends at 5, b at 5 + its iterations
+@pytest.mark.parametrize("outcome_b1, entries, limit, expected", [
+    (LatentOutcome(True, 2, 70.0), (("a", 3), ("b", 3)), 1e9,
+     ((("a", 2),), 1, (("a", 1), ("b", 2)), 2, ((3.0, 80.0), (7.0, 70.0)))),
+    (LatentOutcome(True, 2, 70.0), (("a", 3), ("b", 3)), 4.0,
+     ((("a", 2),), 1, None, None, ((3.0, 80.0),))),
+    (LatentOutcome(True, 2, 70.0), (("a", 3), ("b", 3)), 6.0,
+     ((("a", 2),), 1, (("a", 1), ("b", 2)), None, ((3.0, 80.0),))),
+    (LatentOutcome(True, 2, 80.0), (("a", 3), ("b", 3)), 1e9,
+     ((("a", 2),), 1, (("a", 1), ("b", 2)), None, ((3.0, 80.0),))),
+    (None, (("a", 3), ("b", 3)), 1e9, "InputError: no latent outcome for ('n1', 'b')"),
+    (None, (("a", 3), ("b", 3)), 4.0, ((("a", 2),), 1, None, None, ((3.0, 80.0),))),
+    (None, (), 1e9, ((), None, (), None, ())),
+], ids=["improving", "cut at an arrival", "cut mid-node", "equal quality", "missing pair",
+        "missing pair beyond the limit", "empty schedule"])
+def test_replay_paths_match_the_dict_based_loop(outcome_b1, entries, limit, expected):
+    inst, outcomes = _two_node_case(outcome_b1)
+    schedule = Schedule(entries)
+    result = _run_or_error(run_with_schedule, inst, schedule, limit)
+    assert result == _run_or_error(_reference_run, inst, outcomes, schedule, limit)
+    if isinstance(expected, str):
+        assert result == expected
+        return
+    calls0, success0, calls1, success1, events = expected
+    assert result.timeline.events == events
+    assert [(record.calls, record.success_position) for record in result.nodes] == (
+        [(calls0, success0)] + ([(calls1, success1)] if calls1 is not None else []))
+
+
+@settings(max_examples=15)
+@given(laws=st.lists(_laws, min_size=1, max_size=3), nodes_max=st.integers(1, 12),
+       seeds=st.lists(st.integers(0, 10**6), min_size=1, max_size=3), data=st.data())
+def test_compare_rows_match_the_dict_based_loop(laws, nodes_max, seeds, data):
+    specs = tuple(HeuristicSpec(f"h{k}", "DIVING", p, rate, cap, 0.1, mean, spread)
+                  for k, (p, rate, cap, mean, spread) in enumerate(laws))
+    cfg = _cfg(heuristics=specs, nodes_min=1, nodes_max=nodes_max)
+    order = data.draw(st.permutations(specs))[:data.draw(st.integers(0, len(specs)))]
+    schedule = Schedule(tuple((spec.id, data.draw(st.integers(1, spec.max_iterations)))
+                              for spec in order))
+    baseline = default_baseline(cfg)
+    comparison = compare_policies(cfg, seeds, schedule, baseline,
+                                  data.draw(st.none() | st.floats(0.5, 50.0)))
+    limit = comparison.time_limit
+    expected = []
+    for seed in seeds:
+        nodes, outcomes = _reference_instance(cfg, seed)
+        inst = SimInstance(seed, specs, nodes, outcomes, cfg.interarrival_seconds,
+                           cfg.optimum_value)
+        integral, baseline_integral = (
+            primal_integral(_reference_run(inst, outcomes, s, limit).timeline, limit)
+            for s in (schedule, baseline))
+        expected.append(SeedComparison(seed, integral, baseline_integral,
+                                       integral / baseline_integral))
+    assert comparison.rows == tuple(expected)
+
+
+@settings(max_examples=30)
+@given(config=st.sampled_from((PLANTED_CFG, COVERAGE_CFG)), seed=st.integers(0, 10**6))
+def test_outcomes_view_reads_like_the_dict(config, seed):
+    cfg = load_sim_config(config)
+    inst = generate_instance(cfg, seed)
+    nodes, outcomes = _reference_instance(cfg, seed)
+    assert isinstance(inst.outcomes, OutcomeColumns)
+    assert list(inst.outcomes) == list(outcomes)
+    assert dict(inst.outcomes) == outcomes
+    assert list(inst.outcomes.items()) == list(outcomes.items())
+    assert len(inst.outcomes) == len(outcomes)
+    built = SimInstance(seed, cfg.heuristics, nodes, outcomes, cfg.interarrival_seconds,
+                        cfg.optimum_value)
+    assert isinstance(built.outcomes, OutcomeColumns)
+    assert (built.outcomes.iterations, built.outcomes.qualities) == (
+        inst.outcomes.iterations, inst.outcomes.qualities)
+    assert built == inst and inst == built
+    assert inst.outcomes == outcomes and outcomes == inst.outcomes
+
+
+def test_outcome_errors_and_conversion_checks():
+    inst, outcomes = _two_node_case(None)  # ("n1", "b") is missing
+    assert ("n1", "b") not in inst.outcomes and ("n1", "a") in inst.outcomes
+    assert len(inst.outcomes) == 3
+    assert list(inst.outcomes) == [("n0", "a"), ("n0", "b"), ("n1", "a")]
+    for node, heuristic in [("n1", "b"), ("n9", "a"), ("n0", "zz")]:
+        with pytest.raises(InputError) as excinfo:
+            inst.outcome(node, heuristic)
+        assert str(excinfo.value) == f"no latent outcome for ({node!r}, {heuristic!r})"
+    with pytest.raises(InputError, match=r"^no latent outcome for \('n1', 'b'\)$"):
+        collect_shadow_dataset([inst])
+    with pytest.raises(TypeError):
+        inst.outcomes[("n1", "b")] = LatentOutcome(False, 5, None)
+    extra = {**outcomes, ("n9", "a"): LatentOutcome(False, 5, None)}
+    with pytest.raises(InputError, match="^latent outcomes name a node or heuristic "
+                                         "the instance lacks$"):
+        dataclasses.replace(inst, outcomes=extra)
+    for succeeds, quality in [(True, None), (False, 80.0)]:
+        with pytest.raises(InputError, match="^a latent outcome has a quality exactly "
+                                             "when it succeeds$"):
+            LatentOutcome(succeeds, 2, quality)
+
+
+def test_default_time_limit_overflow_is_named():
+    # 2**53 iterations of 1e300 seconds overflow the worst-case default to inf
+    cfg = _cfg(heuristics=(_spec(max_iterations=2 ** 53, seconds_per_iteration=1e300),))
+    with pytest.raises(InputError) as excinfo:
+        cfg.effective_time_limit()
+    assert str(excinfo.value) == ("the default time limit (every node running every heuristic "
+                                  "to its cap) overflows; set time_limit_seconds or pass "
+                                  "--time-limit")
+    assert dataclasses.replace(cfg, time_limit_seconds=60.0).effective_time_limit() == 60.0
+    assert compare_policies(cfg, [0], default_baseline(cfg), Schedule(), 60.0).time_limit == 60.0
