@@ -58,7 +58,7 @@ from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, chain
-from operator import mul
+from operator import le, mul
 
 from .dataset import Dataset
 from .errors import InputError, require_finite
@@ -176,25 +176,26 @@ def _linear_rows(names: list, at: Layout, family: Families, d: Dataset, taus: li
     SNi, PMINi = at.pair_node(SN), at.pair_node(PMIN)
     XJ = at.x_rows(X)
     keys = [f"{n},{h}" for n, h in at.pairs(nodes, heuristics)]
+    runs = list(at.by_node(keys))  # ids are made one list per node: transients stay small
     per_node = at.node_major
 
     linear = Rows(names)
     add = linear.add
 
     # each position holds at most one heuristic; each heuristic gets one position
-    add([f"position_capacity[{p}]" for p in range(1, H + 1)], [H] * H, [1] * (H * H),
+    add((f"position_capacity[{p}]" for p in range(1, H + 1)), [H] * H, [1] * (H * H),
         _flat(at.x_columns(X)[1:]), ["<="] * H, [1] * H)
     # a heuristic outside the schedule gets budget zero
     tags = ("placement", "position_link", "budget_link")
-    add([f"{tag}[{h}]" for h in heuristics for tag in tags], [H + 1, H + 1, 2] * H,
+    add((f"{tag}[{h}]" for h in heuristics for tag in tags), [H + 1, H + 1, 2] * H,
         _flat([*[1] * (H + 1), 1, *range(-1, -H - 1, -1), 1, horizon[h]] for h in heuristics),
         _flat([*XJ[j], P[j], *XJ[j][1:], T[j], XJ[j][0]] for j in range(H)),
         ["=", "=", "<="] * H, _flat((1, 0, horizon[h]) for h in heuristics))
 
     # budget-coverage indicator per (node, heuristic); M = horizon + 1
     bigs = [horizon[h] + 1 for h in heuristics] * N
-    add([cid for key, t_req in zip(keys, taus) for cid in
-         ((f"solve_never[{key}]",) if t_req is None else (f"solve_lb[{key}]", f"solve_ub[{key}]"))],
+    add((cid for key, t_req in zip(keys, taus) for cid in
+         ((f"solve_never[{key}]",) if t_req is None else (f"solve_lb[{key}]", f"solve_ub[{key}]"))),
         [k for t_req in taus for k in ((1,) if t_req is None else (2, 2))],
         [c for t_req, big in zip(taus, bigs)
          for c in ((1,) if t_req is None else (1, -t_req, 1, -big))],
@@ -203,8 +204,8 @@ def _linear_rows(names: list, at: Layout, family: Families, d: Dataset, taus: li
         [r for t_req in taus for r in ((0,) if t_req is None else (0, t_req - 1))])
 
     # a node is solved exactly when some heuristic covers it
-    add(per_node([f"node_solved_ub[{n}]" for n in nodes],
-                 [f"node_solved_lb[{key}]" for key in keys]),
+    add(_flat([f"node_solved_ub[{n}]", *[f"node_solved_lb[{key}]" for key in run]]
+              for n, run in zip(nodes, runs)),
         ([H + 1] + [2] * H) * N, ([1] + [-1] * H + [1, -1] * H) * N,
         per_node(SN, S, list(_flat(zip(SNi, S)))),
         (["<="] + [">="] * H) * N, [0] * (N * (H + 1)))
@@ -215,8 +216,8 @@ def _linear_rows(names: list, at: Layout, family: Families, d: Dataset, taus: li
     # (position if h covers the node else the heuristic count)
     tags = ("min_term_cover_lb", "min_term_cover_ub", "min_term_miss_lb", "first_position_ub",
             "first_position_lb")
-    add(per_node([f"{tag}[{key}]" for key in keys for tag in tags],
-                 [f"first_position_pick[{n}]" for n in nodes]),
+    add(_flat([*[f"{tag}[{key}]" for key in run for tag in tags], f"first_position_pick[{n}]"]
+              for n, run in zip(nodes, runs)),
         ([3, 3, 2, 2, 3] * H + [H]) * N,
         ([1, -1, -H, 1, -1, H, 1, H, 1, -1, 1, -1, -H] * H + [1] * H) * N,
         per_node(list(_flat(zip(M, Pj, S, M, Pj, S, M, S, PMINi, M, PMINi, M, Y))), Y),
@@ -225,7 +226,7 @@ def _linear_rows(names: list, at: Layout, family: Families, d: Dataset, taus: li
     # strict order indicators around pmin: z before, w after, f exactly at
     tags = ("before_first_ub", "before_first_lb", "after_first_ub", "after_first_lb",
             "first_solver_def")
-    add([f"{tag}[{key}]" for key in keys for tag in tags], [3] * (5 * pairs),
+    add(_flat([f"{tag}[{key}]" for key in run for tag in tags] for run in runs), [3] * (5 * pairs),
         [1, -1, -H, 1, -1, -H, 1, -1, -H, 1, -1, -(H + 1), 1, 1, 1] * pairs,
         _flat(zip(PMINi, Pj, Z, PMINi, Pj, Z, Pj, PMINi, W, Pj, PMINi, W, Z, W, F)),
         ["<=", ">=", "<=", ">=", "="] * pairs, [0, 1 - H, 0, -H, 1] * pairs)
@@ -233,7 +234,8 @@ def _linear_rows(names: list, at: Layout, family: Families, d: Dataset, taus: li
     # products with the node-solved flag, used by the node-time constraint
     tags = [f"{tag}_{bound}" for tag in ("solved_and_before", "solved_and_first")
             for bound in ("ub1", "ub2", "lb")]
-    add([f"{tag}[{key}]" for key in keys for tag in tags], [2, 2, 3, 2, 2, 3] * pairs,
+    add(_flat([f"{tag}[{key}]" for key in run for tag in tags] for run in runs),
+        [2, 2, 3, 2, 2, 3] * pairs,
         [1, -1, 1, -1, 1, -1, -1] * (2 * pairs),
         _flat(zip(U, SNi, U, Z, U, SNi, Z, V, SNi, V, F, V, SNi, F)),
         ["<=", "<=", ">="] * (2 * pairs), [0, 0, -1] * (2 * pairs))
@@ -250,7 +252,7 @@ def _node_time_rows(names: list, at: Layout, family: Families, d: Dataset, taus:
     lengths = [1 if t_req is None else 2 for t_req in taus]
     bounds = list(accumulate(map(sum, at.by_node(lengths)), initial=0))
     quadratic = Rows(names, quadratic=True)
-    quadratic.add([f"node_time[{n}]" for n in d.nodes],
+    quadratic.add((f"node_time[{n}]" for n in d.nodes),
                   [2 + b - a for a, b in zip(bounds, bounds[1:])],
                   _flat(chain((1, 1), pair_coefs[a:b]) for a, b in zip(bounds, bounds[1:])),
                   _flat(chain((tn, sn), pair_vars[a:b])
@@ -275,10 +277,15 @@ def export_miqp(d: Dataset, alpha: float, sink) -> MiqpModel:
 
 def _coerce_assignment(model: MiqpModel, assignment) -> tuple[list, list[str]]:
     """Validate coverage, integrality and bounds; return integer values in variable order."""
-    violations: list[str] = []
-    values: list[int] = []
-    append = values.append
     variables = model.variables
+    # all clear in one pass in C (a missing name reads None), or the loop names each problem
+    values = list(map(assignment.get, variables.names))
+    if ({*map(type, values)} <= {int} and all(map(le, variables.lowers, values))
+            and all(map(le, values, variables.uppers))):
+        return values, []
+    violations: list[str] = []
+    values = []
+    append = values.append
     for name, lower, upper in zip(variables.names, variables.lowers, variables.uppers):
         if name not in assignment:
             raise InputError(f"assignment is missing variable {name!r}")

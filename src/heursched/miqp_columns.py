@@ -8,12 +8,17 @@ per-node and per-pair lists line up with those slices.  ``VariableRows`` are
 the columns ``names``, ``kinds``, ``lowers``, ``uppers`` and ``families``.
 ``Rows`` are ``cids``, ``ends`` (cumulative term counts), ``coefs``, ``vars``,
 ``ops`` and ``rhs``; quadratic rows add ``qends``, ``qcoefs`` and ``qvars``
-(two indices per term ``c * a * b``).  ``Terms``, the objective, are
-``coefs`` and ``vars``.  Everything reads back with names: a variable as a
-``MiqpVariable``, a row as ``(id, (c1, name1, ...), operator, right-hand
-side)`` (a quadratic row adds ``(c1, a1, b1, ...)`` before the operator),
-the objective as ``(c1, name1, ...)``.  ``convert_rows`` and ``indexed``
-check rows and terms given in that form as they store them.
+(two indices per term ``c * a * b``).  ``cids`` holds one newline-joined text
+of ids per ``CHUNK_ROWS`` rows, joined as blocks of rows arrive, so a row id
+must be a non-empty string free of whitespace; ``ends`` and ``qends`` are
+``array("q")``.  A built model holds about 170 bytes per linear row (12
+heuristics by 800 nodes), against about 255 with an id string and an end int per
+row.  ``Terms``, the objective, are ``coefs`` and ``vars``.  Everything reads
+back with names: a variable as a ``MiqpVariable``, a row as ``(id, (c1,
+name1, ...), operator, right-hand side)`` (a quadratic row adds ``(c1, a1,
+b1, ...)`` before the operator), the objective as ``(c1, name1, ...)``.
+``convert_rows`` and ``indexed`` check rows and terms given in that form;
+``convert_rows`` checks every row before it stores any.
 ``VariableRows.declare`` lays out the variables of a built model and
 ``variable_names`` their names, and ``Rows.violated`` evaluates rows on one
 list of values in variable order.
@@ -34,7 +39,7 @@ import math
 from collections import namedtuple
 from collections.abc import Sequence
 from functools import lru_cache
-from itertools import accumulate, chain, islice
+from itertools import accumulate, chain, count, islice
 from numbers import Integral, Real
 from operator import add, mul
 from typing import NamedTuple
@@ -208,25 +213,30 @@ class VariableRows(_Columns):
         return MiqpVariable(*(getattr(self, column)[k] for column in self.columns))
 
 
-def _ends(ends: list, lengths):
+def _ends(ends: Sequence, lengths):
     """Cumulative term counts of rows appended after ``ends``."""
     return islice(accumulate(lengths, initial=ends[-1] if ends else 0), 1, None)
 
 
-def row_sums(ends: list, coefs: list, values: list, *factors: list):
+def row_sums(ends: Sequence, coefs: list, values: list, *factors: list):
     """Each row's terms (coefficient times its variables' values) summed left to
     right from int 0, so integer rows stay exact; ``sum`` would compensate float
-    sums on Python 3.12 and later."""
+    sums on Python 3.12 and later.  Products are formed row by row, never all held."""
     products = coefs
     for variables in factors:
         products = map(mul, products, map(values.__getitem__, variables))
-    products, start = list(products), 0
+    products, start = iter(products), 0
     for end in ends:
         total = 0
-        for product in products[start:end]:
+        for product in islice(products, end - start):
             total += product
         yield total
         start = end
+
+
+@lru_cache(maxsize=2)  # reads of rows in turn split each chunk of ``Rows.cids`` once
+def _ids(chunk: str) -> list:
+    return chunk.split("\n")
 
 
 class Rows(_Columns):
@@ -236,25 +246,30 @@ class Rows(_Columns):
     __slots__ = columns
 
     def __init__(self, names: list, quadratic: bool = False) -> None:
+        from array import array  # an extension module: mapped only by processes that build rows
         self.names = names
-        self.cids, self.ends, self.coefs, self.vars, self.ops, self.rhs = [], [], [], [], [], []
-        self.qends, self.qcoefs, self.qvars = ([], [], []) if quadratic else (None, None, None)
+        self.cids, self.coefs, self.vars, self.ops, self.rhs = [], [], [], [], []
+        self.ends = array("q")
+        self.qends, self.qcoefs, self.qvars = (array("q"), [], []) if quadratic else (None,) * 3
 
     def add(self, cids, lengths, coefs, variables, ops, rhs, qlengths=(), qcoefs=(), qvars=()):
         """Append a block of rows column by column; ``lengths`` count each row's terms."""
-        self.cids += cids
-        self.ends += _ends(self.ends, lengths)
+        cids, partial = iter(cids), len(self) % CHUNK_ROWS
+        if partial:
+            self.cids[-1] = "\n".join(chain(self.cids[-1:], islice(cids, CHUNK_ROWS - partial)))
+        self.cids += iter(lambda: "\n".join(islice(cids, CHUNK_ROWS)), "")
+        self.ends.extend(_ends(self.ends, lengths))
         self.coefs += coefs
         self.vars += variables
         self.ops += ops
         self.rhs += rhs
         if self.qends is not None:
-            self.qends += _ends(self.qends, qlengths)
+            self.qends.extend(_ends(self.qends, qlengths))
             self.qcoefs += qcoefs
             self.qvars += qvars
 
     def __len__(self) -> int:
-        return len(self.cids)
+        return len(self.ops)
 
     def violated(self, values: list) -> list[str]:
         """The ids of the rows that ``values``, one per variable, break."""
@@ -263,17 +278,20 @@ class Rows(_Columns):
             sums = map(add, sums, row_sums(self.qends, self.qcoefs, values, self.qvars[::2],
                                            self.qvars[1::2]))
         tol = NUMERIC_TOL
-        return [cid for cid, lhs, op, rhs in zip(self.cids, sums, self.ops, self.rhs)
+        return [self._cid(k) for k, lhs, op, rhs in zip(count(), sums, self.ops, self.rhs)
                 if not (lhs <= rhs + tol if op == "<=" else lhs >= rhs - tol if op == ">="
                         else -tol <= lhs - rhs <= tol)]
 
-    def _terms(self, ends: list, coefs: list, variables: list, k: int, arity: int) -> tuple:
+    def _cid(self, k: int) -> str:
+        return _ids(self.cids[k // CHUNK_ROWS])[k % CHUNK_ROWS]
+
+    def _terms(self, ends: Sequence, coefs: list, variables: list, k: int, arity: int) -> tuple:
         start, end = ends[k - 1] if k else 0, ends[k]
         names = map(self.names.__getitem__, variables[arity * start:arity * end])
         return tuple(_flat(zip(coefs[start:end], *[names] * arity)))
 
     def _item(self, k: int) -> tuple:
-        row = (self.cids[k], self._terms(self.ends, self.coefs, self.vars, k, 1))
+        row = (self._cid(k), self._terms(self.ends, self.coefs, self.vars, k, 1))
         if self.qends is not None:
             row += (self._terms(self.qends, self.qcoefs, self.qvars, k, 2),)
         return (*row, self.ops[k], self.rhs[k])
@@ -327,22 +345,27 @@ def indexed(terms, arity: int, index: dict, what: str) -> tuple[list, list]:
 
 
 def convert_rows(rows, names: list, index: dict, quadratic: bool) -> Rows:
-    """Check rows given with names and store them as columns."""
-    table = Rows(names, quadratic)
+    """Check rows given with names, then store them as columns in one block."""
+    block = [[] for _ in range(9 if quadratic else 6)]  # the arguments of ``Rows.add``
     for row in map(tuple, rows):
         if len(row) != 4 + quadratic:
             raise InputError(f"a {'quadratic' if quadratic else 'linear'} row has "
                              f"{4 + quadratic} items, got {row!r}")
         cid, terms, *squares, op, rhs = row
+        if not isinstance(cid, str) or cid.split() != [cid]:  # ids are stored newline-joined
+            raise InputError(f"row id {cid!r} must be a non-empty string without whitespace")
         if op not in OPERATORS:
             raise InputError(f"{cid}: operator {op!r} is not one of <=, >=, =")
         _number(rhs, f"{cid}: right-hand side")
         coefs, variables = indexed(terms, 1, index, cid)
-        quad = ()
+        parts = [(cid,), (len(coefs),), coefs, variables, (op,), (rhs,)]
         if quadratic:
             qcoefs, qvars = indexed(squares[0], 2, index, cid)
-            quad = ((len(qcoefs),), qcoefs, qvars)
-        table.add((cid,), (len(coefs),), coefs, variables, (op,), (rhs,), *quad)
+            parts += [(len(qcoefs),), qcoefs, qvars]
+        for column, part in zip(block, parts):
+            column += part
+    table = Rows(names, quadratic)
+    table.add(*block)
     return table
 
 
@@ -376,7 +399,7 @@ def _pieces(coefs: list, names) -> list:
 def row_chunks(rows: Rows):
     """The rows as text lines, ``CHUNK_ROWS`` rows per chunk (see the module docstring)."""
     names, coefs, variables = rows.names, rows.coefs, rows.vars
-    for first in range(0, len(rows), CHUNK_ROWS):
+    for first, ids in zip(range(0, len(rows), CHUNK_ROWS), rows.cids):
         last = min(first + CHUNK_ROWS, len(rows))
         bounds = rows.ends[first - 1:last] if first else [0, *rows.ends[:last]]
         start, stop = bounds[0], bounds[-1]
@@ -391,7 +414,7 @@ def row_chunks(rows: Rows):
                    for a, b, op in zip(qb, qb[1:], ops)]
             del products  # the largest transient of a chunk: freed before the chunk's join
         tail = ""  # operator, right-hand side and newline of the rows since the last slot
-        for cid, at, end, op, rhs in zip(rows.cids[first:last], bounds, bounds[1:], ops,
+        for cid, at, end, op, rhs in zip(ids.split("\n"), bounds, bounds[1:], ops,
                                          map(num, rows.rhs[first:last])):
             if at == end:
                 tail = f"{tail}{cid}:  {op} {rhs}\n"

@@ -7,6 +7,8 @@ import io
 import math
 import random
 import re
+import tracemalloc
+from array import array
 
 import pytest
 from hypothesis import given, settings
@@ -16,6 +18,7 @@ from heursched import (CheckResult, Dataset, InputError, MiqpModel, Observation,
                        breakpoints, build_miqp, check_assignment, check_linearized, evaluate,
                        export_miqp, schedule_assignment, solve_exact)
 from heursched.miqp import _coerce_assignment
+from heursched.miqp_columns import CHUNK_ROWS
 
 from conftest import random_dataset
 
@@ -223,12 +226,17 @@ def test_rendered_bytes_are_pinned(worked, case, alpha):
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == RENDER_DIGESTS[case]
 
 
-def test_export_streams_chunks_that_join_to_the_rendering():
+def twelve_by_two_hundred():
+    """12 heuristics by 200 nodes, a model of 45,449 linear rows."""
     def tau(i, j):
         return (i * (j + 1)) % 9 + 1 if (i + j) % 4 else None
 
-    d = Dataset.from_observations(Observation(f"h{j}", f"N{i}", tau(i, j), 10)
-                                  for j in range(12) for i in range(200))
+    return Dataset.from_observations(Observation(f"h{j}", f"N{i}", tau(i, j), 10)
+                                     for j in range(12) for i in range(200))
+
+
+def test_export_streams_chunks_that_join_to_the_rendering():
+    d = twelve_by_two_hundred()
 
     class CountingStream:
         def __init__(self):
@@ -248,6 +256,25 @@ def test_export_streams_chunks_that_join_to_the_rendering():
     assert (len(model.linear), len(text)) == (45449, 3851424)
     assert (hashlib.sha256(text.encode("utf-8")).hexdigest()
             == "4763e17cb8460ea79ae5dda944adba63ce93571f1153732ab4f8b3cf69b28a5d")
+
+
+def test_built_model_holds_under_200_bytes_per_row():
+    # Row ids used to be one str object each and term ends one int object per
+    # row: about 251 bytes held per linear row here.  Ids joined per chunk and
+    # ends in an array hold about 163 on CPython 3.11; 200 leaves room for
+    # other versions' object sizes.
+    d = twelve_by_two_hundred()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        model = build_miqp(d, 0.5)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    rows = len(model.linear)
+    assert rows == 45449
+    assert held / rows < 200
+    assert len(model.linear.cids) == math.ceil(rows / CHUNK_ROWS)
 
 
 def test_integers_above_2_53_render_exactly(tmp_path):
@@ -346,7 +373,8 @@ def test_model_storage_is_a_fixed_set_of_flat_lists(worked):
     # Hundreds of thousands of row or variable containers made every garbage
     # collection rescan the whole model.  The model keeps its variables, rows
     # and objective in flat columns instead: the same few lists of numbers and
-    # strings whatever the model size, none of which the collector looks into.
+    # strings, and arrays of term ends, whatever the model size, none of which
+    # the collector looks into.
     def columns(model):  # linear rows leave the quadratic-term columns unset
         return [getattr(part, column)
                 for part in (model.variables, model.objective, model.linear, model.quadratic)
@@ -360,7 +388,10 @@ def test_model_storage_is_a_fixed_set_of_flat_lists(worked):
         for j in range(5) for i in range(40)), 0.5)
     assert len(large.linear) > 20 * len(small.linear)
     for model in (small, large):
-        assert [type(column) for column in columns(model)] == [list] * 22
+        # variables 5, objective 2, linear rows 6 (ends an array), quadratic rows 9
+        assert [type(column) for column in columns(model)] == (
+            [list] * 8 + [array] + [list] * 5 + [array] + [list] * 4 + [array] + [list] * 2)
+        assert {column.typecode for column in columns(model) if type(column) is array} == {"q"}
         items = [item for column in columns(model) for item in column]
         assert {type(item) for item in items} <= {int, float, str}
         assert not any(gc.is_tracked(item) for item in items)
@@ -571,6 +602,29 @@ def test_rows_round_trip_through_the_constructor(worked):
     assert tuple(model.objective) == (1.0, "tN[N1]", 1.0, "tN[N2]", 1.0, "tN[N3]")
 
 
+def test_rows_across_chunk_boundaries():
+    # row ids are stored one text per chunk of CHUNK_ROWS rows
+    d = Dataset.from_observations(Observation(f"h{j}", f"N{i}", (i + j) % 4 + 1, 9)
+                                  for j in range(3) for i in range(12))
+    model = build_miqp(d, 0.0)
+    rows = list(model.linear)
+    assert len(rows) > 2 * CHUNK_ROWS
+    again = MiqpModel(**{**model_fields(model), "linear": rows})
+    assert again == model
+    assert again.render() == model.render()
+    for k in (255, 256, 257, -1):
+        assert model.linear[k] == rows[k]
+    # a right-hand side that the canonical assignment breaks, planted at row 300
+    cid, terms, _, _ = rows[300]
+    planted = MiqpModel(**{**model_fields(model),
+                           "linear": rows[:300] + [(cid, terms, "<=", -1)] + rows[301:]})
+    assignment = schedule_assignment(planted, Schedule((("h0", 1), ("h1", 2))))
+    assert check_linearized(model, assignment).violations == ()
+    result = check_linearized(planted, assignment)
+    assert result.violations == (cid,)
+    assert result == reference_check_linearized(planted, assignment)
+
+
 @pytest.mark.parametrize("field, value, message", [
     # an odd item count used to drop its last item from the rendering
     ("linear", [("r1", (1, "x[h1][0]", 2), "<=", 1)], "terms must be groups"),
@@ -594,6 +648,16 @@ def test_rows_round_trip_through_the_constructor(worked):
      "r1: right-hand side must be a number that fits in a float"),
     ("linear", [("r1", (10 ** 5000, "x[h1][0]"), "<=", 1)],
      "r1: coefficient must be a number that fits in a float"),
+    # row ids are stored newline-joined: these used to split a row over two lines
+    # of the text, or render as "None: ..." and ": ..."
+    ("linear", [("a\nb", (1, "x[h1][0]"), "<=", 1)],
+     "row id 'a\\nb' must be a non-empty string without whitespace"),
+    ("linear", [(None, (1, "x[h1][0]"), "<=", 1)],
+     "row id None must be a non-empty string without whitespace"),
+    ("linear", [("", (1, "x[h1][0]"), "<=", 1)],
+     "row id '' must be a non-empty string without whitespace"),
+    ("quadratic", [("q 1", (), (), "=", 1)],
+     "row id 'q 1' must be a non-empty string without whitespace"),
 ])
 def test_malformed_rows_rejected(worked, field, value, message):
     fields = model_fields(build_miqp(worked, 0.5))
