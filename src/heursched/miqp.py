@@ -58,9 +58,9 @@ from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, chain
-from operator import le, mul
+from operator import add, itemgetter, le, mul
 
-from .dataset import Dataset
+from .dataset import MAX_COUNT, Dataset, check_count
 from .errors import InputError, require_finite
 from .miqp_columns import (CHUNK_ROWS, Families, Layout, MiqpVariable, Rows, Terms, VariableRows,
                            convert_rows, indexed, num, row_chunks, row_sums, variable_names)
@@ -110,6 +110,10 @@ class MiqpModel:
             if not (isinstance(rows, Rows) and rows.names is names
                     and (rows.qends is not None) is quadratic):
                 object.__setattr__(self, field, convert_rows(rows, names, self._index, quadratic))
+        if not 0.0 <= self.alpha <= 1.0:
+            raise InputError(f"alpha must lie in [0, 1], got {self.alpha!r}")
+        _check_tau(self.tau, self.heuristics, self.nodes)
+        _check_horizon(self.horizon, self.heuristics)
 
     @cached_property
     def _index(self) -> dict:
@@ -122,10 +126,35 @@ class MiqpModel:
             raise InputError(f"model has no variable named {name!r}") from None
 
     def family_size(self, family: str) -> int:
-        return self.variables.families.count(family)
+        return list(map(itemgetter(3), self.variables.attributes)).count(family)
 
     def render(self) -> str:
         return "".join(_chunks(self))
+
+
+def _check_tau(tau, heuristics: tuple, nodes: tuple) -> None:
+    """Refuse a ``tau`` that does not map each (node, heuristic) pair to None or a count."""
+    if not (isinstance(tau, dict) and len(tau) == len(nodes) * len(heuristics)
+            and all(map(tau.__contains__, Layout.pairs(nodes, heuristics)))):
+        raise InputError("tau must map exactly the model's (node, heuristic) pairs")
+    counts = [t_req for t_req in tau.values() if t_req is not None]
+    # all clear in one pass, or the loop names the first bad count
+    if not ({*map(type, counts)} <= {int} and 1 <= min(counts, default=1)
+            and max(counts, default=1) <= MAX_COUNT):
+        for (n, h), t_req in tau.items():
+            if t_req is not None:
+                check_count(t_req, f"tau[{n},{h}]")
+
+
+def _check_horizon(horizon, heuristics: tuple) -> None:
+    """Refuse a ``horizon`` that does not map each heuristic to an integer from 0 to 2**53."""
+    if not (isinstance(horizon, dict) and horizon.keys() == set(heuristics)):
+        raise InputError("horizon must map exactly the model's heuristics")
+    for h, bound in horizon.items():
+        if not isinstance(bound, int) or bound < 0:
+            raise InputError(f"horizon[{h}] must be a nonnegative integer, got {bound!r}")
+        if bound > MAX_COUNT:  # not printed: it may have more digits than str() allows
+            raise InputError(f"horizon[{h}] must be at most 2**53 = {MAX_COUNT}")
 
 
 def _check_model_identifier(value: str, what: str) -> None:
@@ -277,16 +306,16 @@ def export_miqp(d: Dataset, alpha: float, sink) -> MiqpModel:
 
 def _coerce_assignment(model: MiqpModel, assignment) -> tuple[list, list[str]]:
     """Validate coverage, integrality and bounds; return integer values in variable order."""
-    variables = model.variables
+    names, records = model.variables.names, model.variables.attributes
     # all clear in one pass in C (a missing name reads None), or the loop names each problem
-    values = list(map(assignment.get, variables.names))
-    if ({*map(type, values)} <= {int} and all(map(le, variables.lowers, values))
-            and all(map(le, values, variables.uppers))):
+    values = list(map(assignment.get, names))
+    if ({*map(type, values)} <= {int} and all(map(le, map(itemgetter(1), records), values))
+            and all(map(le, values, map(itemgetter(2), records)))):
         return values, []
     violations: list[str] = []
     values = []
     append = values.append
-    for name, lower, upper in zip(variables.names, variables.lowers, variables.uppers):
+    for name, (_, lower, upper, _) in zip(names, records):
         if name not in assignment:
             raise InputError(f"assignment is missing variable {name!r}")
         value = assignment[name]
@@ -439,11 +468,12 @@ def _chunks(model: MiqpModel):
     yield ("# minimum-cost heuristic scheduling model (mixed-integer, quadratic)\n"
            "# sections: VARIABLES, OBJECTIVE, LINEAR, QUADRATIC, COMMENTS\n"
            "VARIABLES\n")
-    variables = model.variables
-    columns = (variables.names, variables.kinds, variables.lowers, variables.uppers)
-    for first in range(0, len(variables), CHUNK_ROWS):
-        yield "".join([f"{name} {kind} in [{lower}, {upper}]\n" for name, kind, lower, upper
-                       in zip(*(column[first:first + CHUNK_ROWS] for column in columns))])
+    names, records = model.variables.names, model.variables.attributes
+    texts = {record: f" {record[0]} in [{num(record[1])}, {num(record[2])}]\n"
+             for record in set(records)}  # bounds as num writes them: equal records, equal text
+    for first in range(0, len(names), CHUNK_ROWS):
+        yield "".join(map(add, names[first:first + CHUNK_ROWS],
+                          map(texts.__getitem__, records[first:first + CHUNK_ROWS])))
     yield f"OBJECTIVE\nminimize: {model.objective.text()}\nLINEAR\n"
     yield from row_chunks(model.linear)
     yield "QUADRATIC\n"

@@ -5,7 +5,8 @@ its model in a fixed set of flat lists, and rows name variables by index.
 ``Layout`` is the one place that knows the variable order: each family's
 slice of it (``Families`` holds one item per family), and how per-heuristic,
 per-node and per-pair lists line up with those slices.  ``VariableRows`` are
-the columns ``names``, ``kinds``, ``lowers``, ``uppers`` and ``families``.
+the columns ``names`` and ``attributes``, each variable's ``(kind, lower,
+upper, family)`` record, one shared tuple for all variables of equal records.
 ``Rows`` are ``cids``, ``ends`` (cumulative term counts), ``coefs``, ``vars``,
 ``ops`` and ``rhs``; quadratic rows add ``qends``, ``qcoefs`` and ``qvars``
 (two indices per term ``c * a * b``).  ``cids`` holds one newline-joined text
@@ -39,7 +40,7 @@ import math
 from collections import namedtuple
 from collections.abc import Sequence
 from functools import lru_cache
-from itertools import accumulate, chain, count, islice
+from itertools import accumulate, chain, count, islice, product
 from numbers import Integral, Real
 from operator import add, mul
 from typing import NamedTuple
@@ -77,7 +78,7 @@ class Layout:
     @staticmethod
     def pairs(nodes, heuristics):
         """The ``(node, heuristic)`` pairs in pair order, one at a time."""
-        return ((n, h) for n in nodes for h in heuristics)
+        return product(nodes, heuristics)
 
     def positions(self, heuristics):
         """The ``(heuristic, position)`` of each ``x`` variable in order, one at a time."""
@@ -87,10 +88,10 @@ class Layout:
         """Each family's values, out of a list in variable order."""
         return Families(*map(values.__getitem__, self.slices))
 
-    def join(self, families: Families) -> list:
+    def join(self, lists: Families) -> list:
         """One list in variable order, out of each family's values."""
         values = [None] * self.size
-        for where, items in zip(self.slices, families):
+        for where, items in zip(self.slices, lists):
             values[where] = items
         return values
 
@@ -168,49 +169,58 @@ class VariableRows(_Columns):
     """Variables, each read as a ``MiqpVariable``.  ``shape`` is the
     ``(heuristics, nodes)`` whose layout the variables follow, when known."""
 
-    columns = ("names", "kinds", "lowers", "uppers", "families")
+    columns = ("names", "attributes")
     __slots__ = (*columns, "shape")
 
-    def __init__(self, *columns: list, shape: tuple | None = None) -> None:
-        self.names, self.kinds, self.lowers, self.uppers, self.families = columns
-        self.shape = shape
+    def __init__(self, names: list, attributes: list, shape: tuple | None = None) -> None:
+        self.names, self.attributes, self.shape = names, attributes, shape
 
     @classmethod
     def of(cls, rows) -> VariableRows:
         """Variables given as ``(name, kind, lower, upper, family)`` rows."""
         rows = [tuple(row) for row in rows]
-        if any(len(row) != 5 for row in rows):
-            raise InputError("a variable row is (name, kind, lower, upper, family)")
-        return cls(*([list(column) for column in zip(*rows)] or [[] for _ in range(5)]))
+        for row in rows:
+            if len(row) != 5:
+                raise InputError("a variable row is (name, kind, lower, upper, family)")
+            name, kind, lower, upper, family = row
+            if kind not in ("binary", "integer"):
+                raise InputError(f"variable {name!r}: kind {kind!r} is not binary or integer")
+            _number(lower, f"variable {name!r}: lower bound")
+            _number(upper, f"variable {name!r}: upper bound")
+            if lower > upper:
+                raise InputError(f"variable {name!r}: lower bound {lower!r} exceeds "
+                                 f"upper bound {upper!r}")
+            if not isinstance(family, str) or not family:
+                raise InputError(f"variable {name!r}: family {family!r} must be a "
+                                 "non-empty string")
+        shared = {}
+        return cls([row[0] for row in rows], [shared.setdefault(row[1:], row[1:]) for row in rows])
 
     @classmethod
     def declare(cls, heuristics: tuple, nodes: tuple, horizon: dict) -> VariableRows:
         """Every variable of the model, once, in variable order."""
         H, N = len(heuristics), len(nodes)
         at = Layout(H, N)
-        # per family: its name in the families column, kind, lower bound, upper bounds
-        specs = Families(("x", "binary", 0, 1), ("t", "integer", 0, None),
-                         ("p", "integer", 0, H), ("s", "binary", 0, 1),
-                         ("s_node", "binary", 0, 1), ("p_min", "integer", 1, H),
-                         ("z", "binary", 0, 1), ("f", "binary", 0, 1),
-                         ("t_node", "integer", 1, 1 + sum(horizon.values())),
-                         ("aux_min_term", "integer", 1, H), ("aux_argmin", "binary", 0, 1),
-                         ("aux_after_first", "binary", 0, 1),
-                         ("aux_solved_and_before", "binary", 0, 1),
-                         ("aux_solved_and_first", "binary", 0, 1))
-        sizes = list(map(len, at.split(range(at.size))))
-        families, kinds, lowers, uppers = (
-            at.join(Families(*([spec[k]] * size for spec, size in zip(specs, sizes))))
-            for k in range(4))
-        uppers[at.slices.t] = [horizon[h] for h in heuristics]
-        return cls(variable_names(heuristics, nodes), kinds, lowers, uppers, families,
-                   shape=(heuristics, nodes))
+        budgets = {bound: ("integer", 0, bound, "t") for bound in horizon.values()}
+        records = Families(("binary", 0, 1, "x"), None, ("integer", 0, H, "p"),  # t: below
+                           ("binary", 0, 1, "s"), ("binary", 0, 1, "s_node"),
+                           ("integer", 1, H, "p_min"), ("binary", 0, 1, "z"),
+                           ("binary", 0, 1, "f"),
+                           ("integer", 1, 1 + sum(horizon.values()), "t_node"),
+                           ("integer", 1, H, "aux_min_term"), ("binary", 0, 1, "aux_argmin"),
+                           ("binary", 0, 1, "aux_after_first"),
+                           ("binary", 0, 1, "aux_solved_and_before"),
+                           ("binary", 0, 1, "aux_solved_and_first"))
+        sizes = map(len, at.split(range(at.size)))
+        attributes = at.join(Families(*([record] * size for record, size in zip(records, sizes))))
+        attributes[at.slices.t] = [budgets[horizon[h]] for h in heuristics]
+        return cls(variable_names(heuristics, nodes), attributes, shape=(heuristics, nodes))
 
     def __len__(self) -> int:
         return len(self.names)
 
     def _item(self, k: int) -> MiqpVariable:
-        return MiqpVariable(*(getattr(self, column)[k] for column in self.columns))
+        return MiqpVariable(self.names[k], *self.attributes[k])
 
 
 def _ends(ends: Sequence, lengths):

@@ -298,14 +298,13 @@ def generate_instance(cfg: SimConfig, seed: int) -> SimInstance:
                        cfg.interarrival_seconds, cfg.optimum_value)
 
 
-def _shadow_rows(inst: SimInstance, seen_nodes: set) -> list[tuple]:
+def _shadow_rows(inst: SimInstance) -> list[tuple]:
     """Checked ``(heuristic, node, tau, executed, duration)`` rows of one
-    instance, node by node; each node joins ``seen_nodes`` and must not be in it."""
+    instance, node by node."""
     columns = [(spec.id, spec.seconds_per_iteration, inst.outcomes.iterations[spec.id],
                 inst.outcomes.qualities[spec.id]) for spec in inst.heuristics]
     rows: list[tuple] = []
     for number, node in enumerate(inst.nodes):
-        _claim_node(node, seen_nodes)
         validate_identifier(node, "node")
         for hid, seconds, needs, values in columns:
             iterations = needs[number]
@@ -318,15 +317,14 @@ def _shadow_rows(inst: SimInstance, seen_nodes: set) -> list[tuple]:
     return rows
 
 
-def _claim_node(node: str, seen_nodes: set) -> None:
-    if node in seen_nodes:
-        raise InputError(f"duplicate node id {node!r} across instances")
-    seen_nodes.add(node)
-
-
 def _shadow_dataset(heuristic_ids, parts) -> Dataset:
-    """One dataset of per-instance ``(nodes, rows)`` parts, in order."""
+    """One dataset of per-instance ``(nodes, rows)`` parts, in order; no node
+    id may appear twice among them."""
     nodes = tuple(node for part_nodes, _ in parts for node in part_nodes)
+    if len(set(nodes)) < len(nodes):
+        seen: set[str] = set()
+        node = next(node for node in nodes if node in seen or seen.add(node))
+        raise InputError(f"duplicate node id {node!r} across instances")
     return Dataset._from_rows(heuristic_ids, nodes, [row for _, rows in parts for row in rows])
 
 
@@ -335,7 +333,8 @@ def collect_shadow_dataset(instances) -> Dataset:
 
     No call influences any other: there is no loop termination and nothing
     is reported back, only observed.  Durations are iterations times the
-    heuristic's seconds per iteration.
+    heuristic's seconds per iteration.  A node id shared between instances
+    is refused once the rows of every instance have passed their checks.
     """
     instances = list(instances)
     if not instances:
@@ -344,9 +343,8 @@ def collect_shadow_dataset(instances) -> Dataset:
     for inst in instances[1:]:
         if inst.heuristics != reference:
             raise InputError("instances do not share a heuristic universe")
-    seen_nodes: set[str] = set()
     return _shadow_dataset(tuple(spec.id for spec in reference),
-                           [(inst.nodes, _shadow_rows(inst, seen_nodes)) for inst in instances])
+                           [(inst.nodes, _shadow_rows(inst)) for inst in instances])
 
 
 def simulate_shadow_dataset(cfg: SimConfig, seeds) -> Dataset:
@@ -364,14 +362,9 @@ def simulate_shadow_dataset(cfg: SimConfig, seeds) -> Dataset:
 
     def collect(index):
         inst = generate_instance(cfg, seeds[index])
-        return inst.nodes, _shadow_rows(inst, set())
+        return inst.nodes, _shadow_rows(inst)
 
-    parts = map_jobs(collect, len(seeds))
-    seen_nodes: set[str] = set()
-    for nodes, _ in parts:
-        for node in nodes:
-            _claim_node(node, seen_nodes)
-    return _shadow_dataset(cfg.heuristic_ids(), parts)
+    return _shadow_dataset(cfg.heuristic_ids(), map_jobs(collect, len(seeds)))
 
 
 def _replay(inst: SimInstance, s: Schedule, time_limit: float, spent: list | None = None):

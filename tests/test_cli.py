@@ -385,6 +385,25 @@ def test_exit_codes(tmp_path, monkeypatch, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv, status, out, err", [
+    (["exact", "--data", "{data}", "--alpha", "1"], 0, "INFEASIBLE (alpha = 1)\n", ""),
+    (["simulate", "--config", "{config}", "--instances", "0"], 1, "",
+     "heursched: error: instance count must be positive, got 0\n"),
+], ids=["exact infeasible", "simulate no instances"])
+def test_commands_that_write_no_output(tmp_path, capsys, argv, status, out, err):
+    data = tmp_path / "unsolved.csv"  # no heuristic solves N2
+    data.write_text("heuristic,node,iterations_to_solution,iterations_executed,duration_seconds\n"
+                    "h1,N1,1,1,\nh1,N2,inf,10,\n", encoding="utf-8")
+    config = tmp_path / "planted.cfg"
+    config.write_text(PLANTED_CFG, encoding="utf-8")
+    target = tmp_path / "out.csv"
+    argv = [arg.format(data=data, config=config) for arg in argv] + ["--out", str(target)]
+    assert dispatch(argv) == status
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (out, err)
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["planted.cfg", "unsolved.csv"]
+
+
 def test_non_finite_time_limit_exits_cleanly(tmp_path, capsys):
     timeline = tmp_path / "timeline.csv"
     timeline.write_text("time_seconds,objective_value\n1.0,5.0\n", encoding="utf-8")

@@ -569,3 +569,22 @@ def test_accepted_identifiers_round_trip_through_the_wire_formats(value):
     assert load_dataset(dump_dataset(d)) == d
     s = Schedule(((value, 2), ("h" if value != "h" else "g", 1)))
     assert load_schedule(dump_schedule(s)) == s
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: load_dataset("# only a comment\n\n"), "dataset is missing its header line"),
+    (lambda: Dataset(("h",), ("n",), (Observation("g", "n", 1, 1),)),
+     "observation references unregistered heuristic 'g'"),
+    (lambda: Dataset(("h",), ("n",), (Observation("h", "n", 1, 1),) * 2),
+     "duplicate observation for pair (h, n)"),
+    (lambda: Dataset(("h", "h"), ("n",), ()), "duplicate heuristic registration"),
+    (lambda: Dataset(("h",), ("n", "n"), ()), "duplicate node registration"),
+    (lambda: IterationCostProfile({"h": 1.0})["g"], "no iteration cost recorded for heuristic 'g'"),
+    (lambda: load_dataset(DATASET_HEADER + "\nh,n,1,1,soon\n"),
+     "line 2: duration_seconds must be a number, got 'soon'"),
+], ids=["no header", "unregistered heuristic", "repeated observation", "repeated heuristic",
+        "repeated node", "missing cost", "non-numeric duration"])
+def test_dataset_rejections(make, message):
+    with pytest.raises(InputError) as excinfo:
+        make()
+    assert str(excinfo.value) == message

@@ -430,3 +430,10 @@ def test_limits_reject_non_integers(field, value):
 def test_limits_reject_non_positive(value):
     with pytest.raises(InputError, match="enumeration_budget must be positive"):
         ExactLimits(enumeration_budget=value)
+
+
+@pytest.mark.parametrize("alpha", [-0.1, 1.5, float("nan")])
+def test_alpha_outside_the_unit_interval_rejected(worked, alpha):
+    with pytest.raises(InputError) as excinfo:
+        solve_exact(worked, alpha)
+    assert str(excinfo.value) == f"alpha must lie in [0, 1], got {alpha!r}"

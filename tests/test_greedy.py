@@ -230,3 +230,10 @@ def test_sorted_sweep_matches_recount(d, allow_extension, normalize, data):
                        costs=costs, normalize=normalize)
     tables = replay_tables(d, costs, normalize)
     assert repr(step) == repr(recount_best_action(d, unsolved, scheduled, last_entry, tables))
+
+
+@pytest.mark.parametrize("alpha", [-0.1, 1.5, float("nan")])
+def test_alpha_report_outside_the_unit_interval_rejected(alpha):
+    with pytest.raises(InputError) as excinfo:
+        GreedyOptions(alpha_report=alpha)
+    assert str(excinfo.value) == f"alpha_report must lie in [0, 1], got {alpha!r}"

@@ -86,6 +86,28 @@ def test_all_zero_assignment_violates_placement(worked):
     assert "coverage" in result.violations
 
 
+def test_two_heuristics_at_one_position_break_its_capacity(worked):
+    model = build_miqp(worked, 0.5)
+    assignment = schedule_assignment(model, Schedule((("h1", 1), ("h2", 3))))
+    assignment.update({"x[h2][1]": 1, "x[h2][2]": 0, "p[h2]": 1})
+    for checker, reference in ((check_assignment, reference_check_assignment),
+                               (check_linearized, reference_check_linearized)):
+        result = checker(model, assignment)
+        assert "position_capacity[1]" in result.violations
+        assert result == reference(model, assignment)
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda d: build_miqp(Dataset(d.heuristics, (), ()), 0.5),
+     "cannot build a scheduling model without nodes"),
+    (lambda d: build_miqp(d, 0.5).variable("x[h9][0]"), "model has no variable named 'x[h9][0]'"),
+], ids=["no nodes", "unknown variable"])
+def test_miqp_rejections(worked, make, message):
+    with pytest.raises(InputError) as excinfo:
+        make(worked)
+    assert str(excinfo.value) == message
+
+
 def test_missing_variable_rejected(worked):
     model = build_miqp(worked, 0.5)
     a = schedule_assignment(model, Schedule((("h1", 1),)))
@@ -388,14 +410,21 @@ def test_model_storage_is_a_fixed_set_of_flat_lists(worked):
         for j in range(5) for i in range(40)), 0.5)
     assert len(large.linear) > 20 * len(small.linear)
     for model in (small, large):
-        # variables 5, objective 2, linear rows 6 (ends an array), quadratic rows 9
+        # variables 2, objective 2, linear rows 6 (ends an array), quadratic rows 9
         assert [type(column) for column in columns(model)] == (
-            [list] * 8 + [array] + [list] * 5 + [array] + [list] * 4 + [array] + [list] * 2)
+            [list] * 5 + [array] + [list] * 5 + [array] + [list] * 4 + [array] + [list] * 2)
         assert {column.typecode for column in columns(model) if type(column) is array} == {"q"}
-        items = [item for column in columns(model) for item in column]
+        # each variable's (kind, lower, upper, family) is one of a few shared records:
+        # one per family, with one per distinct horizon in place of t's
+        records = {id(record): record for record in model.variables.attributes}.values()
+        assert {type(record) for record in records} == {tuple}
+        assert len(records) <= 13 + len(model.heuristics)
+        flat = [column for column in columns(model) if column is not model.variables.attributes]
+        items = [item for column in flat for item in column] + [
+            field for record in records for field in record]
         assert {type(item) for item in items} <= {int, float, str}
         assert not any(gc.is_tracked(item) for item in items)
-        assert sum(map(len, columns(model))) == len(items)
+        assert sum(map(len, flat)) + 4 * len(records) == len(items)
     assert small.variable("t[h1]").upper == small.horizon["h1"]
 
 
@@ -625,6 +654,9 @@ def test_rows_across_chunk_boundaries():
     assert result == reference_check_linearized(planted, assignment)
 
 
+WORKED_PAIRS = [(n, h) for n in ("N1", "N2", "N3") for h in ("h1", "h2", "h3")]
+
+
 @pytest.mark.parametrize("field, value, message", [
     # an odd item count used to drop its last item from the rendering
     ("linear", [("r1", (1, "x[h1][0]", 2), "<=", 1)], "terms must be groups"),
@@ -658,6 +690,46 @@ def test_rows_across_chunk_boundaries():
      "row id '' must be a non-empty string without whitespace"),
     ("quadratic", [("q 1", (), (), "=", 1)],
      "row id 'q 1' must be a non-empty string without whitespace"),
+    # hand-given variable rows: these bounds used to be written as nan and inf, these
+    # kinds as given; a lower bound of "0" made check_assignment raise TypeError, one
+    # above its upper bound was accepted, and an upper bound of 10**5000 made render()
+    # raise ValueError
+    ("variables", [("x[h1][0]", "binary", 0, float("nan"), "x")],
+     "variable 'x[h1][0]': upper bound must be a finite number, got nan"),
+    ("variables", [("x[h1][0]", "binary", 0, float("inf"), "x")],
+     "variable 'x[h1][0]': upper bound must be a finite number, got inf"),
+    ("variables", [("x[h1][0]", ["binary"], 0, 1, "x")],
+     "variable 'x[h1][0]': kind ['binary'] is not binary or integer"),
+    ("variables", [("x[h1][0]", "real", 0, 1, "x")],
+     "variable 'x[h1][0]': kind 'real' is not binary or integer"),
+    ("variables", [("x[h1][0]", "binary", "0", 1, "x")],
+     "variable 'x[h1][0]': lower bound must be a finite number, got '0'"),
+    ("variables", [("x[h1][0]", "integer", 5, 1, "x")],
+     "variable 'x[h1][0]': lower bound 5 exceeds upper bound 1"),
+    ("variables", [("x[h1][0]", "integer", 0, 10 ** 5000, "x")],
+     "variable 'x[h1][0]': upper bound must be a number that fits in a float"),
+    ("variables", [("x[h1][0]", "binary", 0, 1, "")],
+     "variable 'x[h1][0]': family '' must be a non-empty string"),
+    ("variables", [("x[h1][0]", "binary", 0, 1, None)],
+     "variable 'x[h1][0]': family None must be a non-empty string"),
+    # the other fields: a tau value "1" made schedule_assignment raise TypeError and a
+    # missing pair KeyError; alpha NaN, alpha 2.0 and a NaN horizon were accepted
+    ("alpha", float("nan"), "alpha must lie in [0, 1], got nan"),
+    ("alpha", 2.0, "alpha must lie in [0, 1], got 2.0"),
+    ("tau", dict.fromkeys(WORKED_PAIRS[1:], 1), "tau must map exactly the model's (node, heuristic) pairs"),
+    ("tau", {**dict.fromkeys(WORKED_PAIRS, 1), ("N9", "h1"): 1},
+     "tau must map exactly the model's (node, heuristic) pairs"),
+    ("tau", {**dict.fromkeys(WORKED_PAIRS, None), ("N2", "h3"): "1"},
+     "tau[N2,h3] must be a positive integer, got '1'"),
+    ("tau", {**dict.fromkeys(WORKED_PAIRS, 1), ("N1", "h2"): 0},
+     "tau[N1,h2] must be a positive integer, got 0"),
+    ("tau", {**dict.fromkeys(WORKED_PAIRS, 1), ("N3", "h1"): 2 ** 53 + 1},
+     "tau[N3,h1] must be at most 2**53"),
+    ("horizon", {"h1": 4, "h2": 4}, "horizon must map exactly the model's heuristics"),
+    ("horizon", {"h1": float("nan"), "h2": 4, "h3": 4},
+     "horizon[h1] must be a nonnegative integer, got nan"),
+    ("horizon", {"h1": 4, "h2": -1, "h3": 4}, "horizon[h2] must be a nonnegative integer, got -1"),
+    ("horizon", {"h1": 4, "h2": 4, "h3": 2 ** 53 + 1}, "horizon[h3] must be at most 2**53"),
 ])
 def test_malformed_rows_rejected(worked, field, value, message):
     fields = model_fields(build_miqp(worked, 0.5))
@@ -685,4 +757,4 @@ def test_variables_outside_the_build_order_rejected(worked):
     # the same variables as plain rows, or with other bounds, are accepted
     assert MiqpModel(**{**fields, "variables": rows}) == model
     wider = [(name, kind, lower, upper + 1, family) for name, kind, lower, upper, family in rows]
-    assert MiqpModel(**{**fields, "variables": wider}).variables.uppers[0] == 2
+    assert MiqpModel(**{**fields, "variables": wider}).variables[0].upper == 2

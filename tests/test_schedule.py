@@ -215,3 +215,14 @@ def test_evaluation_objective_is_sum_of_node_costs():
     ev = evaluate(s, d, 0.0)
     assert ev.objective == sum(o.cost for o in ev.per_node)
     assert ev.success_rate == ev.solved_nodes / len(d.nodes)
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: Schedule((("h",),)), "schedule entry must be (heuristic, budget), got ('h',)"),
+    (lambda: load_schedule("position,heuristic,max_iterations\nfirst,h,1\n"),
+     "line 2: position and max_iterations must be integers"),
+], ids=["one-item entry", "non-integer position"])
+def test_schedule_rejections(make, message):
+    with pytest.raises(InputError) as excinfo:
+        make()
+    assert str(excinfo.value) == message

@@ -159,6 +159,18 @@ def _one_node_instance(spec: HeuristicSpec, node: str, outcome: LatentOutcome) -
                        interarrival_seconds=0.5, optimum_value=0.0)
 
 
+def test_shadow_dataset_checks_rows_before_repeated_nodes():
+    # repeated node ids are refused once for all instances, after their rows:
+    # this used to report "duplicate node id 'n' across instances"
+    spec = HeuristicSpec("h", "DIVING", 0.5, 0.5, 2, 0.1, 1.0, 1.0)
+    instances = [_one_node_instance(spec, "n", LatentOutcome(False, 2, None)),
+                 _one_node_instance(spec, "n", LatentOutcome(True, 0, 1.0))]
+    with pytest.raises(InputError, match="iterations_executed must be a positive integer, got 0"):
+        collect_shadow_dataset(instances)
+    with pytest.raises(InputError, match="duplicate node id 'n' across instances"):
+        collect_shadow_dataset(instances[:1] * 2)
+
+
 @pytest.mark.parametrize("spec,node,outcome,fragment", [
     (HeuristicSpec("h", "DIVING", 0.5, 0.5, 2, 0.1, 1.0, 1.0), "a,b",
      LatentOutcome(False, 2, None), "invalid node identifier 'a,b'"),
@@ -664,6 +676,53 @@ def test_config_sizes_beyond_the_limits_rejected(old, new, message):
     boundary = (PLANTED_CFG.replace("instances = 4", "instances = 1000000")
                 .replace("nodes_max = 12", "nodes_max = 333333"))
     assert load_sim_config(boundary).instances == 1000000
+
+
+_SPEC = HeuristicSpec("h", "DIVING", 0.5, 0.5, 2, 0.1, 1.0, 1.0)
+_CFG_KEYS = "instances = 2\nnodes_min = 1\nnodes_max = 2\ninterarrival_seconds = 1\n"
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: dataclasses.replace(_SPEC, klass="GREEDY"),
+     "heuristic class must be one of ('DIVING', 'LNS'), got 'GREEDY'"),
+    (lambda: dataclasses.replace(_SPEC, success_probability=1.5),
+     "success_probability must lie in [0, 1], got 1.5"),
+    (lambda: dataclasses.replace(_SPEC, iteration_success_rate=0.0),
+     "iteration_success_rate must lie in (0, 1], got 0.0"),
+    (lambda: dataclasses.replace(_SPEC, seconds_per_iteration=0.0),
+     "seconds_per_iteration must be positive, got 0.0"),
+    (lambda: dataclasses.replace(_SPEC, quality_spread=-1.0),
+     "quality_spread must be nonnegative, got -1.0"),
+    (lambda: _cfg(heuristics=()), "configuration needs at least one heuristic"),
+    (lambda: _cfg(heuristics=(_SPEC, _SPEC)), "heuristic ids must be unique"),
+    (lambda: _cfg(instances=0), "instances must be positive, got 0"),
+    (lambda: _cfg(nodes_min=6, nodes_max=5), "node count range [6, 5] is invalid"),
+    (lambda: _cfg(interarrival_seconds=0.0), "interarrival_seconds must be positive"),
+    (lambda: _cfg(time_limit_seconds=0.0), "time_limit_seconds must be positive"),
+    (lambda: load_sim_config("# a comment\ninstances 2\n"),
+     "line 2: expected 'key = value', got 'instances 2'"),
+    (lambda: load_sim_config(" = 2\n"), "line 1: empty key"),
+    (lambda: load_sim_config("instances = 2\n"),
+     "configuration is missing required key 'nodes_min'"),
+    (lambda: load_sim_config(_CFG_KEYS + "heuristics = , \n"),
+     "configuration key 'heuristics' lists no heuristic ids"),
+    (lambda: collect_shadow_dataset([]), "at least one instance is required"),
+    (lambda: collect_shadow_dataset([generate_instance(_cfg(), 0),
+                                     generate_instance(_cfg(heuristics=(_SPEC,)), 0)]),
+     "instances do not share a heuristic universe"),
+    (lambda: run_crossval([_cfg(), _cfg(name="other")], 0, seed=1),
+     "fold count must be positive, got 0"),
+    (lambda: run_crossval([_cfg(), _cfg(heuristics=(_SPEC,))], 1, seed=1),
+     "configurations must share one heuristic universe"),
+], ids=["class", "success_probability", "iteration_success_rate", "seconds_per_iteration",
+        "quality_spread", "no heuristics", "repeated ids", "no instances", "node range",
+        "interarrival", "time limit", "no equals sign", "empty key", "missing key",
+        "empty heuristic list", "no instances to collect", "two universes collected",
+        "no folds", "two universes crossvalidated"])
+def test_simulator_rejections(make, message):
+    with pytest.raises(InputError) as excinfo:
+        make()
+    assert str(excinfo.value) == message
 
 
 def test_config_type_errors_name_the_expected_kind():
