@@ -43,8 +43,8 @@ The model's variables, rows and objective are stored by ``miqp_columns``
 as flat columns in which rows name variables by index.  ``Layout`` there is
 the one place that knows the variable order: the build, both checkers and
 ``schedule_assignment`` take each family's slice, and the per-heuristic,
-per-node and per-pair runs within it, from its helpers.  A model whose
-variables are not those of that order is refused at construction.  The
+per-node and per-pair runs within it, from its helpers.  A model comes
+only from ``build_miqp``, so its variables always follow that order.  The
 build fills the row columns one constraint family at a time, and both
 checkers read one list of values in variable order.  ``export_miqp``
 streams the text into its sink in chunks; ``MiqpModel.render`` joins them.
@@ -53,17 +53,16 @@ streams the text into its sink in chunks; ``MiqpModel.render`` joins them.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, chain
-from operator import add, itemgetter, le, mul
+from operator import add, itemgetter, mul
 
-from .dataset import MAX_COUNT, Dataset, check_count
+from .dataset import Dataset
 from .errors import InputError, require_finite
 from .miqp_columns import (CHUNK_ROWS, Families, Layout, MiqpVariable, Rows, Terms, VariableRows,
-                           convert_rows, indexed, num, row_chunks, row_sums, variable_names)
+                           num, row_chunks, row_sums)
 from .schedule import Schedule
 
 _INTEGRALITY_TOL = 1e-9
@@ -77,43 +76,32 @@ class CheckResult:
     violations: tuple[str, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class MiqpModel:
-    """Built model plus the data needed to audit assignments against it."""
+    """A model that ``build_miqp`` built, plus the data needed to audit
+    assignments against it.  It comes from ``build_miqp`` only: the checkers
+    read values by their place in the variable order the build lays out, so
+    ``MiqpModel(...)`` and ``dataclasses.replace`` refuse with ``InputError``."""
 
     heuristics: tuple[str, ...]
     nodes: tuple[str, ...]
     alpha: float
     tau: dict
     horizon: dict
-    variables: Sequence[MiqpVariable]
-    objective: Sequence  # reads as flat (coef, name, ...)
-    linear: Sequence
-    quadratic: Sequence
+    variables: VariableRows  # each reads as a MiqpVariable
+    objective: Terms  # reads as flat (coef, name, ...)
+    linear: Rows
+    quadratic: Rows
 
-    def __post_init__(self) -> None:
-        variables = self.variables
-        if not isinstance(variables, VariableRows):
-            variables = VariableRows.of(variables)
-            object.__setattr__(self, "variables", variables)
-        # the checkers read values by their place in the variable order
-        if (variables.shape != (self.heuristics, self.nodes)
-                and variables.names != variable_names(self.heuristics, self.nodes)):
-            raise InputError("model variables must be those that build_miqp declares for "
-                             "its heuristics and nodes, in the same order")
-        names = variables.names
-        if not (isinstance(self.objective, Terms) and self.objective.names is names):
-            terms = Terms(names, *indexed(self.objective, 1, self._index, "objective"))
-            object.__setattr__(self, "objective", terms)
-        for field, quadratic in (("linear", False), ("quadratic", True)):
-            rows = getattr(self, field)
-            if not (isinstance(rows, Rows) and rows.names is names
-                    and (rows.qends is not None) is quadratic):
-                object.__setattr__(self, field, convert_rows(rows, names, self._index, quadratic))
-        if not 0.0 <= self.alpha <= 1.0:
-            raise InputError(f"alpha must lie in [0, 1], got {self.alpha!r}")
-        _check_tau(self.tau, self.heuristics, self.nodes)
-        _check_horizon(self.horizon, self.heuristics)
+    def __init__(self, *args, **kwargs) -> None:  # dataclasses.replace calls this too
+        raise InputError("a MiqpModel comes only from build_miqp(dataset, alpha)")
+
+    @classmethod
+    def _built(cls, **fields) -> MiqpModel:
+        model = object.__new__(cls)
+        for name, value in fields.items():
+            object.__setattr__(model, name, value)
+        return model
 
     @cached_property
     def _index(self) -> dict:
@@ -130,31 +118,6 @@ class MiqpModel:
 
     def render(self) -> str:
         return "".join(_chunks(self))
-
-
-def _check_tau(tau, heuristics: tuple, nodes: tuple) -> None:
-    """Refuse a ``tau`` that does not map each (node, heuristic) pair to None or a count."""
-    if not (isinstance(tau, dict) and len(tau) == len(nodes) * len(heuristics)
-            and all(map(tau.__contains__, Layout.pairs(nodes, heuristics)))):
-        raise InputError("tau must map exactly the model's (node, heuristic) pairs")
-    counts = [t_req for t_req in tau.values() if t_req is not None]
-    # all clear in one pass, or the loop names the first bad count
-    if not ({*map(type, counts)} <= {int} and 1 <= min(counts, default=1)
-            and max(counts, default=1) <= MAX_COUNT):
-        for (n, h), t_req in tau.items():
-            if t_req is not None:
-                check_count(t_req, f"tau[{n},{h}]")
-
-
-def _check_horizon(horizon, heuristics: tuple) -> None:
-    """Refuse a ``horizon`` that does not map each heuristic to an integer from 0 to 2**53."""
-    if not (isinstance(horizon, dict) and horizon.keys() == set(heuristics)):
-        raise InputError("horizon must map exactly the model's heuristics")
-    for h, bound in horizon.items():
-        if not isinstance(bound, int) or bound < 0:
-            raise InputError(f"horizon[{h}] must be a nonnegative integer, got {bound!r}")
-        if bound > MAX_COUNT:  # not printed: it may have more digits than str() allows
-            raise InputError(f"horizon[{h}] must be at most 2**53 = {MAX_COUNT}")
 
 
 def _check_model_identifier(value: str, what: str) -> None:
@@ -185,11 +148,11 @@ def build_miqp(d: Dataset, alpha: float) -> MiqpModel:
     at = Layout(len(heuristics), len(nodes))
     family = at.split(list(range(len(variables))))  # variable indices, all from one list
     tau = dict(zip(at.pairs(nodes, heuristics), taus))
-    return MiqpModel(heuristics=heuristics, nodes=nodes, alpha=alpha, tau=tau, horizon=horizon,
-                     variables=variables,
-                     objective=Terms(variables.names, [1.0] * len(nodes), family.tN),
-                     linear=_linear_rows(variables.names, at, family, d, taus, horizon, alpha),
-                     quadratic=_node_time_rows(variables.names, at, family, d, taus))
+    return MiqpModel._built(
+        heuristics=heuristics, nodes=nodes, alpha=alpha, tau=tau, horizon=horizon,
+        variables=variables, objective=Terms(variables.names, [1.0] * len(nodes), family.tN),
+        linear=_linear_rows(variables.names, at, family, d, taus, horizon, alpha),
+        quadratic=_node_time_rows(variables.names, at, family, d, taus))
 
 
 def _linear_rows(names: list, at: Layout, family: Families, d: Dataset, taus: list,
@@ -307,11 +270,16 @@ def export_miqp(d: Dataset, alpha: float, sink) -> MiqpModel:
 def _coerce_assignment(model: MiqpModel, assignment) -> tuple[list, list[str]]:
     """Validate coverage, integrality and bounds; return integer values in variable order."""
     names, records = model.variables.names, model.variables.attributes
-    # all clear in one pass in C (a missing name reads None), or the loop names each problem
+    # all clear in a few passes in C (a missing name reads None), or the loop names each
+    # problem; one shared record bounds each family's slice, but t's records are per heuristic
     values = list(map(assignment.get, names))
-    if ({*map(type, values)} <= {int} and all(map(le, map(itemgetter(1), records), values))
-            and all(map(le, values, map(itemgetter(2), records)))):
-        return values, []
+    if {*map(type, values)} <= {int}:
+        at = Layout(len(model.heuristics), len(model.nodes))
+        t = at.slices.t
+        spans = [(records[where.start], values[where]) for where in at.slices if where != t]
+        spans += zip(records[t], zip(values[t]))
+        if all(lower <= min(part) and max(part) <= upper for (_, lower, upper, _), part in spans):
+            return values, []
     violations: list[str] = []
     values = []
     append = values.append

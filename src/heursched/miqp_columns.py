@@ -18,38 +18,32 @@ row.  ``Terms``, the objective, are ``coefs`` and ``vars``.  Everything reads
 back with names: a variable as a ``MiqpVariable``, a row as ``(id, (c1,
 name1, ...), operator, right-hand side)`` (a quadratic row adds ``(c1, a1,
 b1, ...)`` before the operator), the objective as ``(c1, name1, ...)``.
-``convert_rows`` and ``indexed`` check rows and terms given in that form;
-``convert_rows`` checks every row before it stores any.
-``VariableRows.declare`` lays out the variables of a built model and
-``variable_names`` their names, and ``Rows.violated`` evaluates rows on one
-list of values in variable order.
+Only ``miqp.build_miqp`` fills these columns: ``VariableRows.declare`` lays
+out the variables of a built model and ``variable_names`` their names, and
+``Rows.violated`` evaluates rows on one list of values in variable order.
 
 ``row_chunks`` renders rows straight from the columns, one ``"".join`` per
 ``CHUNK_ROWS`` rows.  A flat list holds two slots per term, filled by slice
 assignment: the coefficient's cached spaced text, such as `` + 3 ``, and the
 variable's name.  One f-string per row overwrites its first coefficient slot
 with the previous row's `` <op> <rhs>\n``, the row's id and the coefficient
-without ``+ ``.  A row with no linear terms joins the text carried to the
-next row; a quadratic row's products, one join per row, precede its
-operator.  ``num`` writes integers without passing them through ``float``.
+without ``+ ``; every row the build emits has a linear term.  A quadratic
+row's products, one join per row, precede its operator.  ``num`` writes
+integers without passing them through ``float``.
 """
 
 from __future__ import annotations
 
-import math
 from collections import namedtuple
 from collections.abc import Sequence
 from functools import lru_cache
 from itertools import accumulate, chain, count, islice, product
-from numbers import Integral, Real
+from numbers import Integral
 from operator import add, mul
 from typing import NamedTuple
 
-from .errors import InputError
-
 CHUNK_ROWS = 256
 NUMERIC_TOL = 1e-9
-OPERATORS = ("<=", ">=", "=")
 _flat = chain.from_iterable
 
 
@@ -166,35 +160,13 @@ def variable_names(heuristics, nodes) -> list:
 
 
 class VariableRows(_Columns):
-    """Variables, each read as a ``MiqpVariable``.  ``shape`` is the
-    ``(heuristics, nodes)`` whose layout the variables follow, when known."""
+    """Variables, each read as a ``MiqpVariable``."""
 
     columns = ("names", "attributes")
-    __slots__ = (*columns, "shape")
+    __slots__ = columns
 
-    def __init__(self, names: list, attributes: list, shape: tuple | None = None) -> None:
-        self.names, self.attributes, self.shape = names, attributes, shape
-
-    @classmethod
-    def of(cls, rows) -> VariableRows:
-        """Variables given as ``(name, kind, lower, upper, family)`` rows."""
-        rows = [tuple(row) for row in rows]
-        for row in rows:
-            if len(row) != 5:
-                raise InputError("a variable row is (name, kind, lower, upper, family)")
-            name, kind, lower, upper, family = row
-            if kind not in ("binary", "integer"):
-                raise InputError(f"variable {name!r}: kind {kind!r} is not binary or integer")
-            _number(lower, f"variable {name!r}: lower bound")
-            _number(upper, f"variable {name!r}: upper bound")
-            if lower > upper:
-                raise InputError(f"variable {name!r}: lower bound {lower!r} exceeds "
-                                 f"upper bound {upper!r}")
-            if not isinstance(family, str) or not family:
-                raise InputError(f"variable {name!r}: family {family!r} must be a "
-                                 "non-empty string")
-        shared = {}
-        return cls([row[0] for row in rows], [shared.setdefault(row[1:], row[1:]) for row in rows])
+    def __init__(self, names: list, attributes: list) -> None:
+        self.names, self.attributes = names, attributes
 
     @classmethod
     def declare(cls, heuristics: tuple, nodes: tuple, horizon: dict) -> VariableRows:
@@ -214,7 +186,7 @@ class VariableRows(_Columns):
         sizes = map(len, at.split(range(at.size)))
         attributes = at.join(Families(*([record] * size for record, size in zip(records, sizes))))
         attributes[at.slices.t] = [budgets[horizon[h]] for h in heuristics]
-        return cls(variable_names(heuristics, nodes), attributes, shape=(heuristics, nodes))
+        return cls(variable_names(heuristics, nodes), attributes)
 
     def __len__(self) -> int:
         return len(self.names)
@@ -329,56 +301,6 @@ class Terms(_Columns):
         return text[3:] if text[1:2] == "+" else text[1:]
 
 
-def _number(value, what: str) -> None:
-    try:
-        finite = isinstance(value, Real) and math.isfinite(value)
-    except OverflowError:  # not printed: it may have more digits than str() allows
-        raise InputError(f"{what} must be a number that fits in a float") from None
-    if not finite:
-        raise InputError(f"{what} must be a finite number, got {value!r}")
-
-
-def indexed(terms, arity: int, index: dict, what: str) -> tuple[list, list]:
-    """Checked coefficients and variable indices of flat terms, ``arity`` names per term."""
-    terms = tuple(terms)
-    if len(terms) % (arity + 1):
-        raise InputError(f"{what}: terms must be groups of a coefficient and {arity} "
-                         f"variable name(s), got {len(terms)} items")
-    coefs = list(terms[::arity + 1])
-    names = [item for k, item in enumerate(terms) if k % (arity + 1)]
-    for coef in coefs:
-        _number(coef, f"{what}: coefficient")
-    for name in names:
-        if name not in index:
-            raise InputError(f"{what}: model has no variable named {name!r}")
-    return coefs, [index[name] for name in names]
-
-
-def convert_rows(rows, names: list, index: dict, quadratic: bool) -> Rows:
-    """Check rows given with names, then store them as columns in one block."""
-    block = [[] for _ in range(9 if quadratic else 6)]  # the arguments of ``Rows.add``
-    for row in map(tuple, rows):
-        if len(row) != 4 + quadratic:
-            raise InputError(f"a {'quadratic' if quadratic else 'linear'} row has "
-                             f"{4 + quadratic} items, got {row!r}")
-        cid, terms, *squares, op, rhs = row
-        if not isinstance(cid, str) or cid.split() != [cid]:  # ids are stored newline-joined
-            raise InputError(f"row id {cid!r} must be a non-empty string without whitespace")
-        if op not in OPERATORS:
-            raise InputError(f"{cid}: operator {op!r} is not one of <=, >=, =")
-        _number(rhs, f"{cid}: right-hand side")
-        coefs, variables = indexed(terms, 1, index, cid)
-        parts = [(cid,), (len(coefs),), coefs, variables, (op,), (rhs,)]
-        if quadratic:
-            qcoefs, qvars = indexed(squares[0], 2, index, cid)
-            parts += [(len(qcoefs),), qcoefs, qvars]
-        for column, part in zip(block, parts):
-            column += part
-    table = Rows(names, quadratic)
-    table.add(*block)
-    return table
-
-
 @lru_cache(maxsize=1024)
 def num(x) -> str:
     """A number as exported: integers (never through ``float``) and integral floats as ints."""
@@ -423,13 +345,10 @@ def row_chunks(rows: Rows):
             ops = [f"{''.join(products[2 * (a - qb[0]):2 * (b - qb[0])])[1:]} {op}"
                    for a, b, op in zip(qb, qb[1:], ops)]
             del products  # the largest transient of a chunk: freed before the chunk's join
-        tail = ""  # operator, right-hand side and newline of the rows since the last slot
-        for cid, at, end, op, rhs in zip(ids.split("\n"), bounds, bounds[1:], ops,
-                                         map(num, rows.rhs[first:last])):
-            if at == end:
-                tail = f"{tail}{cid}:  {op} {rhs}\n"
-            else:
-                pieces[2 * (at - start)] = f"{tail}{cid}: {_lead(coefs[at])}"
-                tail = f" {op} {rhs}\n"
+        tail = ""  # the previous row's operator, right-hand side and newline
+        for cid, at, op, rhs in zip(ids.split("\n"), bounds, ops,
+                                    map(num, rows.rhs[first:last])):
+            pieces[2 * (at - start)] = f"{tail}{cid}: {_lead(coefs[at])}"
+            tail = f" {op} {rhs}\n"
         pieces.append(tail)
         yield "".join(pieces)

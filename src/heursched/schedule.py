@@ -7,8 +7,10 @@ covers the node's recorded iterations-to-solution.  Entries before the
 stop charge their full budget, the successful entry charges only the
 iterations it needed, and a node no entry solves charges the whole
 schedule plus a penalty of one cost unit.  Costs are counted in raw
-iterations, or in seconds-per-iteration weighted units when normalization
-is requested.
+iterations, or, when normalization is requested, in seconds: iterations
+times the heuristic's average seconds per iteration, so the penalty is one
+second.  Rescaling every duration can therefore change the exact optimum,
+but never the greedy schedule, whose ratio has no penalty term.
 """
 
 from __future__ import annotations

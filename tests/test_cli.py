@@ -567,7 +567,7 @@ def test_module_runs_from_a_source_checkout(tmp_path, worked_csv, module):
 
     def run(*argv):
         return subprocess.run([sys.executable, "-m", module, *argv], cwd=tmp_path, env=env,
-                              capture_output=True, text=True, timeout=60)
+                              capture_output=True, text=True, encoding="utf-8", timeout=60)
 
     done = run("--help")
     assert done.returncode == 0

@@ -6,7 +6,6 @@ import hashlib
 import io
 import math
 import random
-import re
 import tracemalloc
 from array import array
 
@@ -14,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import heursched
 from heursched import (CheckResult, Dataset, InputError, MiqpModel, Observation, Schedule,
                        breakpoints, build_miqp, check_assignment, check_linearized, evaluate,
                        export_miqp, schedule_assignment, solve_exact)
@@ -101,7 +101,9 @@ def test_two_heuristics_at_one_position_break_its_capacity(worked):
     (lambda d: build_miqp(Dataset(d.heuristics, (), ()), 0.5),
      "cannot build a scheduling model without nodes"),
     (lambda d: build_miqp(d, 0.5).variable("x[h9][0]"), "model has no variable named 'x[h9][0]'"),
-], ids=["no nodes", "unknown variable"])
+    (lambda d: build_miqp(d, float("nan")), "alpha must lie in [0, 1], got nan"),
+    (lambda d: build_miqp(d, 2.0), "alpha must lie in [0, 1], got 2.0"),
+], ids=["no nodes", "unknown variable", "alpha nan", "alpha 2.0"])
 def test_miqp_rejections(worked, make, message):
     with pytest.raises(InputError) as excinfo:
         make(worked)
@@ -312,62 +314,6 @@ def test_integers_above_2_53_render_exactly(tmp_path):
     assert "tN[N1] integer in [1, 9007199254740993]\n" in text
 
 
-def test_integers_within_float_range_render_exactly(worked):
-    fields = model_fields(build_miqp(worked, 0.5))
-    model = MiqpModel(**{**fields, "linear": [("r1", (10 ** 300, "x[h1][0]"), "<=", 2 ** 53 + 1)]})
-    assert f"\nr1: {10 ** 300} x[h1][0] <= 9007199254740993\n" in model.render()
-
-
-def rendered_rows(worked, linear, quadratic):
-    """The LINEAR and QUADRATIC sections of the worked model with other rows."""
-    fields = model_fields(build_miqp(worked, 0.5))
-    text = MiqpModel(**{**fields, "linear": linear, "quadratic": quadratic}).render()
-    return text[text.index("\nLINEAR\n") + 1:text.index("\nCOMMENTS\n") + 1]
-
-
-def test_hand_built_rows_render_as_pinned(worked):
-    # rows build_miqp never emits: no terms, a negative lead, float numbers
-    linear = [("r1", (), "<=", 1), ("r2", (-2, "x[h1][0]", 3, "t[h1]"), ">=", -1),
-              ("r3", (0.5, "x[h1][0]", -2.25, "t[h1]", 1e-07, "p[h1]"), "=", -2.25),
-              ("r4", (), ">=", 0.5), ("r5", (), "=", 1e-07), ("r6", (1, "t[h1]"), "<=", 0)]
-    quadratic = [("q1", (), (1, "x[h1][0]", "x[h1][1]"), "=", 1),
-                 ("q2", (-1, "t[h1]"), (), "<=", 0.5), ("q3", (), (), ">=", 0),
-                 ("q4", (-0.5, "t[h1]", 2, "p[h1]"), (-2.25, "x[h1][0]", "t[h1]"), "=", 1e-07)]
-    assert rendered_rows(worked, linear, quadratic) == (
-        "LINEAR\n"
-        "r1:  <= 1\n"
-        "r2: - 2 x[h1][0] + 3 t[h1] >= -1\n"
-        "r3: 0.5 x[h1][0] - 2.25 t[h1] + 1e-07 p[h1] = -2.25\n"
-        "r4:  >= 0.5\n"
-        "r5:  = 1e-07\n"
-        "r6: 1 t[h1] <= 0\n"
-        "QUADRATIC\n"
-        "q1:  + 1 x[h1][0]*x[h1][1] = 1\n"
-        "q2: - 1 t[h1]  <= 0.5\n"
-        "q3:   >= 0\n"
-        "q4: - 0.5 t[h1] + 2 p[h1] - 2.25 x[h1][0]*t[h1] = 1e-07\n")
-
-
-@pytest.mark.parametrize("count, digest", [
-    (255, "b31294330ab95491d6aa7daedeae14a33729a7e36c83dde03e484c8e210a0f98"),
-    (256, "4bf9431b6bd41da5b5c6cb0c000ff55b698079e25a41a2467e724c8447dc6b3b"),
-    (257, "c1e3cb57e3222e12282ee8aef6fb72e98c1e349d97640d2f7312ff6a898f0153"),
-])
-def test_hand_built_rows_around_a_chunk_boundary_are_pinned(worked, count, digest):
-    # 0 to 3 terms per row, so every fourth row, 255 (the last of the first
-    # chunk) among them, has no linear terms; SHA-256 recorded from an
-    # earlier renderer
-    names = build_miqp(worked, 0.5).variables.names
-    linear = [(f"r{k}", tuple(item for j in range((k + 1) % 4) for item in (
-        (-1) ** (j + k) * (j + 0.5 * (k % 3)), names[(k + j) % len(names)])),
-        ("<=", ">=", "=")[k % 3], k - 128) for k in range(count)]
-    quadratic = [(f"q{k}", linear[k][1], tuple(item for j in range(k % 3) for item in (
-        j - 1, names[k % len(names)], names[(k + j) % len(names)])), "=", k / 4)
-        for k in range(count)]
-    text = rendered_rows(worked, linear, quadratic)
-    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
-
-
 @st.composite
 def datasets_with_schedules(draw):
     """A small random dataset and a schedule whose budgets fit each horizon."""
@@ -389,6 +335,12 @@ def test_schedule_assignments_pass_both_checkers(case, alpha):
     for result in (check_assignment(model, assignment), check_linearized(model, assignment)):
         assert result.objective == replay.objective
         assert result.violations == expected
+    # every row opens with a positive linear term, so the renderer need not handle rows
+    # without one
+    for rows in (model.linear, model.quadratic):
+        ends = [0, *rows.ends]
+        assert all(map(int.__lt__, ends, ends[1:]))
+        assert all(rows.coefs[start] > 0 for start in ends[:-1])
 
 
 def test_model_storage_is_a_fixed_set_of_flat_lists(worked):
@@ -610,17 +562,8 @@ def model_fields(model):
     return {field.name: getattr(model, field.name) for field in dataclasses.fields(model)}
 
 
-def test_rows_round_trip_through_the_constructor(worked):
+def test_rows_read_back_with_names(worked):
     model = build_miqp(worked, 0.5)
-    fields = model_fields(model)
-    again = MiqpModel(**{**fields, "linear": list(model.linear)})
-    assert again == model
-    assert again.render() == model.render()
-    plain = MiqpModel(**{**fields, "variables": list(model.variables),
-                         "objective": tuple(model.objective), "linear": list(model.linear),
-                         "quadratic": list(model.quadratic)})
-    assert plain == model
-    assert plain.render() == model.render()
     assert model.linear[0] == ("position_capacity[1]", (1, "x[h1][1]", 1, "x[h2][1]", 1, "x[h3][1]"),
                                "<=", 1)
     assert model.linear[-1] == model.linear[len(model.linear) - 1] == model.linear[-2:][1]
@@ -638,123 +581,45 @@ def test_rows_across_chunk_boundaries():
     model = build_miqp(d, 0.0)
     rows = list(model.linear)
     assert len(rows) > 2 * CHUNK_ROWS
-    again = MiqpModel(**{**model_fields(model), "linear": rows})
-    assert again == model
-    assert again.render() == model.render()
     for k in (255, 256, 257, -1):
         assert model.linear[k] == rows[k]
-    # a right-hand side that the canonical assignment breaks, planted at row 300
-    cid, terms, _, _ = rows[300]
-    planted = MiqpModel(**{**model_fields(model),
-                           "linear": rows[:300] + [(cid, terms, "<=", -1)] + rows[301:]})
-    assignment = schedule_assignment(planted, Schedule((("h0", 1), ("h1", 2))))
+    # a variable whose rows lie in the second and third chunks, flipped
+    assignment = schedule_assignment(model, Schedule((("h0", 1), ("h1", 2))))
     assert check_linearized(model, assignment).violations == ()
-    result = check_linearized(planted, assignment)
-    assert result.violations == (cid,)
-    assert result == reference_check_linearized(planted, assignment)
+    assert [k for k, row in enumerate(rows) if "z[N11][h0]" in row[1]] == [490, 491, 494, 704, 705]
+    assignment["z[N11][h0]"] = 1 - assignment["z[N11][h0]"]
+    result = check_linearized(model, assignment)
+    assert result.violations == ("before_first_ub[N11,h0]", "first_solver_def[N11,h0]",
+                                 "solved_and_before_ub2[N11,h0]")
+    assert result == reference_check_linearized(model, assignment)
 
 
-WORKED_PAIRS = [(n, h) for n in ("N1", "N2", "N3") for h in ("h1", "h2", "h3")]
-
-
-@pytest.mark.parametrize("field, value, message", [
-    # an odd item count used to drop its last item from the rendering
-    ("linear", [("r1", (1, "x[h1][0]", 2), "<=", 1)], "terms must be groups"),
-    # an unknown operator used to be exported and checked as an equality
-    ("linear", [("r1", (1, "x[h1][0]"), "=<", 1)], "operator '=<'"),
-    # a NaN right-hand side used to render as nan
-    ("linear", [("r1", (1, "x[h1][0]"), "<=", float("nan"))], "r1: right-hand side must be a finite number, got nan"),
-    # an unknown name used to render and then fail the checker with a KeyError
-    ("linear", [("r1", (1, "a"), "<=", 1)], "no variable named 'a'"),
-    ("linear", [("r1", (float("inf"), "x[h1][0]"), "<=", 1)], "r1: coefficient must be a finite number, got inf"),
-    ("linear", [("r1", ("1", "x[h1][0]"), "<=", 1)], "coefficient must be a finite number, got '1'"),
-    ("linear", [("r1", (1, "x[h1][0]"), "<=", "1")], "right-hand side must be a finite number, got '1'"),
-    ("linear", [("r1", (1, "x[h1][0]"), "<=")], "has 4 items"),
-    ("quadratic", [("q1", (), (1, "x[h1][0]"), "=", 1)], "terms must be groups"),
-    ("quadratic", [("q1", (1, "x[h1][0]"), "=", 1)], "has 5 items"),
-    ("objective", (1.0, "tN[N9]"), "objective: model has no variable named 'tN[N9]'"),
-    ("variables", [("a", "binary", 0, 1)], "a variable row is"),
-    # an integer beyond float range: this right-hand side used to raise OverflowError in
-    # check_linearized, this coefficient ValueError (over 4,300 digits) in render()
-    ("linear", [("r1", (1, "x[h1][0]"), "<=", 10 ** 400)],
-     "r1: right-hand side must be a number that fits in a float"),
-    ("linear", [("r1", (10 ** 5000, "x[h1][0]"), "<=", 1)],
-     "r1: coefficient must be a number that fits in a float"),
-    # row ids are stored newline-joined: these used to split a row over two lines
-    # of the text, or render as "None: ..." and ": ..."
-    ("linear", [("a\nb", (1, "x[h1][0]"), "<=", 1)],
-     "row id 'a\\nb' must be a non-empty string without whitespace"),
-    ("linear", [(None, (1, "x[h1][0]"), "<=", 1)],
-     "row id None must be a non-empty string without whitespace"),
-    ("linear", [("", (1, "x[h1][0]"), "<=", 1)],
-     "row id '' must be a non-empty string without whitespace"),
-    ("quadratic", [("q 1", (), (), "=", 1)],
-     "row id 'q 1' must be a non-empty string without whitespace"),
-    # hand-given variable rows: these bounds used to be written as nan and inf, these
-    # kinds as given; a lower bound of "0" made check_assignment raise TypeError, one
-    # above its upper bound was accepted, and an upper bound of 10**5000 made render()
-    # raise ValueError
-    ("variables", [("x[h1][0]", "binary", 0, float("nan"), "x")],
-     "variable 'x[h1][0]': upper bound must be a finite number, got nan"),
-    ("variables", [("x[h1][0]", "binary", 0, float("inf"), "x")],
-     "variable 'x[h1][0]': upper bound must be a finite number, got inf"),
-    ("variables", [("x[h1][0]", ["binary"], 0, 1, "x")],
-     "variable 'x[h1][0]': kind ['binary'] is not binary or integer"),
-    ("variables", [("x[h1][0]", "real", 0, 1, "x")],
-     "variable 'x[h1][0]': kind 'real' is not binary or integer"),
-    ("variables", [("x[h1][0]", "binary", "0", 1, "x")],
-     "variable 'x[h1][0]': lower bound must be a finite number, got '0'"),
-    ("variables", [("x[h1][0]", "integer", 5, 1, "x")],
-     "variable 'x[h1][0]': lower bound 5 exceeds upper bound 1"),
-    ("variables", [("x[h1][0]", "integer", 0, 10 ** 5000, "x")],
-     "variable 'x[h1][0]': upper bound must be a number that fits in a float"),
-    ("variables", [("x[h1][0]", "binary", 0, 1, "")],
-     "variable 'x[h1][0]': family '' must be a non-empty string"),
-    ("variables", [("x[h1][0]", "binary", 0, 1, None)],
-     "variable 'x[h1][0]': family None must be a non-empty string"),
-    # the other fields: a tau value "1" made schedule_assignment raise TypeError and a
-    # missing pair KeyError; alpha NaN, alpha 2.0 and a NaN horizon were accepted
-    ("alpha", float("nan"), "alpha must lie in [0, 1], got nan"),
-    ("alpha", 2.0, "alpha must lie in [0, 1], got 2.0"),
-    ("tau", dict.fromkeys(WORKED_PAIRS[1:], 1), "tau must map exactly the model's (node, heuristic) pairs"),
-    ("tau", {**dict.fromkeys(WORKED_PAIRS, 1), ("N9", "h1"): 1},
-     "tau must map exactly the model's (node, heuristic) pairs"),
-    ("tau", {**dict.fromkeys(WORKED_PAIRS, None), ("N2", "h3"): "1"},
-     "tau[N2,h3] must be a positive integer, got '1'"),
-    ("tau", {**dict.fromkeys(WORKED_PAIRS, 1), ("N1", "h2"): 0},
-     "tau[N1,h2] must be a positive integer, got 0"),
-    ("tau", {**dict.fromkeys(WORKED_PAIRS, 1), ("N3", "h1"): 2 ** 53 + 1},
-     "tau[N3,h1] must be at most 2**53"),
-    ("horizon", {"h1": 4, "h2": 4}, "horizon must map exactly the model's heuristics"),
-    ("horizon", {"h1": float("nan"), "h2": 4, "h3": 4},
-     "horizon[h1] must be a nonnegative integer, got nan"),
-    ("horizon", {"h1": 4, "h2": -1, "h3": 4}, "horizon[h2] must be a nonnegative integer, got -1"),
-    ("horizon", {"h1": 4, "h2": 4, "h3": 2 ** 53 + 1}, "horizon[h3] must be at most 2**53"),
-])
-def test_malformed_rows_rejected(worked, field, value, message):
-    fields = model_fields(build_miqp(worked, 0.5))
-    with pytest.raises(InputError, match=re.escape(message)):
-        MiqpModel(**{**fields, field: value})
-
-
-def test_variables_outside_the_build_order_rejected(worked):
-    # The checkers read values by their place in the variable order, so a
-    # model whose variables are not build_miqp's, in its order, would be
-    # misread: with the variables reversed, the worked example's canonical
-    # assignment used to get 34 false violations from check_assignment.
+def test_models_come_only_from_build_miqp(worked):
+    # The checkers read values by their place in build_miqp's variable order, so
+    # a model given by hand, or a built one with other fields, would be misread.
     model = build_miqp(worked, 0.5)
-    fields = model_fields(model)
-    rows = list(model.variables)
-    message = "model variables must be those that build_miqp declares"
-    for variables in (rows[::-1], rows[:-1], rows + [("extra", "binary", 0, 1, "x")],
-                      rows[1:2] + rows[:1] + rows[2:]):
-        with pytest.raises(InputError, match=message):
-            MiqpModel(**{**fields, "variables": variables})
-    # built variables carried over to other heuristics or nodes are checked too
-    for changed in ({"nodes": model.nodes[:-1]}, {"heuristics": model.heuristics[::-1]}):
-        with pytest.raises(InputError, match=message):
-            dataclasses.replace(model, **changed)
-    # the same variables as plain rows, or with other bounds, are accepted
-    assert MiqpModel(**{**fields, "variables": rows}) == model
-    wider = [(name, kind, lower, upper + 1, family) for name, kind, lower, upper, family in rows]
-    assert MiqpModel(**{**fields, "variables": wider}).variables[0].upper == 2
+    for make in (lambda: MiqpModel(**model_fields(model)),
+                 lambda: dataclasses.replace(model, alpha=0.4),
+                 lambda: dataclasses.replace(model, nodes=model.nodes[:-1])):
+        with pytest.raises(InputError, match="build_miqp"):
+            make()
+
+
+def test_public_names_are_unchanged():
+    assert heursched.__all__ == [
+        "Dataset", "IterationCostProfile", "Observation", "avg_iteration_cost",
+        "breakpoints", "dump_dataset", "load_dataset",
+        "InputError",
+        "ExactLimits", "candidate_count", "solve_exact",
+        "GreedyOptions", "GreedyStep", "GreedyTrace", "best_action", "build_schedule",
+        "GapFunction", "IncumbentTimeline", "dump_timeline", "gap_function",
+        "load_timeline", "primal_gap", "primal_integral",
+        "CheckResult", "MiqpModel", "build_miqp", "check_assignment",
+        "check_linearized", "export_miqp", "schedule_assignment",
+        "NodeOutcome", "Schedule", "ScheduleEvaluation", "dump_schedule",
+        "evaluate", "load_schedule", "node_cost",
+        "HeuristicSpec", "LatentOutcome", "PolicyComparison", "RunTrace",
+        "SimConfig", "SimInstance", "collect_shadow_dataset", "compare_policies",
+        "default_baseline", "generate_instance", "load_sim_config", "run_with_schedule",
+        "__version__",
+    ]
