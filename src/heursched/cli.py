@@ -17,25 +17,27 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
-import traceback
 from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
 from .dataset import dump_dataset, load_dataset, parse_int
 from .errors import InputError
-from .exact import ExactLimits, solve_exact
-from .greedy import GreedyOptions, build_schedule
-from .metrics import dump_timeline, gap_function, load_timeline, primal_integral
-from .miqp import export_miqp
 from .schedule import dump_schedule, evaluate, load_schedule
-from .simulator import (SimConfig, check_sim_size, compare_policies, default_baseline,
-                        generate_instance, load_sim_config, run_crossval, run_with_schedule,
-                        simulate_shadow_dataset)
+
+# Each handler imports the rest of the package it calls when it runs, so a
+# command loads only the modules it needs.  The modules above are the ones nearly
+# every command reads with; perfbench's self-test patches ``cli.dump_schedule``.
 
 _PROG = "heursched"
+
+
+def __getattr__(name: str):
+    if name == "run_crossval":  # the README documents importing it from here
+        from .simulator import run_crossval
+        return run_crossval
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _fmt(value) -> str:
@@ -60,6 +62,7 @@ def _write_output(args, text: str, inputs, seeds=(), **flags) -> None:
 
 def _write_manifest(args, inputs, seeds=(), **flags) -> None:
     """Record the command's argv, inputs, output, seeds and flags next to ``args.out``."""
+    import json
     manifest = {
         "command": args.command,
         "argv": list(args._argv),
@@ -97,16 +100,19 @@ def _parse_seeds(text: str) -> list[int]:
     except (ValueError, argparse.ArgumentTypeError):
         raise InputError(f"cannot parse seeds from {_quoted(text)}: expected a count or a "
                          "comma-separated list") from None
+    from .simulator import check_sim_size
     check_sim_size(count, "seed count")
     return list(range(count))
 
 
-def _load_config(path: str) -> SimConfig:
+def _load_config(path: str):
+    from .simulator import load_sim_config
     cfg = load_sim_config(_read(path))
     return cfg if cfg.name else replace(cfg, name=Path(path).stem)
 
 
 def _cmd_build(args) -> int:
+    from .greedy import GreedyOptions, build_schedule
     d = load_dataset(_read(args.data))
     opts = GreedyOptions(allow_extension=not args.no_extension,
                          normalize_costs=args.normalize,
@@ -138,10 +144,12 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_exact(args) -> int:
+    from .exact import ExactLimits, solve_exact
     d = load_dataset(_read(args.data))
-    limits = ExactLimits(max_heuristics=args.max_heuristics,
-                         max_breakpoints_per_heuristic=args.max_breakpoints,
-                         enumeration_budget=args.enumeration_budget)
+    given = {"max_heuristics": args.max_heuristics,
+             "max_breakpoints_per_heuristic": args.max_breakpoints,
+             "enumeration_budget": args.enumeration_budget}
+    limits = ExactLimits(**{field: value for field, value in given.items() if value is not None})
     result = solve_exact(d, args.alpha, normalize=args.normalize, limits=limits)
     if result is None:
         print(f"INFEASIBLE (alpha = {_fmt(args.alpha)})")
@@ -153,12 +161,13 @@ def _cmd_exact(args) -> int:
         print(f"  {position}. {heuristic} up to {budget} iterations")
     if args.out:
         _write_output(args, dump_schedule(schedule), [args.data], alpha=args.alpha,
-                      normalize=args.normalize, max_heuristics=args.max_heuristics,
-                      max_breakpoints=args.max_breakpoints)
+                      normalize=args.normalize, max_heuristics=limits.max_heuristics,
+                      max_breakpoints=limits.max_breakpoints_per_heuristic)
     return 0
 
 
 def _cmd_export_miqp(args) -> int:
+    from .miqp import export_miqp
     d = load_dataset(_read(args.data))
     model = export_miqp(d, args.alpha, args.out)
     _write_manifest(args, [args.data], alpha=args.alpha)
@@ -169,6 +178,7 @@ def _cmd_export_miqp(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    from .simulator import check_sim_size, simulate_shadow_dataset
     cfg = _load_config(args.config)
     count = args.instances if args.instances is not None else cfg.instances
     if count < 1:
@@ -185,6 +195,8 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_run(args) -> int:
+    from .metrics import dump_timeline, primal_integral
+    from .simulator import generate_instance, run_with_schedule
     cfg = _load_config(args.config)
     s = load_schedule(_read(args.schedule))
     limit = args.time_limit if args.time_limit is not None else cfg.effective_time_limit()
@@ -205,6 +217,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_compare(args) -> int:
+    from .simulator import compare_policies, default_baseline
     cfg = _load_config(args.config)
     s = load_schedule(_read(args.schedule))
     baseline = load_schedule(_read(args.baseline)) if args.baseline else default_baseline(cfg)
@@ -219,6 +232,7 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_metrics(args) -> int:
+    from .metrics import gap_function, load_timeline, primal_integral
     tl = load_timeline(_read(args.timeline), best_known=args.best_known, sense=args.sense)
     integral = primal_integral(tl, args.time_limit)
     gaps = gap_function(tl)
@@ -229,6 +243,7 @@ def _cmd_metrics(args) -> int:
 
 
 def _cmd_crossval(args) -> int:
+    from .simulator import run_crossval
     paths = [part.strip() for part in args.configs.split(",") if part.strip()]
     configs = [_load_config(path) for path in paths]
     baseline = load_schedule(_read(args.baseline)) if args.baseline else None
@@ -270,10 +285,10 @@ def build_parser() -> _Parser:
     p.add_argument("--data", required=True)
     p.add_argument("--alpha", type=float, default=0.0)
     p.add_argument("--normalize", action="store_true")
-    p.add_argument("--max-heuristics", type=_integer, default=ExactLimits.max_heuristics)
-    p.add_argument("--max-breakpoints", type=_integer,
-                   default=ExactLimits.max_breakpoints_per_heuristic)
-    p.add_argument("--enumeration-budget", type=_integer, default=ExactLimits.enumeration_budget)
+    # unset limits take ExactLimits' defaults in _cmd_exact
+    p.add_argument("--max-heuristics", type=_integer)
+    p.add_argument("--max-breakpoints", type=_integer)
+    p.add_argument("--enumeration-budget", type=_integer)
     p.add_argument("--out", help="write the optimal schedule CSV here")
     p.set_defaults(handler=_cmd_exact)
 
@@ -341,6 +356,7 @@ def dispatch(argv) -> int:
     except SystemExit as exc:  # argparse --version/--help
         return 0 if exc.code in (0, None) else 1
     except Exception:
+        import traceback
         traceback.print_exc()
         return 2
 

@@ -195,9 +195,13 @@ class VariableRows(_Columns):
         return MiqpVariable(self.names[k], *self.attributes[k])
 
 
-def _ends(ends: Sequence, lengths):
-    """Cumulative term counts of rows appended after ``ends``."""
-    return islice(accumulate(lengths, initial=ends[-1] if ends else 0), 1, None)
+def _extend_ends(ends, lengths) -> None:
+    """Append to the array ``ends`` the cumulative term counts of rows of ``lengths``
+    terms, ``CHUNK_ROWS`` at a time: ``fromlist`` sizes the array once per slice,
+    where ``extend`` from an iterator appends item by item."""
+    totals = islice(accumulate(lengths, initial=ends[-1] if ends else 0), 1, None)
+    for part in iter(lambda: list(islice(totals, CHUNK_ROWS)), []):
+        ends.fromlist(part)
 
 
 def row_sums(ends: Sequence, coefs: list, values: list, *factors: list):
@@ -240,13 +244,13 @@ class Rows(_Columns):
         if partial:
             self.cids[-1] = "\n".join(chain(self.cids[-1:], islice(cids, CHUNK_ROWS - partial)))
         self.cids += iter(lambda: "\n".join(islice(cids, CHUNK_ROWS)), "")
-        self.ends.extend(_ends(self.ends, lengths))
+        _extend_ends(self.ends, lengths)
         self.coefs += coefs
         self.vars += variables
         self.ops += ops
         self.rhs += rhs
         if self.qends is not None:
-            self.qends.extend(_ends(self.qends, qlengths))
+            _extend_ends(self.qends, qlengths)
             self.qcoefs += qcoefs
             self.qvars += qvars
 

@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+import heursched
 import heursched.cli as cli
 import heursched.simulator as simulator
 import heursched.workers as workers
@@ -373,12 +374,12 @@ def test_exit_codes(tmp_path, monkeypatch, capsys):
     bad.write_text("not,a,dataset\n", encoding="utf-8")
     assert dispatch(["build", "--data", str(bad)]) == 1
 
-    import heursched.cli as cli_module
+    import heursched.greedy as greedy
 
     def boom(*args, **kwargs):
         raise RuntimeError("internal")
 
-    monkeypatch.setattr(cli_module, "build_schedule", boom)
+    monkeypatch.setattr(greedy, "build_schedule", boom)
     worked = tmp_path / "worked.csv"
     worked.write_text(WORKED_CSV, encoding="utf-8")
     assert dispatch(["build", "--data", str(worked)]) == 2
@@ -504,7 +505,7 @@ def test_instance_count_beyond_the_simulator_limit_draws_nothing(tmp_path, capsy
     def refuse(cfg, seeds):
         raise AssertionError(f"{len(seeds)} instances drawn")
 
-    monkeypatch.setattr(cli, "simulate_shadow_dataset", refuse)
+    monkeypatch.setattr(simulator, "simulate_shadow_dataset", refuse)
     out = tmp_path / "shadow.csv"
     assert dispatch(["simulate", "--config", str(cfg_path), "--instances", "1000001",
                      "--out", str(out)]) == 1
@@ -559,11 +560,16 @@ def test_export_into_missing_directory_exits_cleanly(tmp_path, worked_csv, capsy
     assert "Traceback" not in err
 
 
+def _checkout_env() -> dict:
+    """The environment with this checkout's sources first on ``PYTHONPATH``."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        part for part in (src, os.environ.get("PYTHONPATH")) if part))
+
+
 @pytest.mark.parametrize("module", ["heursched", "heursched.cli"])
 def test_module_runs_from_a_source_checkout(tmp_path, worked_csv, module):
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        part for part in (src, os.environ.get("PYTHONPATH")) if part))
+    env = _checkout_env()
 
     def run(*argv):
         return subprocess.run([sys.executable, "-m", module, *argv], cwd=tmp_path, env=env,
@@ -577,6 +583,61 @@ def test_module_runs_from_a_source_checkout(tmp_path, worked_csv, module):
     assert done.returncode == 1
     assert "alpha must lie in [0, 1]" in done.stderr
     assert not (tmp_path / "model.txt").exists()
+
+
+def _fresh_interpreter(code: str, cwd) -> str:
+    """Run ``code`` in a new interpreter on this checkout's sources; return its stdout."""
+    done = subprocess.run([sys.executable, "-c", code], cwd=cwd, env=_checkout_env(),
+                          capture_output=True, text=True, encoding="utf-8", timeout=60)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+def test_importing_the_package_loads_no_module(tmp_path):
+    loaded = _fresh_interpreter(
+        "import sys, heursched; print(sorted(m for m in sys.modules if m.startswith('heursched')))",
+        tmp_path)
+    assert loaded == "['heursched']\n"
+
+
+@pytest.mark.parametrize("argv", [["build", "--alpha", "0.9"],
+                                  ["eval", "--schedule", "sched.csv", "--alpha", "0.9"]],
+                         ids=["build", "eval"])
+def test_commands_import_only_what_they_run(tmp_path, worked_csv, argv):
+    (tmp_path / "sched.csv").write_text("position,heuristic,max_iterations\n1,h1,1\n2,h2,3\n",
+                                        encoding="utf-8")
+    argv = [*argv, "--data", str(worked_csv)]
+    loaded = _fresh_interpreter(
+        "import sys; from heursched.cli import dispatch\n"
+        f"status = dispatch({argv!r})\n"
+        "print(status, sorted(m for m in sys.modules if m.startswith('heursched.')))", tmp_path)
+    status, modules = loaded.splitlines()[-1].split(" ", 1)
+    assert status == "0"
+    for module in ("simulator", "workers", "exact", "metrics"):
+        assert f"'heursched.{module}'" not in modules
+
+
+def test_exported_names_are_their_modules_objects(tmp_path):
+    # in a fresh interpreter, so the first access is the one checked
+    checked = _fresh_interpreter(
+        "import sys, heursched\n"
+        "for name in heursched.__all__:\n"
+        "    value = getattr(heursched, name)\n"
+        "    if name != '__version__':\n"
+        "        assert value is getattr(sys.modules[value.__module__], name), name\n"
+        "namespace = {}\n"
+        "exec('from heursched import *', namespace)\n"
+        "assert all(namespace[name] is getattr(heursched, name) for name in heursched.__all__)\n"
+        "assert set(heursched.__all__) <= set(dir(heursched))\n"
+        "print(len(heursched.__all__))", tmp_path)
+    assert checked == f"{len(heursched.__all__)}\n"
+
+
+def test_unknown_names_still_raise_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        heursched.no_such_name
+    with pytest.raises(AttributeError, match="no_such_name"):
+        cli.no_such_name
 
 
 # SHA-256 of the simulate, compare and run outputs below on the planted

@@ -410,8 +410,10 @@ _ODD_VALUES = (0, 1, 2, -1, 7, True, False, 1.0, 0.0, 0.5, -0.5, 2.0000000001, 1
 @settings(max_examples=200)
 @given(case=datasets_with_schedules(),
        changes=st.lists(st.tuples(st.integers(0, 10**6), st.sampled_from(_ODD_VALUES)),
-                        max_size=6))
-def test_coercion_matches_the_reference(case, changes):
+                        max_size=6),
+       budgets=st.lists(st.tuples(st.integers(0, 10**6), st.booleans(), st.integers(-2, 2)),
+                        min_size=1, max_size=3))
+def test_coercion_matches_the_reference(case, changes, budgets):
     d, schedule = case
     model = build_miqp(d, 0.5)
     assignment = schedule_assignment(model, schedule)
@@ -422,6 +424,11 @@ def test_coercion_matches_the_reference(case, changes):
             assignment.pop(name, None)
         else:
             assignment[name] = value
+    # t's bounds are per heuristic: every example sets some t[h] near 0 or near its
+    # horizon, below or above its domain at times
+    for index, from_horizon, offset in budgets:
+        t = model.variable(f"t[{d.heuristics[index % len(d.heuristics)]}]")
+        assignment[t.name] = t.upper + offset if from_horizon else offset
     try:
         expected = reference_coerce_assignment(model, assignment)
     except InputError as exc:
