@@ -317,13 +317,6 @@ class IterationCostProfile:
         except KeyError:
             raise InputError(f"no iteration cost recorded for heuristic {heuristic!r}") from None
 
-    def __contains__(self, heuristic: str) -> bool:
-        return heuristic in self.seconds_per_iteration
-
-    @classmethod
-    def uniform(cls, heuristics, cost: float = 1.0) -> "IterationCostProfile":
-        return cls({h: cost for h in heuristics})
-
 
 def _read_count(text: str, cache: dict, lineno: int, column: str) -> int:
     """Parse a count text (``inf``: 0, a failed call, as a tau) and cache it unless
@@ -429,7 +422,11 @@ def avg_iteration_cost(d: Dataset) -> IterationCostProfile:
     costs: dict[str, float] = {}
     for heuristic, timed in seconds.items():
         # fsum: exactly rounded, so the average ignores row order
-        total_seconds = math.fsum(timed)
+        try:
+            total_seconds = math.fsum(timed)
+        except OverflowError:
+            raise InputError(f"total duration of heuristic {heuristic!r} overflows "
+                             "the float range") from None
         if not timed:
             costs[heuristic] = 1.0
         elif total_seconds <= 0.0:

@@ -26,6 +26,8 @@ entries with ``evaluate``'s own kernel and summing the costs in node
 order; so the incumbent and every tie-break are decided on the numbers
 ``evaluate`` reports.  With integer weights (raw iterations) every sum is
 exact in any order, the cutoff is the incumbent and nothing is repriced.
+Otherwise the search refuses to start when the largest objective any
+candidate could reach, with that slack, is not a finite float.
 
 The scheduling problem generalizes pipelined set cover and is NP-hard, so
 this is strictly a desk-scale ground truth: hard limits guard the
@@ -40,7 +42,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .dataset import Dataset, IterationCostProfile, breakpoints
+from .dataset import Dataset, breakpoints
 from .errors import InputError
 from .schedule import Schedule, _replay, _steps, replay_tables
 
@@ -74,9 +76,7 @@ def candidate_count(d: Dataset) -> int:
     return sum(math.factorial(k) * e_k for k, e_k in enumerate(sums))
 
 
-def solve_exact(d: Dataset, alpha: float,
-                costs: IterationCostProfile | None = None,
-                normalize: bool = False,
+def solve_exact(d: Dataset, alpha: float, *, normalize: bool = False,
                 limits: ExactLimits = ExactLimits()):
     """Optimal schedule by pruned prefix search, or None when no schedule reaches alpha.
 
@@ -105,14 +105,14 @@ def solve_exact(d: Dataset, alpha: float,
                          f"enumeration_budget={limits.enumeration_budget}")
 
     usable = [h for h in d.heuristics if budgets_of[h]]
-    tables = replay_tables(d, costs, normalize)
+    weight_of = replay_tables(d, normalize=normalize)
     total_nodes = len(d.nodes)
-    weights = [tables.weight_of[h] for h in usable]
+    weights = [weight_of[h] for h in usable]
     # bit i of ties[g][k]: node i takes exactly budgets_of[usable[g]][k] iterations
     ties = []
     for heuristic in usable:
         bit_of = {budget: 0 for budget in budgets_of[heuristic]}
-        for i, tau in enumerate(tables.tau_of[heuristic].taus):
+        for i, tau in enumerate(d.tau_column(heuristic).taus):
             if tau is not None:
                 bit_of[tau] |= 1 << i
         ties.append(list(bit_of.items()))
@@ -133,6 +133,13 @@ def solve_exact(d: Dataset, alpha: float,
     exact_sums = all(isinstance(w, int) for w in weights)
     steps = 8 * (total_nodes + len(usable) + 8)
     slack, tiny = (0, 0) if exact_sums else (steps * 2.0 ** -53, steps * math.ulp(0.0))
+    # no node costs more than every usable heuristic at its largest budget plus
+    # the penalty; past the float range, inf and then nan would decide the search
+    if not exact_sums:
+        most = total_nodes * (sum(w * budgets_of[h][-1] for w, h in zip(weights, usable)) + 1)
+        if not math.isfinite(most * (1 + slack) + tiny):
+            raise InputError("objective bound overflows the float range: "
+                             "the iteration costs are too large")
 
     best_key = None
     best_entries = None
@@ -153,7 +160,7 @@ def solve_exact(d: Dataset, alpha: float,
 
     def price(entries):
         """The objective of ``entries`` summed in node order, as ``evaluate`` sums it."""
-        replay_steps = _steps(entries, tables)
+        replay_steps = _steps(entries, d, weight_of)
         objective = 0
         for number in range(total_nodes):
             objective += _replay(replay_steps, number)[1]

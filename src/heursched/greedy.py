@@ -40,9 +40,9 @@ import warnings
 from collections import Counter
 from dataclasses import dataclass
 
-from .dataset import Dataset, IterationCostProfile, avg_iteration_cost, breakpoints
+from .dataset import Dataset, breakpoints
 from .errors import InputError
-from .schedule import ReplayTables, Schedule, evaluate, replay_tables
+from .schedule import Schedule, _evaluate, replay_tables
 
 
 @dataclass(frozen=True)
@@ -90,14 +90,14 @@ class GreedyTrace:
         return "\n".join(lines)
 
 
-def _best_action(d: Dataset, scheduled, last_entry, tables: ReplayTables,
+def _best_action(d: Dataset, scheduled, last_entry, weights: dict,
                  breakpoints_of: dict, counts_of: dict) -> GreedyStep | None:
     best_key = best = None
     for rank, heuristic in enumerate(d.heuristics):
         is_last = last_entry is not None and heuristic == last_entry[0]
         if heuristic in scheduled and not is_last:
             continue  # mid-schedule heuristics can be neither rerun nor extended
-        weight = tables.weight_of[heuristic]
+        weight = weights[heuristic]
         counts = counts_of[heuristic]
         newly = 0
         for budget in breakpoints_of[heuristic]:
@@ -113,7 +113,6 @@ def _best_action(d: Dataset, scheduled, last_entry, tables: ReplayTables,
 
 
 def best_action(d: Dataset, unsolved, *, scheduled=(), last_entry=None,
-                costs: IterationCostProfile | None = None,
                 normalize: bool = False) -> GreedyStep | None:
     """Best next action for a partially built schedule, or None.
 
@@ -122,14 +121,14 @@ def best_action(d: Dataset, unsolved, *, scheduled=(), last_entry=None,
     (heuristic, budget) pair — pass it only when budget extension is
     allowed.  None means no candidate solves any unsolved node.
     """
-    tables = replay_tables(d, costs, normalize)
+    weights = replay_tables(d, normalize=normalize)
     unsolved = set(unsolved)
     numbers = [i for i, node in enumerate(d.nodes) if node in unsolved]
     # per heuristic, how many unsolved nodes take each tau
-    counts_of = {h: Counter(map(column.taus.__getitem__, numbers))
-                 for h, column in tables.tau_of.items()}
+    counts_of = {h: Counter(map(d.tau_column(h).taus.__getitem__, numbers))
+                 for h in d.heuristics}
     breakpoints_of = {h: breakpoints(d, h) for h in d.heuristics}
-    return _best_action(d, set(scheduled), last_entry, tables, breakpoints_of, counts_of)
+    return _best_action(d, set(scheduled), last_entry, weights, breakpoints_of, counts_of)
 
 
 def build_schedule(d: Dataset, opts: GreedyOptions = GreedyOptions()):
@@ -141,9 +140,8 @@ def build_schedule(d: Dataset, opts: GreedyOptions = GreedyOptions()):
     """
     if not d.nodes or not d.heuristics:
         raise InputError("dataset must contain at least one node and one heuristic")
-    costs = avg_iteration_cost(d) if opts.normalize_costs else None
-    tables = replay_tables(d, costs, opts.normalize_costs)
-    taus_of = {h: column.taus for h, column in tables.tau_of.items()}
+    weights = replay_tables(d, normalize=opts.normalize_costs)
+    taus_of = {h: d.tau_column(h).taus for h in d.heuristics}
     counts_of = {h: Counter(taus) for h, taus in taus_of.items()}
     breakpoints_of = {h: breakpoints(d, h) for h in d.heuristics}
 
@@ -153,7 +151,7 @@ def build_schedule(d: Dataset, opts: GreedyOptions = GreedyOptions()):
     while unsolved:
         last_entry = entries[-1] if (entries and opts.allow_extension) else None
         scheduled = {h for h, _ in entries}
-        step = _best_action(d, scheduled, last_entry, tables, breakpoints_of, counts_of)
+        step = _best_action(d, scheduled, last_entry, weights, breakpoints_of, counts_of)
         if step is None:
             break
         if step.extends_last:
@@ -168,8 +166,7 @@ def build_schedule(d: Dataset, opts: GreedyOptions = GreedyOptions()):
         steps.append(step)
 
     schedule = Schedule(tuple(entries))
-    evaluation = evaluate(schedule, d, opts.alpha_report,
-                          costs=costs, normalize=opts.normalize_costs)
+    evaluation = _evaluate(schedule, d, opts.alpha_report, weights)
     if evaluation.success_rate < opts.alpha_report:
         warnings.warn(
             f"greedy schedule covers {evaluation.success_rate:.4g} of nodes, below the "

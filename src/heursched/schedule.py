@@ -10,15 +10,18 @@ schedule plus a penalty of one cost unit.  Costs are counted in raw
 iterations, or, when normalization is requested, in seconds: iterations
 times the heuristic's average seconds per iteration, so the penalty is one
 second.  Rescaling every duration can therefore change the exact optimum,
-but never the greedy schedule, whose ratio has no penalty term.
+but never the greedy schedule, whose ratio has no penalty term.  The
+averages always come from the durations of the dataset being replayed
+(``avg_iteration_cost``); no other scale can be supplied.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
-from .dataset import (Dataset, IterationCostProfile, avg_iteration_cost, check_count,
-                      parse_int, read_rows, validate_identifier)
+from .dataset import (Dataset, avg_iteration_cost, check_count, parse_int, read_rows,
+                      validate_identifier)
 from .errors import InputError
 
 SCHEDULE_HEADER = "position,heuristic,max_iterations"
@@ -83,40 +86,29 @@ class ScheduleEvaluation:
     per_node: tuple[NodeOutcome, ...]
 
 
-@dataclass(frozen=True)
-class ReplayTables:
-    """Precomputed lookup tables shared by the replay primitives."""
+def replay_tables(d: Dataset, *, normalize: bool = False) -> dict:
+    """Replay weights: the cost of one iteration, per heuristic.
 
-    weight_of: dict
-    tau_of: dict
-
-
-def replay_tables(d: Dataset, costs: IterationCostProfile | None = None,
-                  normalize: bool = False) -> ReplayTables:
-    """Build lookup tables for fast repeated replays against one dataset.
-
-    ``tau_of[h]`` is the dataset's read-only ``tau_column(h)``: node id to
-    the finite iterations-to-solution of heuristic ``h`` (failed and
-    unobserved pairs are absent), a view over its tau list ``taus``.  Weights
-    are 1 per iteration unless normalization is requested, in which case they
-    come from ``costs`` (computed from the dataset when not supplied).
+    1 unless normalization is requested; then the heuristic's average seconds
+    per iteration, always taken from the dataset's own durations
+    (``avg_iteration_cost``).
     """
     if normalize:
-        if costs is None:
-            costs = avg_iteration_cost(d)
-        weight_of = {h: costs[h] for h in d.heuristics}
-    else:
-        weight_of = {h: 1 for h in d.heuristics}
-    return ReplayTables(weight_of, {h: d.tau_column(h) for h in d.heuristics})
+        return avg_iteration_cost(d).seconds_per_iteration
+    return dict.fromkeys(d.heuristics, 1)
 
 
-def _steps(entries, tables: ReplayTables) -> list:
+def _steps(entries, d: Dataset, weights: dict) -> list:
     """``(tau list, weight, budget)`` of each entry, in order."""
-    return [(tables.tau_of[h].taus, tables.weight_of[h], budget) for h, budget in entries]
+    return [(d.tau_column(h).taus, weights[h], budget) for h, budget in entries]
 
 
 def _replay(steps, number: int):
-    """``replay_node`` at the node with that number, ``steps`` from ``_steps``."""
+    """Replay entries at the node with that number, ``steps`` from ``_steps``.
+
+    Returns ``(position, cost)``: the 1-based index of the solving entry or
+    None, and the node's cost.
+    """
     total = 0
     for position, (taus, weight, budget) in enumerate(steps, start=1):
         tau = taus[number]
@@ -126,46 +118,35 @@ def _replay(steps, number: int):
     return None, total + 1
 
 
-def replay_node(entries, tables: ReplayTables, node: str):
-    """Replay schedule entries at one node.
-
-    Returns ``(position, cost)`` where position is the 1-based index of
-    the solving entry or None.  Low-level primitive: ids are assumed
-    valid.
-    """
-    # every column shares the dataset's node numbers; no entry, no number needed
-    number = tables.tau_of[entries[0][0]].numbers[node] if entries else 0
-    return _replay(_steps(entries, tables), number)
-
-
 def _check_schedule_against(s: Schedule, d: Dataset) -> None:
     for heuristic in s.heuristics:
         d._require_heuristic(heuristic)
 
 
-def node_cost(s: Schedule, d: Dataset, node: str,
-              costs: IterationCostProfile | None = None,
-              normalize: bool = False) -> NodeOutcome:
+def node_cost(s: Schedule, d: Dataset, node: str, *, normalize: bool = False) -> NodeOutcome:
     """Cost the schedule incurs at a single node (see module docstring)."""
     _check_schedule_against(s, d)
     d._require_node(node)
-    tables = replay_tables(d, costs, normalize)
-    position, cost = replay_node(s.entries, tables, node)
-    return NodeOutcome(node, position, cost)
+    steps = _steps(s.entries, d, replay_tables(d, normalize=normalize))
+    return NodeOutcome(node, *_replay(steps, d.nodes.index(node)))
 
 
-def evaluate(s: Schedule, d: Dataset, alpha: float,
-             costs: IterationCostProfile | None = None,
+def evaluate(s: Schedule, d: Dataset, alpha: float, *,
              normalize: bool = False) -> ScheduleEvaluation:
     """Replay the schedule at every node and aggregate.
 
     ``alpha`` is the minimum fraction of nodes the schedule should solve;
     it only sets the feasibility flag, nothing is enforced.
     """
+    return _evaluate(s, d, alpha, replay_tables(d, normalize=normalize))
+
+
+def _evaluate(s: Schedule, d: Dataset, alpha: float, weights: dict) -> ScheduleEvaluation:
+    """``evaluate`` with the replay weights given."""
     if not 0.0 <= alpha <= 1.0:
         raise InputError(f"alpha must lie in [0, 1], got {alpha!r}")
     _check_schedule_against(s, d)
-    steps = _steps(s.entries, replay_tables(d, costs, normalize))
+    steps = _steps(s.entries, d, weights)
     outcomes = []
     objective = 0
     solved = 0
@@ -175,6 +156,9 @@ def evaluate(s: Schedule, d: Dataset, alpha: float,
         objective += cost
         if position is not None:
             solved += 1
+    if not math.isfinite(objective):
+        raise InputError("schedule objective overflows the float range: "
+                         "the iteration costs are too large")
     total = len(d.nodes)
     rate = solved / total if total else 1.0
     return ScheduleEvaluation(

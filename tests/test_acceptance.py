@@ -20,7 +20,6 @@ from heursched import (GreedyOptions, IncumbentTimeline, Schedule, best_action,
                        load_dataset, load_sim_config, primal_integral,
                        schedule_assignment, solve_exact)
 from heursched.cli import dispatch
-from heursched.schedule import replay_tables
 
 from conftest import COVERAGE_CFG, PLANTED_CFG, WORKED_CSV, pathological_csv, random_dataset
 
@@ -149,7 +148,7 @@ def test_criterion_4_breakpoint_dominance():
         if not all_bps:
             continue
         lo, hi = all_bps[0], all_bps[-1]
-        taus = replay_tables(d).tau_of
+        taus = {h: d.tau_column(h) for h in d.heuristics}
 
         # walk the greedy trajectory; every intermediate state is consistent
         unsolved = set(d.nodes)

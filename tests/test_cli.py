@@ -560,6 +560,39 @@ def test_export_into_missing_directory_exits_cleanly(tmp_path, worked_csv, capsy
     assert "Traceback" not in err
 
 
+# h1's durations sum past the float range; in the second, each heuristic is
+# priced 1e308 s per iteration and a schedule of both charges N2 2e308 s
+TOTAL_OVERFLOW = "h1,N1,1,1,1e308\nh1,N2,1,1,1e308\nh2,N1,1,1,1\n"
+OBJECTIVE_OVERFLOW = "h1,N1,1,1,1e308\nh2,N2,1,1,1e308\n"
+
+
+@pytest.mark.parametrize("argv", [["build", "--out", "out.csv"],
+                                  ["eval", "--schedule", "sched.csv"],
+                                  ["exact", "--alpha", "1", "--out", "out.csv"]],
+                         ids=["build", "eval", "exact"])
+@pytest.mark.parametrize("rows, message", [
+    (TOTAL_OVERFLOW, "total duration of heuristic 'h1' overflows the float range"),
+    (OBJECTIVE_OVERFLOW, "overflows the float range: the iteration costs are too large"),
+], ids=["total", "objective"])
+def test_normalized_overflow_exits_cleanly(tmp_path, capsys, monkeypatch, argv, rows, message):
+    monkeypatch.chdir(tmp_path)
+    Path("data.csv").write_text(
+        "heuristic,node,iterations_to_solution,iterations_executed,duration_seconds\n" + rows,
+        encoding="utf-8")
+    Path("sched.csv").write_text("position,heuristic,max_iterations\n1,h1,1\n2,h2,1\n",
+                                 encoding="utf-8")
+    assert dispatch([*argv, "--data", "data.csv", "--normalize"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("heursched: error: ")
+    assert captured.err.endswith(f"{message}\n")
+    assert captured.err.count("\n") == 1
+    assert not Path("out.csv").exists()
+    # raw iterations are exact integers: the same inputs pass
+    assert dispatch([*argv, "--data", "data.csv"]) == 0
+    assert re.search(r"objective: \d+\n", capsys.readouterr().out)
+
+
 def _checkout_env() -> dict:
     """The environment with this checkout's sources first on ``PYTHONPATH``."""
     src = str(Path(__file__).resolve().parents[1] / "src")
@@ -583,6 +616,18 @@ def test_module_runs_from_a_source_checkout(tmp_path, worked_csv, module):
     assert done.returncode == 1
     assert "alpha must lie in [0, 1]" in done.stderr
     assert not (tmp_path / "model.txt").exists()
+
+
+def test_readme_library_example_runs_without_encoding_warnings(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    example = readme.split("## Library", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    (tmp_path / "train.csv").write_text(WORKED_CSV, encoding="utf-8")
+    done = subprocess.run([sys.executable, "-X", "warn_default_encoding",
+                           "-W", "error::EncodingWarning", "-c", example], cwd=tmp_path,
+                          env=_checkout_env(), capture_output=True, text=True,
+                          encoding="utf-8", timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert "9.0 1.0\n" in done.stdout  # the greedy report on the worked dataset
 
 
 def _fresh_interpreter(code: str, cwd) -> str:

@@ -17,7 +17,6 @@ from heursched import (Dataset, InputError, IterationCostProfile, Observation, S
                        dump_dataset, dump_schedule, generate_instance, load_dataset,
                        load_schedule, load_sim_config)
 from heursched.dataset import DATASET_HEADER
-from heursched.schedule import replay_tables
 
 from conftest import COVERAGE_CFG, PLANTED_CFG, WORKED_CSV, random_dataset
 
@@ -176,6 +175,14 @@ def test_avg_iteration_cost_warns_on_zero_durations():
         assert avg_iteration_cost(d)["h"] == 1.0
 
 
+def test_avg_iteration_cost_names_an_overflowing_total():
+    # each duration is finite; their sum is not
+    d = load_dataset(DATASET_HEADER + "\nh1,N1,1,1,1e308\nh1,N2,1,1,1e308\nh2,N1,1,1,1\n")
+    with pytest.raises(InputError) as excinfo:
+        avg_iteration_cost(d)
+    assert str(excinfo.value) == "total duration of heuristic 'h1' overflows the float range"
+
+
 def test_avg_iteration_cost_preserves_asymmetry():
     d = Dataset.from_observations([
         Observation("cheap", "N1", 10, 10, 1.0),   # 0.1 s/iteration
@@ -313,7 +320,6 @@ def shuffled_datasets(draw):
 @settings(max_examples=200)
 @given(d=shuffled_datasets())
 def test_indexed_columns_match_a_scan_of_the_observations(d):
-    tables = replay_tables(d)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # all-zero durations warn and fall back
         costs = avg_iteration_cost(d).seconds_per_iteration
@@ -321,12 +327,12 @@ def test_indexed_columns_match_a_scan_of_the_observations(d):
         rows = [o for o in d.observations if o.heuristic == h]
         solved = {o.node: o.iterations_to_solution for o in rows if o.succeeded}
         assert breakpoints(d, h) == sorted(set(solved.values()))
-        assert dict(tables.tau_of[h]) == solved
+        assert dict(d.tau_column(h)) == solved
         with pytest.raises(TypeError):
-            tables.tau_of[h]["new"] = 1
+            d.tau_column(h)["new"] = 1
         assert [d.iterations_to_solution(h, n) for n in d.nodes] == \
             [solved.get(n) for n in d.nodes]
-        assert list(tables.tau_of[h].taus) == [d.iterations_to_solution(h, n) for n in d.nodes]
+        assert list(d.tau_column(h).taus) == [d.iterations_to_solution(h, n) for n in d.nodes]
         assert d.registration_index(h) == d.heuristics.index(h)
         timed = [o for o in rows if o.duration_seconds is not None]
         seconds = math.fsum(o.duration_seconds for o in timed)

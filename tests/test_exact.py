@@ -10,10 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from heursched import (Dataset, ExactLimits, GreedyOptions, HeuristicSpec, InputError,
-                       IterationCostProfile, Observation, Schedule, SimConfig, breakpoints,
-                       build_schedule, candidate_count, collect_shadow_dataset, evaluate,
-                       generate_instance, load_dataset, solve_exact)
-from heursched.schedule import replay_node, replay_tables
+                       Observation, Schedule, SimConfig, breakpoints, build_schedule,
+                       candidate_count, collect_shadow_dataset, evaluate, generate_instance,
+                       load_dataset, solve_exact)
+from heursched.schedule import replay_tables
 
 from conftest import random_dataset
 
@@ -27,7 +27,7 @@ def enumerate_exact(d, alpha, normalize=False):
     budgets_of = {h: breakpoints(d, h) for h in d.heuristics}
     usable = [h for h in d.heuristics if budgets_of[h]]
     registration = {h: i for i, h in enumerate(d.heuristics)}
-    tables = replay_tables(d, None, normalize)
+    weights = replay_tables(d, normalize=normalize)
     best_key = best = None
     candidates = [()]
     for k in range(1, len(usable) + 1):
@@ -39,10 +39,15 @@ def enumerate_exact(d, alpha, normalize=False):
         objective = 0
         solved = 0
         for node in d.nodes:
-            position, cost = replay_node(entries, tables, node)
-            objective += cost
-            if position is not None:
-                solved += 1
+            total, cost = 0, None
+            for h, budget in entries:
+                tau = d.iterations_to_solution(h, node)
+                if tau is not None and tau <= budget:
+                    cost = total + weights[h] * tau
+                    solved += 1
+                    break
+                total += weights[h] * budget
+            objective += total + 1 if cost is None else cost
         rate = solved / len(d.nodes) if d.nodes else 1.0
         if rate < alpha:
             continue
@@ -60,9 +65,9 @@ def list_based_exact(d, alpha, normalize=False):
     objective summed over all nodes in node order (limits not checked)."""
     budgets_of = {h: breakpoints(d, h) for h in d.heuristics}
     usable = [h for h in d.heuristics if budgets_of[h]]
-    tables = replay_tables(d, None, normalize)
+    weights = replay_tables(d, normalize=normalize)
     total_nodes = len(d.nodes)
-    tau_at = {h: [tables.tau_of[h].get(node) for node in d.nodes] for h in usable}
+    tau_at = {h: [d.tau_column(h).get(node) for node in d.nodes] for h in usable}
     solvers = [sum(1 << g for g, h in enumerate(usable) if tau_at[h][i] is not None)
                for i in range(total_nodes)]
     final = [None] * total_nodes
@@ -81,7 +86,7 @@ def list_based_exact(d, alpha, normalize=False):
             if not unused >> g & 1:
                 continue
             rest = unused & ~(1 << g)
-            weight = tables.weight_of[heuristic]
+            weight = weights[heuristic]
             taus = tau_at[heuristic]
             for budget in budgets_of[heuristic]:
                 newly = [i for i in unsolved if taus[i] is not None and taus[i] <= budget]
@@ -402,20 +407,42 @@ def test_float_near_tie_is_decided_in_node_order():
     # 0.30000000000000004 + 0.2 + 0.1 = 0.6 too and wins the tie as the
     # shorter schedule, but its running sum 0.1 * 6 = 0.6000000000000001 lies
     # above the incumbent: only the slack keeps it from the first prune stage
+    # (nine iterations per heuristic; one row bumped by an ulp makes each
+    # average exactly 0.1, 0.1 and 0.2 s per iteration)
+    up = math.nextafter(0.3, 1.0), math.nextafter(0.6, 1.0)
     d = Dataset(("h0", "h1", "h2"), ("n0", "n1", "n2"), (
-        Observation("h0", "n0", 1, 3), Observation("h0", "n1", 2, 3),
-        Observation("h0", "n2", 3, 3), Observation("h1", "n0", 3, 3),
-        Observation("h1", "n1", 2, 3), Observation("h1", "n2", 1, 3),
-        Observation("h2", "n0", 3, 3), Observation("h2", "n1", 1, 3),
-        Observation("h2", "n2", 3, 3)))
-    costs = IterationCostProfile({"h0": 0.1, "h1": 0.1, "h2": 0.2})
+        Observation("h0", "n0", 1, 3, 0.3), Observation("h0", "n1", 2, 3, 0.3),
+        Observation("h0", "n2", 3, 3, up[0]), Observation("h1", "n0", 3, 3, 0.3),
+        Observation("h1", "n1", 2, 3, 0.3), Observation("h1", "n2", 1, 3, up[0]),
+        Observation("h2", "n0", 3, 3, 0.6), Observation("h2", "n1", 1, 3, 0.6),
+        Observation("h2", "n2", 3, 3, up[1])))
+    assert replay_tables(d, normalize=True) == {"h0": 0.1, "h1": 0.1, "h2": 0.2}
     tie = Schedule((("h1", 1), ("h0", 2)))
     for alpha in (0.0, 0.5, 1.0):
-        schedule, objective = solve_exact(d, alpha, costs, normalize=True)
+        schedule, objective = solve_exact(d, alpha, normalize=True)
         assert schedule.entries == (("h1", 3),)
         assert repr(objective) == "0.6"
         for s in (schedule, tie):
-            assert evaluate(s, d, alpha, costs, normalize=True).objective == objective
+            assert evaluate(s, d, alpha, normalize=True).objective == objective
+
+
+@pytest.mark.parametrize("duration, allowed", [(1e307, True), (1e308, False)])
+def test_normalized_search_refuses_an_overflowing_bound(duration, allowed):
+    # two nodes, one heuristic each: a schedule of both charges N2 twice the
+    # duration, and the bound two nodes times (both weights + 1)
+    d = Dataset(("h1", "h2"), ("N1", "N2"), (Observation("h1", "N1", 1, 1, duration),
+                                             Observation("h2", "N2", 1, 1, duration)))
+    both = Schedule((("h1", 1), ("h2", 1)))
+    assert solve_exact(d, 1.0) == (both, 3)
+    for alpha in (0.0, 1.0):
+        if allowed:
+            schedule, objective = solve_exact(d, alpha, normalize=True)
+            assert objective == evaluate(schedule, d, alpha, normalize=True).objective
+        else:
+            with pytest.raises(InputError) as excinfo:
+                solve_exact(d, alpha, normalize=True)
+            assert str(excinfo.value) == ("objective bound overflows the float range: "
+                                          "the iteration costs are too large")
 
 
 @pytest.mark.parametrize("field", ["max_heuristics", "max_breakpoints_per_heuristic",

@@ -7,8 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from heursched import (Dataset, GreedyOptions, GreedyStep, InputError, Observation,
-                       Schedule, avg_iteration_cost, best_action, breakpoints,
-                       build_schedule, evaluate)
+                       Schedule, best_action, breakpoints, build_schedule, evaluate)
 from heursched.schedule import replay_tables
 
 from conftest import random_dataset
@@ -77,8 +76,7 @@ def test_normalization_changes_the_winner():
     ])
     plain = best_action(d, {"N1", "N2", "N3"})
     assert plain.heuristic == "pricey"  # 2/2 beats 1/2 on raw iterations
-    costs = avg_iteration_cost(d)
-    weighted = best_action(d, {"N1", "N2", "N3"}, costs=costs, normalize=True)
+    weighted = best_action(d, {"N1", "N2", "N3"}, normalize=True)
     assert weighted.heuristic == "cheap"  # 1/0.2 beats 2/40
 
 
@@ -135,6 +133,17 @@ def test_uniform_duration_scaling_keeps_schedule(factor):
         assert original == rescaled
 
 
+@pytest.mark.parametrize("normalize", [False, True])
+def test_build_evaluation_is_evaluate(normalize):
+    # the builder prices its schedule with the weights it built with; the
+    # result must be evaluate's, bit for bit
+    rng = random.Random(59)
+    for i in range(60):
+        d = random_dataset(rng, with_durations=i % 2 == 1)
+        schedule, _, evaluation = build_schedule(d, GreedyOptions(normalize_costs=normalize))
+        assert repr(evaluation) == repr(evaluate(schedule, d, 0.0, normalize=normalize))
+
+
 def test_trace_rendering_one_line_per_step(worked):
     _, trace, _ = build_schedule(worked)
     text = trace.render()
@@ -142,7 +151,7 @@ def test_trace_rendering_one_line_per_step(worked):
     assert "h1" in text and "ratio" in text
 
 
-def recount_best_action(d, unsolved, scheduled, last_entry, tables):
+def recount_best_action(d, unsolved, scheduled, last_entry, weights):
     """Reference scorer: recount every tau for every (heuristic, budget)."""
     registration = {h: i for i, h in enumerate(d.heuristics)}
     best, best_key = None, None
@@ -150,8 +159,8 @@ def recount_best_action(d, unsolved, scheduled, last_entry, tables):
         is_last = last_entry is not None and heuristic == last_entry[0]
         if heuristic in scheduled and not is_last:
             continue
-        weight = tables.weight_of[heuristic]
-        taus = tables.tau_of[heuristic]
+        weight = weights[heuristic]
+        taus = d.tau_column(heuristic)
         for budget in breakpoints(d, heuristic):
             if is_last and budget <= last_entry[1]:
                 continue
@@ -168,25 +177,23 @@ def recount_best_action(d, unsolved, scheduled, last_entry, tables):
 
 def recount_greedy(d, opts):
     """Reference greedy loop driven by ``recount_best_action``."""
-    costs = avg_iteration_cost(d) if opts.normalize_costs else None
-    tables = replay_tables(d, costs, opts.normalize_costs)
+    weights = replay_tables(d, normalize=opts.normalize_costs)
     unsolved = set(d.nodes)
     entries, steps = [], []
     while unsolved:
         last_entry = entries[-1] if (entries and opts.allow_extension) else None
-        step = recount_best_action(d, unsolved, {h for h, _ in entries}, last_entry, tables)
+        step = recount_best_action(d, unsolved, {h for h, _ in entries}, last_entry, weights)
         if step is None:
             break
         if step.extends_last:
             entries[-1] = (step.heuristic, step.budget)
         else:
             entries.append((step.heuristic, step.budget))
-        taus = tables.tau_of[step.heuristic]
+        taus = d.tau_column(step.heuristic)
         unsolved = {n for n in unsolved if not (n in taus and taus[n] <= step.budget)}
         steps.append(step)
     schedule = Schedule(tuple(entries))
-    evaluation = evaluate(schedule, d, opts.alpha_report,
-                          costs=costs, normalize=opts.normalize_costs)
+    evaluation = evaluate(schedule, d, opts.alpha_report, normalize=opts.normalize_costs)
     return schedule, tuple(steps), evaluation
 
 
@@ -225,11 +232,10 @@ def test_sorted_sweep_matches_recount(d, allow_extension, normalize, data):
     unsolved = data.draw(st.sets(st.sampled_from(d.nodes)))
     scheduled = data.draw(st.sets(st.sampled_from(d.heuristics)))
     last_entry = data.draw(st.none() | st.tuples(st.sampled_from(d.heuristics), st.integers(1, 5)))
-    costs = avg_iteration_cost(d) if normalize else None
     step = best_action(d, unsolved, scheduled=scheduled, last_entry=last_entry,
-                       costs=costs, normalize=normalize)
-    tables = replay_tables(d, costs, normalize)
-    assert repr(step) == repr(recount_best_action(d, unsolved, scheduled, last_entry, tables))
+                       normalize=normalize)
+    weights = replay_tables(d, normalize=normalize)
+    assert repr(step) == repr(recount_best_action(d, unsolved, scheduled, last_entry, weights))
 
 
 @pytest.mark.parametrize("alpha", [-0.1, 1.5, float("nan")])

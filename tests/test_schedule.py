@@ -1,13 +1,15 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from heursched import (InputError, IterationCostProfile, Schedule,
-                       dump_schedule, evaluate, load_schedule, node_cost)
+from heursched import (Dataset, InputError, Schedule, best_action, dump_schedule, evaluate,
+                       load_schedule, node_cost, solve_exact)
+from heursched.schedule import replay_tables
 
 from conftest import pathological_csv, random_dataset
 from heursched import load_dataset
@@ -182,10 +184,12 @@ def test_normalization_with_unit_costs_matches_plain():
     for _ in range(20):
         d = random_dataset(rng)
         s = _random_schedule(rng, d)
-        unit = IterationCostProfile.uniform(d.heuristics)
+        # one second per iteration: every normalized weight is exactly 1.0
+        timed = Dataset(d.heuristics, d.nodes, tuple(
+            replace(o, duration_seconds=float(o.iterations_executed)) for o in d.observations))
         plain = evaluate(s, d, 0.0)
-        normalized = evaluate(s, d, 0.0, costs=unit, normalize=True)
-        assert normalized.objective == pytest.approx(plain.objective)
+        normalized = evaluate(s, timed, 0.0, normalize=True)
+        assert normalized.objective == plain.objective
         assert normalized.solved_nodes == plain.solved_nodes
 
 
@@ -215,6 +219,31 @@ def test_evaluation_objective_is_sum_of_node_costs():
     ev = evaluate(s, d, 0.0)
     assert ev.objective == sum(o.cost for o in ev.per_node)
     assert ev.success_rate == ev.solved_nodes / len(d.nodes)
+
+
+def test_overflowing_normalized_objective_rejected():
+    # 1e308 s per iteration each: N2 costs 2e308 s under both entries
+    d = load_dataset("heuristic,node,iterations_to_solution,iterations_executed,"
+                     "duration_seconds\nh1,N1,1,1,1e308\nh2,N2,1,1,1e308\n")
+    s = Schedule((("h1", 1), ("h2", 1)))
+    assert evaluate(s, d, 1.0).objective == 3
+    with pytest.raises(InputError) as excinfo:
+        evaluate(s, d, 1.0, normalize=True)
+    assert str(excinfo.value) == ("schedule objective overflows the float range: "
+                                  "the iteration costs are too large")
+
+
+def test_normalize_is_keyword_only(worked):
+    # a stale positional argument where the cost profile used to go is refused,
+    # never read as ``normalize``
+    s = Schedule((("h1", 1),))
+    for call in (lambda: replay_tables(worked, True),
+                 lambda: node_cost(s, worked, "N1", True),
+                 lambda: evaluate(s, worked, 0.0, True),
+                 lambda: best_action(worked, {"N1"}, True),
+                 lambda: solve_exact(worked, 0.0, True)):
+        with pytest.raises(TypeError, match="positional argument"):
+            call()
 
 
 @pytest.mark.parametrize("make, message", [
