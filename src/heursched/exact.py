@@ -108,11 +108,12 @@ def solve_exact(d: Dataset, alpha: float, *, normalize: bool = False,
     weight_of = replay_tables(d, normalize=normalize)
     total_nodes = len(d.nodes)
     weights = [weight_of[h] for h in usable]
+    taus_of = {h: d.tau_column(h).taus for h in usable}
     # bit i of ties[g][k]: node i takes exactly budgets_of[usable[g]][k] iterations
     ties = []
     for heuristic in usable:
         bit_of = {budget: 0 for budget in budgets_of[heuristic]}
-        for i, tau in enumerate(d.tau_column(heuristic).taus):
+        for i, tau in enumerate(taus_of[heuristic]):
             if tau is not None:
                 bit_of[tau] |= 1 << i
         ties.append(list(bit_of.items()))
@@ -160,7 +161,7 @@ def solve_exact(d: Dataset, alpha: float, *, normalize: bool = False,
 
     def price(entries):
         """The objective of ``entries`` summed in node order, as ``evaluate`` sums it."""
-        replay_steps = _steps(entries, d, weight_of)
+        replay_steps = _steps(entries, taus_of, weight_of)
         objective = 0
         for number in range(total_nodes):
             objective += _replay(replay_steps, number)[1]

@@ -98,9 +98,9 @@ def replay_tables(d: Dataset, *, normalize: bool = False) -> dict:
     return dict.fromkeys(d.heuristics, 1)
 
 
-def _steps(entries, d: Dataset, weights: dict) -> list:
+def _steps(entries, taus_of: dict, weights: dict) -> list:
     """``(tau list, weight, budget)`` of each entry, in order."""
-    return [(d.tau_column(h).taus, weights[h], budget) for h, budget in entries]
+    return [(taus_of[h], weights[h], budget) for h, budget in entries]
 
 
 def _replay(steps, number: int):
@@ -118,17 +118,19 @@ def _replay(steps, number: int):
     return None, total + 1
 
 
-def _check_schedule_against(s: Schedule, d: Dataset) -> None:
-    for heuristic in s.heuristics:
-        d._require_heuristic(heuristic)
+def _tau_lists(s: Schedule, d: Dataset) -> dict:
+    """The tau list of each heuristic in the schedule; unknown ones raise."""
+    return {h: d.tau_column(h).taus for h in s.heuristics}
 
 
 def node_cost(s: Schedule, d: Dataset, node: str, *, normalize: bool = False) -> NodeOutcome:
     """Cost the schedule incurs at a single node (see module docstring)."""
-    _check_schedule_against(s, d)
+    taus_of = _tau_lists(s, d)
     d._require_node(node)
-    steps = _steps(s.entries, d, replay_tables(d, normalize=normalize))
-    return NodeOutcome(node, *_replay(steps, d.nodes.index(node)))
+    # every column shares the dataset's node numbers; no entry, no number needed
+    number = d.tau_column(s.entries[0][0]).numbers[node] if s.entries else 0
+    steps = _steps(s.entries, taus_of, replay_tables(d, normalize=normalize))
+    return NodeOutcome(node, *_replay(steps, number))
 
 
 def evaluate(s: Schedule, d: Dataset, alpha: float, *,
@@ -145,8 +147,7 @@ def _evaluate(s: Schedule, d: Dataset, alpha: float, weights: dict) -> ScheduleE
     """``evaluate`` with the replay weights given."""
     if not 0.0 <= alpha <= 1.0:
         raise InputError(f"alpha must lie in [0, 1], got {alpha!r}")
-    _check_schedule_against(s, d)
-    steps = _steps(s.entries, d, weights)
+    steps = _steps(s.entries, _tau_lists(s, d), weights)
     outcomes = []
     objective = 0
     solved = 0
