@@ -60,9 +60,28 @@ def _write_output(args, text: str, inputs, seeds=(), **flags) -> None:
     _write_manifest(args, inputs, seeds, **flags)
 
 
+def _json(value, indent: str = "") -> str:
+    """``json.dumps(value, sort_keys=True, indent=2)`` for a value nested ``indent``
+    deep.  The indenting encoder is pure Python, and its nested functions leave
+    reference cycles behind on every call; scalars go through ``json.dumps``
+    without ``indent``, which runs the C encoder."""
+    import json
+    if isinstance(value, dict):
+        items = [f"{json.dumps(key)}: {_json(value[key], indent + '  ')}" for key in sorted(value)]
+        brackets = "{}"
+    elif isinstance(value, (list, tuple)):
+        items = [_json(item, indent + "  ") for item in value]
+        brackets = "[]"
+    else:
+        return json.dumps(value)
+    if not items:
+        return brackets
+    inner = "\n" + indent + "  "
+    return f"{brackets[0]}{inner}{(',' + inner).join(items)}\n{indent}{brackets[1]}"
+
+
 def _write_manifest(args, inputs, seeds=(), **flags) -> None:
     """Record the command's argv, inputs, output, seeds and flags next to ``args.out``."""
-    import json
     manifest = {
         "command": args.command,
         "argv": list(args._argv),
@@ -73,8 +92,7 @@ def _write_manifest(args, inputs, seeds=(), **flags) -> None:
         "flags": flags,
     }
     manifest_path = Path(args.out).with_name(Path(args.out).name + ".manifest.json")
-    manifest_path.write_text(
-        json.dumps(manifest, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+    manifest_path.write_text(_json(manifest) + "\n", encoding="utf-8")
 
 
 def _quoted(text: str) -> str:

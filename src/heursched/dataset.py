@@ -411,7 +411,8 @@ def avg_iteration_cost(d: Dataset) -> IterationCostProfile:
     executed, over the observations that carry a duration (failed calls
     included: their iterations cost real time too).  Heuristics without
     any usable duration data fall back to 1.0 second per iteration, i.e.
-    pure-iteration costing.
+    pure-iteration costing.  A total duration that overflows, or an average
+    that underflows to 0, is refused with ``InputError``.
     """
     seconds: dict[str, list[float]] = {h: [] for h in d.heuristics}
     executed = dict.fromkeys(d.heuristics, 0)
@@ -435,6 +436,10 @@ def avg_iteration_cost(d: Dataset) -> IterationCostProfile:
             costs[heuristic] = 1.0
         else:
             costs[heuristic] = total_seconds / executed[heuristic]
+            if costs[heuristic] == 0.0:
+                raise InputError(f"durations of heuristic {heuristic!r} total {total_seconds!r} s "
+                                 f"over {executed[heuristic]} iterations: the average seconds "
+                                 "per iteration underflows to 0")
     return IterationCostProfile(costs)
 
 

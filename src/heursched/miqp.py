@@ -47,25 +47,28 @@ per-node and per-pair runs within it, from its helpers.  A model comes
 only from ``build_miqp``, so its variables always follow that order.  The
 build fills the row columns one constraint family at a time, and both
 checkers read one list of values in variable order.  ``export_miqp``
-streams the text into its sink in chunks; ``MiqpModel.render`` joins them.
+streams the text into its sink in chunks, rendering a large model's linear
+rows in forked workers; ``MiqpModel.render`` joins the chunks.
 """
 
 from __future__ import annotations
 
+import io
 import math
-from contextlib import nullcontext
+from contextlib import ExitStack, nullcontext
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import accumulate, chain
 from operator import add, itemgetter, mul
 
 from .dataset import Dataset
 from .errors import InputError, require_finite
 from .miqp_columns import (CHUNK_ROWS, Families, Layout, MiqpVariable, Rows, Terms, VariableRows,
-                           num, row_chunks, row_sums)
+                           num, part_bounds, row_chunks, row_sums)
 from .schedule import Schedule
 
 _INTEGRALITY_TOL = 1e-9
+_BLOCK = 1 << 18  # bytes or characters per read when appending a worker's part
 _flat = chain.from_iterable
 
 
@@ -259,12 +262,59 @@ def export_miqp(d: Dataset, alpha: float, sink) -> MiqpModel:
 
     ``sink`` may be a path or a writable text stream.  A path is opened
     only once the model is built, so rejected input creates no file.
+
+    The text is split at the chunk ranges of the linear rows that
+    ``part_bounds`` gives.  Part 0 (header, variables, objective and the
+    first range) is written straight into the sink; a model below the split
+    threshold is this one part.  The other parts render in ``workers.map_jobs``
+    jobs, each into an anonymous temporary file (the last one also holds the
+    quadratic rows and comments), and are appended to the sink in order, in
+    bounded blocks: bytes into a path's file, text into a given stream.  The
+    text does not depend on the number of parts.
     """
     model = build_miqp(d, alpha)
-    with nullcontext(sink) if hasattr(sink, "write") else open(sink, "w", encoding="utf-8") as out:
-        for chunk in _chunks(model):
-            out.write(chunk)
+    bounds = part_bounds(model.linear)
+    given = hasattr(sink, "write")
+    with nullcontext(sink) if given else open(sink, "w", encoding="utf-8") as out:
+        if len(bounds) == 2:
+            for chunk in _chunks(model):
+                out.write(chunk)
+        else:
+            _write_parts(model, bounds, out, None if given else out.buffer)
     return model
+
+
+def _write_parts(model: MiqpModel, bounds: list, out, raw) -> None:
+    """Part 0 into ``out`` in the caller, the other parts in workers, then their
+    files appended: into ``raw``, the bytes under ``out``, unless it is None."""
+    import tempfile  # with shutil, which it loads: only for a model that splits
+    from . import workers
+
+    def render(part: int) -> None:
+        if part == 0:  # map_jobs runs index 0 in the caller
+            for chunk in _chunks(model, bounds, 0):
+                out.write(chunk)
+            return
+        file = files[part - 1]
+        for chunk in _chunks(model, bounds, part):
+            file.write(chunk.encode("utf-8"))
+        file.flush()  # a worker leaves through os._exit, which flushes nothing
+
+    with ExitStack() as stack:
+        files = [stack.enter_context(tempfile.TemporaryFile())  # opened before the fork
+                 for _ in bounds[2:]]
+        workers.map_jobs(render, len(bounds) - 1)
+        if raw is not None:
+            out.flush()
+        for file in files:
+            file.seek(0)
+            if raw is not None:
+                for block in iter(partial(file.read, _BLOCK), b""):
+                    raw.write(block)
+            else:
+                with io.TextIOWrapper(file, encoding="utf-8") as text:
+                    for block in iter(partial(text.read, _BLOCK), ""):
+                        out.write(block)
 
 
 def _coerce_assignment(model: MiqpModel, assignment) -> tuple[list, list[str]]:
@@ -431,19 +481,28 @@ def schedule_assignment(model: MiqpModel, schedule: Schedule) -> dict:
     return dict(zip(model.variables.names, values))
 
 
-def _chunks(model: MiqpModel):
-    """The model's text rendering, section by section, in bounded chunks."""
-    yield ("# minimum-cost heuristic scheduling model (mixed-integer, quadratic)\n"
-           "# sections: VARIABLES, OBJECTIVE, LINEAR, QUADRATIC, COMMENTS\n"
-           "VARIABLES\n")
-    names, records = model.variables.names, model.variables.attributes
-    texts = {record: f" {record[0]} in [{num(record[1])}, {num(record[2])}]\n"
-             for record in set(records)}  # bounds as num writes them: equal records, equal text
-    for first in range(0, len(names), CHUNK_ROWS):
-        yield "".join(map(add, names[first:first + CHUNK_ROWS],
-                          map(texts.__getitem__, records[first:first + CHUNK_ROWS])))
-    yield f"OBJECTIVE\nminimize: {model.objective.text()}\nLINEAR\n"
-    yield from row_chunks(model.linear)
+def _chunks(model: MiqpModel, bounds: list | None = None, part: int = 0):
+    """Part ``part`` of the model's text rendering, section by section, in
+    bounded chunks: the linear rows of chunks ``bounds[part]`` to
+    ``bounds[part + 1]``, after the header, variables and objective in part 0
+    and before the quadratic rows and comments in the last part.  By default,
+    one part: the whole rendering."""
+    if bounds is None:
+        bounds = [0, len(model.linear.cids)]
+    if part == 0:
+        yield ("# minimum-cost heuristic scheduling model (mixed-integer, quadratic)\n"
+               "# sections: VARIABLES, OBJECTIVE, LINEAR, QUADRATIC, COMMENTS\n"
+               "VARIABLES\n")
+        names, records = model.variables.names, model.variables.attributes
+        texts = {record: f" {record[0]} in [{num(record[1])}, {num(record[2])}]\n"
+                 for record in set(records)}  # bounds as num writes them: equal records, equal text
+        for first in range(0, len(names), CHUNK_ROWS):
+            yield "".join(map(add, names[first:first + CHUNK_ROWS],
+                              map(texts.__getitem__, records[first:first + CHUNK_ROWS])))
+        yield f"OBJECTIVE\nminimize: {model.objective.text()}\nLINEAR\n"
+    yield from row_chunks(model.linear, bounds[part], bounds[part + 1])
+    if part < len(bounds) - 2:
+        return
     yield "QUADRATIC\n"
     yield from row_chunks(model.quadratic)
     count = len(model.heuristics)

@@ -22,14 +22,19 @@ Only ``miqp.build_miqp`` fills these columns: ``VariableRows.declare`` lays
 out the variables of a built model and ``variable_names`` their names, and
 ``Rows.violated`` evaluates rows on one list of values in variable order.
 
-``row_chunks`` renders rows straight from the columns, one ``"".join`` per
-``CHUNK_ROWS`` rows.  A flat list holds two slots per term, filled by slice
-assignment: the coefficient's cached spaced text, such as `` + 3 ``, and the
-variable's name.  One f-string per row overwrites its first coefficient slot
-with the previous row's `` <op> <rhs>\n``, the row's id and the coefficient
-without ``+ ``; every row the build emits has a linear term.  A quadratic
-row's products, one join per row, precede its operator.  ``num`` writes
-integers without passing them through ``float``.
+A block of at least ``2 * PART_ROWS`` rows splits into contiguous ranges of
+whole chunks, at most one per worker (``part_bounds``); ``Rows.violated``
+evaluates the ranges in ``workers.map_jobs`` jobs, and ``miqp.export_miqp``
+renders them that way.  A smaller block is one range, run in the caller.
+
+``row_chunks`` renders a range of chunks straight from the columns, one
+``"".join`` per ``CHUNK_ROWS`` rows.  A flat list holds two slots per term,
+filled by slice assignment: the coefficient's cached spaced text, such as
+`` + 3 ``, and the variable's name.  One f-string per row overwrites its
+first coefficient slot with the previous row's `` <op> <rhs>\n``, the row's
+id and the coefficient without ``+ ``; every row the build emits has a
+linear term.  A quadratic row's products, one join per row, precede its
+operator.  ``num`` writes integers without passing them through ``float``.
 """
 
 from __future__ import annotations
@@ -43,6 +48,7 @@ from operator import add, mul
 from typing import NamedTuple
 
 CHUNK_ROWS = 256
+PART_ROWS = 64 * CHUNK_ROWS  # the fewest rows a range of a split block holds
 NUMERIC_TOL = 1e-9
 _flat = chain.from_iterable
 
@@ -204,14 +210,18 @@ def _extend_ends(ends, lengths) -> None:
         ends.fromlist(part)
 
 
-def row_sums(ends: Sequence, coefs: list, values: list, *factors: list):
+def row_sums(ends, coefs, values: list, *factors, start: int = 0):
     """Each row's terms (coefficient times its variables' values) summed left to
     right from int 0, so integer rows stay exact; ``sum`` would compensate float
-    sums on Python 3.12 and later.  Products are formed row by row, never all held."""
+    sums on Python 3.12 and later.  Products are formed row by row, never all held.
+
+    ``ends`` are the rows' cumulative term counts; ``coefs`` and each factor's
+    variable indices are iterables that begin at the first row's first term,
+    whose place in the columns is ``start``."""
     products = coefs
     for variables in factors:
         products = map(mul, products, map(values.__getitem__, variables))
-    products, start = iter(products), 0
+    products = iter(products)
     for end in ends:
         total = 0
         for product in islice(products, end - start):
@@ -258,13 +268,35 @@ class Rows(_Columns):
         return len(self.ops)
 
     def violated(self, values: list) -> list[str]:
-        """The ids of the rows that ``values``, one per variable, break."""
-        sums = row_sums(self.ends, self.coefs, values, self.vars)
-        if self.qends is not None:
-            sums = map(add, sums, row_sums(self.qends, self.qcoefs, values, self.qvars[::2],
-                                           self.qvars[1::2]))
+        """The ids of the rows that ``values``, one per variable, break, in row order.
+
+        Each row range of ``part_bounds`` is evaluated in a ``workers.map_jobs``
+        job, and the jobs' ids are joined in range order; a block below the split
+        threshold is one range, evaluated in the caller without forking."""
+        bounds = part_bounds(self)
+        if len(bounds) == 2:
+            return self._violated(values, 0, len(self))
+        from . import workers
+        rows = [min(chunk * CHUNK_ROWS, len(self)) for chunk in bounds]
+        return list(_flat(workers.map_jobs(
+            lambda part: self._violated(values, rows[part], rows[part + 1]), len(bounds) - 1)))
+
+    def _violated(self, values: list, first: int, last: int) -> list[str]:
+        """The ids of the rows ``first`` to ``last`` that ``values`` break; the
+        columns are walked from the range's first term, never copied."""
+        start = self.ends[first - 1] if first else 0
+        sums = row_sums(islice(self.ends, first, last), islice(self.coefs, start, None), values,
+                        islice(self.vars, start, None), start=start)
+        if self.qends is not None:  # two variable indices per product term
+            start = self.qends[first - 1] if first else 0
+            sums = map(add, sums, row_sums(
+                islice(self.qends, first, last), islice(self.qcoefs, start, None), values,
+                islice(self.qvars, 2 * start, None, 2), islice(self.qvars, 2 * start + 1, None, 2),
+                start=start))
         tol = NUMERIC_TOL
-        return [self._cid(k) for k, lhs, op, rhs in zip(count(), sums, self.ops, self.rhs)
+        return [self._cid(k) for k, lhs, op, rhs in zip(count(first), sums,
+                                                        islice(self.ops, first, last),
+                                                        islice(self.rhs, first, last))
                 if not (lhs <= rhs + tol if op == "<=" else lhs >= rhs - tol if op == ">="
                         else -tol <= lhs - rhs <= tol)]
 
@@ -332,10 +364,24 @@ def _pieces(coefs: list, names) -> list:
     return pieces
 
 
-def row_chunks(rows: Rows):
-    """The rows as text lines, ``CHUNK_ROWS`` rows per chunk (see the module docstring)."""
+def part_bounds(rows: Rows) -> list:
+    """The chunk ranges that ``rows`` split into, as ``[0, ..., len(rows.cids)]``:
+    ``min(workers, len(rows) // PART_ROWS)`` ranges of near-equal chunk counts, or
+    one range, with nothing imported, below ``2 * PART_ROWS`` rows."""
+    chunks, parts = len(rows.cids), len(rows) // PART_ROWS
+    if parts > 1:
+        from . import workers  # read through the module, where tests replace it
+        parts = min(workers._worker_count(), parts)
+    parts = max(parts, 1)
+    return [chunks * part // parts for part in range(parts + 1)]
+
+
+def row_chunks(rows: Rows, first_chunk: int = 0, end_chunk: int | None = None):
+    """The rows of chunks ``first_chunk`` to ``end_chunk`` (by default all) as
+    text lines, ``CHUNK_ROWS`` rows per chunk (see the module docstring)."""
     names, coefs, variables = rows.names, rows.coefs, rows.vars
-    for first, ids in zip(range(0, len(rows), CHUNK_ROWS), rows.cids):
+    for first, ids in zip(range(first_chunk * CHUNK_ROWS, len(rows), CHUNK_ROWS),
+                          islice(rows.cids, first_chunk, end_chunk)):
         last = min(first + CHUNK_ROWS, len(rows))
         bounds = rows.ends[first - 1:last] if first else [0, *rows.ends[:last]]
         start, stop = bounds[0], bounds[-1]

@@ -18,7 +18,7 @@ averages always come from the durations of the dataset being replayed
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .dataset import (Dataset, avg_iteration_cost, check_count, parse_int, read_rows,
                       validate_identifier)
@@ -76,7 +76,11 @@ class NodeOutcome:
 
 @dataclass(frozen=True)
 class ScheduleEvaluation:
-    """Aggregate replay over every node of a dataset."""
+    """Aggregate replay over every node of a dataset.
+
+    ``evaluate`` leaves ``per_node`` unset and keeps what its replay read;
+    the outcomes are replayed again on the first read of ``per_node``.
+    """
 
     objective: float
     solved_nodes: int
@@ -84,6 +88,17 @@ class ScheduleEvaluation:
     alpha: float
     feasible: bool
     per_node: tuple[NodeOutcome, ...]
+    _replay_inputs: tuple = field(init=False, repr=False, compare=False, default=None)
+
+    def __getattr__(self, name: str):
+        # reached only while unset: the outcomes of an evaluation that _evaluate made
+        if name != "per_node" or self._replay_inputs is None:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        steps, nodes = self._replay_inputs
+        per_node = tuple(NodeOutcome(node, *_replay(steps, number))
+                         for number, node in enumerate(nodes))
+        object.__setattr__(self, "per_node", per_node)
+        return per_node
 
 
 def replay_tables(d: Dataset, *, normalize: bool = False) -> dict:
@@ -148,12 +163,10 @@ def _evaluate(s: Schedule, d: Dataset, alpha: float, weights: dict) -> ScheduleE
     if not 0.0 <= alpha <= 1.0:
         raise InputError(f"alpha must lie in [0, 1], got {alpha!r}")
     steps = _steps(s.entries, _tau_lists(s, d), weights)
-    outcomes = []
     objective = 0
     solved = 0
-    for number, node in enumerate(d.nodes):
+    for number in range(len(d.nodes)):
         position, cost = _replay(steps, number)
-        outcomes.append(NodeOutcome(node, position, cost))
         objective += cost
         if position is not None:
             solved += 1
@@ -162,14 +175,12 @@ def _evaluate(s: Schedule, d: Dataset, alpha: float, weights: dict) -> ScheduleE
                          "the iteration costs are too large")
     total = len(d.nodes)
     rate = solved / total if total else 1.0
-    return ScheduleEvaluation(
-        objective=objective,
-        solved_nodes=solved,
-        success_rate=rate,
-        alpha=alpha,
-        feasible=rate >= alpha,
-        per_node=tuple(outcomes),
-    )
+    evaluation = object.__new__(ScheduleEvaluation)  # per_node stays unset until read
+    for name, value in (("objective", objective), ("solved_nodes", solved),
+                        ("success_rate", rate), ("alpha", alpha), ("feasible", rate >= alpha),
+                        ("_replay_inputs", (steps, d.nodes))):
+        object.__setattr__(evaluation, name, value)
+    return evaluation
 
 
 def load_schedule(source: str) -> Schedule:

@@ -3,10 +3,14 @@
 ``map_jobs(job, count)`` returns ``[job(0), ..., job(count - 1)]``.  The
 indexes are dealt round-robin to ``_worker_count()`` processes, at most one
 per job: the caller forks the others before running any job and runs its
-own share meanwhile.  Each child sends ``(index, result, error)`` records
-through a pipe with ``marshal``, which round-trips floats exactly, and
-always leaves through ``os._exit``, so it never unwinds into the caller's
-stack or flushes its stdio.  Results must be values marshal can carry.
+own share meanwhile, so index 0 always runs in the caller.  The simulator's
+``compare``, ``crossval`` and shadow collection run their seeds as jobs;
+``miqp.export_miqp`` and ``Rows.violated`` (``check_linearized``) run the
+row ranges of a large model.  Each child sends ``(index, result, error)``
+records through a pipe with ``marshal``, which round-trips floats exactly,
+and always leaves through ``os._exit``, so it never unwinds into the
+caller's stack or flushes its stdio or files: a job that writes a file
+flushes it itself.  Results must be values marshal can carry.
 
 A job that raises ``InputError`` ends its process's share; the caller then
 raises the error of the first failing index, as a serial loop would.  Any

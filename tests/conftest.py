@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 import random
 
 import pytest
@@ -35,6 +36,13 @@ def pathological_csv() -> str:
             "h,N1,1,1,"]
     rows.extend(f"h,N{i},100,100," for i in range(2, 101))
     return "\n".join(rows) + "\n"
+
+
+def counted_forks(monkeypatch) -> list:
+    """Patch ``os.fork`` to record each call in the returned list."""
+    calls, fork = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: calls.append(1) or fork())
+    return calls
 
 
 @pytest.fixture

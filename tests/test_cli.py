@@ -13,13 +13,14 @@ import pytest
 
 import heursched
 import heursched.cli as cli
+import heursched.miqp_columns as miqp_columns
 import heursched.simulator as simulator
 import heursched.workers as workers
 from heursched import Schedule, __version__, load_dataset, load_schedule
 from heursched.cli import dispatch, run_crossval
 from heursched import InputError, load_sim_config
 
-from conftest import COVERAGE_CFG, PLANTED_CFG, WORKED_CSV
+from conftest import COVERAGE_CFG, PLANTED_CFG, WORKED_CSV, counted_forks
 
 
 @pytest.fixture
@@ -194,6 +195,24 @@ def test_simulate_bytes_do_not_depend_on_the_worker_count(tmp_path, capsys, monk
                               "--instances", instances, "--out", str(out)], out)
     assert serial == forked
     assert f"instances: {instances}\n" in serial[0]
+
+
+def test_export_miqp_bytes_do_not_depend_on_the_worker_count(tmp_path, capsys, monkeypatch):
+    # 6 planted instances make 3,221 linear rows; ranges of 256 rows split them in 3 parts
+    monkeypatch.setattr(miqp_columns, "PART_ROWS", miqp_columns.CHUNK_ROWS)
+    cfg_path, _ = _compare_inputs(tmp_path)
+    data = tmp_path / "shadow.csv"
+    assert dispatch(["simulate", "--config", str(cfg_path), "--seed", "3", "--instances", "6",
+                     "--out", str(data)]) == 0
+    capsys.readouterr()
+    out = tmp_path / "model.miqp"
+    forks = counted_forks(monkeypatch)
+    serial, forked = _outputs_per_worker_count(
+        monkeypatch, capsys, ["export-miqp", "--data", str(data), "--alpha", "0.5",
+                              "--out", str(out)], out)
+    assert serial == forked
+    assert "linear constraints: 3221\n" in serial[0]
+    assert len(forks) == 2
 
 
 def test_simulate_overflowing_duration_exits_cleanly(tmp_path, capsys, monkeypatch):
@@ -564,6 +583,8 @@ def test_export_into_missing_directory_exits_cleanly(tmp_path, worked_csv, capsy
 # priced 1e308 s per iteration and a schedule of both charges N2 2e308 s
 TOTAL_OVERFLOW = "h1,N1,1,1,1e308\nh1,N2,1,1,1e308\nh2,N1,1,1,1\n"
 OBJECTIVE_OVERFLOW = "h1,N1,1,1,1e308\nh2,N2,1,1,1e308\n"
+# h1's average, 1e-323 s over 2**53 + 1 iterations, underflows to 0
+AVERAGE_UNDERFLOW = "h1,N1,1,1,5e-324\nh1,N2,1,9007199254740992,5e-324\nh2,N1,1,1,1\n"
 
 
 @pytest.mark.parametrize("argv", [["build", "--out", "out.csv"],
@@ -573,7 +594,9 @@ OBJECTIVE_OVERFLOW = "h1,N1,1,1,1e308\nh2,N2,1,1,1e308\n"
 @pytest.mark.parametrize("rows, message", [
     (TOTAL_OVERFLOW, "total duration of heuristic 'h1' overflows the float range"),
     (OBJECTIVE_OVERFLOW, "overflows the float range: the iteration costs are too large"),
-], ids=["total", "objective"])
+    (AVERAGE_UNDERFLOW, "durations of heuristic 'h1' total 1e-323 s over 9007199254740993 "
+                        "iterations: the average seconds per iteration underflows to 0"),
+], ids=["total", "objective", "underflow"])
 def test_normalized_overflow_exits_cleanly(tmp_path, capsys, monkeypatch, argv, rows, message):
     monkeypatch.chdir(tmp_path)
     Path("data.csv").write_text(
@@ -786,11 +809,35 @@ def test_seed_lists_quote_long_entries_briefly_and_keep_exact_seeds(tmp_path, ca
         "5", str(10 ** 30)]
 
 
+def test_manifest_writing_leaves_no_cyclic_garbage(tmp_path):
+    # json.dumps(..., indent=2) runs the pure-Python encoder, whose nested
+    # functions left 33 cyclic objects behind per manifest
+    args = cli.build_parser().parse_args(["build", "--data", "d.csv", "--out",
+                                          str(tmp_path / "g.csv")])
+    args._argv = ["build", "--data", "d.csv", "--out", "g.csv"]
+    flags = {"alpha": 0.9, "normalize": True, "limit": None, "rate": float("inf")}
+    cli._write_manifest(args, ["d.csv", "é\"x"], [3, 10 ** 30], **flags)  # warm-up
+    gc.collect()
+    gc.disable()
+    try:
+        cli._write_manifest(args, ["d.csv", "é\"x"], [3, 10 ** 30], **flags)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    text = (tmp_path / "g.csv.manifest.json").read_text(encoding="utf-8")
+    assert text == json.dumps({"command": "build", "argv": args._argv, "version": __version__,
+                               "inputs": ["d.csv", "é\"x"], "outputs": [args.out],
+                               "seeds": [3, 10 ** 30], "flags": flags},
+                              sort_keys=True, indent=2) + "\n"
+    cli._write_manifest(args, [])
+    assert json.loads((tmp_path / "g.csv.manifest.json").read_text(encoding="utf-8"))[
+        "flags"] == {}
+
+
 def test_repeated_dispatch_leaves_no_cyclic_garbage(tmp_path, monkeypatch, capsys):
     # an argparse parser is a web of reference cycles; building one per call
     # left garbage that waits for a full collection, which a run that makes
     # few container objects seldom triggers, so memory crept up call by call
-    # (manifests are not written here: json's indented encoder makes cycles too)
     monkeypatch.chdir(tmp_path)
     _compare_inputs(tmp_path)
     Path("run.timeline").write_text("time_seconds,objective_value\n1.0,105.0\n",

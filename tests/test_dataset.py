@@ -183,6 +183,19 @@ def test_avg_iteration_cost_names_an_overflowing_total():
     assert str(excinfo.value) == "total duration of heuristic 'h1' overflows the float range"
 
 
+def test_avg_iteration_cost_names_an_underflowing_average():
+    # 1e-323 s over 2**53 + 1 iterations is 0.0 s per iteration in floats
+    d = load_dataset(DATASET_HEADER + "\nh1,N1,1,1,5e-324\nh1,N2,1,9007199254740992,5e-324\n")
+    with pytest.raises(InputError) as excinfo:
+        avg_iteration_cost(d)
+    assert str(excinfo.value) == ("durations of heuristic 'h1' total 1e-323 s over "
+                                  "9007199254740993 iterations: the average seconds per "
+                                  "iteration underflows to 0")
+    # one iteration fewer keeps the smallest positive average
+    d = load_dataset(DATASET_HEADER + "\nh1,N1,1,1,5e-324\nh1,N2,1,2,5e-324\n")
+    assert avg_iteration_cost(d)["h1"] > 0
+
+
 def test_avg_iteration_cost_preserves_asymmetry():
     d = Dataset.from_observations([
         Observation("cheap", "N1", 10, 10, 1.0),   # 0.1 s/iteration

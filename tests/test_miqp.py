@@ -5,6 +5,7 @@ import gc
 import hashlib
 import io
 import math
+import os
 import random
 import tracemalloc
 from array import array
@@ -14,13 +15,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import heursched
+import heursched.miqp_columns as miqp_columns
+import heursched.workers as workers
 from heursched import (CheckResult, Dataset, InputError, MiqpModel, Observation, Schedule,
                        breakpoints, build_miqp, check_assignment, check_linearized, evaluate,
                        export_miqp, schedule_assignment, solve_exact)
 from heursched.miqp import _coerce_assignment
-from heursched.miqp_columns import CHUNK_ROWS
+from heursched.miqp_columns import CHUNK_ROWS, part_bounds
 
-from conftest import random_dataset
+from conftest import counted_forks, random_dataset
 
 
 def test_variable_family_counts(worked):
@@ -599,6 +602,64 @@ def test_rows_across_chunk_boundaries():
     assert result.violations == ("before_first_ub[N11,h0]", "first_solver_def[N11,h0]",
                                  "solved_and_before_ub2[N11,h0]")
     assert result == reference_check_linearized(model, assignment)
+
+
+def three_by_thirty():
+    """3 heuristics by 30 nodes: 1,765 linear rows, 7 chunks."""
+    return Dataset.from_observations(Observation(f"h{j}", f"N{i}", (i + 2 * j) % 5 or None, 9)
+                                     for j in range(3) for i in range(30))
+
+
+def test_export_text_does_not_depend_on_the_part_count(tmp_path, monkeypatch):
+    # a range of CHUNK_ROWS rows is enough to split: 3 parts of 2, 2 and 3 chunks
+    monkeypatch.setattr(miqp_columns, "PART_ROWS", CHUNK_ROWS)
+    d = three_by_thirty()
+    forks = counted_forks(monkeypatch)
+    texts = []
+    for count in (1, 3):
+        monkeypatch.setattr(workers, "_worker_count", lambda: count)
+        path, stream = tmp_path / f"model{count}.miqp", io.StringIO()
+        model = export_miqp(d, 0.5, path)
+        export_miqp(d, 0.5, stream)
+        assert path.read_bytes() == stream.getvalue().encode("utf-8")
+        texts.append(stream.getvalue())
+        assert part_bounds(model.linear) == ([0, 7] if count == 1 else [0, 2, 4, 7])
+        assert len(forks) == (0 if count == 1 else 4)  # two workers per export
+    assert len(model.linear) == 1765
+    assert texts[0] == texts[1] == model.render()
+
+
+def test_linearized_check_lists_ids_in_row_order_whatever_the_part_count(monkeypatch):
+    monkeypatch.setattr(miqp_columns, "PART_ROWS", CHUNK_ROWS)
+    d = three_by_thirty()
+    model = build_miqp(d, 0.5)
+    assignment = schedule_assignment(model, Schedule((("h1", 2), ("h2", 4))))
+    for name in ("s[N5][h1]", "z[N14][h1]", "z[N27][h2]", "u[N28][h2]"):
+        assignment[name] = 1 - assignment[name]
+    results = []
+    for count in (1, 3):
+        monkeypatch.setattr(workers, "_worker_count", lambda: count)
+        results.append(check_linearized(model, assignment))
+    assert results[0] == results[1] == reference_check_linearized(model, assignment)
+    rows = {row[0]: k for k, row in enumerate(model.linear)}
+    found = [rows[cid] for cid in results[0].violations if cid in rows]
+    assert found == sorted(found)
+    # violated rows in each range of chunks [0, 2), [2, 4) and [4, 7), and a quadratic one
+    assert {min(k // (2 * CHUNK_ROWS), 2) for k in found} == {0, 1, 2}
+    assert results[0].violations[-1] == "node_time[N28]"
+
+
+def test_models_below_the_split_threshold_never_fork(tmp_path, monkeypatch, worked):
+    def refuse():
+        raise AssertionError("forked for a model below the split threshold")
+
+    monkeypatch.setattr(os, "fork", refuse)
+    monkeypatch.setattr(workers, "_worker_count", lambda: 3)
+    for small in (worked, three_by_thirty()):
+        model = export_miqp(small, 0.5, tmp_path / "model.miqp")
+        assert part_bounds(model.linear) == [0, len(model.linear.cids)]
+        export_miqp(small, 0.5, io.StringIO())
+        check_linearized(model, schedule_assignment(model, Schedule((("h1", 1),))))
 
 
 def test_models_come_only_from_build_miqp(worked):

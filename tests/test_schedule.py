@@ -1,14 +1,14 @@
 from __future__ import annotations
 
 import random
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from heursched import (Dataset, InputError, Schedule, best_action, dump_schedule, evaluate,
-                       load_schedule, node_cost, solve_exact)
+from heursched import (Dataset, InputError, Schedule, ScheduleEvaluation, best_action,
+                       dump_schedule, evaluate, load_schedule, node_cost, solve_exact)
 from heursched.schedule import replay_tables
 
 from conftest import pathological_csv, random_dataset
@@ -219,6 +219,30 @@ def test_evaluation_objective_is_sum_of_node_costs():
     ev = evaluate(s, d, 0.0)
     assert ev.objective == sum(o.cost for o in ev.per_node)
     assert ev.success_rate == ev.solved_nodes / len(d.nodes)
+
+
+def test_per_node_is_built_on_first_read_and_reads_as_a_field():
+    # evaluate replays each node once for the totals and builds no NodeOutcome;
+    # per_node replays again on first read, and the evaluation then equals and
+    # reads like one given its outcomes
+    d = load_dataset(pathological_csv())
+    s = Schedule((("h", 50),))
+    for normalize in (False, True):
+        ev = evaluate(s, d, 0.5, normalize=normalize)
+        assert "per_node" not in vars(ev)
+        eager = ScheduleEvaluation(ev.objective, ev.solved_nodes, ev.success_rate, ev.alpha,
+                                   ev.feasible, tuple(node_cost(s, d, n, normalize=normalize)
+                                                      for n in d.nodes))
+        assert ev == eager and eager == ev
+        assert repr(ev) == repr(eager)
+        assert hash(ev) == hash(eager)
+        assert vars(ev)["per_node"] is ev.per_node == eager.per_node
+        assert [o.first_success_position for o in ev.per_node[:2]] == [1, None]
+    assert replace(ev, alpha=0.25).per_node == ev.per_node
+    assert [field.name for field in fields(ScheduleEvaluation) if field.init] == [
+        "objective", "solved_nodes", "success_rate", "alpha", "feasible", "per_node"]
+    with pytest.raises(AttributeError):
+        ev.outcomes
 
 
 def test_overflowing_normalized_objective_rejected():

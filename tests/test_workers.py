@@ -38,6 +38,7 @@ def test_results_come_back_in_index_order_and_exact(count, monkeypatch):
         assert [values for values, _ in results] == [job(i)[0] for i in range(jobs)]
         assert [label for _, (_, label) in results] == [f"job {i}" for i in range(jobs)]
         assert len({pid for _, (pid, _) in results}) == min(count, jobs)
+        assert not results or results[0][1][0] == os.getpid()  # index 0 runs in the caller
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
