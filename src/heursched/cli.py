@@ -250,10 +250,10 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_metrics(args) -> int:
-    from .metrics import gap_function, load_timeline, primal_integral
+    from .metrics import gap_function, load_timeline
     tl = load_timeline(_read(args.timeline), best_known=args.best_known, sense=args.sense)
-    integral = primal_integral(tl, args.time_limit)
     gaps = gap_function(tl)
+    integral = gaps.area(args.time_limit)
     print(f"incumbent events: {len(tl.events)}")
     print(f"final gap: {_fmt(gaps.breakpoints[-1][1])}")
     print(f"primal integral: {_fmt(integral)} (time limit {_fmt(args.time_limit)})")

@@ -40,9 +40,9 @@ MAX_COUNT = 2 ** 53
 def validate_identifier(value: str, what: str) -> None:
     """Reject identifiers that would not survive the line-oriented wire formats.
 
-    ``read_rows`` splits lines with ``str.splitlines`` and strips every
-    field, so an id may hold no line break of any kind and may not start or
-    end with whitespace.
+    ``content_lines`` splits lines with ``str.splitlines`` and ``read_rows``
+    strips every field, so an id may hold no line break of any kind and may
+    not start or end with whitespace.
     """
     if not isinstance(value, str) or not value:
         raise InputError(f"{what} identifier must be a non-empty string, got {value!r}")
@@ -56,28 +56,31 @@ def validate_identifier(value: str, what: str) -> None:
                          "leading and trailing whitespace would be stripped")
 
 
+def content_lines(source: str) -> Iterator[tuple[int, str]]:
+    """Yield ``(lineno, line)``, stripped, for each line of a line-oriented text
+    that is neither blank nor a comment (starting with ``#``)."""
+    for lineno, raw in enumerate(source.splitlines(), start=1):
+        line = raw.strip()
+        if line and line[0] != "#":
+            yield lineno, line
+
+
 def read_rows(source: str, header: str, what: str) -> Iterator[tuple[int, list[str]]]:
     """Yield ``(lineno, fields)`` for each data row of a headed CSV text.
 
-    Blank lines and lines starting with ``#`` are skipped, the first other
-    line must equal ``header``, and every row after it must have as many
-    comma-separated fields as the header.  Fields are stripped, never
-    unquoted.  ``what`` names the format in the missing-header error.
+    Of the ``content_lines``, the first must equal ``header``, and every one
+    after it must have as many comma-separated fields as the header.  Fields
+    are stripped, never unquoted.  ``what`` names the format in the
+    missing-header error.
     """
     width = header.count(",") + 1
-    lines = enumerate(source.splitlines(), start=1)
-    for lineno, raw in lines:
-        line = raw.strip()
-        if line and line[0] != "#":
-            break
-    else:
+    lines = content_lines(source)
+    lineno, line = next(lines, (0, None))
+    if line is None:
         raise InputError(f"{what} is missing its header line")
     if line != header:
         raise InputError(f"line {lineno}: expected header {header!r}, got {line!r}")
-    for lineno, raw in lines:
-        line = raw.strip()
-        if not line or line[0] == "#":
-            continue
+    for lineno, line in lines:
         fields = line.split(",")
         if len(fields) != width:
             raise InputError(f"line {lineno}: expected {width} fields, got {len(fields)}")

@@ -1,4 +1,4 @@
-"""Shared exception type for rejected input, and the finite-number check."""
+"""Shared exception type for rejected input, and the finite-number and fraction checks."""
 
 import math
 
@@ -14,3 +14,9 @@ def require_finite(value: float, what: str) -> None:
     """Reject NaN and infinities; a plain ``value <= 0`` check lets both through."""
     if not math.isfinite(value):
         raise InputError(f"{what} must be finite, got {value!r}")
+
+
+def require_fraction(value: float, what: str) -> None:
+    """Reject a value outside [0, 1]; NaN fails both comparisons."""
+    if not 0.0 <= value <= 1.0:
+        raise InputError(f"{what} must lie in [0, 1], got {value!r}")

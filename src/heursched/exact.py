@@ -21,10 +21,10 @@ The cost prune compares the running-sum bound (solved-cost sum plus the
 unsolved count times the prefix total) with one cutoff, which lies above
 the incumbent by a relative slack that covers any difference
 floating-point summation order can make.  A feasible candidate whose
-running objective is within the cutoff is priced again by replaying its
-entries with ``evaluate``'s own kernel and summing the costs in node
-order; so the incumbent and every tie-break are decided on the numbers
-``evaluate`` reports.  With integer weights (raw iterations) every sum is
+running objective is within the cutoff is priced again by
+``schedule._total``, the node-order sum ``evaluate`` itself makes; so the
+incumbent and every tie-break are decided on the numbers ``evaluate``
+reports.  With integer weights (raw iterations) every sum is
 exact in any order, the cutoff is the incumbent and nothing is repriced.
 Otherwise the search refuses to start when the largest objective any
 candidate could reach, with that slack, is not a finite float.
@@ -43,8 +43,8 @@ import math
 from dataclasses import dataclass
 
 from .dataset import Dataset, breakpoints
-from .errors import InputError
-from .schedule import Schedule, _replay, _steps, replay_tables
+from .errors import InputError, require_fraction
+from .schedule import Schedule, _steps, _total, replay_tables
 
 
 @dataclass(frozen=True)
@@ -82,14 +82,14 @@ def solve_exact(d: Dataset, alpha: float, *, normalize: bool = False,
 
     Heuristics that never succeed are skipped: they can only add cost.
     Costs use the same units as schedule evaluation (normalization
-    optional) and are summed in the same order, so objectives equal
-    ``evaluate`` bit for bit and greedy and exact are directly comparable.
+    optional), and objectives are summed by ``evaluate``'s own node-order
+    total, so they equal ``evaluate`` bit for bit and greedy and exact are
+    directly comparable.
     ``limits.enumeration_budget`` caps the unpruned candidate count
     (``candidate_count``), a guard on the worst case whatever the prunes
     save.
     """
-    if not 0.0 <= alpha <= 1.0:
-        raise InputError(f"alpha must lie in [0, 1], got {alpha!r}")
+    require_fraction(alpha, "alpha")
     if len(d.heuristics) > limits.max_heuristics:
         raise InputError(f"heuristic count {len(d.heuristics)} exceeds "
                          f"max_heuristics={limits.max_heuristics}")
@@ -159,14 +159,6 @@ def solve_exact(d: Dataset, alpha: float, *, normalize: bool = False,
             best_entries = entries
             cutoff = objective * (1 + slack) + tiny
 
-    def price(entries):
-        """The objective of ``entries`` summed in node order, as ``evaluate`` sums it."""
-        replay_steps = _steps(entries, taus_of, weight_of)
-        objective = 0
-        for number in range(total_nodes):
-            objective += _replay(replay_steps, number)[1]
-        return objective
-
     def extend(entries, unsolved, total, solved_sum, unused) -> None:
         unsolved_count = unsolved.bit_count()
         for g, heuristic in enumerate(usable):
@@ -204,7 +196,7 @@ def solve_exact(d: Dataset, alpha: float, *, normalize: bool = False,
                 child = entries + ((heuristic, budget),)
                 # only a feasible child within the cutoff can win in node order
                 if not exact_sums and solved / total_nodes >= alpha and objective <= cutoff:
-                    objective = price(child)
+                    objective = _total(_steps(child, taus_of, weight_of), total_nodes)[0]
                 consider(child, objective, solved)
                 if remaining and rest:
                     extend(child, remaining, new_total, new_solved_sum, rest)

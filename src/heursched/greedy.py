@@ -41,7 +41,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .dataset import Dataset, breakpoints
-from .errors import InputError
+from .errors import InputError, require_fraction
 from .schedule import Schedule, _evaluate, replay_tables
 
 
@@ -57,8 +57,7 @@ class GreedyOptions:
     alpha_report: float = 0.0
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.alpha_report <= 1.0:
-            raise InputError(f"alpha_report must lie in [0, 1], got {self.alpha_report!r}")
+        require_fraction(self.alpha_report, "alpha_report")
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 
 from .dataset import read_rows
-from .errors import InputError, require_finite
+from .errors import InputError, require_finite, require_fraction
 
 TIMELINE_HEADER = "time_seconds,objective_value"
 
@@ -105,8 +105,7 @@ class GapFunction:
             require_finite(time, "gap breakpoint time")
             if previous is not None and time <= previous:
                 raise InputError("gap breakpoints must be strictly increasing in time")
-            if not 0.0 <= gap <= 1.0:
-                raise InputError(f"gap values must lie in [0, 1], got {gap!r}")
+            require_fraction(gap, "gap values")
             previous = time
 
     def value_at(self, time: float) -> float:
@@ -144,23 +143,12 @@ def gap_function(tl: IncumbentTimeline) -> GapFunction:
 
 
 def primal_integral(tl: IncumbentTimeline, horizon: float) -> float:
-    """Area under the incumbent gap up to the time limit.
+    """Area under the incumbent gap up to the time limit: ``gap_function(tl).area(horizon)``.
 
     Events at or after the limit are ignored; with no events at all the
     result is the limit itself (the gap stays at 1 throughout).
     """
-    require_time_limit(horizon)
-    total = 0.0
-    previous_time = 0.0
-    previous_gap = 1.0
-    for time, value in tl.events:
-        if time >= horizon:
-            break
-        total += previous_gap * (time - previous_time)
-        previous_time = time
-        previous_gap = tl.gap_of(value)
-    total += previous_gap * (horizon - previous_time)
-    return total
+    return gap_function(tl).area(horizon)
 
 
 def load_timeline(source: str, best_known: float, sense: str = "min") -> IncumbentTimeline:

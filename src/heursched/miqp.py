@@ -47,8 +47,9 @@ per-node and per-pair runs within it, from its helpers.  A model comes
 only from ``build_miqp``, so its variables always follow that order.  The
 build fills the row columns one constraint family at a time, and both
 checkers read one list of values in variable order.  ``export_miqp``
-streams the text into its sink in chunks, rendering a large model's linear
-rows in forked workers; ``MiqpModel.render`` joins the chunks.
+streams the text into its sink in chunks, one ``workers.map_jobs`` job per
+range of linear rows: a large model renders in forked workers, a small one
+is one range in the caller.  ``MiqpModel.render`` joins the chunks.
 """
 
 from __future__ import annotations
@@ -62,7 +63,7 @@ from itertools import accumulate, chain
 from operator import add, itemgetter, mul
 
 from .dataset import Dataset
-from .errors import InputError, require_finite
+from .errors import InputError, require_finite, require_fraction
 from .miqp_columns import (CHUNK_ROWS, Families, Layout, MiqpVariable, Rows, Terms, VariableRows,
                            num, part_bounds, row_chunks, row_sums)
 from .schedule import Schedule
@@ -120,7 +121,7 @@ class MiqpModel:
         return list(map(itemgetter(3), self.variables.attributes)).count(family)
 
     def render(self) -> str:
-        return "".join(_chunks(self))
+        return "".join(_chunks(self, [0, len(self.linear.cids)], 0))
 
 
 def _check_model_identifier(value: str, what: str) -> None:
@@ -131,8 +132,7 @@ def _check_model_identifier(value: str, what: str) -> None:
 
 def build_miqp(d: Dataset, alpha: float) -> MiqpModel:
     """Construct the model for a dataset and coverage fraction."""
-    if not 0.0 <= alpha <= 1.0:
-        raise InputError(f"alpha must lie in [0, 1], got {alpha!r}")
+    require_fraction(alpha, "alpha")
     if not d.heuristics:
         raise InputError("cannot build a scheduling model without heuristics")
     if not d.nodes:
@@ -264,31 +264,18 @@ def export_miqp(d: Dataset, alpha: float, sink) -> MiqpModel:
     only once the model is built, so rejected input creates no file.
 
     The text is split at the chunk ranges of the linear rows that
-    ``part_bounds`` gives.  Part 0 (header, variables, objective and the
-    first range) is written straight into the sink; a model below the split
-    threshold is this one part.  The other parts render in ``workers.map_jobs``
-    jobs, each into an anonymous temporary file (the last one also holds the
-    quadratic rows and comments), and are appended to the sink in order, in
-    bounded blocks: bytes into a path's file, text into a given stream.  The
-    text does not depend on the number of parts.
+    ``part_bounds`` gives, and every part is a ``workers.map_jobs`` job.
+    Part 0 (header, variables, objective and the first range) runs in the
+    caller and is written straight into the sink; a model below the split
+    threshold is this one part, and nothing forks.  The other parts render in
+    workers, each into an anonymous temporary file (the last one also holds
+    the quadratic rows and comments), and are appended to the sink in order,
+    in bounded blocks: bytes into a path's file, text into a given stream.
+    The text does not depend on the number of parts.
     """
+    from . import workers
     model = build_miqp(d, alpha)
     bounds = part_bounds(model.linear)
-    given = hasattr(sink, "write")
-    with nullcontext(sink) if given else open(sink, "w", encoding="utf-8") as out:
-        if len(bounds) == 2:
-            for chunk in _chunks(model):
-                out.write(chunk)
-        else:
-            _write_parts(model, bounds, out, None if given else out.buffer)
-    return model
-
-
-def _write_parts(model: MiqpModel, bounds: list, out, raw) -> None:
-    """Part 0 into ``out`` in the caller, the other parts in workers, then their
-    files appended: into ``raw``, the bytes under ``out``, unless it is None."""
-    import tempfile  # with shutil, which it loads: only for a model that splits
-    from . import workers
 
     def render(part: int) -> None:
         if part == 0:  # map_jobs runs index 0 in the caller
@@ -300,21 +287,28 @@ def _write_parts(model: MiqpModel, bounds: list, out, raw) -> None:
             file.write(chunk.encode("utf-8"))
         file.flush()  # a worker leaves through os._exit, which flushes nothing
 
+    given = hasattr(sink, "write")
     with ExitStack() as stack:
-        files = [stack.enter_context(tempfile.TemporaryFile())  # opened before the fork
-                 for _ in bounds[2:]]
+        out = stack.enter_context(
+            nullcontext(sink) if given else open(sink, "w", encoding="utf-8"))
+        files = []
+        if len(bounds) > 2:
+            import tempfile  # with shutil, which it loads: only for a model that splits
+            files = [stack.enter_context(tempfile.TemporaryFile())  # opened before the fork
+                     for _ in bounds[2:]]
         workers.map_jobs(render, len(bounds) - 1)
-        if raw is not None:
+        if not given:  # a path's other parts go in as bytes, under its text layer
             out.flush()
         for file in files:
             file.seek(0)
-            if raw is not None:
+            if not given:
                 for block in iter(partial(file.read, _BLOCK), b""):
-                    raw.write(block)
+                    out.buffer.write(block)
             else:
                 with io.TextIOWrapper(file, encoding="utf-8") as text:
                     for block in iter(partial(text.read, _BLOCK), ""):
                         out.write(block)
+    return model
 
 
 def _coerce_assignment(model: MiqpModel, assignment) -> tuple[list, list[str]]:
@@ -481,14 +475,12 @@ def schedule_assignment(model: MiqpModel, schedule: Schedule) -> dict:
     return dict(zip(model.variables.names, values))
 
 
-def _chunks(model: MiqpModel, bounds: list | None = None, part: int = 0):
+def _chunks(model: MiqpModel, bounds: list, part: int):
     """Part ``part`` of the model's text rendering, section by section, in
     bounded chunks: the linear rows of chunks ``bounds[part]`` to
     ``bounds[part + 1]``, after the header, variables and objective in part 0
-    and before the quadratic rows and comments in the last part.  By default,
-    one part: the whole rendering."""
-    if bounds is None:
-        bounds = [0, len(model.linear.cids)]
+    and before the quadratic rows and comments in the last part.  With
+    ``bounds`` ``[0, len(model.linear.cids)]``, part 0 is the whole rendering."""
     if part == 0:
         yield ("# minimum-cost heuristic scheduling model (mixed-integer, quadratic)\n"
                "# sections: VARIABLES, OBJECTIVE, LINEAR, QUADRATIC, COMMENTS\n"

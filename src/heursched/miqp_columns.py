@@ -25,7 +25,8 @@ out the variables of a built model and ``variable_names`` their names, and
 A block of at least ``2 * PART_ROWS`` rows splits into contiguous ranges of
 whole chunks, at most one per worker (``part_bounds``); ``Rows.violated``
 evaluates the ranges in ``workers.map_jobs`` jobs, and ``miqp.export_miqp``
-renders them that way.  A smaller block is one range, run in the caller.
+renders them that way.  A smaller block is one range, one job, which
+``map_jobs`` runs in the caller without forking.
 
 ``row_chunks`` renders a range of chunks straight from the columns, one
 ``"".join`` per ``CHUNK_ROWS`` rows.  A flat list holds two slots per term,
@@ -272,11 +273,10 @@ class Rows(_Columns):
 
         Each row range of ``part_bounds`` is evaluated in a ``workers.map_jobs``
         job, and the jobs' ids are joined in range order; a block below the split
-        threshold is one range, evaluated in the caller without forking."""
-        bounds = part_bounds(self)
-        if len(bounds) == 2:
-            return self._violated(values, 0, len(self))
+        threshold is one range, which ``map_jobs`` evaluates in the caller
+        without forking."""
         from . import workers
+        bounds = part_bounds(self)
         rows = [min(chunk * CHUNK_ROWS, len(self)) for chunk in bounds]
         return list(_flat(workers.map_jobs(
             lambda part: self._violated(values, rows[part], rows[part + 1]), len(bounds) - 1)))

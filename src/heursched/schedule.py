@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 from .dataset import (Dataset, avg_iteration_cost, check_count, parse_int, read_rows,
                       validate_identifier)
-from .errors import InputError
+from .errors import InputError, require_fraction
 
 SCHEDULE_HEADER = "position,heuristic,max_iterations"
 
@@ -133,6 +133,18 @@ def _replay(steps, number: int):
     return None, total + 1
 
 
+def _total(steps, count: int) -> tuple:
+    """``(objective, solved)`` of nodes 0 to ``count - 1``, costs summed in node order."""
+    objective = 0
+    solved = 0
+    for number in range(count):
+        position, cost = _replay(steps, number)
+        objective += cost
+        if position is not None:
+            solved += 1
+    return objective, solved
+
+
 def _tau_lists(s: Schedule, d: Dataset) -> dict:
     """The tau list of each heuristic in the schedule; unknown ones raise."""
     return {h: d.tau_column(h).taus for h in s.heuristics}
@@ -160,16 +172,9 @@ def evaluate(s: Schedule, d: Dataset, alpha: float, *,
 
 def _evaluate(s: Schedule, d: Dataset, alpha: float, weights: dict) -> ScheduleEvaluation:
     """``evaluate`` with the replay weights given."""
-    if not 0.0 <= alpha <= 1.0:
-        raise InputError(f"alpha must lie in [0, 1], got {alpha!r}")
+    require_fraction(alpha, "alpha")
     steps = _steps(s.entries, _tau_lists(s, d), weights)
-    objective = 0
-    solved = 0
-    for number in range(len(d.nodes)):
-        position, cost = _replay(steps, number)
-        objective += cost
-        if position is not None:
-            solved += 1
+    objective, solved = _total(steps, len(d.nodes))
     if not math.isfinite(objective):
         raise InputError("schedule objective overflows the float range: "
                          "the iteration costs are too large")

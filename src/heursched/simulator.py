@@ -45,8 +45,9 @@ from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
 from random import _sha512  # what Random.seed hashes a str with; hashlib would load OpenSSL
 
-from .dataset import Dataset, check_count, check_row, parse_int, validate_identifier
-from .errors import InputError, require_finite
+from .dataset import (Dataset, check_count, check_row, content_lines, parse_int,
+                      validate_identifier)
+from .errors import InputError, require_finite, require_fraction
 from .greedy import GreedyOptions, build_schedule
 from .metrics import IncumbentTimeline, primal_integral, require_time_limit
 from .schedule import Schedule
@@ -94,9 +95,7 @@ class HeuristicSpec:
         if self.klass not in HEURISTIC_CLASSES:
             raise InputError(f"heuristic class must be one of {HEURISTIC_CLASSES}, "
                              f"got {self.klass!r}")
-        if not 0.0 <= self.success_probability <= 1.0:
-            raise InputError(f"success_probability must lie in [0, 1], "
-                             f"got {self.success_probability!r}")
+        require_fraction(self.success_probability, "success_probability")
         if not 0.0 < self.iteration_success_rate <= 1.0:
             raise InputError(f"iteration_success_rate must lie in (0, 1], "
                              f"got {self.iteration_success_rate!r}")
@@ -637,10 +636,7 @@ def load_sim_config(source: str) -> SimConfig:
     with ``#`` are comments.
     """
     entries: dict[str, str] = {}
-    for lineno, raw in enumerate(source.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in content_lines(source):
         if "=" not in line:
             raise InputError(f"line {lineno}: expected 'key = value', got {line!r}")
         key, _, value = line.partition("=")

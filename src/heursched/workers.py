@@ -6,7 +6,8 @@ per job: the caller forks the others before running any job and runs its
 own share meanwhile, so index 0 always runs in the caller.  The simulator's
 ``compare``, ``crossval`` and shadow collection run their seeds as jobs;
 ``miqp.export_miqp`` and ``Rows.violated`` (``check_linearized``) run the
-row ranges of a large model.  Each child sends ``(index, result, error)``
+row ranges of every model, so a small model's one range is one job, run in
+the caller: ``map_jobs(job, 1)`` forks nothing.  Each child sends ``(index, result, error)``
 records through a pipe with ``marshal``, which round-trips floats exactly,
 and always leaves through ``os._exit``, so it never unwinds into the
 caller's stack or flushes its stdio or files: a job that writes a file
@@ -25,7 +26,6 @@ import marshal
 import os
 import signal
 import threading
-import traceback
 
 from .errors import InputError
 
@@ -71,6 +71,7 @@ def map_jobs(job, count: int) -> list:
                     try:
                         report = _run_share(job, count, share, workers)
                     except Exception:
+                        import traceback  # only a failing child pays for it
                         report = traceback.format_exc()
                     with os.fdopen(write_end, "wb") as sink:
                         sink.write(marshal.dumps(report))

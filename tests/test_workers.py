@@ -1,8 +1,11 @@
 from __future__ import annotations
 
 import os
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
@@ -92,3 +95,19 @@ def test_an_input_error_ends_only_its_own_share(monkeypatch, tmp_path):
     # worker (2, 5, 8) run their shares to the end
     assert sorted(int(line) for line in log.read_text(encoding="utf-8").split()) == \
         [0, 1, 2, 3, 5, 6, 8]
+
+
+def test_importing_workers_loads_no_traceback(tmp_path):
+    # a small model's export and linearized check import workers; only a failing
+    # child needs traceback (with the linecache, tokenize and textwrap it loads)
+    code = ("import sys\n"
+            "before = set(sys.modules)\n"
+            "import heursched.workers\n"
+            "print(sorted({'traceback', 'textwrap'} & (set(sys.modules) - before)))")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        part for part in (src, os.environ.get("PYTHONPATH")) if part))
+    done = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, encoding="utf-8", timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
