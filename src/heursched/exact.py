@@ -5,11 +5,11 @@ of its observed iteration budgets; the empty schedule is a candidate too.
 The search walks candidates depth-first as prefixes.  A prefix is held as
 bitmasks over node numbers (Python ints): the nodes it leaves unsolved,
 plus its total cost so far and the sum of the final costs of the nodes it
-solves.  Per heuristic, one mask per observed budget marks the nodes whose
-iterations-to-solution equal that budget, so extending a prefix finds the
-newly solved nodes, the coverage and the newly solved cost with ``&`` and
-set-bit counts.  Every prefix is itself a candidate.  Three prunes skip
-subtrees that cannot hold the optimum:
+solves.  Per heuristic, one mask per observed budget (``schedule._tie_masks``,
+greedy's index too) marks the nodes whose iterations-to-solution equal that
+budget, so extending a prefix finds the newly solved nodes, the coverage and
+the newly solved cost with ``&`` and set-bit counts.  Every prefix is itself
+a candidate.  Three prunes skip subtrees that cannot hold the optimum:
 
 - an entry that solves no unsolved node only adds cost and length;
 - even the nodes that some unused heuristic could still solve cannot lift
@@ -44,7 +44,7 @@ from dataclasses import dataclass
 
 from .dataset import Dataset, breakpoints
 from .errors import InputError, require_fraction
-from .schedule import Schedule, _steps, _total, replay_tables
+from .schedule import Schedule, _steps, _tie_masks, _total, replay_tables
 
 
 @dataclass(frozen=True)
@@ -109,14 +109,7 @@ def solve_exact(d: Dataset, alpha: float, *, normalize: bool = False,
     total_nodes = len(d.nodes)
     weights = [weight_of[h] for h in usable]
     taus_of = {h: d.tau_column(h).taus for h in usable}
-    # bit i of ties[g][k]: node i takes exactly budgets_of[usable[g]][k] iterations
-    ties = []
-    for heuristic in usable:
-        bit_of = {budget: 0 for budget in budgets_of[heuristic]}
-        for i, tau in enumerate(taus_of[heuristic]):
-            if tau is not None:
-                bit_of[tau] |= 1 << i
-        ties.append(list(bit_of.items()))
+    ties = [_tie_masks(d, h) for h in usable]
     # reach[s]: the nodes some heuristic in the subset s solves at its largest budget
     solvable = [sum(mask for _, mask in pairs) for pairs in ties]
     reach = [0] * (1 << len(usable))

@@ -8,11 +8,11 @@ counts observed in the data: coverage is a step function that only jumps
 at observed values while cost grows strictly in between, so no in-between
 budget can ever score a better ratio.
 
-Gains are kept current, not recounted: per heuristic, the number of unsolved
-nodes at each breakpoint, so a budget's newly solved count is a running prefix
-sum.  The nodes a step solves lower those counts by their taus, read from each
-tau list at their node numbers.  A step thus costs O(B + H·S + U) for B
-breakpoints in all, S nodes solved and U left unsolved, never a sort.
+Coverage is counted on the node bitmasks the exact search reads too: per
+heuristic, one mask per breakpoint marks the nodes that take exactly that
+many iterations.  A budget's newly solved count is the running sum of the
+set bits its heuristic's masks share with the unsolved mask, and a step
+clears those masks up to its budget: O(B·N/64) word operations, never a sort.
 
 Two refinements on top of the plain ratio rule:
 
@@ -37,12 +37,11 @@ first, then earlier heuristic registration, then smaller budget.
 from __future__ import annotations
 
 import warnings
-from collections import Counter
 from dataclasses import dataclass
 
-from .dataset import Dataset, breakpoints
+from .dataset import Dataset, check_count
 from .errors import InputError, require_fraction
-from .schedule import Schedule, _evaluate, replay_tables
+from .schedule import Schedule, _evaluate, _tie_masks, replay_tables
 
 
 @dataclass(frozen=True)
@@ -89,18 +88,17 @@ class GreedyTrace:
         return "\n".join(lines)
 
 
-def _best_action(d: Dataset, scheduled, last_entry, weights: dict,
-                 breakpoints_of: dict, counts_of: dict) -> GreedyStep | None:
-    best_key = best = None
-    for rank, heuristic in enumerate(d.heuristics):
+def _best_action(unsolved: int, scheduled, last_entry, weights: dict,
+                 masks_of: dict) -> GreedyStep | None:
+    best_key = best = None  # masks_of is in registration order
+    for rank, (heuristic, masks) in enumerate(masks_of.items()):
         is_last = last_entry is not None and heuristic == last_entry[0]
         if heuristic in scheduled and not is_last:
             continue  # mid-schedule heuristics can be neither rerun nor extended
         weight = weights[heuristic]
-        counts = counts_of[heuristic]
         newly = 0
-        for budget in breakpoints_of[heuristic]:
-            newly += counts[budget]
+        for budget, mask in masks:
+            newly += (unsolved & mask).bit_count()
             if newly == 0 or (is_last and budget <= last_entry[1]):
                 continue
             cost = weight * (budget - last_entry[1]) if is_last else weight * budget
@@ -118,16 +116,20 @@ def best_action(d: Dataset, unsolved, *, scheduled=(), last_entry=None,
     ``unsolved`` is the set of node ids not yet covered, ``scheduled`` the
     heuristics already placed and ``last_entry`` the schedule's final
     (heuristic, budget) pair — pass it only when budget extension is
-    allowed.  None means no candidate solves any unsolved node.
+    allowed.  None means no candidate solves any unsolved node.  Unknown
+    ids and a budget that is not a positive integer raise ``InputError``.
     """
+    unsolved, scheduled = set(unsolved), set(scheduled)
+    for node in unsolved:
+        d._require_node(node)
+    for heuristic in scheduled | ({last_entry[0]} if last_entry is not None else set()):
+        d._require_heuristic(heuristic)
+    if last_entry is not None:
+        check_count(last_entry[1], f"budget for {last_entry[0]!r}")
     weights = replay_tables(d, normalize=normalize)
-    unsolved = set(unsolved)
-    numbers = [i for i, node in enumerate(d.nodes) if node in unsolved]
-    # per heuristic, how many unsolved nodes take each tau
-    counts_of = {h: Counter(map(d.tau_column(h).taus.__getitem__, numbers))
-                 for h in d.heuristics}
-    breakpoints_of = {h: breakpoints(d, h) for h in d.heuristics}
-    return _best_action(d, set(scheduled), last_entry, weights, breakpoints_of, counts_of)
+    mask = int("0" + "".join("01"[node in unsolved] for node in reversed(d.nodes)), 2)
+    masks_of = {h: _tie_masks(d, h) for h in d.heuristics}
+    return _best_action(mask, scheduled, last_entry, weights, masks_of)
 
 
 def build_schedule(d: Dataset, opts: GreedyOptions = GreedyOptions()):
@@ -140,28 +142,22 @@ def build_schedule(d: Dataset, opts: GreedyOptions = GreedyOptions()):
     if not d.nodes or not d.heuristics:
         raise InputError("dataset must contain at least one node and one heuristic")
     weights = replay_tables(d, normalize=opts.normalize_costs)
-    taus_of = {h: d.tau_column(h).taus for h in d.heuristics}
-    counts_of = {h: Counter(taus) for h, taus in taus_of.items()}
-    breakpoints_of = {h: breakpoints(d, h) for h in d.heuristics}
+    masks_of = {h: _tie_masks(d, h) for h in d.heuristics}
 
-    unsolved = set(range(len(d.nodes)))
+    unsolved = (1 << len(d.nodes)) - 1
     entries: list[tuple[str, int]] = []
     steps: list[GreedyStep] = []
     while unsolved:
         last_entry = entries[-1] if (entries and opts.allow_extension) else None
-        scheduled = {h for h, _ in entries}
-        step = _best_action(d, scheduled, last_entry, weights, breakpoints_of, counts_of)
+        step = _best_action(unsolved, {h for h, _ in entries}, last_entry, weights, masks_of)
         if step is None:
             break
         if step.extends_last:
             entries[-1] = (step.heuristic, step.budget)
         else:
             entries.append((step.heuristic, step.budget))
-        taus, budget = taus_of[step.heuristic], step.budget
-        solved = [i for i in unsolved if taus[i] is not None and taus[i] <= budget]
-        unsolved.difference_update(solved)
-        for heuristic, counts in counts_of.items():
-            counts.subtract(Counter(map(taus_of[heuristic].__getitem__, solved)))
+        # the masks are disjoint, so their sum is the set of nodes the step solves
+        unsolved &= ~sum(mask for budget, mask in masks_of[step.heuristic] if budget <= step.budget)
         steps.append(step)
 
     schedule = Schedule(tuple(entries))

@@ -31,8 +31,10 @@ def primal_gap(value: float, reference: float) -> float:
 
     Opposite signs give 1; magnitudes equal to within 1e-9 relative give 0
     (this also covers the all-zero case); otherwise the normalized
-    absolute difference.
+    absolute difference.  Both must be finite.
     """
+    require_finite(value, "objective value")
+    require_finite(reference, "reference value")
     if (value < 0 < reference) or (reference < 0 < value):
         return 1.0
     if math.isclose(abs(value), abs(reference), rel_tol=1e-9, abs_tol=0.0):
@@ -109,6 +111,7 @@ class GapFunction:
             previous = time
 
     def value_at(self, time: float) -> float:
+        require_finite(time, "time")
         if time < 0:
             raise InputError(f"time must be nonnegative, got {time!r}")
         current = self.breakpoints[0][1]

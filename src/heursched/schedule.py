@@ -20,8 +20,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .dataset import (Dataset, avg_iteration_cost, check_count, parse_int, read_rows,
-                      validate_identifier)
+from .dataset import (Dataset, avg_iteration_cost, breakpoints, check_count, parse_int,
+                      read_rows, validate_identifier)
 from .errors import InputError, require_fraction
 
 SCHEDULE_HEADER = "position,heuristic,max_iterations"
@@ -111,6 +111,16 @@ def replay_tables(d: Dataset, *, normalize: bool = False) -> dict:
     if normalize:
         return avg_iteration_cost(d).seconds_per_iteration
     return dict.fromkeys(d.heuristics, 1)
+
+
+def _tie_masks(d: Dataset, heuristic: str) -> list:
+    """``(budget, mask)`` per breakpoint, ascending; bit ``i`` of ``mask`` is
+    set when node number ``i`` takes exactly ``budget`` iterations."""
+    buffers = {budget: bytearray(len(d.nodes) // 8 + 1) for budget in breakpoints(d, heuristic)}
+    for number, tau in enumerate(d.tau_column(heuristic).taus):
+        if tau is not None:  # set bits in byte buffers: ORing 1 << i into an int is quadratic
+            buffers[tau][number >> 3] |= 1 << (number & 7)
+    return [(budget, int.from_bytes(bits, "little")) for budget, bits in buffers.items()]
 
 
 def _steps(entries, taus_of: dict, weights: dict) -> list:

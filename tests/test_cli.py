@@ -708,29 +708,70 @@ def test_unknown_names_still_raise_attribute_error():
         cli.no_such_name
 
 
-# SHA-256 of the simulate, compare and run outputs below on the planted
-# configuration, recorded with the dict-based simulator (Python 3.11); every
-# supported Python must write the same bytes
+# SHA-256 of the outputs below on the planted configuration: the simulate,
+# compare and run files, recorded with the dict-based simulator (Python 3.11),
+# and the schedule file (.csv) and stdout (.out) of build and exact on the
+# simulated dataset, recorded with the Counter-based greedy builder and the
+# exact search's own tie masks; every supported Python must write the same bytes
 GOLDEN_DIGESTS = {
     "data.csv": "c4fc22a1df239479487ab678e6ba7d8ddfa2bf4f314b89a73d5a01d6e27ce4c3",
     "cmp.csv": "a94a6cf59a25e9c0b073d3e7acb558532b058223c9a77feb9c72c1d66f9c10fc",
     "run.timeline": "fbe7dd5553cf8815e1803d54372a5a34164e56448a79ed3ff592d5d29c23c821",
+    "build.csv": "cd55661342ddeaa8316c80fd8453c6fc7c5ff84124a93bdd7d9ccdd6bb868295",
+    "build.out": "dca78ab814970a0fd8a29fc832acedc7447d0b4acc201d60a7d720f4393abb18",
+    "build_norm.csv": "cd55661342ddeaa8316c80fd8453c6fc7c5ff84124a93bdd7d9ccdd6bb868295",
+    "build_norm.out": "58282303315e5d6bc087b4dc37897a1221e75cf85c14432e6b058e1e9eca5771",
+    "build_noext.csv": "4503b671a3e6435e7d831e899b496a11ecbdf360fb06c070f1d536d56009d1f1",
+    "build_noext.out": "c24b5d1623eda1d4aaa902b99d9d5f597ab54ca9fa466168debae976371b2459",
+    "exact.csv": "cd55661342ddeaa8316c80fd8453c6fc7c5ff84124a93bdd7d9ccdd6bb868295",
+    "exact.out": "422f7b36b799b192ce671ec169f8c0fbdb2b46c1cc1da4470c36e6562d8c8a7a",
+    "exact_norm.csv": "cd55661342ddeaa8316c80fd8453c6fc7c5ff84124a93bdd7d9ccdd6bb868295",
+    "exact_norm.out": "b9b411430528e919911f431d601bc94f4877c1d2b5a83dcb3eb56cd1bf82fadc",
 }
+SIMULATE_ARGV = ["simulate", "--config", "planted.cfg", "--seed", "3", "--instances", "6",
+                 "--out", "data.csv"]
+# alpha 0.94 makes the exact optimum two entries long
+SCHEDULE_RUNS = {
+    "build": ["build"],
+    "build_norm": ["build", "--normalize"],
+    "build_noext": ["build", "--no-extension"],
+    "exact": ["exact", "--alpha", "0.94"],
+    "exact_norm": ["exact", "--alpha", "0.94", "--normalize"],
+}
+
+
+def _golden(names) -> tuple:
+    """The SHA-256 of each named file, and the recorded digests of those names."""
+    return ({name: hashlib.sha256(Path(name).read_bytes()).hexdigest() for name in names},
+            {name: GOLDEN_DIGESTS[name] for name in names})
 
 
 def test_simulator_outputs_match_golden_digests(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     _compare_inputs(tmp_path)
-    for argv in (["simulate", "--config", "planted.cfg", "--seed", "3", "--instances", "6",
-                  "--out", "data.csv"],
+    for argv in (SIMULATE_ARGV,
                  ["compare", "--config", "planted.cfg", "--schedule", "sched.csv", "--seeds", "7",
                   "--time-limit", "300", "--out", "cmp.csv"],
                  ["run", "--config", "planted.cfg", "--schedule", "sched.csv", "--seed", "0",
                   "--time-limit", "60", "--out", "run.timeline"]):
         assert dispatch(argv) == 0
     capsys.readouterr()
-    assert {name: hashlib.sha256(Path(name).read_bytes()).hexdigest()
-            for name in GOLDEN_DIGESTS} == GOLDEN_DIGESTS
+    digests, golden = _golden(["data.csv", "cmp.csv", "run.timeline"])
+    assert digests == golden
+
+
+def test_schedule_outputs_match_golden_digests(tmp_path, monkeypatch, capsys):
+    # greedy and exact tie-breaks, objectives and trace text, byte for byte
+    monkeypatch.chdir(tmp_path)
+    _compare_inputs(tmp_path)
+    assert dispatch(SIMULATE_ARGV) == 0
+    capsys.readouterr()
+    for name, argv in SCHEDULE_RUNS.items():
+        assert dispatch(argv + ["--data", "data.csv", "--out", f"{name}.csv"]) == 0
+        Path(f"{name}.out").write_bytes(capsys.readouterr().out.encode())
+    digests, golden = _golden([f"{name}.{kind}" for name in SCHEDULE_RUNS
+                               for kind in ("csv", "out")])
+    assert digests == golden
 
 
 def _overflowing_default_limit(tmp_path):

@@ -13,7 +13,7 @@ from heursched import (Dataset, ExactLimits, GreedyOptions, HeuristicSpec, Input
                        Observation, Schedule, SimConfig, breakpoints, build_schedule,
                        candidate_count, collect_shadow_dataset, evaluate, generate_instance,
                        load_dataset, solve_exact)
-from heursched.schedule import replay_tables
+from heursched.schedule import _tie_masks, replay_tables
 
 from conftest import random_dataset
 
@@ -388,6 +388,17 @@ def simulator_families(draw):
 @given(d=simulator_families())
 def test_mask_search_matches_list_search_past_enumeration_reach(d):
     # masks wider than one machine word, normalized and raw costs
+    for h in d.heuristics:
+        # the tie masks partition the nodes h solves by their tau
+        taus = d.tau_column(h).taus
+        masks = _tie_masks(d, h)
+        assert [budget for budget, _ in masks] == breakpoints(d, h)
+        union = 0
+        for budget, mask in masks:
+            assert union & mask == 0
+            union |= mask
+            assert [mask >> i & 1 for i in range(len(taus))] == [tau == budget for tau in taus]
+        assert union == sum(1 << i for i, tau in enumerate(taus) if tau is not None)
     limits = ExactLimits(max_heuristics=8, enumeration_budget=10**12)
     for alpha in (0.0, 0.5, 0.9, 1.0):
         for normalize in (False, True):

@@ -35,6 +35,22 @@ def test_best_action_none_when_nothing_solvable():
     assert best_action(d, {"N1"}) is None
 
 
+@pytest.mark.parametrize("kwargs, message", [
+    ({"unsolved": {"N1", "ZZ"}}, "unknown node 'ZZ'"),
+    ({"scheduled": {"nope"}}, "unknown heuristic 'nope'"),
+    ({"last_entry": ("nope", 5)}, "unknown heuristic 'nope'"),
+    ({"last_entry": ("h1", -5)}, "budget for 'h1' must be a positive integer, got -5"),
+    ({"last_entry": ("h1", 0)}, "budget for 'h1' must be a positive integer, got 0"),
+    ({"last_entry": ("h1", 1.5)}, "budget for 'h1' must be a positive integer, got 1.5"),
+], ids=["unknown node", "unknown scheduled", "unknown last entry", "negative budget",
+        "zero budget", "fractional budget"])
+def test_best_action_rejects_bad_arguments(worked, kwargs, message):
+    kwargs = {"unsolved": set(worked.nodes), **kwargs}
+    with pytest.raises(InputError) as excinfo:
+        best_action(worked, kwargs.pop("unsolved"), **kwargs)
+    assert str(excinfo.value) == message
+
+
 def test_build_schedule_worked_example(worked):
     schedule, trace, ev = build_schedule(worked, GreedyOptions(alpha_report=0.9))
     assert schedule.entries == (("h1", 1), ("h2", 3))

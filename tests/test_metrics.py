@@ -65,8 +65,12 @@ NON_FINITE = [float("nan"), float("inf"), float("-inf")]
     lambda x: primal_integral(IncumbentTimeline((), best_known=0.0), x),
     lambda x: gap_function(IncumbentTimeline((), best_known=0.0)).area(x),
     lambda x: GapFunction(((0.0, 1.0), (x, 0.5))),
+    lambda x: gap_function(IncumbentTimeline((), best_known=0.0)).value_at(x),
+    lambda x: primal_gap(x, 1.0),
+    lambda x: primal_gap(1.0, x),
+    lambda x: IncumbentTimeline((), best_known=1.0).gap_of(x),
 ], ids=["event_time", "event_value", "best_known", "integral_horizon", "area_horizon",
-        "gap_breakpoint_time"])
+        "gap_breakpoint_time", "value_at", "gap_value", "gap_reference", "gap_of"])
 def test_non_finite_numbers_rejected(boundary, bad):
     with pytest.raises(InputError, match="must be finite"):
         boundary(bad)
