@@ -12,20 +12,22 @@ iterations, since a data collector may simply never have run that
 heuristic at that node.
 
 A ``Dataset`` numbers its nodes 0..N-1 in registration order and holds
-columns: its rows as plain tuples in wire order and, per heuristic, a tau
-list by node number (``None`` for failed and unobserved pairs) and the sorted
-breakpoints.  ``tau_column(h)`` is a read-only ``Mapping`` view of that list
-(node id to tau, successful calls only); package code reads the list,
-``tau_column(h).taus``.  ``load_dataset`` fills the lists as it reads; the
-other constructors have ``Dataset`` derive them from rows whose ids were
-validated once each.  ``Dataset.observations`` is built on first access only.
+columns: per heuristic, a tau, an executed-count and a duration list by node
+number (``None`` where no row exists; a tau also for a failed call), the
+sorted breakpoints, and one wire-order index, the pair number
+``node_number * H + heuristic_number`` of each row as it arrived.
+``tau_column(h)`` is a read-only ``Mapping`` view of a tau list (node id to
+tau, successful calls only); package code reads the list,
+``tau_column(h).taus``.  Every constructor fills the same columns, and a
+filled executed cell marks a repeated pair.  ``Dataset.observations`` is
+built on first access only.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from collections.abc import Iterator, Mapping
+from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 from types import MappingProxyType
 
@@ -89,7 +91,7 @@ def read_rows(source: str, header: str, what: str) -> Iterator[tuple[int, list[s
 
 def check_count(value: int, what: str) -> None:
     """Reject an iteration count that is not an integer from 1 to ``MAX_COUNT``."""
-    if not isinstance(value, int) or value < 1:
+    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
         raise InputError(f"{what} must be a positive integer, got {value!r}")
     if value > MAX_COUNT:  # not printed: it may have more digits than str() allows
         raise InputError(f"{what} must be at most 2**53 = {MAX_COUNT}")
@@ -183,10 +185,11 @@ class Dataset:
     observations: tuple[Observation, ...]
     _registration: dict = field(init=False, repr=False, compare=False, default=None)
     _numbers: dict = field(init=False, repr=False, compare=False, default=None)
-    _observed: dict = field(init=False, repr=False, compare=False, default=None)
-    _rows: tuple = field(init=False, repr=False, compare=False, default=None)
     _taus: dict = field(init=False, repr=False, compare=False, default=None)
     _breakpoints: dict = field(init=False, repr=False, compare=False, default=None)
+    _executed: list = field(init=False, repr=False, compare=False, default=None)
+    _durations: list = field(init=False, repr=False, compare=False, default=None)
+    _order: Sequence = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self) -> None:
         for name in ("heuristics", "nodes", "observations"):
@@ -195,34 +198,37 @@ class Dataset:
             validate_identifier(heuristic, "heuristic")
         for node in self.nodes:
             validate_identifier(node, "node")
-        self._index(self.heuristics, self.nodes, self._observed_rows())
-
-    def _observed_rows(self) -> Iterator[tuple]:
-        # consumed by _index once the ids are registered
-        seen: set[tuple[str, str]] = set()
+        self._index(self.heuristics, self.nodes)
+        width = len(self.heuristics)
+        taus, executed, durations = ([[None] * len(self.nodes) for _ in self.heuristics]
+                                     for _ in range(3))
+        order = []
         for obs in self.observations:
             _require_observation(obs)
             if obs.heuristic not in self._registration:
                 raise InputError(f"observation references unregistered heuristic {obs.heuristic!r}")
             if obs.node not in self._numbers:
                 raise InputError(f"observation references unregistered node {obs.node!r}")
-            if (obs.heuristic, obs.node) in seen:
+            h, number = self._registration[obs.heuristic], self._numbers[obs.node]
+            if executed[h][number] is not None:
                 raise InputError(f"duplicate observation for pair ({obs.heuristic}, {obs.node})")
-            seen.add((obs.heuristic, obs.node))
-            yield (obs.heuristic, obs.node, obs.iterations_to_solution, obs.iterations_executed,
-                   obs.duration_seconds)
+            taus[h][number] = obs.iterations_to_solution
+            executed[h][number] = obs.iterations_executed
+            durations[h][number] = obs.duration_seconds
+            order.append(number * width + h)
+        self._store(taus, executed, durations, order)
 
     @classmethod
-    def _from_rows(cls, heuristics, nodes, rows, taus=None) -> "Dataset":
-        """Trusted constructor: ``rows`` passed ``check_row``, hold valid, registered
-        ids and no repeated pair; ``taus`` are their tau lists, if known."""
+    def _from_columns(cls, heuristics, nodes, taus, executed, durations, order) -> "Dataset":
+        """Trusted constructor: the ids are valid and the columns (see ``_store``)
+        hold rows that passed ``check_row``."""
         d = cls.__new__(cls)
-        d._index(heuristics, nodes, rows, taus)
+        d._index(heuristics, nodes)
+        d._store(taus, executed, durations, order)
         return d
 
-    def _index(self, heuristics, nodes, rows, taus=None) -> None:
-        """Register and number the ids, then store the rows, derive the tau lists
-        from them unless given, and sort the breakpoints."""
+    def _index(self, heuristics, nodes) -> None:
+        """Register and number the ids."""
         registration = {h: i for i, h in enumerate(heuristics)}
         if len(registration) != len(heuristics):
             raise InputError("duplicate heuristic registration")
@@ -232,24 +238,26 @@ class Dataset:
         for name, value in (("heuristics", heuristics), ("nodes", nodes),
                             ("_registration", registration), ("_numbers", numbers)):
             object.__setattr__(self, name, value)
-        rows = tuple(rows)
-        if taus is None:
-            taus = [[None] * len(nodes) for _ in heuristics]
-            for heuristic, node, tau, _, _ in rows:
-                if tau is not None:
-                    taus[registration[heuristic]][numbers[node]] = tau
-        view = MappingProxyType(numbers)
-        object.__setattr__(self, "_rows", rows)
+
+    def _store(self, taus, executed, durations, order) -> None:
+        """Store the columns, one list per heuristic indexed by node number (None
+        where the pair has no row), and ``order``, the pair number ``node_number
+        * len(heuristics) + heuristic_number`` of each row in wire order."""
+        view = MappingProxyType(self._numbers)
         object.__setattr__(self, "_taus", {h: TauColumn(tuple(c), view)
-                                           for h, c in zip(heuristics, taus)})
+                                           for h, c in zip(self.heuristics, taus)})
         object.__setattr__(self, "_breakpoints", {h: sorted(set(c).difference((None,)))
-                                                  for h, c in zip(heuristics, taus)})
+                                                  for h, c in zip(self.heuristics, taus)})
+        for name, value in (("_executed", executed), ("_durations", durations), ("_order", order)):
+            object.__setattr__(self, name, value)
 
     def __getattr__(self, name: str):
-        # reached only while unset: the observations of a _from_rows dataset
+        # reached only while unset: the observations of a _from_columns dataset
         if name != "observations":
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        observations = tuple(Observation(*row) for row in self._rows)
+        width = len(self.heuristics)
+        observations = tuple(self.observation(self.heuristics[pair % width],
+                                              self.nodes[pair // width]) for pair in self._order)
         object.__setattr__(self, "observations", observations)
         return observations
 
@@ -266,10 +274,11 @@ class Dataset:
     def observation(self, heuristic: str, node: str) -> Observation | None:
         self._require_heuristic(heuristic)
         self._require_node(node)
-        if self._observed is None:
-            object.__setattr__(self, "_observed",
-                               {(o.heuristic, o.node): o for o in self.observations})
-        return self._observed.get((heuristic, node))
+        h, number = self._registration[heuristic], self._numbers[node]
+        if self._executed[h][number] is None:
+            return None
+        return Observation(heuristic, node, self._taus[heuristic].taus[number],
+                           self._executed[h][number], self._durations[h][number])
 
     def tau_column(self, heuristic: str) -> TauColumn:
         """Read-only map from node id to the heuristic's iterations-to-solution.
@@ -321,11 +330,11 @@ class IterationCostProfile:
             raise InputError(f"no iteration cost recorded for heuristic {heuristic!r}") from None
 
 
-def _read_count(text: str, cache: dict, lineno: int, column: str) -> int:
-    """Parse a count text (``inf``: 0, a failed call, as a tau) and cache it unless
+def _read_count(text: str, cache: dict, lineno: int, column: str) -> int | None:
+    """Parse a count text (``inf``: None, a failed call, as a tau) and cache it unless
     above MAX_COUNT, which ``check_row`` then rejects after any bad id on its line."""
     if column == "iterations_to_solution" and text.lower() == "inf":
-        value = 0
+        value = None
     else:
         try:
             value = parse_int(text)
@@ -333,7 +342,7 @@ def _read_count(text: str, cache: dict, lineno: int, column: str) -> int:
             raise InputError(f"line {lineno}: {column} must be an integer, got {text!r}") from None
         if value < 1:
             raise InputError(f"line {lineno}: {column} must be positive, got {value}")
-    if value <= MAX_COUNT:
+    if value is None or value <= MAX_COUNT:
         cache[text] = value
     return value
 
@@ -346,22 +355,28 @@ def load_dataset(source: str) -> Dataset:
     call; an empty duration means the duration was not tracked.  Lines
     starting with ``#`` are comments.  Fields are never quoted.
     """
-    # a tau of 0 marks a failed call.  Per registered heuristic, its taus by
-    # node number, None where no row was read yet.
-    columns: dict[str, list] = {}
+    registration: dict[str, int] = {}
     numbers: dict[str, int] = {}
-    rows: list[tuple] = []
+    # per heuristic number, its tau, executed and duration lists by node number,
+    # None where no row was read yet
+    taus: list[list] = []
+    executed: list[list] = []
+    durations: list[list] = []
+    # the node and the heuristic number of each row, in file order
+    row_nodes: list[int] = []
+    row_heuristics: list[int] = []
     # each distinct count text is parsed and checked once per column
-    tau_counts: dict[str, int] = {"": 0}
+    tau_counts: dict[str, int | None] = {"": None}
     executed_counts: dict[str, int] = {}
     for lineno, fields in read_rows(source, DATASET_HEADER, "dataset"):
         heuristic, node, tau_text, executed_text, duration_text = fields
-        tau = tau_counts.get(tau_text)
-        if tau is None:
+        try:
+            tau = tau_counts[tau_text]
+        except KeyError:
             tau = _read_count(tau_text, tau_counts, lineno, "iterations_to_solution")
-        executed = executed_counts.get(executed_text)
-        if executed is None:
-            executed = _read_count(executed_text, executed_counts, lineno, "iterations_executed")
+        count = executed_counts.get(executed_text)
+        if count is None:
+            count = _read_count(executed_text, executed_counts, lineno, "iterations_executed")
         if duration_text == "":
             duration = None
         else:
@@ -371,39 +386,53 @@ def load_dataset(source: str) -> Dataset:
                 raise InputError(
                     f"line {lineno}: duration_seconds must be a number, got {duration_text!r}"
                 ) from None
-        column = columns.get(heuristic)
+        h = registration.get(heuristic)
         number = numbers.get(node)
         # a row with known ids and cached counts fails check_row only when tau
         # exceeds executed or the duration is not a finite value >= 0
-        if (column is None or number is None or executed > MAX_COUNT or tau > executed
+        if (h is None or number is None or count > MAX_COUNT
+                or (tau is not None and tau > count)
                 or not (duration is None or 0.0 <= duration < math.inf)):
             try:
-                if column is None:
+                if h is None:
                     validate_identifier(heuristic, "heuristic")
-                    column = columns[heuristic] = [None] * len(numbers)
+                    h = registration[heuristic] = len(registration)
+                    for column in (taus, executed, durations):
+                        column.append([None] * len(numbers))
                 if number is None:
                     validate_identifier(node, "node")
                     number = numbers[node] = len(numbers)
-                    for other in columns.values():
-                        other.append(None)
-                check_row(heuristic, node, tau or None, executed, duration)
+                    for cells in (*taus, *executed, *durations):
+                        cells.append(None)
+                check_row(heuristic, node, tau, count, duration)
             except InputError as exc:
                 raise InputError(f"line {lineno}: {exc}") from None
-        if column[number] is not None:
+        if executed[h][number] is not None:
             raise InputError(f"line {lineno}: duplicate row for pair ({heuristic}, {node})")
-        column[number] = tau
-        rows.append((heuristic, node, tau or None, executed, duration))
-    return Dataset._from_rows(tuple(columns), tuple(numbers), rows,
-                              [[tau or None for tau in column] for column in columns.values()])
+        taus[h][number] = tau
+        executed[h][number] = count
+        durations[h][number] = duration
+        row_nodes.append(number)
+        row_heuristics.append(h)
+    order = [number * len(registration) + h for number, h in zip(row_nodes, row_heuristics)]
+    if order == list(range(len(order))):  # complete and node-major, as simulated data is
+        order = range(len(order))
+    return Dataset._from_columns(tuple(registration), tuple(numbers), taus, executed, durations,
+                                 order)
 
 
 def dump_dataset(d: Dataset) -> str:
     """Serialize a dataset back to its CSV wire format."""
+    heuristics, nodes, executed, durations = d.heuristics, d.nodes, d._executed, d._durations
+    taus = [d._taus[heuristic].taus for heuristic in heuristics]
+    width = len(heuristics)
     lines = [DATASET_HEADER]
-    for heuristic, node, tau, executed, duration in d._rows:
+    for pair in d._order:
+        number, h = divmod(pair, width)
+        tau, duration = taus[h][number], durations[h][number]
         tau = "inf" if tau is None else str(tau)
         duration = "" if duration is None else repr(float(duration))
-        lines.append(f"{heuristic},{node},{tau},{executed},{duration}")
+        lines.append(f"{heuristics[h]},{nodes[number]},{tau},{executed[h][number]},{duration}")
     return "\n".join(lines) + "\n"
 
 
@@ -417,14 +446,9 @@ def avg_iteration_cost(d: Dataset) -> IterationCostProfile:
     pure-iteration costing.  A total duration that overflows, or an average
     that underflows to 0, is refused with ``InputError``.
     """
-    seconds: dict[str, list[float]] = {h: [] for h in d.heuristics}
-    executed = dict.fromkeys(d.heuristics, 0)
-    for heuristic, _, _, iterations, duration in d._rows:
-        if duration is not None:
-            seconds[heuristic].append(duration)
-            executed[heuristic] += iterations
     costs: dict[str, float] = {}
-    for heuristic, timed in seconds.items():
+    for heuristic, durations, counts in zip(d.heuristics, d._durations, d._executed):
+        timed = [duration for duration in durations if duration is not None]
         # fsum: exactly rounded, so the average ignores row order
         try:
             total_seconds = math.fsum(timed)
@@ -438,10 +462,12 @@ def avg_iteration_cost(d: Dataset) -> IterationCostProfile:
                           "falling back to 1.0 s/iteration")
             costs[heuristic] = 1.0
         else:
-            costs[heuristic] = total_seconds / executed[heuristic]
+            executed = sum(count for count, duration in zip(counts, durations)
+                           if duration is not None)
+            costs[heuristic] = total_seconds / executed
             if costs[heuristic] == 0.0:
                 raise InputError(f"durations of heuristic {heuristic!r} total {total_seconds!r} s "
-                                 f"over {executed[heuristic]} iterations: the average seconds "
+                                 f"over {executed} iterations: the average seconds "
                                  "per iteration underflows to 0")
     return IterationCostProfile(costs)
 

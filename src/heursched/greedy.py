@@ -117,7 +117,9 @@ def best_action(d: Dataset, unsolved, *, scheduled=(), last_entry=None,
     heuristics already placed and ``last_entry`` the schedule's final
     (heuristic, budget) pair — pass it only when budget extension is
     allowed.  None means no candidate solves any unsolved node.  Unknown
-    ids and a budget that is not a positive integer raise ``InputError``.
+    ids, a budget that is not a positive integer, a ``last_entry`` heuristic
+    missing from ``scheduled`` and an unsolved node that ``last_entry``
+    already solves raise ``InputError``.
     """
     unsolved, scheduled = set(unsolved), set(scheduled)
     for node in unsolved:
@@ -125,7 +127,14 @@ def best_action(d: Dataset, unsolved, *, scheduled=(), last_entry=None,
     for heuristic in scheduled | ({last_entry[0]} if last_entry is not None else set()):
         d._require_heuristic(heuristic)
     if last_entry is not None:
-        check_count(last_entry[1], f"budget for {last_entry[0]!r}")
+        heuristic, budget = last_entry
+        check_count(budget, f"budget for {heuristic!r}")
+        if heuristic not in scheduled:
+            raise InputError(f"last_entry heuristic {heuristic!r} is not in scheduled")
+        for node, tau in zip(d.nodes, d.tau_column(heuristic).taus):
+            if tau is not None and tau <= budget and node in unsolved:
+                raise InputError(f"unsolved node {node!r} is solved by last_entry "
+                                 f"({heuristic!r}, {budget})")
     weights = replay_tables(d, normalize=normalize)
     mask = int("0" + "".join("01"[node in unsolved] for node in reversed(d.nodes)), 2)
     masks_of = {h: _tie_masks(d, h) for h in d.heuristics}

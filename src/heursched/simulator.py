@@ -7,8 +7,8 @@ Stands in for an instrumented solver in two roles:
   between calls; this produces unbiased training datasets.  Training
   collection (``simulate_shadow_dataset``, behind the ``simulate`` command
   and cross-validation's training folds) draws each instance and builds
-  its rows in one forked job; the dataset is byte-identical to a serial
-  ``collect_shadow_dataset`` run.
+  its dataset columns in one forked job; the dataset is byte-identical to a
+  serial ``collect_shadow_dataset`` run.
 * **schedule replay** — a schedule is executed node by node with the real
   heuristic-loop semantics (first *improving* success ends the loop at a
   node) to produce an incumbent timeline for primal-integral evaluation.
@@ -43,6 +43,7 @@ import random
 import statistics
 from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
+from itertools import chain
 from random import _sha512  # what Random.seed hashes a str with; hashlib would load OpenSSL
 
 from .dataset import (Dataset, check_count, check_row, content_lines, parse_int,
@@ -297,34 +298,40 @@ def generate_instance(cfg: SimConfig, seed: int) -> SimInstance:
                        cfg.interarrival_seconds, cfg.optimum_value)
 
 
-def _shadow_rows(inst: SimInstance) -> list[tuple]:
-    """Checked ``(heuristic, node, tau, executed, duration)`` rows of one
-    instance, node by node."""
-    columns = [(spec.id, spec.seconds_per_iteration, inst.outcomes.iterations[spec.id],
-                inst.outcomes.qualities[spec.id]) for spec in inst.heuristics]
-    rows: list[tuple] = []
+def _shadow_columns(inst: SimInstance) -> tuple:
+    """``(nodes, taus, executed, durations)`` of one instance: its node ids and, per
+    heuristic, its checked tau, executed and duration lists by node number."""
+    specs = inst.heuristics
+    executed = [inst.outcomes.iterations[spec.id] for spec in specs]
+    qualities = [inst.outcomes.qualities[spec.id] for spec in specs]
+    taus, durations = ([[None] * len(inst.nodes) for _ in specs] for _ in range(2))
+    columns = list(zip(specs, executed, qualities, taus, durations))
     for number, node in enumerate(inst.nodes):
         validate_identifier(node, "node")
-        for hid, seconds, needs, values in columns:
+        for spec, needs, values, tau_cells, duration_cells in columns:
             iterations = needs[number]
             if iterations is None:
-                inst.outcome(node, hid)  # raises: the pair has no outcome
-            tau = iterations if values[number] is not None else None
-            duration = iterations * seconds
-            check_row(hid, node, tau, iterations, duration)
-            rows.append((hid, node, tau, iterations, duration))
-    return rows
+                inst.outcome(node, spec.id)  # raises: the pair has no outcome
+            tau = tau_cells[number] = iterations if values[number] is not None else None
+            duration = duration_cells[number] = iterations * spec.seconds_per_iteration
+            check_row(spec.id, node, tau, iterations, duration)
+    return inst.nodes, taus, executed, durations
 
 
 def _shadow_dataset(heuristic_ids, parts) -> Dataset:
-    """One dataset of per-instance ``(nodes, rows)`` parts, in order; no node
-    id may appear twice among them."""
-    nodes = tuple(node for part_nodes, _ in parts for node in part_nodes)
+    """One dataset of per-instance ``_shadow_columns`` parts, in order; no node id
+    may appear twice among them."""
+    node_parts, *column_parts = zip(*parts)
+    nodes = tuple(chain.from_iterable(node_parts))
     if len(set(nodes)) < len(nodes):
         seen: set[str] = set()
         node = next(node for node in nodes if node in seen or seen.add(node))
         raise InputError(f"duplicate node id {node!r} across instances")
-    return Dataset._from_rows(heuristic_ids, nodes, [row for _, rows in parts for row in rows])
+    # each heuristic's lists of every part, joined in part order
+    taus, executed, durations = ([list(chain.from_iterable(lists)) for lists in zip(*part)]
+                                 for part in column_parts)
+    return Dataset._from_columns(heuristic_ids, nodes, taus, executed, durations,
+                                 range(len(nodes) * len(heuristic_ids)))
 
 
 def collect_shadow_dataset(instances) -> Dataset:
@@ -333,7 +340,7 @@ def collect_shadow_dataset(instances) -> Dataset:
     No call influences any other: there is no loop termination and nothing
     is reported back, only observed.  Durations are iterations times the
     heuristic's seconds per iteration.  A node id shared between instances
-    is refused once the rows of every instance have passed their checks.
+    is refused once the pairs of every instance have passed their checks.
     """
     instances = list(instances)
     if not instances:
@@ -343,13 +350,13 @@ def collect_shadow_dataset(instances) -> Dataset:
         if inst.heuristics != reference:
             raise InputError("instances do not share a heuristic universe")
     return _shadow_dataset(tuple(spec.id for spec in reference),
-                           [(inst.nodes, _shadow_rows(inst)) for inst in instances])
+                           [_shadow_columns(inst) for inst in instances])
 
 
 def simulate_shadow_dataset(cfg: SimConfig, seeds) -> Dataset:
     """``collect_shadow_dataset(generate_instance(cfg, s) for s in seeds)``.
 
-    Each instance is drawn and turned into its rows in its own job, run in
+    Each instance is drawn and turned into its columns in its own job, run in
     forked workers (see ``workers``), so no process holds more than one
     instance's latent outcomes at a time.  The first failing instance in
     seed order raises its error; node ids shared between instances (only a
@@ -360,8 +367,7 @@ def simulate_shadow_dataset(cfg: SimConfig, seeds) -> Dataset:
         raise InputError("at least one instance is required")
 
     def collect(index):
-        inst = generate_instance(cfg, seeds[index])
-        return inst.nodes, _shadow_rows(inst)
+        return _shadow_columns(generate_instance(cfg, seeds[index]))
 
     return _shadow_dataset(cfg.heuristic_ids(), map_jobs(collect, len(seeds)))
 

@@ -4,6 +4,7 @@ import ast
 import math
 import random
 import re
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -292,10 +293,10 @@ def test_dataset_validates_every_registered_id(heuristics, nodes, message):
 
 
 def test_only_dataset_reads_its_columns():
-    # the tau lists, node numbers and breakpoints are built in dataset.py alone;
+    # the columns, node numbers and breakpoints are built in dataset.py alone;
     # the trusted constructor serves dataset.py and shadow collection only
-    private = {"_rows", "_taus", "_numbers", "_breakpoints"}
-    trusted = {"_from_rows"}
+    private = {"_taus", "_executed", "_durations", "_order", "_numbers", "_breakpoints"}
+    trusted = {"_from_columns"}
     package = Path(heursched.__file__).parent
     for path in sorted(package.glob("*.py")):
         attrs = {node.attr for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
@@ -361,6 +362,58 @@ def test_dump_load_round_trip(d):
     again = load_dataset(text)
     assert again == d
     assert dump_dataset(again) == text
+
+
+@settings(max_examples=200)
+@given(d=shuffled_datasets())
+def test_every_constructor_fills_the_same_columns(d):
+    # Dataset(...) registers every id in its own order; from_observations and
+    # the loader register the ids of the rows, in row order.  All three read
+    # the same rows back.
+    text = dump_dataset(d)
+    built = Dataset.from_observations(d.observations)
+    loaded = load_dataset(text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # all-zero durations warn and fall back
+        costs = avg_iteration_cost(d).seconds_per_iteration
+        assert avg_iteration_cost(built) == avg_iteration_cost(loaded)
+        assert avg_iteration_cost(built).seconds_per_iteration == \
+            {h: costs[h] for h in built.heuristics}
+    for other in (built, loaded):
+        assert other.observations == d.observations
+        assert dump_dataset(other) == text
+        for h in other.heuristics:
+            assert dict(other.tau_column(h)) == dict(d.tau_column(h))
+            assert breakpoints(other, h) == breakpoints(d, h)
+            for n in other.nodes:
+                assert other.observation(h, n) == d.observation(h, n)
+    assert [built.tau_column(h).taus for h in built.heuristics] == \
+        [loaded.tau_column(h).taus for h in loaded.heuristics]
+    observed = {(o.heuristic, o.node): o for o in d.observations}
+    for h in d.heuristics:
+        for n in d.nodes:
+            assert d.observation(h, n) == observed.get((h, n))
+
+
+def test_loaded_dataset_holds_at_most_150_bytes_per_row(monkeypatch):
+    # rows used to be kept as tuples of their own id strings beside the tau
+    # lists: about 230 bytes held per row here.  The columns hold about 60 on
+    # CPython 3.11; 150 leaves room for other versions' object sizes.
+    monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "perfbench"))
+    from workloads import family_config  # the learn workload's 12 x 2,000 family
+
+    cfg = load_sim_config(family_config(1, 12, 10, 200, 200))
+    text = dump_dataset(collect_shadow_dataset(generate_instance(cfg, s) for s in range(10)))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        d = load_dataset(text)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    rows = len(d.heuristics) * len(d.nodes)
+    assert rows == 24000
+    assert held <= 150 * rows, f"{held / rows:.0f} bytes per row"
 
 
 @settings(max_examples=30)
@@ -601,8 +654,12 @@ def test_accepted_identifiers_round_trip_through_the_wire_formats(value):
     (lambda: IterationCostProfile({"h": 1.0})["g"], "no iteration cost recorded for heuristic 'g'"),
     (lambda: load_dataset(DATASET_HEADER + "\nh,n,1,1,soon\n"),
      "line 2: duration_seconds must be a number, got 'soon'"),
+    (lambda: Observation("h", "n", None, True), "iterations_executed must be a positive integer, "
+                                                "got True"),
+    (lambda: Observation("h", "n", True, 1), "iterations_to_solution must be a positive integer, "
+                                             "got True"),
 ], ids=["no header", "unregistered heuristic", "repeated observation", "repeated heuristic",
-        "repeated node", "missing cost", "non-numeric duration"])
+        "repeated node", "missing cost", "non-numeric duration", "bool executed", "bool tau"])
 def test_dataset_rejections(make, message):
     with pytest.raises(InputError) as excinfo:
         make()

@@ -42,13 +42,29 @@ def test_best_action_none_when_nothing_solvable():
     ({"last_entry": ("h1", -5)}, "budget for 'h1' must be a positive integer, got -5"),
     ({"last_entry": ("h1", 0)}, "budget for 'h1' must be a positive integer, got 0"),
     ({"last_entry": ("h1", 1.5)}, "budget for 'h1' must be a positive integer, got 1.5"),
+    ({"last_entry": ("h1", True)}, "budget for 'h1' must be a positive integer, got True"),
+    ({"last_entry": ("h2", 3)}, "last_entry heuristic 'h2' is not in scheduled"),
+    ({"scheduled": {"h1", "h2"}, "last_entry": ("h2", 3)},
+     "unsolved node 'N2' is solved by last_entry ('h2', 3)"),
 ], ids=["unknown node", "unknown scheduled", "unknown last entry", "negative budget",
-        "zero budget", "fractional budget"])
+        "zero budget", "fractional budget", "bool budget", "last entry not scheduled",
+        "node solved by the last entry"])
 def test_best_action_rejects_bad_arguments(worked, kwargs, message):
     kwargs = {"unsolved": set(worked.nodes), **kwargs}
     with pytest.raises(InputError) as excinfo:
         best_action(worked, kwargs.pop("unsolved"), **kwargs)
     assert str(excinfo.value) == message
+
+
+def test_best_action_counts_only_nodes_the_extension_solves():
+    # N2 is solved by the last entry already; it used to count as newly solved
+    d = Dataset.from_observations([Observation("h1", "N1", 2, 3), Observation("h2", "N1", None, 4),
+                                   Observation("h1", "N2", 1, 1)])
+    with pytest.raises(InputError) as excinfo:
+        best_action(d, {"N1", "N2"}, scheduled={"h1"}, last_entry=("h1", 1))
+    assert str(excinfo.value) == "unsolved node 'N2' is solved by last_entry ('h1', 1)"
+    step = best_action(d, {"N1"}, scheduled={"h1"}, last_entry=("h1", 1))
+    assert (step.heuristic, step.budget, step.newly_solved, step.ratio) == ("h1", 2, 1, 1.0)
 
 
 def test_build_schedule_worked_example(worked):
@@ -248,10 +264,30 @@ def test_sorted_sweep_matches_recount(d, allow_extension, normalize, data):
     unsolved = data.draw(st.sets(st.sampled_from(d.nodes)))
     scheduled = data.draw(st.sets(st.sampled_from(d.heuristics)))
     last_entry = data.draw(st.none() | st.tuples(st.sampled_from(d.heuristics), st.integers(1, 5)))
-    step = best_action(d, unsolved, scheduled=scheduled, last_entry=last_entry,
-                       normalize=normalize)
     weights = replay_tables(d, normalize=normalize)
-    assert repr(step) == repr(recount_best_action(d, unsolved, scheduled, last_entry, weights))
+    refusal = None
+    if last_entry is not None:
+        heuristic, budget = last_entry
+        taus = d.tau_column(heuristic)
+        solved = [n for n in d.nodes if n in unsolved and n in taus and taus[n] <= budget]
+        if heuristic not in scheduled:
+            refusal = f"last_entry heuristic {heuristic!r} is not in scheduled"
+        elif solved:
+            refusal = f"unsolved node {solved[0]!r} is solved by last_entry {last_entry!r}"
+    if refusal is None:
+        step = best_action(d, unsolved, scheduled=scheduled, last_entry=last_entry,
+                           normalize=normalize)
+        assert repr(step) == repr(recount_best_action(d, unsolved, scheduled, last_entry, weights))
+    else:
+        with pytest.raises(InputError) as excinfo:
+            best_action(d, unsolved, scheduled=scheduled, last_entry=last_entry,
+                        normalize=normalize)
+        assert str(excinfo.value) == refusal
+        # the same state made valid: the last entry scheduled and its nodes solved
+        scheduled, unsolved = scheduled | {heuristic}, unsolved - set(solved)
+        step = best_action(d, unsolved, scheduled=scheduled, last_entry=last_entry,
+                           normalize=normalize)
+        assert repr(step) == repr(recount_best_action(d, unsolved, scheduled, last_entry, weights))
 
 
 @pytest.mark.parametrize("alpha", [-0.1, 1.5, float("nan")])

@@ -21,6 +21,10 @@ def test_schedule_validation():
         Schedule((("h1", 1), ("h1", 2)))
     with pytest.raises(InputError, match="positive integer"):
         Schedule((("h1", 0),))
+    # a bool is an int, and dump_schedule would write True, which load_schedule refuses
+    with pytest.raises(InputError) as excinfo:
+        Schedule((("h1", True),))
+    assert str(excinfo.value) == "budget for 'h1' must be a positive integer, got True"
 
 
 def test_budgets_are_bounded_by_2_53():

@@ -693,6 +693,8 @@ _CFG_KEYS = "instances = 2\nnodes_min = 1\nnodes_max = 2\ninterarrival_seconds =
      "seconds_per_iteration must be positive, got 0.0"),
     (lambda: dataclasses.replace(_SPEC, quality_spread=-1.0),
      "quality_spread must be nonnegative, got -1.0"),
+    (lambda: dataclasses.replace(_SPEC, max_iterations=True),
+     "max_iterations must be a positive integer, got True"),
     (lambda: _cfg(heuristics=()), "configuration needs at least one heuristic"),
     (lambda: _cfg(heuristics=(_SPEC, _SPEC)), "heuristic ids must be unique"),
     (lambda: _cfg(instances=0), "instances must be positive, got 0"),
@@ -715,8 +717,8 @@ _CFG_KEYS = "instances = 2\nnodes_min = 1\nnodes_max = 2\ninterarrival_seconds =
     (lambda: run_crossval([_cfg(), _cfg(heuristics=(_SPEC,))], 1, seed=1),
      "configurations must share one heuristic universe"),
 ], ids=["class", "success_probability", "iteration_success_rate", "seconds_per_iteration",
-        "quality_spread", "no heuristics", "repeated ids", "no instances", "node range",
-        "interarrival", "time limit", "no equals sign", "empty key", "missing key",
+        "quality_spread", "bool max_iterations", "no heuristics", "repeated ids", "no instances",
+        "node range", "interarrival", "time limit", "no equals sign", "empty key", "missing key",
         "empty heuristic list", "no instances to collect", "two universes collected",
         "no folds", "two universes crossvalidated"])
 def test_simulator_rejections(make, message):
@@ -759,8 +761,12 @@ def test_forked_collection_equals_the_serial_one(seeds, monkeypatch, tmp_path):
         log.write_text("", encoding="utf-8")
         d = simulate_shadow_dataset(cfg, seeds)
         assert d == expected
-        assert (d.heuristics, d.nodes, d._rows) == (expected.heuristics, expected.nodes,
-                                                     expected._rows)
+        for got in (d, expected):
+            assert got._order == range(len(got.nodes) * len(got.heuristics))
+        assert ((d.heuristics, d.nodes, d._executed, d._durations)
+                == (expected.heuristics, expected.nodes, expected._executed, expected._durations))
+        assert ([d.tau_column(h).taus for h in d.heuristics]
+                == [expected.tau_column(h).taus for h in d.heuristics])
         assert dump_dataset(d) == dump_dataset(expected)
         draws = _recorded(log)
         assert sorted(seed for _, seed in draws) == sorted(seeds)
