@@ -11,6 +11,14 @@ without an observation are treated as failed calls that executed zero
 iterations, since a data collector may simply never have run that
 heuristic at that node.
 
+``load_dataset`` splits a text that passes an all-clear test (ASCII, the
+header line first, a line feed last, no ``#``, no blank line and no
+whitespace but line feeds) in line-aligned chunks of about ``CHUNK``
+characters at C speed, and checks each chunk's field counts, ids, counts and
+durations as a whole.  On any doubt it reads the text again from line 1 with
+the per-line reader, which accepts the same texts and names the line of the
+first error.
+
 A ``Dataset`` numbers its nodes 0..N-1 in registration order and holds
 columns: per heuristic, a tau, an executed-count and a duration list by node
 number (``None`` where no row exists; a tau also for a failed call), the
@@ -37,6 +45,12 @@ DATASET_HEADER = "heuristic,node,iterations_to_solution,iterations_executed,dura
 # the largest iteration count accepted: costs and averages go through float,
 # which holds every integer up to 2**53 exactly
 MAX_COUNT = 2 ** 53
+# the all-clear parse splits the rows in line-aligned chunks of about this many
+# characters, so it never holds more than one chunk's field strings
+CHUNK = 1 << 16
+# a text holding any of these is read line by line: a comment, a blank line or
+# ASCII whitespace other than the line feed, which the line reader strips
+_UNCLEAR = ("#", "\n\n", " ", "\t", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f")
 
 
 def validate_identifier(value: str, what: str) -> None:
@@ -354,7 +368,114 @@ def load_dataset(source: str) -> Dataset:
     An empty or ``inf`` (any case) iterations_to_solution encodes a failed
     call; an empty duration means the duration was not tracked.  Lines
     starting with ``#`` are comments.  Fields are never quoted.
+
+    A text that passes an all-clear test is split in chunks at C speed; any
+    other, or any text in doubt, is read again line by line, so that every
+    error names its line.
     """
+    d = _load_chunks(source)
+    return _load_lines(source) if d is None else d
+
+
+def _load_chunks(source: str) -> Dataset | None:
+    """The dataset of a text that passes the all-clear test, else None.
+
+    The text must be ASCII, start with the header line, end with one line
+    feed and hold none of ``_UNCLEAR``; each line-aligned chunk of about
+    ``CHUNK`` characters after the header must pass ``_read_chunk``, and no
+    pair may repeat.
+    """
+    if (not source.isascii() or not source.startswith(DATASET_HEADER + "\n")
+            or not source.endswith("\n") or any(map(source.__contains__, _UNCLEAR))):
+        return None
+    registration: dict[str, int] = {}
+    numbers: dict[str, int] = {}
+    caches = ({"": None}, {})  # count text to value, per count column
+    # per row, in file order: heuristic number, node number, tau, executed, duration
+    rows: tuple[list, ...] = ([], [], [], [], [])
+    start = len(DATASET_HEADER) + 1
+    while start < len(source):
+        end = source.find("\n", start + CHUNK) + 1 or len(source)
+        try:
+            parsed = _read_chunk(source[start:end], registration, numbers, caches)
+        except ValueError:  # InputError included
+            return None
+        if parsed is None:
+            return None
+        for column, values in zip(rows, parsed):
+            column.extend(values)
+        start = end
+    hs, ns, taus, counts, durations = rows
+    width, height = len(registration), len(numbers)
+    # complete and node-major, as simulated data is: row r is node r // width,
+    # heuristic r % width, since each node's block holds one node and the
+    # blocks meet the nodes in registration order
+    if len(hs) == width * height and all(hs[h::width].count(h) == height
+                                         and ns[h::width] == ns[::width] for h in range(width)):
+        columns = [[column[h::width] for h in range(width)] for column in (taus, counts, durations)]
+        order: Sequence = range(len(hs))
+    else:
+        columns = [[[None] * height for _ in range(width)] for _ in range(3)]
+        tau_cells, executed_cells, duration_cells = columns
+        order = []
+        for h, number, tau, count, duration in zip(*rows):
+            if executed_cells[h][number] is not None:
+                return None  # a repeated pair
+            tau_cells[h][number] = tau
+            executed_cells[h][number] = count
+            duration_cells[h][number] = duration
+            order.append(number * width + h)
+    return Dataset._from_columns(tuple(registration), tuple(numbers), *columns, order)
+
+
+def _read_chunk(chunk: str, registration: dict, numbers: dict,
+                caches: tuple[dict, dict]) -> tuple[list, ...] | None:
+    """The heuristic numbers, node numbers, taus, executed counts and durations
+    of a chunk's rows, registering the new ids.
+
+    None if a line has other than five fields, a count exceeds ``MAX_COUNT``,
+    a tau exceeds its executed count or a duration is not finite and
+    nonnegative; ``ValueError`` on an invalid id, count or duration text.
+    """
+    lines = chunk.count("\n")
+    # each line feed becomes a field of its own: every sixth when each line has five
+    fields = chunk.replace("\n", ",\n,").split(",")
+    if len(fields) != 6 * lines + 1 or fields[5::6].count("\n") != lines:
+        return None
+    heuristics, nodes, tau_texts, executed_texts, duration_texts = (fields[i:-1:6]
+                                                                     for i in range(5))
+    values = []
+    for texts, known, what in ((heuristics, registration, "heuristic"), (nodes, numbers, "node")):
+        for text in dict.fromkeys(texts):
+            if text not in known:
+                validate_identifier(text, what)
+                known[text] = len(known)
+        values.append(list(map(known.__getitem__, texts)))
+    for texts, cache, column in zip((tau_texts, executed_texts), caches,
+                                    ("iterations_to_solution", "iterations_executed")):
+        fresh = set(texts).difference(cache)
+        for text in fresh:  # on an error the line loader names the line: 0 is never shown
+            _read_count(text, cache, 0, column)
+        if fresh.difference(cache):  # above MAX_COUNT, so not cached
+            return None
+        values.append(list(map(cache.__getitem__, texts)))
+    taus, counts = values[2:]
+    if any(tau is not None and tau > count for tau, count in set(zip(taus, counts))):
+        return None
+    if "" in duration_texts:
+        durations = [None if text == "" else float(text) for text in duration_texts]
+        timed = [duration for duration in durations if duration is not None]
+    else:
+        durations = timed = list(map(float, duration_texts))
+    # the sum is finite only when every duration is, and then min compares them all
+    if not (math.isfinite(sum(timed)) and min(timed, default=0.0) >= 0.0):
+        return None
+    values.append(durations)
+    return tuple(values)
+
+
+def _load_lines(source: str) -> Dataset:
+    """``load_dataset`` one line at a time, naming the line of the first error."""
     registration: dict[str, int] = {}
     numbers: dict[str, int] = {}
     # per heuristic number, its tau, executed and duration lists by node number,

@@ -17,6 +17,6 @@ def require_finite(value: float, what: str) -> None:
 
 
 def require_fraction(value: float, what: str) -> None:
-    """Reject a value outside [0, 1]; NaN fails both comparisons."""
-    if not 0.0 <= value <= 1.0:
+    """Reject a bool and a value outside [0, 1]; NaN fails both comparisons."""
+    if isinstance(value, bool) or not 0.0 <= value <= 1.0:
         raise InputError(f"{what} must lie in [0, 1], got {value!r}")

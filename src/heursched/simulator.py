@@ -133,7 +133,7 @@ class SimConfig:
             raise InputError("heuristic ids must be unique")
         for name in ("instances", "nodes_min", "nodes_max"):
             count = getattr(self, name)
-            if not isinstance(count, int):
+            if not isinstance(count, int) or isinstance(count, bool):
                 raise InputError(f"{name} must be an integer, got {count!r}")
             check_sim_size(count, name)
         if self.instances < 1:

@@ -13,6 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import heursched
+import heursched.dataset as dataset_module
 from heursched import (Dataset, InputError, IterationCostProfile, Observation, Schedule,
                        avg_iteration_cost, breakpoints, collect_shadow_dataset,
                        dump_dataset, dump_schedule, generate_instance, load_dataset,
@@ -395,25 +396,131 @@ def test_every_constructor_fills_the_same_columns(d):
             assert d.observation(h, n) == observed.get((h, n))
 
 
-def test_loaded_dataset_holds_at_most_150_bytes_per_row(monkeypatch):
+@pytest.fixture(scope="module")
+def learn_text():
+    """The learn workload's 12 x 2,000 family as dataset CSV: 24,000 rows, 14 chunks."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.syspath_prepend(str(Path(__file__).parents[1] / "perfbench"))
+        from workloads import family_config
+    cfg = load_sim_config(family_config(1, 12, 10, 200, 200))
+    return dump_dataset(collect_shadow_dataset(generate_instance(cfg, s) for s in range(10)))
+
+
+def test_loaded_dataset_holds_at_most_150_bytes_per_row(learn_text):
     # rows used to be kept as tuples of their own id strings beside the tau
     # lists: about 230 bytes held per row here.  The columns hold about 60 on
     # CPython 3.11; 150 leaves room for other versions' object sizes.
-    monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "perfbench"))
-    from workloads import family_config  # the learn workload's 12 x 2,000 family
-
-    cfg = load_sim_config(family_config(1, 12, 10, 200, 200))
-    text = dump_dataset(collect_shadow_dataset(generate_instance(cfg, s) for s in range(10)))
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        d = load_dataset(text)
+        d = load_dataset(learn_text)
         held = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
     rows = len(d.heuristics) * len(d.nodes)
     assert rows == 24000
     assert held <= 150 * rows, f"{held / rows:.0f} bytes per row"
+
+
+def test_loading_peaks_at_most_3_5_mb_at_learn_scale(learn_text):
+    # the line reader holds every line as its own str: a 3.99 MB peak here.
+    # The chunked parse holds one chunk's fields at a time: 2.7 MB on CPython 3.11.
+    tracemalloc.start()
+    try:
+        load_dataset(learn_text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3_500_000, f"{peak / 1e6:.2f} MB"
+
+
+@pytest.fixture
+def line_reader(monkeypatch):
+    """The line reader, patched out of ``load_dataset`` so that only the chunked
+    parse can read a text."""
+    read_lines = dataset_module._load_lines
+
+    def refuse(source):
+        raise AssertionError("the text was read line by line")
+
+    monkeypatch.setattr(dataset_module, "_load_lines", refuse)
+    return read_lines
+
+
+def test_all_clear_texts_never_reach_the_line_reader(line_reader, learn_text):
+    shadow = collect_shadow_dataset(generate_instance(load_sim_config(PLANTED_CFG), seed)
+                                    for seed in range(3))
+    for text, d in ((dump_dataset(shadow), shadow), (learn_text, line_reader(learn_text))):
+        again = load_dataset(text)
+        assert again == d
+        assert again._order == range(len(again.heuristics) * len(again.nodes))
+    with pytest.raises(AssertionError):  # a line-feed text only: \r is stripped
+        load_dataset(learn_text.replace("\n", "\r\n"))
+
+
+def test_a_blank_line_sends_the_text_to_the_line_reader_at_once(monkeypatch, learn_text):
+    expected = load_dataset(learn_text)
+    monkeypatch.setattr(dataset_module, "_read_chunk", None)  # no chunk may be parsed
+    middle = learn_text.index("\n", len(learn_text) // 2) + 1
+    for text in (learn_text.replace("\n", "\n\n", 1), learn_text[:middle] + "\n" +
+                 learn_text[middle:], learn_text + "\n"):
+        assert load_dataset(text) == expected
+
+
+def test_heuristic_major_rows_load_as_the_line_reader_reads_them(line_reader, learn_text):
+    header, *rows = learn_text.splitlines()
+    width = 12
+    reordered = "\n".join([header] + [rows[r] for h in range(width)
+                                      for r in range(h, len(rows), width)]) + "\n"
+    expected = line_reader(reordered)
+    d = load_dataset(reordered)
+    assert d == expected
+    assert isinstance(d._order, list) and d._order == expected._order
+    assert (d._executed, d._durations) == (expected._executed, expected._durations)
+    assert [d.tau_column(h).taus for h in d.heuristics] == \
+        [expected.tau_column(h).taus for h in expected.heuristics]
+
+
+# Each template replaces the first two rows of the second chunk; the fields of
+# the first are {heuristic}..{duration}, {row} is all of it, {next} is the
+# second row and {first} the first row of the text.
+@pytest.mark.parametrize("rows", [
+    ",{node},{tau},{executed},{duration}\n{next}",
+    "{heuristic},#n,{tau},{executed},{duration}\n{next}",
+    "{heuristic},{node},{executed}1,{executed},{duration}\n{next}",
+    "{heuristic},{node},{tau},{executed},nan\n{next}",
+    "{row}\n{first}",
+    "{heuristic},{node},{tau},{executed}\n{next}",
+    "{row},{next_heuristic}\n{next_rest}",
+    f"{{heuristic}},{{node}},{{tau}},{2 ** 53 + 1},{{duration}}\n{{next}}",
+    "{row}\n\n{next}",
+    "{row}\n# a comment\n{next}",
+], ids=["empty id", "comment mark in id", "tau above executed", "nan duration", "repeated pair",
+        "four fields", "six fields then four", "count above 2**53", "blank line",
+        "comment line"])
+def test_rows_after_the_first_chunk_load_as_the_reference_reads_them(learn_text, rows):
+    # 6,000 complete node-major rows, 4 chunks
+    lines = learn_text.splitlines()[:6001]
+    text = "\n".join(lines) + "\n"
+    boundary = text.find("\n", len(DATASET_HEADER) + 1 + dataset_module.CHUNK) + 1
+    k = text.count("\n", 0, boundary)  # the first line of the second chunk
+    heuristic, node, tau, executed, duration = lines[k].split(",")
+    next_heuristic, next_rest = lines[k + 1].split(",", 1)
+    lines[k:k + 2] = rows.format(heuristic=heuristic, node=node, tau=tau, executed=executed,
+                                 duration=duration, row=lines[k], next=lines[k + 1],
+                                 first=lines[1], next_heuristic=next_heuristic,
+                                 next_rest=next_rest).split("\n")
+    text = "\n".join(lines) + "\n"
+    assert len(text) > 2 * dataset_module.CHUNK
+    try:
+        expected = reference_load_dataset(text)
+    except InputError as exc:
+        with pytest.raises(InputError) as excinfo:
+            load_dataset(text)
+        assert str(excinfo.value) == str(exc)
+        assert str(exc).startswith(f"line {k + 1}") or str(exc).startswith(f"line {k + 2}")
+        return
+    assert load_dataset(text).observations == tuple(expected)
 
 
 @settings(max_examples=30)
@@ -578,6 +685,10 @@ _ROWS = DATASET_HEADER + "\n{}\n"
 @example(text=_ROWS.format(f"h1,n1,1,{2 ** 53 + 1},\nh1,n2,1,{2 ** 53 + 1},"))
 @example(text=_ROWS.format(f"h1,n1,1,1,\nh1,#n,{2 ** 53 + 1},{2 ** 53 + 1},"))
 @example(text=_ROWS.format(f"h1,n1,{2 ** 53 + 1},2,\nh1,n2,{2 ** 53 + 1},2,"))
+# complete rows whose heuristics, or whose nodes, are in node-major order
+# while the other ids are not
+@example(text=_ROWS.format("h1,n1,1,1,\nh2,n2,2,2,\nh1,n2,3,3,\nh2,n1,4,4,"))
+@example(text=_ROWS.format("h1,n1,1,1,\nh2,n1,2,2,\nh2,n2,3,3,\nh1,n2,4,4,"))
 def test_loader_matches_the_reference_loader(text):
     try:
         expected = reference_load_dataset(text)

@@ -470,7 +470,7 @@ def test_limits_reject_non_positive(value):
         ExactLimits(enumeration_budget=value)
 
 
-@pytest.mark.parametrize("alpha", [-0.1, 1.5, float("nan")])
+@pytest.mark.parametrize("alpha", [-0.1, 1.5, float("nan"), True])
 def test_alpha_outside_the_unit_interval_rejected(worked, alpha):
     with pytest.raises(InputError) as excinfo:
         solve_exact(worked, alpha)

@@ -290,7 +290,7 @@ def test_sorted_sweep_matches_recount(d, allow_extension, normalize, data):
         assert repr(step) == repr(recount_best_action(d, unsolved, scheduled, last_entry, weights))
 
 
-@pytest.mark.parametrize("alpha", [-0.1, 1.5, float("nan")])
+@pytest.mark.parametrize("alpha", [-0.1, 1.5, float("nan"), True, False])
 def test_alpha_report_outside_the_unit_interval_rejected(alpha):
     with pytest.raises(InputError) as excinfo:
         GreedyOptions(alpha_report=alpha)

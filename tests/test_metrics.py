@@ -226,11 +226,12 @@ def test_timeline_dump_load_round_trip(times, values, best_known, sense):
     (lambda: GapFunction(((0.0, 1.0), (0.0, 0.5))),
      "gap breakpoints must be strictly increasing in time"),
     (lambda: GapFunction(((0.0, 1.5),)), "gap values must lie in [0, 1], got 1.5"),
+    (lambda: GapFunction(((0.0, True),)), "gap values must lie in [0, 1], got True"),
     (lambda: GapFunction(((0.0, 1.0),)).value_at(-1), "time must be nonnegative, got -1"),
     (lambda: load_timeline("time_seconds,objective_value\n1.0,soon\n", best_known=0.0),
      "line 2: times and values must be numbers"),
-], ids=["negative event time", "late start", "repeated time", "gap above 1", "negative time",
-        "non-numeric line"])
+], ids=["negative event time", "late start", "repeated time", "gap above 1", "gap True",
+        "negative time", "non-numeric line"])
 def test_metrics_rejections(make, message):
     with pytest.raises(InputError) as excinfo:
         make()

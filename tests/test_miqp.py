@@ -106,7 +106,8 @@ def test_two_heuristics_at_one_position_break_its_capacity(worked):
     (lambda d: build_miqp(d, 0.5).variable("x[h9][0]"), "model has no variable named 'x[h9][0]'"),
     (lambda d: build_miqp(d, float("nan")), "alpha must lie in [0, 1], got nan"),
     (lambda d: build_miqp(d, 2.0), "alpha must lie in [0, 1], got 2.0"),
-], ids=["no nodes", "unknown variable", "alpha nan", "alpha 2.0"])
+    (lambda d: build_miqp(d, True), "alpha must lie in [0, 1], got True"),
+], ids=["no nodes", "unknown variable", "alpha nan", "alpha 2.0", "alpha True"])
 def test_miqp_rejections(worked, make, message):
     with pytest.raises(InputError) as excinfo:
         make(worked)

@@ -147,7 +147,7 @@ def test_evaluate_empty_schedule_costs_one_per_node(worked):
 
 
 def test_evaluate_rejects_bad_alpha(worked):
-    for alpha in (-0.1, 1.1):
+    for alpha in (-0.1, 1.1, True):
         with pytest.raises(InputError, match="alpha"):
             evaluate(Schedule(), worked, alpha)
 

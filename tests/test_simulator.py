@@ -698,6 +698,11 @@ _CFG_KEYS = "instances = 2\nnodes_min = 1\nnodes_max = 2\ninterarrival_seconds =
     (lambda: _cfg(heuristics=()), "configuration needs at least one heuristic"),
     (lambda: _cfg(heuristics=(_SPEC, _SPEC)), "heuristic ids must be unique"),
     (lambda: _cfg(instances=0), "instances must be positive, got 0"),
+    (lambda: _cfg(instances=True), "instances must be an integer, got True"),
+    (lambda: _cfg(nodes_min=True), "nodes_min must be an integer, got True"),
+    (lambda: _cfg(nodes_max=True), "nodes_max must be an integer, got True"),
+    (lambda: dataclasses.replace(_SPEC, success_probability=True),
+     "success_probability must lie in [0, 1], got True"),
     (lambda: _cfg(nodes_min=6, nodes_max=5), "node count range [6, 5] is invalid"),
     (lambda: _cfg(interarrival_seconds=0.0), "interarrival_seconds must be positive"),
     (lambda: _cfg(time_limit_seconds=0.0), "time_limit_seconds must be positive"),
@@ -718,6 +723,7 @@ _CFG_KEYS = "instances = 2\nnodes_min = 1\nnodes_max = 2\ninterarrival_seconds =
      "configurations must share one heuristic universe"),
 ], ids=["class", "success_probability", "iteration_success_rate", "seconds_per_iteration",
         "quality_spread", "bool max_iterations", "no heuristics", "repeated ids", "no instances",
+        "bool instances", "bool nodes_min", "bool nodes_max", "bool success_probability",
         "node range", "interarrival", "time limit", "no equals sign", "empty key", "missing key",
         "empty heuristic list", "no instances to collect", "two universes collected",
         "no folds", "two universes crossvalidated"])
