@@ -17,7 +17,9 @@ whitespace but line feeds) in line-aligned chunks of about ``CHUNK``
 characters at C speed, and checks each chunk's field counts, ids, counts and
 durations as a whole.  On any doubt it reads the text again from line 1 with
 the per-line reader, which accepts the same texts and names the line of the
-first error.
+first error.  ``dump_dataset`` takes no Python step per row either: each
+distinct value of a column is printed once, and the texts are laid out by
+stride slices and joined.
 
 A ``Dataset`` numbers its nodes 0..N-1 in registration order and holds
 columns: per heuristic, a tau, an executed-count and a duration list by node
@@ -131,7 +133,11 @@ def check_row(heuristic: str, node: str, tau: int | None, executed: int,
         if tau > executed:
             raise InputError(f"iterations_to_solution ({tau}) exceeds iterations_executed "
                              f"({executed}) for ({heuristic}, {node})")
-    if duration is not None and not (math.isfinite(duration) and duration >= 0):
+    if duration is None:
+        return
+    if not isinstance(duration, (int, float)) or isinstance(duration, bool):
+        raise InputError(f"duration_seconds must be a number, got {duration!r}")
+    if not (math.isfinite(duration) and duration >= 0):
         raise InputError(f"duration_seconds must be finite and nonnegative, got {duration!r}")
 
 
@@ -385,8 +391,8 @@ def _load_chunks(source: str) -> Dataset | None:
     ``CHUNK`` characters after the header must pass ``_read_chunk``, and no
     pair may repeat.
     """
-    if (not source.isascii() or not source.startswith(DATASET_HEADER + "\n")
-            or not source.endswith("\n") or any(map(source.__contains__, _UNCLEAR))):
+    if not (_clear(source) and source.startswith(DATASET_HEADER + "\n")
+            and source.endswith("\n")):
         return None
     registration: dict[str, int] = {}
     numbers: dict[str, int] = {}
@@ -433,9 +439,9 @@ def _read_chunk(chunk: str, registration: dict, numbers: dict,
     """The heuristic numbers, node numbers, taus, executed counts and durations
     of a chunk's rows, registering the new ids.
 
-    None if a line has other than five fields, a count exceeds ``MAX_COUNT``,
-    a tau exceeds its executed count or a duration is not finite and
-    nonnegative; ``ValueError`` on an invalid id, count or duration text.
+    None if a line has other than five fields, an id is empty, a count exceeds
+    ``MAX_COUNT``, a tau exceeds its executed count or a duration is not finite
+    and nonnegative; ``ValueError`` on an invalid count or duration text.
     """
     lines = chunk.count("\n")
     # each line feed becomes a field of its own: every sixth when each line has five
@@ -444,11 +450,14 @@ def _read_chunk(chunk: str, registration: dict, numbers: dict,
         return None
     heuristics, nodes, tau_texts, executed_texts, duration_texts = (fields[i:-1:6]
                                                                      for i in range(5))
+    # an all-clear field holds no comma, line break, '#' or whitespace, so
+    # validate_identifier refuses only an empty id
+    if "" in heuristics or "" in nodes:
+        return None
     values = []
-    for texts, known, what in ((heuristics, registration, "heuristic"), (nodes, numbers, "node")):
+    for texts, known in ((heuristics, registration), (nodes, numbers)):
         for text in dict.fromkeys(texts):
             if text not in known:
-                validate_identifier(text, what)
                 known[text] = len(known)
         values.append(list(map(known.__getitem__, texts)))
     for texts, cache, column in zip((tau_texts, executed_texts), caches,
@@ -472,6 +481,20 @@ def _read_chunk(chunk: str, registration: dict, numbers: dict,
         return None
     values.append(durations)
     return tuple(values)
+
+
+def _clear(text: str) -> bool:
+    """Whether the text is ASCII and holds none of ``_UNCLEAR``."""
+    return text.isascii() and not any(map(text.__contains__, _UNCLEAR))
+
+
+def _clear_ids(ids: Sequence) -> bool:
+    """Whether ``validate_identifier`` surely accepts every id: each is a non-empty
+    str and their comma-joined text is clear, with no comma or line feed of its own."""
+    if set(map(type, ids)) != {str} or "" in ids:
+        return False
+    text = ",".join(ids)
+    return _clear(text) and "\n" not in text and text.count(",") == len(ids) - 1
 
 
 def _load_lines(source: str) -> Dataset:
@@ -543,18 +566,42 @@ def _load_lines(source: str) -> Dataset:
 
 
 def dump_dataset(d: Dataset) -> str:
-    """Serialize a dataset back to its CSV wire format."""
-    heuristics, nodes, executed, durations = d.heuristics, d.nodes, d._executed, d._durations
-    taus = [d._taus[heuristic].taus for heuristic in heuristics]
-    width = len(heuristics)
-    lines = [DATASET_HEADER]
-    for pair in d._order:
-        number, h = divmod(pair, width)
-        tau, duration = taus[h][number], durations[h][number]
-        tau = "inf" if tau is None else str(tau)
-        duration = "" if duration is None else repr(float(duration))
-        lines.append(f"{heuristics[h]},{nodes[number]},{tau},{executed[h][number]},{duration}")
-    return "\n".join(lines) + "\n"
+    """Serialize a dataset back to its CSV wire format.
+
+    One flat list holds the header and five texts per row, filled per heuristic
+    and field by stride slices in node-major pair order (the rows' own order
+    when ``_order`` is that range, else gathered through ``_order``), then joined.
+    """
+    width, pairs = len(d.heuristics), len(d.heuristics) * len(d.nodes)
+    nodes = [node + "," for node in d.nodes]
+    cells = [DATASET_HEADER + "\n"] + [""] * (5 * pairs)
+    for h, heuristic in enumerate(d.heuristics):
+        for field, texts in enumerate(([heuristic + ","] * len(nodes), nodes,
+                                       _texts(d._taus[heuristic].taus, _tau_text),
+                                       _texts(d._executed[h], "{},".format),
+                                       _texts(d._durations[h], _duration_text))):
+            cells[1 + 5 * h + field::5 * width] = texts
+    if d._order != range(pairs):
+        rows = cells
+        cells = [rows[0]] + [""] * (5 * len(d._order))
+        for field in range(1, 6):
+            cells[field::5] = map(rows[field::5].__getitem__, d._order)
+    return "".join(cells)
+
+
+def _texts(column: list, text) -> Iterator[str]:
+    """``map(text, column)``, calling ``text`` once per distinct value, except in a
+    column holding a zero: 0.0 and -0.0 are one key but print apart."""
+    texts = {value: text(value) for value in set(column)}
+    return map(text if 0 in texts else texts.__getitem__, column)
+
+
+def _tau_text(tau: int | None) -> str:
+    return "inf," if tau is None else f"{tau},"
+
+
+def _duration_text(duration: float | None) -> str:
+    return "\n" if duration is None else f"{float(duration)!r}\n"
 
 
 def avg_iteration_cost(d: Dataset) -> IterationCostProfile:

@@ -55,7 +55,8 @@ class IncumbentTimeline:
 
     Event times are strictly increasing and values strictly improve in
     the problem's sense; ``best_known`` is the reference objective used
-    for gap computations.
+    for gap computations.  The events are stored as a tuple of pairs, whatever
+    iterables they are given as, so they stay as checked.
     """
 
     events: tuple[tuple[float, float], ...]
@@ -63,6 +64,7 @@ class IncumbentTimeline:
     sense: str = "min"
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "events", tuple(map(tuple, self.events)))
         if self.sense not in SENSES:
             raise InputError(f"sense must be one of {SENSES}, got {self.sense!r}")
         require_finite(self.best_known, "best_known")
@@ -110,6 +112,13 @@ class GapFunction:
             require_fraction(gap, "gap values")
             previous = time
 
+    @classmethod
+    def _from_points(cls, breakpoints: tuple) -> "GapFunction":
+        """Trusted constructor: breakpoints made from a checked ``IncumbentTimeline``."""
+        g = cls.__new__(cls)
+        object.__setattr__(g, "breakpoints", breakpoints)
+        return g
+
     def value_at(self, time: float) -> float:
         require_finite(time, "time")
         if time < 0:
@@ -142,7 +151,7 @@ def gap_function(tl: IncumbentTimeline) -> GapFunction:
         points.append((0.0, 1.0))
     for time, value in tl.events:
         points.append((time, tl.gap_of(value)))
-    return GapFunction(tuple(points))
+    return GapFunction._from_points(tuple(points))
 
 
 def primal_integral(tl: IncumbentTimeline, horizon: float) -> float:

@@ -46,8 +46,8 @@ from dataclasses import dataclass
 from itertools import chain
 from random import _sha512  # what Random.seed hashes a str with; hashlib would load OpenSSL
 
-from .dataset import (Dataset, check_count, check_row, content_lines, parse_int,
-                      validate_identifier)
+from .dataset import (MAX_COUNT, Dataset, _clear_ids, check_count, check_row, content_lines,
+                      parse_int, validate_identifier)
 from .errors import InputError, require_finite, require_fraction
 from .greedy import GreedyOptions, build_schedule
 from .metrics import IncumbentTimeline, primal_integral, require_time_limit
@@ -304,6 +304,20 @@ def _shadow_columns(inst: SimInstance) -> tuple:
     specs = inst.heuristics
     executed = [inst.outcomes.iterations[spec.id] for spec in specs]
     qualities = [inst.outcomes.qualities[spec.id] for spec in specs]
+    # the checks of the loop below, a whole column at a time; on any doubt the
+    # loop runs and raises the first error in node order
+    if _clear_ids(inst.nodes) and all(
+            len(needs) == len(values) == len(inst.nodes) and set(map(type, needs)) == {int}
+            and 1 <= min(needs) and max(needs) <= MAX_COUNT
+            for needs, values in zip(executed, qualities)):
+        taus = [[iterations if value is not None else None
+                 for iterations, value in zip(needs, values)]
+                for needs, values in zip(executed, qualities)]
+        durations = [[iterations * spec.seconds_per_iteration for iterations in needs]
+                     for spec, needs in zip(specs, executed)]
+        # the sum is finite only when every duration is, and then min compares them all
+        if all(math.isfinite(sum(column)) and min(column) >= 0 for column in durations):
+            return inst.nodes, taus, executed, durations
     taus, durations = ([[None] * len(inst.nodes) for _ in specs] for _ in range(2))
     columns = list(zip(specs, executed, qualities, taus, durations))
     for number, node in enumerate(inst.nodes):

@@ -523,6 +523,101 @@ def test_rows_after_the_first_chunk_load_as_the_reference_reads_them(learn_text,
     assert load_dataset(text).observations == tuple(expected)
 
 
+def test_dumping_peaks_at_most_3_5_mb_at_learn_scale(learn_text):
+    # a str per line and their list peaked at 3.74-3.93 MB here; the flat list
+    # of shared texts peaks at about 2.1 MB on CPython 3.11
+    d = load_dataset(learn_text)
+    tracemalloc.start()
+    try:
+        text = dump_dataset(d)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert text == learn_text
+    assert peak <= 3_500_000, f"{peak / 1e6:.2f} MB"
+
+
+# The dataset writer as it was before it wrote from per-column text maps: one
+# f-string per row.  Kept as the reference that dump_dataset must match.
+def reference_dump_dataset(d):
+    heuristics, nodes, executed, durations = d.heuristics, d.nodes, d._executed, d._durations
+    taus = [d._taus[heuristic].taus for heuristic in heuristics]
+    width = len(heuristics)
+    lines = [DATASET_HEADER]
+    for pair in d._order:
+        number, h = divmod(pair, width)
+        tau, duration = taus[h][number], durations[h][number]
+        tau = "inf" if tau is None else str(tau)
+        duration = "" if duration is None else repr(float(duration))
+        lines.append(f"{heuristics[h]},{nodes[number]},{tau},{executed[h][number]},{duration}")
+    return "\n".join(lines) + "\n"
+
+
+@st.composite
+def writer_datasets(draw):
+    """Up to 4 heuristics x 6 nodes, complete or not, with rows node-major,
+    heuristic-major or shuffled; counts up to 2**53, durations missing, signed
+    zeros, ints or floats."""
+    n_heuristics, n_nodes = draw(st.integers(1, 4)), draw(st.integers(1, 6))
+    outcomes = ("failed", "solved") if draw(st.booleans()) else ("unobserved", "failed", "solved")
+    counts = st.integers(1, 4) | st.just(2 ** 53) | st.integers(1, 2 ** 53)
+    durations = (st.none() | st.sampled_from((0.0, -0.0, 0, 3, 2 ** 53))
+                 | st.floats(0.0, 1e300, allow_nan=False) | st.floats(0.0, 1e-300))
+    observations = []
+    for h in range(n_heuristics):
+        for n in range(n_nodes):
+            outcome = draw(st.sampled_from(outcomes))
+            if outcome != "unobserved":
+                executed = draw(counts)
+                tau = None if outcome == "failed" else draw(st.integers(1, executed))
+                observations.append(Observation(f"h{h}", f"n{n}", tau, executed,
+                                                 draw(durations)))
+    order = draw(st.sampled_from(("node-major", "heuristic-major", "shuffled")))
+    if order == "node-major":
+        observations.sort(key=lambda o: int(o.node[1:]))
+    elif order == "shuffled":
+        observations = draw(st.permutations(observations))
+    return Dataset.from_observations(observations)
+
+
+_ZEROS = [Observation("h", "n1", 1, 1, 0.0), Observation("h", "n2", None, 2, -0.0),
+          Observation("h", "n3", 1, 3, 0), Observation("h", "n4", 2, 2, None),
+          Observation("g", "n1", 2 ** 53, 2 ** 53, 0.5), Observation("g", "n3", None, 1, -0.0)]
+
+
+@settings(max_examples=300, derandomize=True)
+@given(d=writer_datasets())
+@example(d=Dataset.from_observations(_ZEROS))
+@example(d=Dataset.from_observations(_ZEROS[::-1]))
+@example(d=Dataset(("h",), ("n",), ()))
+def test_dump_matches_the_per_row_writer(d):
+    # Dataset(...) keeps a list order; a complete node-major text loads with a range
+    loaded = load_dataset(reference_dump_dataset(d))
+    for each in (d, loaded):
+        assert dump_dataset(each) == reference_dump_dataset(each)
+    assert isinstance(d._order, list)
+    if len(d._order) == len(d.heuristics) * len(d.nodes) and d._order == sorted(d._order):
+        assert loaded._order == range(len(d._order))
+
+
+def test_all_clear_ids_are_refused_only_when_empty():
+    # _read_chunk tests the ids of an all-clear text for emptiness alone: no
+    # comma, line feed or character of _UNCLEAR, and ASCII only
+    ascii_chars = [chr(code) for code in range(128)]
+    pairs = (a + b for a in ascii_chars for b in ascii_chars)
+    checked = 0
+    for value in ("", *ascii_chars, *pairs):
+        if dataset_module._clear(value) and "," not in value and "\n" not in value:
+            try:
+                dataset_module.validate_identifier(value, "node")
+                accepted = True
+            except InputError:
+                accepted = False
+            assert accepted == (value != ""), repr(value)
+            checked += 1
+    assert checked > 10000
+
+
 @settings(max_examples=30)
 @given(config=st.sampled_from((PLANTED_CFG, COVERAGE_CFG)), seed=st.integers(0, 10**6),
        instances=st.integers(1, 3))
@@ -769,8 +864,13 @@ def test_accepted_identifiers_round_trip_through_the_wire_formats(value):
                                                 "got True"),
     (lambda: Observation("h", "n", True, 1), "iterations_to_solution must be a positive integer, "
                                              "got True"),
+    (lambda: Observation("h", "n", 1, 1, "5"), "duration_seconds must be a number, got '5'"),
+    (lambda: Observation("h", "n", 1, 1, True), "duration_seconds must be a number, got True"),
+    (lambda: Dataset.from_observations([Observation("h", "n", None, 2, False)]),
+     "duration_seconds must be a number, got False"),
 ], ids=["no header", "unregistered heuristic", "repeated observation", "repeated heuristic",
-        "repeated node", "missing cost", "non-numeric duration", "bool executed", "bool tau"])
+        "repeated node", "missing cost", "non-numeric duration", "bool executed", "bool tau",
+        "str duration", "bool duration", "bool zero duration"])
 def test_dataset_rejections(make, message):
     with pytest.raises(InputError) as excinfo:
         make()

@@ -107,6 +107,22 @@ def test_gap_function_final_segment_zero_when_best_reached():
     assert gap_function(tl).breakpoints[-1][1] == 0.0
 
 
+def test_gap_function_trusts_the_timeline_as_checked(monkeypatch):
+    events = [[1.0, 80.0], [2.0, 60.0]]
+    tl = IncumbentTimeline(events, best_known=60.0)
+    events[0][0] = 3.0
+    events.append([0.5, 70.0])
+    assert tl.events == ((1.0, 80.0), (2.0, 60.0))
+
+    def refuse(self):
+        raise AssertionError("the breakpoints were checked again")
+
+    monkeypatch.setattr(GapFunction, "__post_init__", refuse)
+    gf = gap_function(tl)
+    monkeypatch.undo()
+    assert gf == GapFunction(((0.0, 1.0), (1.0, 0.25), (2.0, 0.0)))
+
+
 def test_max_sense_mirrors_min():
     tl_min = IncumbentTimeline(((1.0, 80.0), (2.0, 60.0)), best_known=60.0, sense="min")
     tl_max = IncumbentTimeline(((1.0, -80.0), (2.0, -60.0)), best_known=-60.0, sense="max")

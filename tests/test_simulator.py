@@ -184,6 +184,55 @@ def test_shadow_dataset_rejects_bad_rows(spec, node, outcome, fragment):
         collect_shadow_dataset([_one_node_instance(spec, node, outcome)])
 
 
+def test_generated_instances_take_the_column_checks(monkeypatch):
+    cfg = load_sim_config(PLANTED_CFG)
+    instances = [generate_instance(cfg, seed) for seed in range(3)]
+    expected = [simulator._shadow_columns(inst) for inst in instances]
+    collected = collect_shadow_dataset(instances)
+
+    def refuse(*args):
+        raise AssertionError("a pair went through the per-pair checks")
+
+    monkeypatch.setattr(simulator, "check_row", refuse)
+    monkeypatch.setattr(simulator, "validate_identifier", refuse)
+    assert [simulator._shadow_columns(inst) for inst in instances] == expected
+    assert collect_shadow_dataset(instances) == collected
+
+
+# (node ids, the nodes of h's missing outcomes, h's seconds per iteration,
+# the error); h fails with 2 iterations at every node but n0, where it solves
+# in 1, and g solves everywhere in 1
+@pytest.mark.parametrize("nodes, missing, seconds, message", [
+    (("n0", "a,b", "n2"), ("n2",), 0.1,
+     "invalid node identifier 'a,b': commas, newlines and a leading '#' are reserved"),
+    (("n0", "n1", "a,b"), ("n1",), 0.1, "no latent outcome for ('n1', 'h')"),
+    (("n0", "n1", "a,b"), (), 1e308, "duration_seconds must be finite and nonnegative, got inf"),
+    (("n0", "", "n2"), ("n0",), 0.1, "no latent outcome for ('n0', 'h')"),
+    (("n0", " n1"), (), 1e308,
+     "invalid node identifier ' n1': leading and trailing whitespace would be stripped"),
+    (("n0", "n1"), (), 8e307, None),  # each duration finite, their sum not
+], ids=["bad id first", "missing outcome first", "overflowing duration first",
+        "missing outcome before empty id", "id before its durations", "finite durations"])
+def test_hand_given_instances_raise_the_first_error_in_node_order(nodes, missing, seconds,
+                                                                   message):
+    h = HeuristicSpec("h", "DIVING", 0.5, 0.5, 2, seconds, 1.0, 1.0)
+    g = HeuristicSpec("g", "LNS", 0.5, 0.5, 2, 0.1, 1.0, 1.0)
+    outcomes = {(node, "g"): LatentOutcome(True, 1, 1.0) for node in nodes}
+    for number, node in enumerate(nodes):
+        if node not in missing:
+            outcomes[(node, "h")] = (LatentOutcome(True, 1, 1.0) if number == 0
+                                     else LatentOutcome(False, 2, None))
+    inst = SimInstance(seed=0, heuristics=(g, h), nodes=nodes, outcomes=outcomes,
+                       interarrival_seconds=0.5, optimum_value=0.0)
+    if message is None:
+        d = collect_shadow_dataset([inst])
+        assert d.observation("h", "n1") == Observation("h", "n1", None, 2, 2 * seconds)
+        return
+    with pytest.raises(InputError) as excinfo:
+        collect_shadow_dataset([inst])
+    assert str(excinfo.value) == message
+
+
 def test_simulate_build_eval_constructs_no_observation(tmp_path, monkeypatch):
     built = []
     checks = Observation.__post_init__
