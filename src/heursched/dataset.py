@@ -14,18 +14,20 @@ heuristic at that node.
 ``load_dataset`` splits a text that passes an all-clear test (ASCII, the
 header line first, a line feed last, no ``#``, no blank line and no
 whitespace but line feeds) in line-aligned chunks of about ``CHUNK``
-characters at C speed, and checks each chunk's field counts, ids, counts and
-durations as a whole.  On any doubt it reads the text again from line 1 with
-the per-line reader, which accepts the same texts and names the line of the
-first error.  ``dump_dataset`` takes no Python step per row either: each
-distinct value of a column is printed once, and the texts are laid out by
-stride slices and joined.
+characters at C speed; it checks each chunk's field counts and ids as a whole
+and its rows with ``_rows_clear``, the one batch form of ``check_row``.  On
+any doubt it reads the text again from line 1 with the per-line reader, which
+calls ``check_row`` on every row and names the line of the first error.
+``dump_dataset`` takes no Python step per row either: each distinct value of
+a column is printed once, and each field's texts are laid out by stride
+slices, gathered through the wire order unless it is node-major, and joined.
 
 A ``Dataset`` numbers its nodes 0..N-1 in registration order and holds
 columns: per heuristic, a tau, an executed-count and a duration list by node
 number (``None`` where no row exists; a tau also for a failed call), the
 sorted breakpoints, and one wire-order index, the pair number
-``node_number * H + heuristic_number`` of each row as it arrived.
+``node_number * H + heuristic_number`` of each row as it arrived: whichever
+constructor built it, a ``range`` whenever it equals one, else a list.
 ``tau_column(h)`` is a read-only ``Mapping`` view of a tau list (node id to
 tau, successful calls only); package code reads the list,
 ``tau_column(h).taus``.  Every constructor fills the same columns, and a
@@ -39,9 +41,10 @@ import math
 import warnings
 from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
+from itertools import repeat
 from types import MappingProxyType
 
-from .errors import InputError
+from .errors import InputError, finite, shown
 
 DATASET_HEADER = "heuristic,node,iterations_to_solution,iterations_executed,duration_seconds"
 # the largest iteration count accepted: costs and averages go through float,
@@ -137,8 +140,30 @@ def check_row(heuristic: str, node: str, tau: int | None, executed: int,
         return
     if not isinstance(duration, (int, float)) or isinstance(duration, bool):
         raise InputError(f"duration_seconds must be a number, got {duration!r}")
-    if not (math.isfinite(duration) and duration >= 0):
-        raise InputError(f"duration_seconds must be finite and nonnegative, got {duration!r}")
+    try:
+        clear = math.isfinite(duration) and duration >= 0
+    except OverflowError:  # an int beyond the float range
+        clear = False
+    if not clear:
+        raise InputError(f"duration_seconds must be finite and nonnegative, got {shown(duration)}")
+
+
+def _rows_clear(taus, executed, durations) -> bool:
+    """Whether ``check_row`` surely accepts each count of ``executed``, (tau, count)
+    pair of ``zip(taus, executed)`` and duration of ``durations``, and so every row
+    made of them, a tau of None or its count and a duration of None too; False
+    when in doubt.  Types are tested value by value, the rest over distinct values
+    or by sum and minimum.  A caller whose equal values share a type may pass those."""
+    if not (set(map(type, executed)) <= {int} and set(map(type, taus)) <= {int, type(None)}
+            and set(map(type, durations)) <= {int, float}):
+        return False
+    counts = set(executed)
+    try:  # a sum is finite only when every term is; an int beyond floats overflows
+        return (1 <= min(counts, default=1) and max(counts, default=1) <= MAX_COUNT
+                and all(tau is None or 1 <= tau <= count for tau, count in set(zip(taus, executed)))
+                and math.isfinite(sum(durations)) and min(durations, default=0.0) >= 0.0)
+    except OverflowError:
+        return False
 
 
 @dataclass(frozen=True)
@@ -262,7 +287,10 @@ class Dataset:
     def _store(self, taus, executed, durations, order) -> None:
         """Store the columns, one list per heuristic indexed by node number (None
         where the pair has no row), and ``order``, the pair number ``node_number
-        * len(heuristics) + heuristic_number`` of each row in wire order."""
+        * len(heuristics) + heuristic_number`` of each row in wire order, as a
+        range whenever it equals one."""
+        if isinstance(order, list) and order == list(range(len(order))):
+            order = range(len(order))
         view = MappingProxyType(self._numbers)
         object.__setattr__(self, "_taus", {h: TauColumn(tuple(c), view)
                                            for h, c in zip(self.heuristics, taus)})
@@ -339,9 +367,9 @@ class IterationCostProfile:
 
     def __post_init__(self) -> None:
         for heuristic, cost in self.seconds_per_iteration.items():
-            if not (math.isfinite(cost) and cost > 0):
-                raise InputError(
-                    f"iteration cost for {heuristic!r} must be finite and positive, got {cost!r}")
+            if not (finite(cost) and cost > 0):
+                raise InputError(f"iteration cost for {heuristic!r} must be finite and positive, "
+                                 f"got {shown(cost)}")
 
     def __getitem__(self, heuristic: str) -> float:
         try:
@@ -351,8 +379,8 @@ class IterationCostProfile:
 
 
 def _read_count(text: str, cache: dict, lineno: int, column: str) -> int | None:
-    """Parse a count text (``inf``: None, a failed call, as a tau) and cache it unless
-    above MAX_COUNT, which ``check_row`` then rejects after any bad id on its line."""
+    """Parse a count text (``inf``: None, a failed call, as a tau) and cache it;
+    ``check_row`` rejects one above MAX_COUNT, after any bad id on its line."""
     if column == "iterations_to_solution" and text.lower() == "inf":
         value = None
     else:
@@ -362,8 +390,7 @@ def _read_count(text: str, cache: dict, lineno: int, column: str) -> int | None:
             raise InputError(f"line {lineno}: {column} must be an integer, got {text!r}") from None
         if value < 1:
             raise InputError(f"line {lineno}: {column} must be positive, got {value}")
-    if value is None or value <= MAX_COUNT:
-        cache[text] = value
+    cache[text] = value
     return value
 
 
@@ -386,9 +413,8 @@ def load_dataset(source: str) -> Dataset:
 def _load_chunks(source: str) -> Dataset | None:
     """The dataset of a text that passes the all-clear test, else None.
 
-    The text must be ASCII, start with the header line, end with one line
-    feed and hold none of ``_UNCLEAR``; each line-aligned chunk of about
-    ``CHUNK`` characters after the header must pass ``_read_chunk``, and no
+    The text must be ASCII, start with the header line, end with one line feed
+    and hold none of ``_UNCLEAR``; each chunk must pass ``_read_chunk``, and no
     pair may repeat.
     """
     if not (_clear(source) and source.startswith(DATASET_HEADER + "\n")
@@ -439,9 +465,8 @@ def _read_chunk(chunk: str, registration: dict, numbers: dict,
     """The heuristic numbers, node numbers, taus, executed counts and durations
     of a chunk's rows, registering the new ids.
 
-    None if a line has other than five fields, an id is empty, a count exceeds
-    ``MAX_COUNT``, a tau exceeds its executed count or a duration is not finite
-    and nonnegative; ``ValueError`` on an invalid count or duration text.
+    None if a line has other than five fields, an id is empty or ``_rows_clear``
+    doubts the rows; ``ValueError`` on an invalid count or duration text.
     """
     lines = chunk.count("\n")
     # each line feed becomes a field of its own: every sixth when each line has five
@@ -462,24 +487,17 @@ def _read_chunk(chunk: str, registration: dict, numbers: dict,
         values.append(list(map(known.__getitem__, texts)))
     for texts, cache, column in zip((tau_texts, executed_texts), caches,
                                     ("iterations_to_solution", "iterations_executed")):
-        fresh = set(texts).difference(cache)
-        for text in fresh:  # on an error the line loader names the line: 0 is never shown
+        # on an error the line loader names the line: 0 is never shown
+        for text in set(texts).difference(cache):
             _read_count(text, cache, 0, column)
-        if fresh.difference(cache):  # above MAX_COUNT, so not cached
-            return None
         values.append(list(map(cache.__getitem__, texts)))
+    durations = {text: float(text) for text in set(duration_texts) if text}
+    # parsed values: equal ones share a type, so the distinct ones stand for every row
     taus, counts = values[2:]
-    if any(tau is not None and tau > count for tau, count in set(zip(taus, counts))):
+    if not _rows_clear(*zip(*set(zip(taus, counts))), durations.values()):
         return None
-    if "" in duration_texts:
-        durations = [None if text == "" else float(text) for text in duration_texts]
-        timed = [duration for duration in durations if duration is not None]
-    else:
-        durations = timed = list(map(float, duration_texts))
-    # the sum is finite only when every duration is, and then min compares them all
-    if not (math.isfinite(sum(timed)) and min(timed, default=0.0) >= 0.0):
-        return None
-    values.append(durations)
+    durations[""] = None
+    values.append(list(map(durations.__getitem__, duration_texts)))
     return tuple(values)
 
 
@@ -501,56 +519,39 @@ def _load_lines(source: str) -> Dataset:
     """``load_dataset`` one line at a time, naming the line of the first error."""
     registration: dict[str, int] = {}
     numbers: dict[str, int] = {}
-    # per heuristic number, its tau, executed and duration lists by node number,
-    # None where no row was read yet
-    taus: list[list] = []
-    executed: list[list] = []
-    durations: list[list] = []
-    # the node and the heuristic number of each row, in file order
-    row_nodes: list[int] = []
-    row_heuristics: list[int] = []
+    # per heuristic number, its tau, executed and duration lists by node number
+    # (None where no row was read yet); the node and heuristic number of each row
+    taus, executed, durations, row_nodes, row_heuristics = [], [], [], [], []
     # each distinct count text is parsed and checked once per column
     tau_counts: dict[str, int | None] = {"": None}
     executed_counts: dict[str, int] = {}
     for lineno, fields in read_rows(source, DATASET_HEADER, "dataset"):
         heuristic, node, tau_text, executed_text, duration_text = fields
+        tau = (tau_counts[tau_text] if tau_text in tau_counts
+               else _read_count(tau_text, tau_counts, lineno, "iterations_to_solution"))
+        count = executed_counts.get(executed_text) or _read_count(
+            executed_text, executed_counts, lineno, "iterations_executed")
         try:
-            tau = tau_counts[tau_text]
-        except KeyError:
-            tau = _read_count(tau_text, tau_counts, lineno, "iterations_to_solution")
-        count = executed_counts.get(executed_text)
-        if count is None:
-            count = _read_count(executed_text, executed_counts, lineno, "iterations_executed")
-        if duration_text == "":
-            duration = None
-        else:
-            try:
-                duration = float(duration_text)
-            except ValueError:
-                raise InputError(
-                    f"line {lineno}: duration_seconds must be a number, got {duration_text!r}"
-                ) from None
+            duration = float(duration_text) if duration_text else None
+        except ValueError:
+            raise InputError(f"line {lineno}: duration_seconds must be a number, "
+                             f"got {duration_text!r}") from None
         h = registration.get(heuristic)
         number = numbers.get(node)
-        # a row with known ids and cached counts fails check_row only when tau
-        # exceeds executed or the duration is not a finite value >= 0
-        if (h is None or number is None or count > MAX_COUNT
-                or (tau is not None and tau > count)
-                or not (duration is None or 0.0 <= duration < math.inf)):
-            try:
-                if h is None:
-                    validate_identifier(heuristic, "heuristic")
-                    h = registration[heuristic] = len(registration)
-                    for column in (taus, executed, durations):
-                        column.append([None] * len(numbers))
-                if number is None:
-                    validate_identifier(node, "node")
-                    number = numbers[node] = len(numbers)
-                    for cells in (*taus, *executed, *durations):
-                        cells.append(None)
-                check_row(heuristic, node, tau, count, duration)
-            except InputError as exc:
-                raise InputError(f"line {lineno}: {exc}") from None
+        try:
+            if h is None:
+                validate_identifier(heuristic, "heuristic")
+                h = registration[heuristic] = len(registration)
+                for column in (taus, executed, durations):
+                    column.append([None] * len(numbers))
+            if number is None:
+                validate_identifier(node, "node")
+                number = numbers[node] = len(numbers)
+                for cells in (*taus, *executed, *durations):
+                    cells.append(None)
+            check_row(heuristic, node, tau, count, duration)
+        except InputError as exc:
+            raise InputError(f"line {lineno}: {exc}") from None
         if executed[h][number] is not None:
             raise InputError(f"line {lineno}: duplicate row for pair ({heuristic}, {node})")
         taus[h][number] = tau
@@ -559,8 +560,6 @@ def _load_lines(source: str) -> Dataset:
         row_nodes.append(number)
         row_heuristics.append(h)
     order = [number * len(registration) + h for number, h in zip(row_nodes, row_heuristics)]
-    if order == list(range(len(order))):  # complete and node-major, as simulated data is
-        order = range(len(order))
     return Dataset._from_columns(tuple(registration), tuple(numbers), taus, executed, durations,
                                  order)
 
@@ -568,24 +567,26 @@ def _load_lines(source: str) -> Dataset:
 def dump_dataset(d: Dataset) -> str:
     """Serialize a dataset back to its CSV wire format.
 
-    One flat list holds the header and five texts per row, filled per heuristic
-    and field by stride slices in node-major pair order (the rows' own order
-    when ``_order`` is that range, else gathered through ``_order``), then joined.
+    One flat list holds the header and five texts per row, filled field by field
+    and joined.  Each heuristic's texts of a field go by a stride slice to their
+    node-major pair places: in that list itself when ``_order`` is the range of
+    every pair, else in one list of the field, gathered through ``_order``.
     """
-    width, pairs = len(d.heuristics), len(d.heuristics) * len(d.nodes)
-    nodes = [node + "," for node in d.nodes]
-    cells = [DATASET_HEADER + "\n"] + [""] * (5 * pairs)
-    for h, heuristic in enumerate(d.heuristics):
-        for field, texts in enumerate(([heuristic + ","] * len(nodes), nodes,
-                                       _texts(d._taus[heuristic].taus, _tau_text),
-                                       _texts(d._executed[h], "{},".format),
-                                       _texts(d._durations[h], _duration_text))):
-            cells[1 + 5 * h + field::5 * width] = texts
-    if d._order != range(pairs):
-        rows = cells
-        cells = [rows[0]] + [""] * (5 * len(d._order))
-        for field in range(1, 6):
-            cells[field::5] = map(rows[field::5].__getitem__, d._order)
+    width, order, nodes = len(d.heuristics), d._order, [node + "," for node in d.nodes]
+    pairs = width * len(nodes)
+    cells = [DATASET_HEADER + "\n"] + [""] * (5 * len(order))
+    in_place = order == range(pairs)
+    for field, columns in enumerate((
+            ([heuristic + ","] * len(nodes) for heuristic in d.heuristics),
+            repeat(nodes, width),
+            (_texts(column.taus, _tau_text) for column in d._taus.values()),
+            (_texts(column, "{},".format) for column in d._executed),
+            (_texts(column, _duration_text) for column in d._durations))):
+        texts, start, step = (cells, 1 + field, 5) if in_place else ([""] * pairs, 0, 1)
+        for h, column in enumerate(columns):
+            texts[start + step * h::step * width] = column
+        if not in_place:
+            cells[1 + field::5] = map(texts.__getitem__, order)
     return "".join(cells)
 
 

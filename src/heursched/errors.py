@@ -10,10 +10,28 @@ class InputError(ValueError):
     """
 
 
+def finite(value: float) -> bool:
+    """``math.isfinite(value)``, but False, not ``OverflowError``, for an int beyond
+    the float range."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
+def shown(value) -> str:
+    """``repr(value)`` for an error message, except that an int beyond the float
+    range is named, not printed: ``repr`` refuses an int of over 4,300 digits."""
+    if isinstance(value, int) and not finite(value):
+        return "an int beyond the float range"
+    return repr(value)
+
+
 def require_finite(value: float, what: str) -> None:
-    """Reject NaN and infinities; a plain ``value <= 0`` check lets both through."""
-    if not math.isfinite(value):
-        raise InputError(f"{what} must be finite, got {value!r}")
+    """Reject NaN, infinities and ints beyond the float range; a plain ``value <= 0``
+    check lets the first two through."""
+    if not finite(value):
+        raise InputError(f"{what} must be finite, got {shown(value)}")
 
 
 def require_fraction(value: float, what: str) -> None:

@@ -46,7 +46,7 @@ from dataclasses import dataclass
 from itertools import chain
 from random import _sha512  # what Random.seed hashes a str with; hashlib would load OpenSSL
 
-from .dataset import (MAX_COUNT, Dataset, _clear_ids, check_count, check_row, content_lines,
+from .dataset import (Dataset, _clear_ids, _rows_clear, check_count, check_row, content_lines,
                       parse_int, validate_identifier)
 from .errors import InputError, require_finite, require_fraction
 from .greedy import GreedyOptions, build_schedule
@@ -304,19 +304,20 @@ def _shadow_columns(inst: SimInstance) -> tuple:
     specs = inst.heuristics
     executed = [inst.outcomes.iterations[spec.id] for spec in specs]
     qualities = [inst.outcomes.qualities[spec.id] for spec in specs]
-    # the checks of the loop below, a whole column at a time; on any doubt the
-    # loop runs and raises the first error in node order
-    if _clear_ids(inst.nodes) and all(
-            len(needs) == len(values) == len(inst.nodes) and set(map(type, needs)) == {int}
-            and 1 <= min(needs) and max(needs) <= MAX_COUNT
-            for needs, values in zip(executed, qualities)):
-        taus = [[iterations if value is not None else None
-                 for iterations, value in zip(needs, values)]
-                for needs, values in zip(executed, qualities)]
-        durations = [[iterations * spec.seconds_per_iteration for iterations in needs]
-                     for spec, needs in zip(specs, executed)]
-        # the sum is finite only when every duration is, and then min compares them all
-        if all(math.isfinite(sum(column)) and min(column) >= 0 for column in durations):
+    # the checks of the loop below over whole columns (a tau is None or its count):
+    # the counts, then per heuristic the duration of each distinct count; on any
+    # doubt the loop runs and raises the first error in node order
+    if (_clear_ids(inst.nodes) and all(len(needs) == len(values) == len(inst.nodes)
+                                       for needs, values in zip(executed, qualities))
+            and _rows_clear((), list(chain.from_iterable(executed)), ())):
+        seconds = [{count: count * spec.seconds_per_iteration for count in set(needs)}
+                   for spec, needs in zip(specs, executed)]
+        if _rows_clear((), (), [cost for costs in seconds for cost in costs.values()]):
+            taus = [[iterations if value is not None else None
+                     for iterations, value in zip(needs, values)]
+                    for needs, values in zip(executed, qualities)]
+            durations = [list(map(costs.__getitem__, needs))
+                         for costs, needs in zip(seconds, executed)]
             return inst.nodes, taus, executed, durations
     taus, durations = ([[None] * len(inst.nodes) for _ in specs] for _ in range(2))
     columns = list(zip(specs, executed, qualities, taus, durations))
@@ -327,6 +328,7 @@ def _shadow_columns(inst: SimInstance) -> tuple:
             if iterations is None:
                 inst.outcome(node, spec.id)  # raises: the pair has no outcome
             tau = tau_cells[number] = iterations if values[number] is not None else None
+            check_row(spec.id, node, tau, iterations, None)  # before the count is multiplied
             duration = duration_cells[number] = iterations * spec.seconds_per_iteration
             check_row(spec.id, node, tau, iterations, duration)
     return inst.nodes, taus, executed, durations

@@ -122,6 +122,28 @@ def test_simulate_run_compare_pipeline(tmp_path, capsys):
     assert compare_out.read_text(encoding="utf-8").startswith("seed,")
 
 
+def test_a_crlf_dataset_builds_without_the_line_reader(tmp_path, monkeypatch, capsys):
+    # cli reads a file with universal newlines, so a \r\n copy reaches load_dataset
+    # as the \n text and never the line reader
+    cfg_path, data = tmp_path / "planted.cfg", tmp_path / "data.csv"
+    cfg_path.write_text(PLANTED_CFG, encoding="utf-8")
+    assert dispatch(["simulate", "--config", str(cfg_path), "--seed", "3", "--instances", "2",
+                     "--out", str(data)]) == 0
+    crlf = tmp_path / "crlf.csv"
+    crlf.write_bytes(data.read_bytes().replace(b"\n", b"\r\n"))
+    capsys.readouterr()
+
+    def refuse(source):
+        raise AssertionError("the text was read line by line")
+
+    monkeypatch.setattr(heursched.dataset, "_load_lines", refuse)
+    printed = []
+    for path in (data, crlf):
+        assert dispatch(["build", "--data", str(path), "--normalize"]) == 0
+        printed.append(capsys.readouterr().out)
+    assert printed[0] == printed[1] and "objective" in printed[0]
+
+
 def test_compare_accepts_seed_lists(tmp_path, capsys):
     cfg_path = tmp_path / "planted.cfg"
     cfg_path.write_text(PLANTED_CFG, encoding="utf-8")

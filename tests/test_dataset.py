@@ -18,7 +18,7 @@ from heursched import (Dataset, InputError, IterationCostProfile, Observation, S
                        avg_iteration_cost, breakpoints, collect_shadow_dataset,
                        dump_dataset, dump_schedule, generate_instance, load_dataset,
                        load_schedule, load_sim_config)
-from heursched.dataset import DATASET_HEADER
+from heursched.dataset import DATASET_HEADER, MAX_COUNT, check_row
 
 from conftest import COVERAGE_CFG, PLANTED_CFG, WORKED_CSV, random_dataset
 
@@ -78,7 +78,9 @@ def test_bad_rows_report_line_number(bad_row, fragment):
     assert fragment in str(excinfo.value)
 
 
-@pytest.mark.parametrize("cost", [float("nan"), float("inf"), 0.0, -1.0])
+@pytest.mark.parametrize("cost", [float("nan"), float("inf"), 0.0, -1.0,
+                                  pytest.param(10 ** 400, id="10**400"),
+                                  pytest.param(10 ** 5000, id="10**5000")])
 def test_iteration_cost_must_be_finite_and_positive(cost):
     with pytest.raises(InputError, match="finite and positive"):
         IterationCostProfile({"h": cost})
@@ -295,15 +297,19 @@ def test_dataset_validates_every_registered_id(heuristics, nodes, message):
 
 def test_only_dataset_reads_its_columns():
     # the columns, node numbers and breakpoints are built in dataset.py alone;
-    # the trusted constructor serves dataset.py and shadow collection only
+    # the trusted constructor serves dataset.py and shadow collection only, and
+    # the count limit is read by check_row and its batch form alone
     private = {"_taus", "_executed", "_durations", "_order", "_numbers", "_breakpoints"}
     trusted = {"_from_columns"}
     package = Path(heursched.__file__).parent
     for path in sorted(package.glob("*.py")):
-        attrs = {node.attr for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
-                 if isinstance(node, ast.Attribute)}
+        tree = list(ast.walk(ast.parse(path.read_text(encoding="utf-8"))))
+        attrs = {node.attr for node in tree if isinstance(node, ast.Attribute)}
+        names = attrs | {node.id for node in tree if isinstance(node, ast.Name)} | {
+            node.name for node in tree if isinstance(node, ast.alias)}
         if path.name != "dataset.py":
             assert not attrs & private, f"{path.name} reads {sorted(attrs & private)}"
+            assert "MAX_COUNT" not in names, f"{path.name} names MAX_COUNT"
         if path.name not in ("dataset.py", "simulator.py"):
             assert not attrs & trusted, f"{path.name} calls {sorted(attrs & trusted)}"
 
@@ -390,6 +396,10 @@ def test_every_constructor_fills_the_same_columns(d):
                 assert other.observation(h, n) == d.observation(h, n)
     assert [built.tau_column(h).taus for h in built.heuristics] == \
         [loaded.tau_column(h).taus for h in loaded.heuristics]
+    # with the same registration, all three store one wire order of one kind
+    direct = Dataset(built.heuristics, built.nodes, d.observations)
+    assert direct._order == built._order == loaded._order
+    assert type(direct._order) is type(built._order) is type(loaded._order)
     observed = {(o.heuristic, o.node): o for o in d.observations}
     for h in d.heuristics:
         for n in d.nodes:
@@ -537,6 +547,25 @@ def test_dumping_peaks_at_most_3_5_mb_at_learn_scale(learn_text):
     assert peak <= 3_500_000, f"{peak / 1e6:.2f} MB"
 
 
+def test_a_heuristic_major_dump_peaks_at_most_2_7_mb_at_learn_scale(learn_text):
+    # a list _order: the node-major cells and their gathered copy peaked at
+    # 3.11 MB here; one field's node-major texts at a time peak at about 2.24 MB
+    # on CPython 3.11
+    header, *rows = learn_text.splitlines()
+    text = "\n".join([header] + [rows[r] for h in range(12)
+                                 for r in range(h, len(rows), 12)]) + "\n"
+    d = load_dataset(text)
+    assert isinstance(d._order, list)
+    tracemalloc.start()
+    try:
+        dumped = dump_dataset(d)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert dumped == text
+    assert peak <= 2_700_000, f"{peak / 1e6:.2f} MB"
+
+
 # The dataset writer as it was before it wrote from per-column text maps: one
 # f-string per row.  Kept as the reference that dump_dataset must match.
 def reference_dump_dataset(d):
@@ -591,13 +620,14 @@ _ZEROS = [Observation("h", "n1", 1, 1, 0.0), Observation("h", "n2", None, 2, -0.
 @example(d=Dataset.from_observations(_ZEROS[::-1]))
 @example(d=Dataset(("h",), ("n",), ()))
 def test_dump_matches_the_per_row_writer(d):
-    # Dataset(...) keeps a list order; a complete node-major text loads with a range
+    # every constructor stores the wire order as a range exactly when it equals
+    # one; heuristic-major and shuffled rows keep a list, which the writer gathers
     loaded = load_dataset(reference_dump_dataset(d))
     for each in (d, loaded):
         assert dump_dataset(each) == reference_dump_dataset(each)
-    assert isinstance(d._order, list)
-    if len(d._order) == len(d.heuristics) * len(d.nodes) and d._order == sorted(d._order):
-        assert loaded._order == range(len(d._order))
+        assert list(each._order) == list(d._order)
+        assert isinstance(each._order, range) == (list(each._order) ==
+                                                  list(range(len(each._order))))
 
 
 def test_all_clear_ids_are_refused_only_when_empty():
@@ -868,10 +898,71 @@ def test_accepted_identifiers_round_trip_through_the_wire_formats(value):
     (lambda: Observation("h", "n", 1, 1, True), "duration_seconds must be a number, got True"),
     (lambda: Dataset.from_observations([Observation("h", "n", None, 2, False)]),
      "duration_seconds must be a number, got False"),
+    (lambda: Observation("h", "n", 1, 1, 10 ** 400),
+     "duration_seconds must be finite and nonnegative, got an int beyond the float range"),
+    (lambda: Observation("h", "n", 1, 1, -10 ** 5000),
+     "duration_seconds must be finite and nonnegative, got an int beyond the float range"),
+    (lambda: IterationCostProfile({"h": 10 ** 5000}),
+     "iteration cost for 'h' must be finite and positive, got an int beyond the float range"),
 ], ids=["no header", "unregistered heuristic", "repeated observation", "repeated heuristic",
         "repeated node", "missing cost", "non-numeric duration", "bool executed", "bool tau",
-        "str duration", "bool duration", "bool zero duration"])
+        "str duration", "bool duration", "bool zero duration", "int duration beyond floats",
+        "negative int duration beyond floats", "int cost beyond floats"])
 def test_dataset_rejections(make, message):
     with pytest.raises(InputError) as excinfo:
         make()
     assert str(excinfo.value) == message
+
+
+# The values both callers of the batch row rule can pass: the chunk reader's
+# parsed ints, floats and None, and whatever a hand-given shadow instance holds
+# as a count; with the edges of check_row's rule.
+_COUNTS = (st.integers(1, 6) | st.integers(1, 6)
+           | st.sampled_from((0, -1, MAX_COUNT, MAX_COUNT + 1, 10 ** 400, True, False, 2.0,
+                              None, "3")))
+_DURATIONS = (st.none() | st.floats(0.0, 10.0) | st.floats()
+              | st.sampled_from((0.0, -0.0, 0, 3, 1e308, True, False, 10 ** 400, -10 ** 400,
+                                 "1.5")))
+
+
+@settings(max_examples=600, derandomize=True)
+@given(rows=st.lists(st.tuples(st.none() | _COUNTS, _COUNTS, _DURATIONS), max_size=5),
+       more_durations=st.lists(_DURATIONS, max_size=2))
+@example(rows=[(1, 1, 0.5), (True, 1, 0.5)], more_durations=[])
+@example(rows=[(1, 1, 0.5), (1, True, 0.5)], more_durations=[])
+@example(rows=[(None, 2, 1.0), (None, 2, True)], more_durations=[])
+@example(rows=[(None, 2, 8e307), (None, 3, 8e307)], more_durations=[])
+def test_the_batch_row_rule_accepts_only_rows_check_row_accepts(rows, more_durations):
+    # its contract: each count, each (tau, count) pair and each duration is one
+    # check_row accepts, and so is every row made of them, with a duration of None too
+    taus, executed, durations = (list(column) for column in zip(*rows)) if rows else ([], [], [])
+    durations += more_durations
+    if dataset_module._rows_clear(taus, executed, durations):
+        for tau, count in zip(taus, executed):
+            for duration in [*durations, None]:
+                for row_tau in (tau, None, count):
+                    check_row("h", "n", row_tau, count, duration)
+
+
+_VALID_ROWS = st.integers(1, MAX_COUNT).flatmap(
+    lambda count: st.tuples(st.none() | st.integers(1, count), st.just(count),
+                            st.none() | st.just(-0.0) | st.floats(0.0, 1e300)))
+
+
+@settings(max_examples=300, derandomize=True)
+@given(rows=st.lists(st.integers(1, 6).flatmap(
+    lambda count: st.tuples(st.none() | st.integers(1, count), st.just(count),
+                            st.none() | st.floats(0.0, 1e3))) | _VALID_ROWS, max_size=8))
+@example(rows=[(1, 2, 1e308), (None, 2, -0.0), (2, MAX_COUNT, 0.0)])
+def test_the_batch_row_rule_accepts_rows_check_row_accepts(rows):
+    # machine-written data takes the fast paths: rows check_row accepts, with float
+    # durations whose sum is finite, pass the batch form, and so do their distinct
+    # values as the chunk reader passes them
+    for row in rows:
+        check_row("h", "n", *row)
+    taus, executed = [tau for tau, _, _ in rows], [count for _, count, _ in rows]
+    timed = [duration for _, _, duration in rows if duration is not None]
+    assert math.isfinite(sum(timed))
+    assert dataset_module._rows_clear(taus, executed, timed)
+    if rows:
+        assert dataset_module._rows_clear(*zip(*set(zip(taus, executed))), set(timed))

@@ -54,7 +54,9 @@ def test_primal_integral_rejects_bad_horizon():
             primal_integral(tl, horizon)
 
 
-NON_FINITE = [float("nan"), float("inf"), float("-inf")]
+# ints beyond the float range too: the second has more digits than str() prints
+NON_FINITE = [float("nan"), float("inf"), float("-inf"), pytest.param(10 ** 400, id="10**400"),
+              pytest.param(10 ** 5000, id="10**5000")]
 
 
 @pytest.mark.parametrize("bad", NON_FINITE)

@@ -178,6 +178,11 @@ def test_shadow_dataset_checks_rows_before_repeated_nodes():
      LatentOutcome(False, 2, None), "duration_seconds must be finite and nonnegative, got inf"),
     (HeuristicSpec("h", "DIVING", 0.5, 0.5, 2, 0.1, 1.0, 1.0), "n",
      LatentOutcome(True, 0, 1.0), "iterations_executed must be a positive integer, got 0"),
+    # a count is checked before it is multiplied into a duration
+    (HeuristicSpec("h", "DIVING", 0.5, 0.5, 2, 0.1, 1.0, 1.0), "n",
+     LatentOutcome(False, 10 ** 400, None), "iterations_executed must be at most"),
+    (HeuristicSpec("h", "DIVING", 0.5, 0.5, 2, 0.1, 1.0, 1.0), "n",
+     LatentOutcome(False, "3", None), "iterations_executed must be a positive integer, got '3'"),
 ])
 def test_shadow_dataset_rejects_bad_rows(spec, node, outcome, fragment):
     with pytest.raises(InputError, match=fragment):
@@ -432,7 +437,9 @@ def _spec(**overrides) -> HeuristicSpec:
     return HeuristicSpec(**fields)
 
 
-NON_FINITE = [float("nan"), float("inf"), float("-inf")]
+# ints beyond the float range too: the second has more digits than str() prints
+NON_FINITE = [float("nan"), float("inf"), float("-inf"), pytest.param(10 ** 400, id="10**400"),
+              pytest.param(10 ** 5000, id="10**5000")]
 
 
 @pytest.mark.parametrize("bad", NON_FINITE)
