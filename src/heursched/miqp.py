@@ -39,17 +39,14 @@ selector), ``w[n][h]`` (``h`` sits strictly after ``pmin[n]``),
 Costs are raw iterations; they agree with normalized schedule evaluation
 only when every heuristic's average seconds per iteration is 1.
 
-The model's variables, rows and objective are stored by ``miqp_columns``
-as flat columns in which rows name variables by index.  ``Layout`` there is
-the one place that knows the variable order: the build, both checkers and
-``schedule_assignment`` take each family's slice, and the per-heuristic,
-per-node and per-pair runs within it, from its helpers.  A model comes
-only from ``build_miqp``, so its variables always follow that order.  The
-build fills the row columns one constraint family at a time, and both
-checkers read one list of values in variable order.  ``export_miqp``
-streams the text into its sink in chunks, one ``workers.map_jobs`` job per
-range of linear rows: a large model renders in forked workers, a small one
-is one range in the caller.  ``MiqpModel.render`` joins the chunks.
+A model holds its variables and objective as ``miqp_columns`` flat columns,
+and no row: ``_Formulas`` makes each constraint family's rows for any range
+of nodes, in ``miqp_columns.Rows`` blocks.  ``Layout`` there is the one place
+that knows the variable order, and a model comes only from ``build_miqp``.
+``export_miqp`` streams the text in chunks, and ``check_linearized``
+evaluates the rows, one ``workers.map_jobs`` job per range of linear rows,
+which makes its rows: a large model runs in forked workers, a small one is
+one range in the caller.  ``MiqpModel.render`` joins the chunks.
 """
 
 from __future__ import annotations
@@ -60,12 +57,12 @@ from contextlib import ExitStack, nullcontext
 from dataclasses import dataclass
 from functools import cached_property, partial
 from itertools import accumulate, chain
-from operator import add, itemgetter, mul
+from operator import add, mul
 
 from .dataset import Dataset
 from .errors import InputError, require_finite, require_fraction
-from .miqp_columns import (CHUNK_ROWS, Families, Layout, MiqpVariable, Rows, Terms, VariableRows,
-                           num, part_bounds, row_chunks, row_sums)
+from .miqp_columns import (CHUNK_ROWS, Families, Layout, MiqpVariable, PairTaus, Rows, Terms,
+                           VariableRows, num, part_bounds, row_chunks, row_sums)
 from .schedule import Schedule
 
 _INTEGRALITY_TOL = 1e-9
@@ -90,7 +87,7 @@ class MiqpModel:
     heuristics: tuple[str, ...]
     nodes: tuple[str, ...]
     alpha: float
-    tau: dict
+    tau: PairTaus  # reads as the (node, heuristic) -> tau dict
     horizon: dict
     variables: VariableRows  # each reads as a MiqpVariable
     objective: Terms  # reads as flat (coef, name, ...)
@@ -118,10 +115,12 @@ class MiqpModel:
             raise InputError(f"model has no variable named {name!r}") from None
 
     def family_size(self, family: str) -> int:
-        return list(map(itemgetter(3), self.variables.attributes)).count(family)
+        at, records = Layout(len(self.heuristics), len(self.nodes)), self.variables.attributes
+        return sum(len(where) for where in at.split(range(at.size))
+                   if records[where.start][3] == family)
 
     def render(self) -> str:
-        return "".join(_chunks(self, [0, len(self.linear.cids)], 0))
+        return "".join(_chunks(self, [0, len(self.linear)], 0))
 
 
 def _check_model_identifier(value: str, what: str) -> None:
@@ -148,113 +147,150 @@ def build_miqp(d: Dataset, alpha: float) -> MiqpModel:
     taus = [column[i] for i in range(len(nodes)) for column in columns]  # in pair order
     horizon = {h: max(filter(None, column), default=0) for h, column in zip(heuristics, columns)}
     variables = VariableRows.declare(heuristics, nodes, horizon)
-    at = Layout(len(heuristics), len(nodes))
-    family = at.split(list(range(len(variables))))  # variable indices, all from one list
-    tau = dict(zip(at.pairs(nodes, heuristics), taus))
+    formulas = _Formulas(heuristics, nodes, taus, horizon, alpha)
+    names, (linear, quadratic) = variables.names, formulas.blocks()
     return MiqpModel._built(
-        heuristics=heuristics, nodes=nodes, alpha=alpha, tau=tau, horizon=horizon,
-        variables=variables, objective=Terms(variables.names, [1.0] * len(nodes), family.tN),
-        linear=_linear_rows(variables.names, at, family, d, taus, horizon, alpha),
-        quadratic=_node_time_rows(variables.names, at, family, d, taus))
+        heuristics=heuristics, nodes=nodes, alpha=alpha, tau=PairTaus(nodes, heuristics, taus),
+        horizon=horizon, variables=variables,
+        objective=Terms(names, [1.0] * len(nodes), formulas.at.span(0, len(nodes)).tN),
+        linear=Rows(names, linear), quadratic=Rows(names, quadratic))
 
 
-def _linear_rows(names: list, at: Layout, family: Families, d: Dataset, taus: list,
-                 horizon: dict, alpha: float) -> Rows:
-    """The linear rows, one block per constraint family; no Python call per row."""
-    heuristics, nodes = d.heuristics, d.nodes
-    H, N = len(heuristics), len(nodes)
-    pairs = N * H
-    X, T, P, S, SN, PMIN = family.x, family.t, family.p, family.s, family.sN, family.pmin
-    Z, F, M, Y, W, U, V = family.z, family.f, family.m, family.y, family.w, family.u, family.v
-    # per pair, the index of its heuristic's t and p and of its node's sN and pmin
-    Tj, Pj = at.pair_heuristic(T), at.pair_heuristic(P)
-    SNi, PMINi = at.pair_node(SN), at.pair_node(PMIN)
-    XJ = at.x_rows(X)
-    keys = [f"{n},{h}" for n, h in at.pairs(nodes, heuristics)]
-    runs = list(at.by_node(keys))  # ids are made one list per node: transients stay small
-    per_node = at.node_major
+class _Formulas:
+    """What the rows are made from: the layout, the per-pair taus, the horizons,
+    alpha and each node's first solve row (one per pair with no tau, else two).
+    Each block's method makes its rows of nodes ``lo`` to ``hi``, or all of them."""
 
-    linear = Rows(names)
-    add = linear.add
+    __slots__ = ("heuristics", "nodes", "taus", "horizon", "alpha", "at", "solve_starts")
 
-    # each position holds at most one heuristic; each heuristic gets one position
-    add((f"position_capacity[{p}]" for p in range(1, H + 1)), [H] * H, [1] * (H * H),
-        _flat(at.x_columns(X)[1:]), ["<="] * H, [1] * H)
-    # a heuristic outside the schedule gets budget zero
-    tags = ("placement", "position_link", "budget_link")
-    add((f"{tag}[{h}]" for h in heuristics for tag in tags), [H + 1, H + 1, 2] * H,
-        _flat([*[1] * (H + 1), 1, *range(-1, -H - 1, -1), 1, horizon[h]] for h in heuristics),
-        _flat([*XJ[j], P[j], *XJ[j][1:], T[j], XJ[j][0]] for j in range(H)),
-        ["=", "=", "<="] * H, _flat((1, 0, horizon[h]) for h in heuristics))
+    def __init__(self, heuristics: tuple, nodes: tuple, taus: list, horizon: dict, alpha: float):
+        self.heuristics, self.nodes, self.taus, self.horizon, self.alpha = (
+            heuristics, nodes, taus, horizon, alpha)
+        self.at = at = Layout(len(heuristics), len(nodes))
+        self.solve_starts = list(accumulate(
+            (2 * at.heuristics - run.count(None) for run in at.by_node(taus)), initial=0))
+
+    def blocks(self) -> tuple[list, list]:  # linear and quadratic, in row order
+        H, N = self.at.heuristics, self.at.nodes
+        per_node = lambda rows: range(0, (N + 1) * rows, rows)  # noqa: E731
+        return ([((0, H), self.capacity), ((0, 3 * H), self.placement),
+                 (self.solve_starts, self.solve), (per_node(H + 1), self.node_solved),
+                 ((0, 1), self.coverage), (per_node(5 * H + 1), self.first_position),
+                 (per_node(5 * H), self.order), (per_node(6 * H), self.products)],
+                [(per_node(1), self.node_time)])
+
+    def _part(self, lo: int, hi: int) -> tuple:  # nodes lo to hi: layout, indices, taus, keys
+        H, pairs = self.at.heuristics, Layout.pairs(self.nodes[lo:hi], self.heuristics)
+        return (Layout(H, hi - lo), self.at.span(lo, hi), self.taus[lo * H:hi * H],
+                [f"{n},{h}" for n, h in pairs])
+
+    # each position holds at most one heuristic
+    def capacity(self, lo: int, hi: int) -> tuple:
+        H = self.at.heuristics
+        return ([f"position_capacity[{p}]" for p in range(1, H + 1)], [H] * H, [1] * (H * H),
+                _flat(self.at.x_columns(self.at.span(0, 0).x)[1:]), ["<="] * H, [1] * H)
+
+    # each heuristic gets one position; one outside the schedule gets budget zero
+    def placement(self, lo: int, hi: int) -> tuple:
+        H, heuristics, horizon, family = (self.at.heuristics, self.heuristics, self.horizon,
+                                          self.at.span(0, 0))
+        XJ, T, P = self.at.x_rows(family.x), family.t, family.p
+        tags = ("placement", "position_link", "budget_link")
+        return ([f"{tag}[{h}]" for h in heuristics for tag in tags], [H + 1, H + 1, 2] * H,
+                _flat([*[1] * (H + 1), 1, *range(-1, -H - 1, -1), 1, horizon[h]]
+                      for h in heuristics),
+                _flat([*XJ[j], P[j], *XJ[j][1:], T[j], XJ[j][0]] for j in range(H)),
+                ["=", "=", "<="] * H, _flat((1, 0, horizon[h]) for h in heuristics))
 
     # budget-coverage indicator per (node, heuristic); M = horizon + 1
-    bigs = [horizon[h] + 1 for h in heuristics] * N
-    add((cid for key, t_req in zip(keys, taus) for cid in
-         ((f"solve_never[{key}]",) if t_req is None else (f"solve_lb[{key}]", f"solve_ub[{key}]"))),
-        [k for t_req in taus for k in ((1,) if t_req is None else (2, 2))],
-        [c for t_req, big in zip(taus, bigs)
-         for c in ((1,) if t_req is None else (1, -t_req, 1, -big))],
-        [v for t_req, t, s in zip(taus, Tj, S) for v in ((s,) if t_req is None else (t, s, t, s))],
-        [op for t_req in taus for op in (("=",) if t_req is None else (">=", "<="))],
-        [r for t_req in taus for r in ((0,) if t_req is None else (0, t_req - 1))])
+    def solve(self, lo: int, hi: int) -> tuple:
+        part, family, taus, keys = self._part(lo, hi)
+        Tj = part.pair_heuristic(family.t)
+        bigs = part.pair_heuristic([self.horizon[h] + 1 for h in self.heuristics])
+        return ([cid for key, t_req in zip(keys, taus) for cid in (
+                    (f"solve_never[{key}]",) if t_req is None
+                    else (f"solve_lb[{key}]", f"solve_ub[{key}]"))],
+                [k for t_req in taus for k in ((1,) if t_req is None else (2, 2))],
+                [c for t_req, big in zip(taus, bigs)
+                 for c in ((1,) if t_req is None else (1, -t_req, 1, -big))],
+                [v for t_req, t, s in zip(taus, Tj, family.s)
+                 for v in ((s,) if t_req is None else (t, s, t, s))],
+                [op for t_req in taus for op in (("=",) if t_req is None else (">=", "<="))],
+                [r for t_req in taus for r in ((0,) if t_req is None else (0, t_req - 1))])
 
     # a node is solved exactly when some heuristic covers it
-    add(_flat([f"node_solved_ub[{n}]", *[f"node_solved_lb[{key}]" for key in run]]
-              for n, run in zip(nodes, runs)),
-        ([H + 1] + [2] * H) * N, ([1] + [-1] * H + [1, -1] * H) * N,
-        per_node(SN, S, list(_flat(zip(SNi, S)))),
-        (["<="] + [">="] * H) * N, [0] * (N * (H + 1)))
+    def node_solved(self, lo: int, hi: int) -> tuple:
+        part, family, _, keys = self._part(lo, hi)
+        H, count, SN, S = part.heuristics, part.nodes, family.sN, family.s
+        return (_flat([f"node_solved_ub[{n}]", *[f"node_solved_lb[{key}]" for key in run]]
+                      for n, run in zip(self.nodes[lo:hi], part.by_node(keys))),
+                ([H + 1] + [2] * H) * count, ([1] + [-1] * H + [1, -1] * H) * count,
+                part.node_major(SN, S, list(_flat(zip(part.pair_node(SN), S)))),
+                (["<="] + [">="] * H) * count, [0] * (count * (H + 1)))
 
-    add(["coverage"], [N], [1] * N, SN, [">="], [alpha * N])
+    def coverage(self, lo: int, hi: int) -> tuple:
+        N = self.at.nodes
+        return ["coverage"], [N], [1] * N, self.at.span(0, N).sN, [">="], [self.alpha * N]
 
     # position of the first covering heuristic: pmin = min over h of
     # (position if h covers the node else the heuristic count)
-    tags = ("min_term_cover_lb", "min_term_cover_ub", "min_term_miss_lb", "first_position_ub",
-            "first_position_lb")
-    add(_flat([*[f"{tag}[{key}]" for key in run for tag in tags], f"first_position_pick[{n}]"]
-              for n, run in zip(nodes, runs)),
-        ([3, 3, 2, 2, 3] * H + [H]) * N,
-        ([1, -1, -H, 1, -1, H, 1, H, 1, -1, 1, -1, -H] * H + [1] * H) * N,
-        per_node(list(_flat(zip(M, Pj, S, M, Pj, S, M, S, PMINi, M, PMINi, M, Y))), Y),
-        ([">=", "<=", ">=", "<=", ">="] * H + ["="]) * N, ([-H, H, H, 0, -H] * H + [1]) * N)
+    def first_position(self, lo: int, hi: int) -> tuple:
+        part, family, _, keys = self._part(lo, hi)
+        H, count, M, S, Y = part.heuristics, part.nodes, family.m, family.s, family.y
+        Pj, PMINi = part.pair_heuristic(family.p), part.pair_node(family.pmin)
+        tags = ("min_term_cover_lb", "min_term_cover_ub", "min_term_miss_lb", "first_position_ub",
+                "first_position_lb")
+        return (_flat([*[f"{tag}[{key}]" for key in run for tag in tags],
+                       f"first_position_pick[{n}]"]
+                      for n, run in zip(self.nodes[lo:hi], part.by_node(keys))),
+                ([3, 3, 2, 2, 3] * H + [H]) * count,
+                ([1, -1, -H, 1, -1, H, 1, H, 1, -1, 1, -1, -H] * H + [1] * H) * count,
+                part.node_major(list(_flat(zip(M, Pj, S, M, Pj, S, M, S, PMINi, M, PMINi, M, Y))),
+                                Y),
+                ([">=", "<=", ">=", "<=", ">="] * H + ["="]) * count,
+                ([-H, H, H, 0, -H] * H + [1]) * count)
 
     # strict order indicators around pmin: z before, w after, f exactly at
-    tags = ("before_first_ub", "before_first_lb", "after_first_ub", "after_first_lb",
-            "first_solver_def")
-    add(_flat([f"{tag}[{key}]" for key in run for tag in tags] for run in runs), [3] * (5 * pairs),
-        [1, -1, -H, 1, -1, -H, 1, -1, -H, 1, -1, -(H + 1), 1, 1, 1] * pairs,
-        _flat(zip(PMINi, Pj, Z, PMINi, Pj, Z, Pj, PMINi, W, Pj, PMINi, W, Z, W, F)),
-        ["<=", ">=", "<=", ">=", "="] * pairs, [0, 1 - H, 0, -H, 1] * pairs)
+    def order(self, lo: int, hi: int) -> tuple:
+        part, family, _, keys = self._part(lo, hi)
+        H, pairs, Z, W = part.heuristics, len(keys), family.z, family.w
+        Pj, PMINi = part.pair_heuristic(family.p), part.pair_node(family.pmin)
+        tags = ("before_first_ub", "before_first_lb", "after_first_ub", "after_first_lb",
+                "first_solver_def")
+        return ([f"{tag}[{key}]" for key in keys for tag in tags], [3] * (5 * pairs),
+                [1, -1, -H, 1, -1, -H, 1, -1, -H, 1, -1, -(H + 1), 1, 1, 1] * pairs,
+                _flat(zip(PMINi, Pj, Z, PMINi, Pj, Z, Pj, PMINi, W, Pj, PMINi, W, Z, W, family.f)),
+                ["<=", ">=", "<=", ">=", "="] * pairs, [0, 1 - H, 0, -H, 1] * pairs)
 
     # products with the node-solved flag, used by the node-time constraint
-    tags = [f"{tag}_{bound}" for tag in ("solved_and_before", "solved_and_first")
-            for bound in ("ub1", "ub2", "lb")]
-    add(_flat([f"{tag}[{key}]" for key in run for tag in tags] for run in runs),
-        [2, 2, 3, 2, 2, 3] * pairs,
-        [1, -1, 1, -1, 1, -1, -1] * (2 * pairs),
-        _flat(zip(U, SNi, U, Z, U, SNi, Z, V, SNi, V, F, V, SNi, F)),
-        ["<=", "<=", ">="] * (2 * pairs), [0, 0, -1] * (2 * pairs))
-    return linear
+    def products(self, lo: int, hi: int) -> tuple:
+        part, family, _, keys = self._part(lo, hi)
+        pairs, U, V, Z, F = len(keys), family.u, family.v, family.z, family.f
+        SNi = part.pair_node(family.sN)
+        tags = [f"{tag}_{bound}" for tag in ("solved_and_before", "solved_and_first")
+                for bound in ("ub1", "ub2", "lb")]
+        return ([f"{tag}[{key}]" for key in keys for tag in tags], [2, 2, 3, 2, 2, 3] * pairs,
+                [1, -1, 1, -1, 1, -1, -1] * (2 * pairs),
+                _flat(zip(U, SNi, U, Z, U, SNi, Z, V, SNi, V, F, V, SNi, F)),
+                ["<=", "<=", ">="] * (2 * pairs), [0, 0, -1] * (2 * pairs))
 
-
-def _node_time_rows(names: list, at: Layout, family: Families, d: Dataset, taus: list) -> Rows:
-    """Per node: tN + sN - sum over h of t[h] (and of tau * v[n][h] where h can
-    solve n) - sum over h of u[n][h] * t[h] + sum over h of sN[n] * t[h] = 1."""
-    H, N = len(d.heuristics), len(d.nodes)
-    Tj, TN, SN, U, V = at.pair_heuristic(family.t), family.tN, family.sN, family.u, family.v
-    pair_coefs = [c for t_req in taus for c in ((-1,) if t_req is None else (-1, -t_req))]
-    pair_vars = [i for t_req, t, v in zip(taus, Tj, V) for i in ((t,) if t_req is None else (t, v))]
-    lengths = [1 if t_req is None else 2 for t_req in taus]
-    bounds = list(accumulate(map(sum, at.by_node(lengths)), initial=0))
-    quadratic = Rows(names, quadratic=True)
-    quadratic.add((f"node_time[{n}]" for n in d.nodes),
-                  [2 + b - a for a, b in zip(bounds, bounds[1:])],
-                  _flat(chain((1, 1), pair_coefs[a:b]) for a, b in zip(bounds, bounds[1:])),
-                  _flat(chain((tn, sn), pair_vars[a:b])
-                        for tn, sn, a, b in zip(TN, SN, bounds, bounds[1:])),
-                  ["="] * N, [1] * N, [2 * H] * N, [-1, 1] * (N * H),
-                  _flat(zip(U, Tj, at.pair_node(SN), Tj)))
-    return quadratic
+    # per node: tN + sN - sum over h of t[h] (and of tau * v[n][h] where h can
+    # solve n) - sum over h of u[n][h] * t[h] + sum over h of sN[n] * t[h] = 1
+    def node_time(self, lo: int, hi: int) -> tuple:
+        part, family, taus, _ = self._part(lo, hi)
+        H, count, Tj = part.heuristics, part.nodes, part.pair_heuristic(family.t)
+        pair_coefs = [c for t_req in taus for c in ((-1,) if t_req is None else (-1, -t_req))]
+        pair_vars = [i for t_req, t, v in zip(taus, Tj, family.v)
+                     for i in ((t,) if t_req is None else (t, v))]
+        lengths = [1 if t_req is None else 2 for t_req in taus]
+        bounds = list(accumulate(map(sum, part.by_node(lengths)), initial=0))
+        return ([f"node_time[{n}]" for n in self.nodes[lo:hi]],
+                [2 + b - a for a, b in zip(bounds, bounds[1:])],
+                _flat(chain((1, 1), pair_coefs[a:b]) for a, b in zip(bounds, bounds[1:])),
+                _flat(chain((tn, sn), pair_vars[a:b])
+                      for tn, sn, a, b in zip(family.tN, family.sN, bounds, bounds[1:])),
+                ["="] * count, [1] * count, [2 * H] * count, [-1, 1] * (count * H),
+                _flat(zip(family.u, Tj, part.pair_node(family.sN), Tj)))
 
 
 def export_miqp(d: Dataset, alpha: float, sink) -> MiqpModel:
@@ -263,15 +299,13 @@ def export_miqp(d: Dataset, alpha: float, sink) -> MiqpModel:
     ``sink`` may be a path or a writable text stream.  A path is opened
     only once the model is built, so rejected input creates no file.
 
-    The text is split at the chunk ranges of the linear rows that
-    ``part_bounds`` gives, and every part is a ``workers.map_jobs`` job.
-    Part 0 (header, variables, objective and the first range) runs in the
-    caller and is written straight into the sink; a model below the split
-    threshold is this one part, and nothing forks.  The other parts render in
-    workers, each into an anonymous temporary file (the last one also holds
-    the quadratic rows and comments), and are appended to the sink in order,
-    in bounded blocks: bytes into a path's file, text into a given stream.
-    The text does not depend on the number of parts.
+    Each range of linear rows that ``part_bounds`` gives is a
+    ``workers.map_jobs`` job, which makes and renders its rows.  Part 0 (with
+    the header, variables and objective) runs in the caller, straight into the
+    sink; it is the only part below the split threshold.  The other parts
+    render in workers, each into an anonymous temporary file (the last with
+    the quadratic rows and comments), appended in order in bounded blocks:
+    bytes into a path's file, text into a given stream.
     """
     from . import workers
     model = build_miqp(d, alpha)
@@ -354,7 +388,7 @@ def check_assignment(model: MiqpModel, assignment) -> CheckResult:
     """
     values, violations = _coerce_assignment(model, assignment)
     report = violations.append
-    heuristics, nodes, tau = model.heuristics, model.nodes, model.tau
+    heuristics, nodes, taus = model.heuristics, model.nodes, model.tau.taus
     count = len(heuristics)
     at = Layout(count, len(nodes))
     v = at.split(values)
@@ -372,9 +406,8 @@ def check_assignment(model: MiqpModel, assignment) -> CheckResult:
         if model.horizon[h] * (1 - placed[0]) < t_h:
             report(f"budget_link[{h}]")
 
-    for n, s_n in zip(nodes, at.by_node(s)):
-        for h, t_h, s_nh in zip(heuristics, t, s_n):
-            t_req = tau[(n, h)]
+    for n, s_n, taus_n in zip(nodes, at.by_node(s), at.by_node(taus)):
+        for h, t_h, s_nh, t_req in zip(heuristics, t, s_n, taus_n):
             if s_nh != (0 if t_req is None else max(0, min(1, t_h - t_req + 1))):
                 report(f"solve_indicator[{n},{h}]")
 
@@ -396,13 +429,13 @@ def check_assignment(model: MiqpModel, assignment) -> CheckResult:
                 report(f"first_solver[{n},{h}]")
 
     unsolved_time = 1 + sum(t_h * sum(placed) for t_h, placed in zip(t, placements))
-    for n, z_n, f_n, solved, spent in zip(nodes, at.by_node(z), at.by_node(f), sN, tN):
+    for n, z_n, f_n, solved, spent, taus_n in zip(nodes, at.by_node(z), at.by_node(f), sN, tN,
+                                                   at.by_node(taus)):
         expected = unsolved_time
         if solved == 1:
             solver_time = math.inf
-            for h, f_nh in zip(heuristics, f_n):
+            for f_nh, t_req in zip(f_n, taus_n):
                 if f_nh == 1:
-                    t_req = tau[(n, h)]
                     solver_time = t_req if t_req is not None else math.inf
             expected = sum(map(mul, z_n, t)) + solver_time
         if spent != expected:
@@ -445,7 +478,7 @@ def schedule_assignment(model: MiqpModel, schedule: Schedule) -> dict:
 
     # family by family, per pair or per node: no container per node is kept
     at = Layout(count, len(model.nodes))
-    taus = list(map(model.tau.__getitem__, at.pairs(model.nodes, heuristics)))
+    taus = model.tau.taus
     positions = at.pair_heuristic(position)
     covered = [1 if (t_req is not None and b >= t_req) else 0
                for t_req, b in zip(taus, at.pair_heuristic(budget))]
@@ -477,10 +510,10 @@ def schedule_assignment(model: MiqpModel, schedule: Schedule) -> dict:
 
 def _chunks(model: MiqpModel, bounds: list, part: int):
     """Part ``part`` of the model's text rendering, section by section, in
-    bounded chunks: the linear rows of chunks ``bounds[part]`` to
-    ``bounds[part + 1]``, after the header, variables and objective in part 0
-    and before the quadratic rows and comments in the last part.  With
-    ``bounds`` ``[0, len(model.linear.cids)]``, part 0 is the whole rendering."""
+    bounded chunks: the linear rows ``bounds[part]`` to ``bounds[part + 1]``,
+    after the header, variables and objective in part 0 and before the
+    quadratic rows and comments in the last part.  With ``bounds``
+    ``[0, len(model.linear)]``, part 0 is the whole rendering."""
     if part == 0:
         yield ("# minimum-cost heuristic scheduling model (mixed-integer, quadratic)\n"
                "# sections: VARIABLES, OBJECTIVE, LINEAR, QUADRATIC, COMMENTS\n"

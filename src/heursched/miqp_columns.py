@@ -1,55 +1,51 @@
-"""Flat column storage of the MIQP model's variables, rows and objective.
+"""Flat column storage of the MIQP model's variables and objective; rows made when read.
 
-A few hundred nodes make hundreds of thousands of rows, so ``miqp`` keeps
-its model in a fixed set of flat lists, and rows name variables by index.
 ``Layout`` is the one place that knows the variable order: each family's
 slice of it (``Families`` holds one item per family), and how per-heuristic,
 per-node and per-pair lists line up with those slices.  ``VariableRows`` are
 the columns ``names`` and ``attributes``, each variable's ``(kind, lower,
 upper, family)`` record, one shared tuple for all variables of equal records.
-``Rows`` are ``cids``, ``ends`` (cumulative term counts), ``coefs``, ``vars``,
-``ops`` and ``rhs``; quadratic rows add ``qends``, ``qcoefs`` and ``qvars``
-(two indices per term ``c * a * b``).  ``cids`` holds one newline-joined text
-of ids per ``CHUNK_ROWS`` rows, joined as blocks of rows arrive, so a row id
-must be a non-empty string free of whitespace; ``ends`` and ``qends`` are
-``array("q")``.  A built model holds about 170 bytes per linear row (12
-heuristics by 800 nodes), against about 255 with an id string and an end int per
-row.  ``Terms``, the objective, are ``coefs`` and ``vars``.  Everything reads
-back with names: a variable as a ``MiqpVariable``, a row as ``(id, (c1,
-name1, ...), operator, right-hand side)`` (a quadratic row adds ``(c1, a1,
-b1, ...)`` before the operator), the objective as ``(c1, name1, ...)``.
-Only ``miqp.build_miqp`` fills these columns: ``VariableRows.declare`` lays
-out the variables of a built model and ``variable_names`` their names, and
-``Rows.violated`` evaluates rows on one list of values in variable order.
+``PairTaus`` reads the per-pair tau list as a ``(node, heuristic)`` mapping,
+and ``Terms``, the objective, are ``coefs`` and ``vars``.
 
-A block of at least ``2 * PART_ROWS`` rows splits into contiguous ranges of
-whole chunks, at most one per worker (``part_bounds``); ``Rows.violated``
-evaluates the ranges in ``workers.map_jobs`` jobs, and ``miqp.export_miqp``
-renders them that way.  A smaller block is one range, one job, which
-``map_jobs`` runs in the caller without forking.
+No row is held.  ``Rows`` are blocks in row order, one per constraint family:
+``(starts, make)``, where ``starts`` holds each unit's first row within the
+block (a unit is a node, or the whole of a family of a few rows per
+heuristic) and then the block's row count, and ``make(lo, hi)`` returns the
+columns of units ``lo`` to ``hi``, a ``Segment``.  So a model holds about 35
+bytes per linear row (12 heuristics by 200 nodes), all of it variable names
+and records.  ``Rows.segments`` makes a row range in segments of about
+``CHUNK_ROWS`` rows, found by bisection and cut to the range, and indexing,
+iteration, ``Rows.violated`` and ``row_chunks`` read one segment at a time.
+Rows name variables by index and read back with names, as ``(id, (c1, name1,
+...), operator, right-hand side)``; a quadratic row adds ``(c1, a1, b1, ...)``
+before the operator.  ``part_bounds`` splits at least ``2 * PART_ROWS`` rows
+into ranges, at most one per worker: ``Rows.violated`` makes and evaluates,
+and ``miqp.export_miqp`` makes and renders, each range in a
+``workers.map_jobs`` job.  Fewer rows are one range, run in the caller.
 
-``row_chunks`` renders a range of chunks straight from the columns, one
-``"".join`` per ``CHUNK_ROWS`` rows.  A flat list holds two slots per term,
-filled by slice assignment: the coefficient's cached spaced text, such as
-`` + 3 ``, and the variable's name.  One f-string per row overwrites its
-first coefficient slot with the previous row's `` <op> <rhs>\n``, the row's
-id and the coefficient without ``+ ``; every row the build emits has a
+``row_chunks`` renders one ``"".join`` per segment.  A flat list holds two
+slots per term, filled by slice assignment: the coefficient's cached spaced
+text, such as `` + 3 ``, and the variable's name.  One f-string per row
+overwrites its first coefficient slot with the previous row's `` <op>
+<rhs>\\n``, the row's id and the coefficient without ``+ ``; every row has a
 linear term.  A quadratic row's products, one join per row, precede its
 operator.  ``num`` writes integers without passing them through ``float``.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from collections import namedtuple
-from collections.abc import Sequence
+from collections.abc import Mapping, Sequence
 from functools import lru_cache
-from itertools import accumulate, chain, count, islice, product
+from itertools import accumulate, chain, islice, product
 from numbers import Integral
-from operator import add, mul
+from operator import add, eq, mul, sub
 from typing import NamedTuple
 
-CHUNK_ROWS = 256
-PART_ROWS = 64 * CHUNK_ROWS  # the fewest rows a range of a split block holds
+CHUNK_ROWS = 256  # about the rows of one segment
+PART_ROWS = 64 * CHUNK_ROWS  # the fewest rows a range of split rows holds
 NUMERIC_TOL = 1e-9
 _flat = chain.from_iterable
 
@@ -85,9 +81,15 @@ class Layout:
         """The ``(heuristic, position)`` of each ``x`` variable in order, one at a time."""
         return ((h, p) for h in heuristics for p in range(self.heuristics + 1))
 
-    def split(self, values: list) -> Families:
+    def split(self, values: Sequence) -> Families:
         """Each family's values, out of a list in variable order."""
         return Families(*map(values.__getitem__, self.slices))
+
+    def span(self, lo: int, hi: int) -> Families:
+        """Each family's indices, as ranges: nodes ``lo`` to ``hi``'s, all of x, t and p."""
+        whole = self.split(range(self.size))
+        return Families(*whole[:3], *(r[lo * len(r) // self.nodes:hi * len(r) // self.nodes]
+                                      for r in whole[3:]))
 
     def join(self, lists: Families) -> list:
         """One list in variable order, out of each family's values."""
@@ -96,12 +98,12 @@ class Layout:
             values[where] = items
         return values
 
-    def x_rows(self, x: list) -> list:
+    def x_rows(self, x: Sequence) -> list:
         """Per heuristic, its ``x`` at positions 0 to H."""
         width = self.heuristics + 1
         return [x[start:start + width] for start in range(0, len(x), width)]
 
-    def x_columns(self, x: list) -> list:
+    def x_columns(self, x: Sequence) -> list:
         """Per position 0 to H, the ``x`` of every heuristic there."""
         width = self.heuristics + 1
         return [x[p::width] for p in range(width)]
@@ -110,20 +112,20 @@ class Layout:
         """The ``x`` values that put heuristic ``j`` at ``positions[j]``."""
         return [1 if at == p else 0 for at in positions for p in range(self.heuristics + 1)]
 
-    def pair_heuristic(self, items: list) -> list:
+    def pair_heuristic(self, items: Sequence) -> list:
         """Per pair, its heuristic's item of a per-heuristic list."""
         return list(items) * self.nodes
 
-    def pair_node(self, items: list) -> list:
+    def pair_node(self, items: Sequence) -> list:
         """Per pair, its node's item of a list with one item per node."""
         return [item for item in items for _ in range(self.heuristics)]
 
-    def by_node(self, items: list):
+    def by_node(self, items: Sequence):
         """Per node, in turn, its run of a per-node list."""
         run = len(items) // (self.nodes or 1)
         return (items[i * run:(i + 1) * run] for i in range(self.nodes))
 
-    def node_major(self, *lists: list):
+    def node_major(self, *lists: Sequence):
         """Node by node, each list's run for that node, as one stream."""
         return _flat(_flat(zip(*map(self.by_node, lists))))
 
@@ -137,10 +139,9 @@ class MiqpVariable(NamedTuple):
 
 
 class _Columns(Sequence):
-    """Read-only sequence held in the flat lists that ``columns`` names."""
+    """Read-only sequence, equal to one of its type with equal items."""
 
     __slots__ = ()
-    columns: tuple = ()
 
     def __getitem__(self, index):
         if isinstance(index, slice):
@@ -148,8 +149,7 @@ class _Columns(Sequence):
         return self._item(range(len(self))[index])
 
     def __eq__(self, other) -> bool:
-        return type(other) is type(self) and all(
-            getattr(self, column) == getattr(other, column) for column in self.columns)
+        return type(other) is type(self) and len(other) == len(self) and all(map(eq, self, other))
 
 
 def variable_names(heuristics, nodes) -> list:
@@ -169,8 +169,7 @@ def variable_names(heuristics, nodes) -> list:
 class VariableRows(_Columns):
     """Variables, each read as a ``MiqpVariable``."""
 
-    columns = ("names", "attributes")
-    __slots__ = columns
+    __slots__ = ("names", "attributes")
 
     def __init__(self, names: list, attributes: list) -> None:
         self.names, self.attributes = names, attributes
@@ -202,126 +201,137 @@ class VariableRows(_Columns):
         return MiqpVariable(self.names[k], *self.attributes[k])
 
 
-def _extend_ends(ends, lengths) -> None:
-    """Append to the array ``ends`` the cumulative term counts of rows of ``lengths``
-    terms, ``CHUNK_ROWS`` at a time: ``fromlist`` sizes the array once per slice,
-    where ``extend`` from an iterator appends item by item."""
-    totals = islice(accumulate(lengths, initial=ends[-1] if ends else 0), 1, None)
-    for part in iter(lambda: list(islice(totals, CHUNK_ROWS)), []):
-        ends.fromlist(part)
+class PairTaus(Mapping):
+    """Read-only ``(node, heuristic) -> tau`` view of ``taus``, the per-pair tau
+    list in pair order (None where the heuristic does not solve the node)."""
+
+    __slots__ = ("nodes", "heuristics", "taus")
+
+    def __init__(self, nodes, heuristics, taus: list) -> None:
+        self.nodes = {node: number for number, node in enumerate(nodes)}
+        self.heuristics = {h: number for number, h in enumerate(heuristics)}
+        self.taus = taus
+
+    def __getitem__(self, pair):
+        try:
+            node, heuristic = pair
+            return self.taus[self.nodes[node] * len(self.heuristics) + self.heuristics[heuristic]]
+        except (KeyError, TypeError, ValueError):
+            raise KeyError(pair) from None
+
+    def __iter__(self):
+        return Layout.pairs(self.nodes, self.heuristics)
+
+    def __len__(self) -> int:
+        return len(self.taus)
 
 
-def row_sums(ends, coefs, values: list, *factors, start: int = 0):
-    """Each row's terms (coefficient times its variables' values) summed left to
-    right from int 0, so integer rows stay exact; ``sum`` would compensate float
-    sums on Python 3.12 and later.  Products are formed row by row, never all held.
-
-    ``ends`` are the rows' cumulative term counts; ``coefs`` and each factor's
-    variable indices are iterables that begin at the first row's first term,
-    whose place in the columns is ``start``."""
+def row_sums(lengths, coefs, values: list, *factors) -> list:
+    """Each row's terms (coefficient times its variables' values) summed, at C
+    speed: the products' running total from int 0, differenced at the row ends.
+    Every row term is an int, so each difference is exact; a single row is its
+    total, summed left to right (``sum`` would compensate float sums on Python
+    3.12 and later).  ``lengths`` count each row's terms."""
     products = coefs
     for variables in factors:
         products = map(mul, products, map(values.__getitem__, variables))
-    products = iter(products)
-    for end in ends:
-        total = 0
-        for product in islice(products, end - start):
-            total += product
-        yield total
-        start = end
+    totals, ends = list(accumulate(products, initial=0)), list(accumulate(lengths, initial=0))
+    return list(map(sub, map(totals.__getitem__, ends[1:]), map(totals.__getitem__, ends)))
 
 
-@lru_cache(maxsize=2)  # reads of rows in turn split each chunk of ``Rows.cids`` once
-def _ids(chunk: str) -> list:
-    return chunk.split("\n")
+class Segment(NamedTuple):
+    """Consecutive rows, column by column; linear rows leave the product columns None."""
+
+    ids: list
+    lengths: list  # terms per row
+    coefs: list
+    vars: list
+    ops: list
+    rhs: list
+    qlengths: list | None = None  # products per row, two variable indices each in qvars
+    qcoefs: list | None = None
+    qvars: list | None = None
+
+    def cut(self, first: int, last: int) -> Segment:
+        """Rows ``first`` to ``last``; quadratic blocks make one row per unit, uncut."""
+        if first == 0 and last == len(self.ops):
+            return self
+        ends = list(accumulate(self.lengths, initial=0))
+        a, b = ends[first], ends[last]
+        return Segment(self.ids[first:last], self.lengths[first:last], self.coefs[a:b],
+                       self.vars[a:b], self.ops[first:last], self.rhs[first:last])
+
+
+def _terms(names: list, lengths: list, coefs: list, variables: list, arity: int) -> list:
+    """Per row, its flat ``(c1, name1, ...)`` terms, ``arity`` names per term."""
+    named, coefs = map(names.__getitem__, variables), iter(coefs)
+    return [tuple(_flat(islice(zip(coefs, *[named] * arity), length))) for length in lengths]
 
 
 class Rows(_Columns):
-    """Constraint rows, each read as a tuple with names."""
+    """Constraint rows made block by block (see the module docstring), each read
+    as a tuple with names."""
 
-    columns = ("names", "cids", "ends", "coefs", "vars", "ops", "rhs", "qends", "qcoefs", "qvars")
-    __slots__ = columns
+    __slots__ = ("names", "blocks", "offsets")
 
-    def __init__(self, names: list, quadratic: bool = False) -> None:
-        from array import array  # an extension module: mapped only by processes that build rows
-        self.names = names
-        self.cids, self.coefs, self.vars, self.ops, self.rhs = [], [], [], [], []
-        self.ends = array("q")
-        self.qends, self.qcoefs, self.qvars = (array("q"), [], []) if quadratic else (None,) * 3
-
-    def add(self, cids, lengths, coefs, variables, ops, rhs, qlengths=(), qcoefs=(), qvars=()):
-        """Append a block of rows column by column; ``lengths`` count each row's terms."""
-        cids, partial = iter(cids), len(self) % CHUNK_ROWS
-        if partial:
-            self.cids[-1] = "\n".join(chain(self.cids[-1:], islice(cids, CHUNK_ROWS - partial)))
-        self.cids += iter(lambda: "\n".join(islice(cids, CHUNK_ROWS)), "")
-        _extend_ends(self.ends, lengths)
-        self.coefs += coefs
-        self.vars += variables
-        self.ops += ops
-        self.rhs += rhs
-        if self.qends is not None:
-            _extend_ends(self.qends, qlengths)
-            self.qcoefs += qcoefs
-            self.qvars += qvars
+    def __init__(self, names: list, blocks: list) -> None:
+        self.names, self.blocks = names, blocks
+        self.offsets = list(accumulate((starts[-1] for starts, _ in blocks), initial=0))
 
     def __len__(self) -> int:
-        return len(self.ops)
+        return self.offsets[-1]
+
+    def segments(self, first: int = 0, last: int | None = None):
+        """Rows ``first`` to ``last`` (by default all), one ``Segment`` at a time."""
+        last = len(self) if last is None else last
+        for (starts, make), offset in zip(self.blocks, self.offsets):
+            a, b = max(first - offset, 0), min(last - offset, starts[-1])
+            unit = bisect_right(starts, a) - 1
+            while a < b:
+                lo = starts[unit]
+                end = bisect_left(starts, min(lo + CHUNK_ROWS, b))
+                yield Segment(*map(list, make(unit, end))).cut(a - lo, min(b, starts[end]) - lo)
+                a, unit = starts[end], end
 
     def violated(self, values: list) -> list[str]:
-        """The ids of the rows that ``values``, one per variable, break, in row order.
-
-        Each row range of ``part_bounds`` is evaluated in a ``workers.map_jobs``
-        job, and the jobs' ids are joined in range order; a block below the split
-        threshold is one range, which ``map_jobs`` evaluates in the caller
-        without forking."""
+        """The ids of the rows that ``values``, one per variable, break, in row order:
+        one ``workers.map_jobs`` job per range of ``part_bounds``, joined in order."""
         from . import workers
         bounds = part_bounds(self)
-        rows = [min(chunk * CHUNK_ROWS, len(self)) for chunk in bounds]
         return list(_flat(workers.map_jobs(
-            lambda part: self._violated(values, rows[part], rows[part + 1]), len(bounds) - 1)))
+            lambda part: self._violated(values, bounds[part], bounds[part + 1]), len(bounds) - 1)))
 
     def _violated(self, values: list, first: int, last: int) -> list[str]:
-        """The ids of the rows ``first`` to ``last`` that ``values`` break; the
-        columns are walked from the range's first term, never copied."""
-        start = self.ends[first - 1] if first else 0
-        sums = row_sums(islice(self.ends, first, last), islice(self.coefs, start, None), values,
-                        islice(self.vars, start, None), start=start)
-        if self.qends is not None:  # two variable indices per product term
-            start = self.qends[first - 1] if first else 0
-            sums = map(add, sums, row_sums(
-                islice(self.qends, first, last), islice(self.qcoefs, start, None), values,
-                islice(self.qvars, 2 * start, None, 2), islice(self.qvars, 2 * start + 1, None, 2),
-                start=start))
-        tol = NUMERIC_TOL
-        return [self._cid(k) for k, lhs, op, rhs in zip(count(first), sums,
-                                                        islice(self.ops, first, last),
-                                                        islice(self.rhs, first, last))
-                if not (lhs <= rhs + tol if op == "<=" else lhs >= rhs - tol if op == ">="
-                        else -tol <= lhs - rhs <= tol)]
+        tol, found = NUMERIC_TOL, []
+        for seg in self.segments(first, last):
+            sums = row_sums(seg.lengths, seg.coefs, values, seg.vars)
+            if seg.qlengths is not None:  # two variable indices per product term
+                sums = map(add, sums, row_sums(seg.qlengths, seg.qcoefs, values,
+                                               seg.qvars[::2], seg.qvars[1::2]))
+            found += [cid for cid, lhs, op, rhs in zip(seg.ids, sums, seg.ops, seg.rhs)
+                      if not (lhs <= rhs + tol if op == "<=" else lhs >= rhs - tol if op == ">="
+                              else -tol <= lhs - rhs <= tol)]
+        return found
 
-    def _cid(self, k: int) -> str:
-        return _ids(self.cids[k // CHUNK_ROWS])[k % CHUNK_ROWS]
+    def _named(self, seg: Segment):  # the segment's rows with names
+        columns = [seg.ids, _terms(self.names, seg.lengths, seg.coefs, seg.vars, 1)]
+        if seg.qlengths is not None:
+            columns.append(_terms(self.names, seg.qlengths, seg.qcoefs, seg.qvars, 2))
+        return zip(*columns, seg.ops, seg.rhs)
 
-    def _terms(self, ends: Sequence, coefs: list, variables: list, k: int, arity: int) -> tuple:
-        start, end = ends[k - 1] if k else 0, ends[k]
-        names = map(self.names.__getitem__, variables[arity * start:arity * end])
-        return tuple(_flat(zip(coefs[start:end], *[names] * arity)))
+    def __iter__(self):
+        return _flat(map(self._named, self.segments()))
 
     def _item(self, k: int) -> tuple:
-        row = (self._cid(k), self._terms(self.ends, self.coefs, self.vars, k, 1))
-        if self.qends is not None:
-            row += (self._terms(self.qends, self.qcoefs, self.qvars, k, 2),)
-        return (*row, self.ops[k], self.rhs[k])
+        return next(self._named(next(self.segments(k, k + 1))))
 
 
 class Terms(_Columns):
     """The objective's flat terms ``(c1, name1, ...)``."""
 
-    columns = ("names", "coefs", "vars")
-    __slots__ = columns
+    __slots__ = ("names", "coefs", "vars")
 
-    def __init__(self, names: list, coefs: list, variables: list) -> None:
+    def __init__(self, names: list, coefs: list, variables: Sequence) -> None:
         self.names, self.coefs, self.vars = names, coefs, variables
 
     def __len__(self) -> int:
@@ -365,40 +375,36 @@ def _pieces(coefs: list, names) -> list:
 
 
 def part_bounds(rows: Rows) -> list:
-    """The chunk ranges that ``rows`` split into, as ``[0, ..., len(rows.cids)]``:
-    ``min(workers, len(rows) // PART_ROWS)`` ranges of near-equal chunk counts, or
+    """The row ranges that ``rows`` split into, as ``[0, ..., len(rows)]``:
+    ``min(workers, len(rows) // PART_ROWS)`` ranges of near-equal row counts, or
     one range, with nothing imported, below ``2 * PART_ROWS`` rows."""
-    chunks, parts = len(rows.cids), len(rows) // PART_ROWS
+    total = len(rows)
+    parts = total // PART_ROWS
     if parts > 1:
         from . import workers  # read through the module, where tests replace it
         parts = min(workers._worker_count(), parts)
     parts = max(parts, 1)
-    return [chunks * part // parts for part in range(parts + 1)]
+    return [total * part // parts for part in range(parts + 1)]
 
 
-def row_chunks(rows: Rows, first_chunk: int = 0, end_chunk: int | None = None):
-    """The rows of chunks ``first_chunk`` to ``end_chunk`` (by default all) as
-    text lines, ``CHUNK_ROWS`` rows per chunk (see the module docstring)."""
-    names, coefs, variables = rows.names, rows.coefs, rows.vars
-    for first, ids in zip(range(first_chunk * CHUNK_ROWS, len(rows), CHUNK_ROWS),
-                          islice(rows.cids, first_chunk, end_chunk)):
-        last = min(first + CHUNK_ROWS, len(rows))
-        bounds = rows.ends[first - 1:last] if first else [0, *rows.ends[:last]]
-        start, stop = bounds[0], bounds[-1]
-        pieces = _pieces(coefs[start:stop], map(names.__getitem__, variables[start:stop]))
-        ops = rows.ops[first:last]
-        if rows.qends is not None:  # one join per quadratic row, of which there is one per node
-            qb = rows.qends[first - 1:last] if first else [0, *rows.qends[:last]]
-            pairs = map(names.__getitem__, rows.qvars[2 * qb[0]:2 * qb[-1]])
-            products = _pieces(rows.qcoefs[qb[0]:qb[-1]],
-                               [f"{a}*{b}" for a, b in zip(pairs, pairs)])
-            ops = [f"{''.join(products[2 * (a - qb[0]):2 * (b - qb[0])])[1:]} {op}"
-                   for a, b, op in zip(qb, qb[1:], ops)]
-            del products  # the largest transient of a chunk: freed before the chunk's join
+def row_chunks(rows: Rows, first: int = 0, last: int | None = None):
+    """The rows ``first`` to ``last`` (by default all) as text lines, one text
+    per segment (see the module docstring)."""
+    names = rows.names
+    for seg in rows.segments(first, last):
+        coefs, ops = seg.coefs, seg.ops
+        pieces = _pieces(coefs, map(names.__getitem__, seg.vars))
+        if seg.qlengths is not None:  # one join per quadratic row, of which there is one per node
+            pairs = map(names.__getitem__, seg.qvars)
+            products = _pieces(seg.qcoefs, [f"{a}*{b}" for a, b in zip(pairs, pairs)])
+            ends = list(accumulate(seg.qlengths, initial=0))
+            ops = [f"{''.join(products[2 * a:2 * b])[1:]} {op}"
+                   for a, b, op in zip(ends, ends[1:], ops)]
+            del products  # the largest transient of a segment: freed before its join
         tail = ""  # the previous row's operator, right-hand side and newline
-        for cid, at, op, rhs in zip(ids.split("\n"), bounds, ops,
-                                    map(num, rows.rhs[first:last])):
-            pieces[2 * (at - start)] = f"{tail}{cid}: {_lead(coefs[at])}"
+        for cid, at, op, rhs in zip(seg.ids, accumulate(seg.lengths, initial=0), ops,
+                                    map(num, seg.rhs)):
+            pieces[2 * at] = f"{tail}{cid}: {_lead(coefs[at])}"
             tail = f" {op} {rhs}\n"
         pieces.append(tail)
         yield "".join(pieces)

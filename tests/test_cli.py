@@ -18,6 +18,7 @@ import heursched.simulator as simulator
 import heursched.workers as workers
 from heursched import Schedule, __version__, load_dataset, load_schedule
 from heursched.cli import dispatch, run_crossval
+from heursched.dataset import DATASET_HEADER
 from heursched import InputError, load_sim_config
 
 from conftest import COVERAGE_CFG, PLANTED_CFG, WORKED_CSV, counted_forks
@@ -44,6 +45,18 @@ def test_build_writes_schedule_and_manifest(tmp_path, worked_csv, capsys):
     assert manifest["command"] == "build"
     assert manifest["version"] == __version__
     assert str(out) in manifest["outputs"]
+
+
+def test_build_refuses_a_header_only_dataset(tmp_path, capsys):
+    data = tmp_path / "empty.csv"
+    data.write_text(DATASET_HEADER + "\n", encoding="utf-8")
+    out = tmp_path / "g.csv"
+    assert dispatch(["build", "--data", str(data), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ("heursched: error: dataset must contain at least one node and "
+                            "one heuristic\n")
+    assert captured.out == ""
+    assert not out.exists()
 
 
 def test_eval_prints_feasibility(tmp_path, worked_csv, capsys):

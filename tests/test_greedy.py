@@ -98,6 +98,15 @@ def test_build_schedule_rejects_empty_dataset():
         build_schedule(Dataset((), (), ()))
 
 
+@pytest.mark.parametrize("d", [Dataset(("h",), (), ()), Dataset((), ("N1",), ())],
+                         ids=["no nodes", "no heuristics"])
+def test_build_schedule_needs_a_node_and_a_heuristic(d):
+    # either one missing is refused, not only both
+    with pytest.raises(InputError) as excinfo:
+        build_schedule(d)
+    assert str(excinfo.value) == "dataset must contain at least one node and one heuristic"
+
+
 def test_normalization_changes_the_winner():
     # pricey solves two nodes but at 10 s/iteration; cheap solves one at 0.1
     d = Dataset.from_observations([
@@ -181,6 +190,19 @@ def test_trace_rendering_one_line_per_step(worked):
     text = trace.render()
     assert len(text.splitlines()) == len(trace.steps)
     assert "h1" in text and "ratio" in text
+
+
+def test_trace_renders_the_exact_text(worked, pathological):
+    # steps are numbered from 1, and a step that raises the last budget says so
+    _, trace, _ = build_schedule(worked)
+    assert trace.render() == (
+        "step 1: h1 up to 1 iterations -> +1 nodes, cost 1, ratio 1\n"
+        "step 2: h2 up to 3 iterations -> +2 nodes, cost 3, ratio 0.666667")
+    _, trace, _ = build_schedule(pathological, GreedyOptions(allow_extension=True))
+    assert trace.render() == (
+        "step 1: h up to 1 iterations -> +1 nodes, cost 1, ratio 1\n"
+        "step 2: h up to 100 iterations (raises previous budget) -> +99 nodes, cost 99, "
+        "ratio 1")
 
 
 def recount_best_action(d, unsolved, scheduled, last_entry, weights):

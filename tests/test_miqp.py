@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import bisect
 import dataclasses
 import gc
 import hashlib
@@ -8,7 +9,8 @@ import math
 import os
 import random
 import tracemalloc
-from array import array
+import types
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -287,10 +289,10 @@ def test_export_streams_chunks_that_join_to_the_rendering():
 
 
 def test_built_model_holds_under_200_bytes_per_row():
-    # Row ids used to be one str object each and term ends one int object per
-    # row: about 251 bytes held per linear row here.  Ids joined per chunk and
-    # ends in an array hold about 163 on CPython 3.11; 200 leaves room for
-    # other versions' object sizes.
+    # Rows stored column by column held about 163 bytes per linear row here on
+    # CPython 3.11.  Rows made from the formulas when read hold none: the about
+    # 34 bytes per linear row left are the variables' names and records; 60
+    # leaves room for other versions' object sizes.
     d = twelve_by_two_hundred()
     tracemalloc.start()
     try:
@@ -301,8 +303,7 @@ def test_built_model_holds_under_200_bytes_per_row():
         tracemalloc.stop()
     rows = len(model.linear)
     assert rows == 45449
-    assert held / rows < 200
-    assert len(model.linear.cids) == math.ceil(rows / CHUNK_ROWS)
+    assert held / rows <= 60
 
 
 def test_integers_above_2_53_render_exactly(tmp_path):
@@ -342,45 +343,50 @@ def test_schedule_assignments_pass_both_checkers(case, alpha):
     # every row opens with a positive linear term, so the renderer need not handle rows
     # without one
     for rows in (model.linear, model.quadratic):
-        ends = [0, *rows.ends]
-        assert all(map(int.__lt__, ends, ends[1:]))
-        assert all(rows.coefs[start] > 0 for start in ends[:-1])
+        assert all(row[1] and row[1][0] > 0 for row in rows)
 
 
-def test_model_storage_is_a_fixed_set_of_flat_lists(worked):
+def test_model_storage_is_a_fixed_set_of_flat_lists():
     # Hundreds of thousands of row or variable containers made every garbage
-    # collection rescan the whole model.  The model keeps its variables, rows
-    # and objective in flat columns instead: the same few lists of numbers and
-    # strings, and arrays of term ends, whatever the model size, none of which
-    # the collector looks into.
-    def columns(model):  # linear rows leave the quadratic-term columns unset
-        return [getattr(part, column)
-                for part in (model.variables, model.objective, model.linear, model.quadratic)
-                for column in part.columns
-                if (column != "names" or part is model.variables)
-                and getattr(part, column) is not None]
+    # collection rescan the whole model, and stored rows were most of its memory.
+    # A model holds a fixed set of containers whatever its size: flat lists of
+    # numbers and strings, a few shared variable records, and what its rows are
+    # made from; no container per row, per variable or per node.
+    def held(model):
+        """Every object the model holds, apart from code, classes and modules."""
+        seen, stack = {}, [model]
+        while stack:
+            obj = stack.pop()
+            if id(obj) not in seen and not isinstance(obj, (type, types.ModuleType,
+                                                            types.FunctionType,
+                                                            types.BuiltinFunctionType)):
+                seen[id(obj)] = obj
+                stack += gc.get_referents(obj)
+        return seen.values()
 
-    small = build_miqp(worked, 0.5)
-    large = build_miqp(Dataset.from_observations(
-        Observation(f"h{j}", f"N{i}", (i + j) % 5 + 1 if (i + j) % 3 else None, 9)
-        for j in range(5) for i in range(40)), 0.5)
-    assert len(large.linear) > 20 * len(small.linear)
-    for model in (small, large):
-        # variables 2, objective 2, linear rows 6 (ends an array), quadratic rows 9
-        assert [type(column) for column in columns(model)] == (
-            [list] * 5 + [array] + [list] * 5 + [array] + [list] * 4 + [array] + [list] * 2)
-        assert {column.typecode for column in columns(model) if type(column) is array} == {"q"}
+    def model(nodes):
+        return build_miqp(Dataset.from_observations(
+            Observation(f"h{j}", f"N{i}", (i + j) % 5 + 1 if (i + j) % 3 else None, 9)
+            for j in range(5) for i in range(nodes)), 0.5)
+
+    small, large = model(40), model(80)
+    gc.collect()  # which untracks the tuples that hold only untracked items
+    tracked = [[obj for obj in held(m) if gc.is_tracked(obj)] for m in (small, large)]
+    # twice the nodes, the same tracked objects: every list item and record field is
+    # an untracked number or string
+    assert Counter(map(type, tracked[0])) == Counter(map(type, tracked[1]))
+    for m, objects in zip((small, large), tracked):
+        names, attributes = m.variables.names, m.variables.attributes
+        # apart from the variables' names and records, far fewer items than rows
+        items = sum(len(obj) for obj in objects if isinstance(obj, (list, tuple, dict))
+                    and obj is not names and obj is not attributes)
+        assert items < len(m.linear) / 8
         # each variable's (kind, lower, upper, family) is one of a few shared records:
         # one per family, with one per distinct horizon in place of t's
-        records = {id(record): record for record in model.variables.attributes}.values()
-        assert {type(record) for record in records} == {tuple}
-        assert len(records) <= 13 + len(model.heuristics)
-        flat = [column for column in columns(model) if column is not model.variables.attributes]
-        items = [item for column in flat for item in column] + [
-            field for record in records for field in record]
-        assert {type(item) for item in items} <= {int, float, str}
-        assert not any(gc.is_tracked(item) for item in items)
-        assert sum(map(len, flat)) + 4 * len(records) == len(items)
+        records = {id(record): record for record in attributes}.values()
+        assert len(records) <= 13 + len(m.heuristics)
+        assert not any(gc.is_tracked(item) for column in (names, m.tau.taus, records)
+                       for item in column)
     assert small.variable("t[h1]").upper == small.horizon["h1"]
 
 
@@ -583,10 +589,16 @@ def test_rows_read_back_with_names(worked):
                                                         -4, "v[N1][h2]", -1, "t[h3]"))
     assert model.quadratic[0][2][:6] == (-1, "u[N1][h1]", "t[h1]", 1, "sN[N1]", "t[h1]")
     assert tuple(model.objective) == (1.0, "tN[N1]", 1.0, "tN[N2]", 1.0, "tN[N3]")
+    # models compare by what they read back: another build of the same input is equal
+    assert build_miqp(worked, 0.5) == model != build_miqp(worked, 0.4)
+    assert model.tau == {(n, h): worked.iterations_to_solution(h, n)
+                         for n in worked.nodes for h in worked.heuristics}
+    with pytest.raises(KeyError):
+        model.tau[("N9", "h1")]
 
 
 def test_rows_across_chunk_boundaries():
-    # row ids are stored one text per chunk of CHUNK_ROWS rows
+    # rows are made in segments of about CHUNK_ROWS rows, cut to the rows read
     d = Dataset.from_observations(Observation(f"h{j}", f"N{i}", (i + j) % 4 + 1, 9)
                                   for j in range(3) for i in range(12))
     model = build_miqp(d, 0.0)
@@ -606,13 +618,13 @@ def test_rows_across_chunk_boundaries():
 
 
 def three_by_thirty():
-    """3 heuristics by 30 nodes: 1,765 linear rows, 7 chunks."""
+    """3 heuristics by 30 nodes: 1,765 linear rows."""
     return Dataset.from_observations(Observation(f"h{j}", f"N{i}", (i + 2 * j) % 5 or None, 9)
                                      for j in range(3) for i in range(30))
 
 
 def test_export_text_does_not_depend_on_the_part_count(tmp_path, monkeypatch):
-    # a range of CHUNK_ROWS rows is enough to split: 3 parts of 2, 2 and 3 chunks
+    # a range of CHUNK_ROWS rows is enough to split: 3 parts of 588, 588 and 589 rows
     monkeypatch.setattr(miqp_columns, "PART_ROWS", CHUNK_ROWS)
     d = three_by_thirty()
     forks = counted_forks(monkeypatch)
@@ -624,7 +636,7 @@ def test_export_text_does_not_depend_on_the_part_count(tmp_path, monkeypatch):
         export_miqp(d, 0.5, stream)
         assert path.read_bytes() == stream.getvalue().encode("utf-8")
         texts.append(stream.getvalue())
-        assert part_bounds(model.linear) == ([0, 7] if count == 1 else [0, 2, 4, 7])
+        assert part_bounds(model.linear) == ([0, 1765] if count == 1 else [0, 588, 1176, 1765])
         assert len(forks) == (0 if count == 1 else 4)  # two workers per export
     assert len(model.linear) == 1765
     assert texts[0] == texts[1] == model.render()
@@ -641,12 +653,14 @@ def test_linearized_check_lists_ids_in_row_order_whatever_the_part_count(monkeyp
     for count in (1, 3):
         monkeypatch.setattr(workers, "_worker_count", lambda: count)
         results.append(check_linearized(model, assignment))
+    bounds = part_bounds(model.linear)
+    assert len(bounds) == 4
     assert results[0] == results[1] == reference_check_linearized(model, assignment)
     rows = {row[0]: k for k, row in enumerate(model.linear)}
     found = [rows[cid] for cid in results[0].violations if cid in rows]
     assert found == sorted(found)
-    # violated rows in each range of chunks [0, 2), [2, 4) and [4, 7), and a quadratic one
-    assert {min(k // (2 * CHUNK_ROWS), 2) for k in found} == {0, 1, 2}
+    # violated rows in each of the 3 ranges, and a quadratic one
+    assert {bisect.bisect_right(bounds, k) - 1 for k in found} == {0, 1, 2}
     assert results[0].violations[-1] == "node_time[N28]"
 
 
@@ -658,7 +672,7 @@ def test_models_below_the_split_threshold_never_fork(tmp_path, monkeypatch, work
     monkeypatch.setattr(workers, "_worker_count", lambda: 3)
     for small in (worked, three_by_thirty()):
         model = export_miqp(small, 0.5, tmp_path / "model.miqp")
-        assert part_bounds(model.linear) == [0, len(model.linear.cids)]
+        assert part_bounds(model.linear) == [0, len(model.linear)]
         export_miqp(small, 0.5, io.StringIO())
         check_linearized(model, schedule_assignment(model, Schedule((("h1", 1),))))
 
