@@ -506,15 +506,6 @@ def _clear(text: str) -> bool:
     return text.isascii() and not any(map(text.__contains__, _UNCLEAR))
 
 
-def _clear_ids(ids: Sequence) -> bool:
-    """Whether ``validate_identifier`` surely accepts every id: each is a non-empty
-    str and their comma-joined text is clear, with no comma or line feed of its own."""
-    if set(map(type, ids)) != {str} or "" in ids:
-        return False
-    text = ",".join(ids)
-    return _clear(text) and "\n" not in text and text.count(",") == len(ids) - 1
-
-
 def _load_lines(source: str) -> Dataset:
     """``load_dataset`` one line at a time, naming the line of the first error."""
     registration: dict[str, int] = {}

@@ -46,9 +46,8 @@ from dataclasses import dataclass
 from itertools import chain
 from random import _sha512  # what Random.seed hashes a str with; hashlib would load OpenSSL
 
-from .dataset import (Dataset, _clear_ids, _rows_clear, check_count, check_row, content_lines,
-                      parse_int, validate_identifier)
-from .errors import InputError, require_finite, require_fraction
+from .dataset import Dataset, check_count, check_row, content_lines, parse_int, validate_identifier
+from .errors import InputError, finite, require_finite, require_fraction, shown
 from .greedy import GreedyOptions, build_schedule
 from .metrics import IncumbentTimeline, primal_integral, require_time_limit
 from .schedule import Schedule
@@ -72,6 +71,18 @@ _HEURISTIC_KEYS = (("class", str), ("success_probability", float),
 def check_sim_size(value: int, what: str) -> None:
     if value > MAX_SIM_SIZE:  # not printed: it may have more digits than str() allows
         raise InputError(f"{what} must be at most {MAX_SIM_SIZE}")
+
+
+def _check_family(heuristics, interarrival_seconds: float, optimum_value: float) -> None:
+    """The checks a configuration and an instance share."""
+    if not heuristics:
+        raise InputError("configuration needs at least one heuristic")
+    if len({spec.id for spec in heuristics}) != len(heuristics):
+        raise InputError("heuristic ids must be unique")
+    require_finite(interarrival_seconds, "interarrival_seconds")
+    require_finite(optimum_value, "optimum_value")
+    if interarrival_seconds <= 0:
+        raise InputError("interarrival_seconds must be positive")
 
 
 @dataclass(frozen=True)
@@ -126,11 +137,7 @@ class SimConfig:
     name: str = ""
 
     def __post_init__(self) -> None:
-        if not self.heuristics:
-            raise InputError("configuration needs at least one heuristic")
-        ids = [spec.id for spec in self.heuristics]
-        if len(set(ids)) != len(ids):
-            raise InputError("heuristic ids must be unique")
+        _check_family(self.heuristics, self.interarrival_seconds, self.optimum_value)
         for name in ("instances", "nodes_min", "nodes_max"):
             count = getattr(self, name)
             if not isinstance(count, int) or isinstance(count, bool):
@@ -141,14 +148,10 @@ class SimConfig:
         if not 1 <= self.nodes_min <= self.nodes_max:
             raise InputError(f"node count range [{self.nodes_min}, {self.nodes_max}] is invalid")
         check_sim_size(self.nodes_max * len(self.heuristics), "nodes_max times the heuristic count")
-        require_finite(self.interarrival_seconds, "interarrival_seconds")
-        require_finite(self.optimum_value, "optimum_value")
         if self.time_limit_seconds is not None:
             require_finite(self.time_limit_seconds, "time_limit_seconds")
-        if self.interarrival_seconds <= 0:
-            raise InputError("interarrival_seconds must be positive")
-        if self.time_limit_seconds is not None and self.time_limit_seconds <= 0:
-            raise InputError("time_limit_seconds must be positive")
+            if self.time_limit_seconds <= 0:
+                raise InputError("time_limit_seconds must be positive")
 
     def heuristic_ids(self) -> tuple[str, ...]:
         return tuple(spec.id for spec in self.heuristics)
@@ -181,8 +184,12 @@ class LatentOutcome:
     quality: float | None
 
     def __post_init__(self) -> None:
+        check_count(self.iterations, "iterations_executed")
         if self.succeeds != (self.quality is not None):
             raise InputError("a latent outcome has a quality exactly when it succeeds")
+        if self.quality is not None and (isinstance(self.quality, bool) or not (
+                isinstance(self.quality, (int, float)) and finite(self.quality))):
+            raise InputError(f"quality must be a finite number, got {shown(self.quality)}")
 
 
 class OutcomeColumns(Mapping):
@@ -213,8 +220,8 @@ class OutcomeColumns(Mapping):
 
 @dataclass(frozen=True)
 class SimInstance:
-    """One simulated search; a pure function of (configuration, seed).  Any other
-    mapping given as ``outcomes`` is converted once to ``OutcomeColumns``."""
+    """One simulated search; a pure function of (configuration, seed).  Any other mapping given
+    as ``outcomes`` is checked and converted once to ``OutcomeColumns``, which are trusted."""
 
     seed: int
     heuristics: tuple[HeuristicSpec, ...]
@@ -224,7 +231,12 @@ class SimInstance:
     optimum_value: float
 
     def __post_init__(self) -> None:
+        _check_family(self.heuristics, self.interarrival_seconds, self.optimum_value)
         if not isinstance(self.outcomes, OutcomeColumns):
+            for node in self.nodes:
+                validate_identifier(node, "node")
+            if len(set(self.nodes)) < len(self.nodes):
+                raise InputError("node ids must be unique within an instance")
             found = {spec.id: [self.outcomes.get((node, spec.id)) for node in self.nodes]
                      for spec in self.heuristics}
             iterations = {h: [o and o.iterations for o in found[h]] for h in found}
@@ -299,38 +311,25 @@ def generate_instance(cfg: SimConfig, seed: int) -> SimInstance:
 
 
 def _shadow_columns(inst: SimInstance) -> tuple:
-    """``(nodes, taus, executed, durations)`` of one instance: its node ids and, per
-    heuristic, its checked tau, executed and duration lists by node number."""
+    """``(nodes, taus, executed, durations)`` of one instance: its node ids and, per heuristic,
+    its tau, executed and duration lists by node number.  The instance checked the rest when
+    it was built; this raises on its first missing pair in node order, then on a duration."""
     specs = inst.heuristics
     executed = [inst.outcomes.iterations[spec.id] for spec in specs]
     qualities = [inst.outcomes.qualities[spec.id] for spec in specs]
-    # the checks of the loop below over whole columns (a tau is None or its count):
-    # the counts, then per heuristic the duration of each distinct count; on any
-    # doubt the loop runs and raises the first error in node order
-    if (_clear_ids(inst.nodes) and all(len(needs) == len(values) == len(inst.nodes)
-                                       for needs, values in zip(executed, qualities))
-            and _rows_clear((), list(chain.from_iterable(executed)), ())):
-        seconds = [{count: count * spec.seconds_per_iteration for count in set(needs)}
-                   for spec, needs in zip(specs, executed)]
-        if _rows_clear((), (), [cost for costs in seconds for cost in costs.values()]):
-            taus = [[iterations if value is not None else None
-                     for iterations, value in zip(needs, values)]
-                    for needs, values in zip(executed, qualities)]
-            durations = [list(map(costs.__getitem__, needs))
-                         for costs, needs in zip(seconds, executed)]
-            return inst.nodes, taus, executed, durations
-    taus, durations = ([[None] * len(inst.nodes) for _ in specs] for _ in range(2))
-    columns = list(zip(specs, executed, qualities, taus, durations))
-    for number, node in enumerate(inst.nodes):
-        validate_identifier(node, "node")
-        for spec, needs, values, tau_cells, duration_cells in columns:
-            iterations = needs[number]
-            if iterations is None:
-                inst.outcome(node, spec.id)  # raises: the pair has no outcome
-            tau = tau_cells[number] = iterations if values[number] is not None else None
-            check_row(spec.id, node, tau, iterations, None)  # before the count is multiplied
-            duration = duration_cells[number] = iterations * spec.seconds_per_iteration
-            check_row(spec.id, node, tau, iterations, duration)
+    gaps = [(needs.index(None), k) for k, needs in enumerate(executed) if None in needs]
+    if gaps:
+        number, k = min(gaps)
+        inst.outcome(inst.nodes[number], specs[k].id)  # raises: the pair has no outcome
+    seconds = [{count: count * spec.seconds_per_iteration for count in set(needs)}
+               for spec, needs in zip(specs, executed)]
+    for spec, needs, costs in zip(specs, executed, seconds):
+        if costs:  # a positive factor keeps the order: the largest count's duration is largest
+            most = max(costs)
+            check_row(spec.id, inst.nodes[needs.index(most)], None, most, costs[most])
+    taus = [[count if value is not None else None for count, value in zip(needs, values)]
+            for needs, values in zip(executed, qualities)]
+    durations = [list(map(costs.__getitem__, needs)) for costs, needs in zip(seconds, executed)]
     return inst.nodes, taus, executed, durations
 
 

@@ -298,7 +298,8 @@ def test_dataset_validates_every_registered_id(heuristics, nodes, message):
 def test_only_dataset_reads_its_columns():
     # the columns, node numbers and breakpoints are built in dataset.py alone;
     # the trusted constructor serves dataset.py and shadow collection only, and
-    # the count limit is read by check_row and its batch form alone
+    # the count limit is read by check_row and its batch form alone, which
+    # serves the loader only: a simulated instance is checked when it is built
     private = {"_taus", "_executed", "_durations", "_order", "_numbers", "_breakpoints"}
     trusted = {"_from_columns"}
     package = Path(heursched.__file__).parent
@@ -310,8 +311,10 @@ def test_only_dataset_reads_its_columns():
         if path.name != "dataset.py":
             assert not attrs & private, f"{path.name} reads {sorted(attrs & private)}"
             assert "MAX_COUNT" not in names, f"{path.name} names MAX_COUNT"
+            assert "_rows_clear" not in names, f"{path.name} names _rows_clear"
         if path.name not in ("dataset.py", "simulator.py"):
             assert not attrs & trusted, f"{path.name} calls {sorted(attrs & trusted)}"
+    assert not hasattr(dataset_module, "_clear_ids")
 
 
 @st.composite

@@ -153,19 +153,23 @@ def test_shadow_dataset_rejects_duplicate_nodes():
         collect_shadow_dataset([inst, inst])
 
 
-def _one_node_instance(spec: HeuristicSpec, node: str, outcome: LatentOutcome) -> SimInstance:
+def _one_node_instance(spec: HeuristicSpec, node: str, outcome: LatentOutcome,
+                       interarrival_seconds: float = 0.5) -> SimInstance:
     return SimInstance(seed=0, heuristics=(spec,), nodes=(node,),
                        outcomes={(node, spec.id): outcome},
-                       interarrival_seconds=0.5, optimum_value=0.0)
+                       interarrival_seconds=interarrival_seconds, optimum_value=0.0)
 
 
 def test_shadow_dataset_checks_rows_before_repeated_nodes():
     # repeated node ids are refused once for all instances, after their rows:
-    # this used to report "duplicate node id 'n' across instances"
-    spec = HeuristicSpec("h", "DIVING", 0.5, 0.5, 2, 0.1, 1.0, 1.0)
-    instances = [_one_node_instance(spec, "n", LatentOutcome(False, 2, None)),
-                 _one_node_instance(spec, "n", LatentOutcome(True, 0, 1.0))]
+    # this used to report "duplicate node id 'n' across instances"; a bad count
+    # is now refused before there is an instance to collect
+    spec = HeuristicSpec("h", "DIVING", 0.5, 0.5, 2, 1e308, 1.0, 1.0)
     with pytest.raises(InputError, match="iterations_executed must be a positive integer, got 0"):
+        LatentOutcome(True, 0, 1.0)
+    instances = [_one_node_instance(spec, "n", LatentOutcome(False, 1, None)),
+                 _one_node_instance(spec, "n", LatentOutcome(False, 2, None))]
+    with pytest.raises(InputError, match="duration_seconds must be finite and nonnegative"):
         collect_shadow_dataset(instances)
     with pytest.raises(InputError, match="duplicate node id 'n' across instances"):
         collect_shadow_dataset(instances[:1] * 2)
@@ -173,62 +177,98 @@ def test_shadow_dataset_checks_rows_before_repeated_nodes():
 
 @pytest.mark.parametrize("spec,node,outcome,fragment", [
     (HeuristicSpec("h", "DIVING", 0.5, 0.5, 2, 0.1, 1.0, 1.0), "a,b",
-     LatentOutcome(False, 2, None), "invalid node identifier 'a,b'"),
+     (False, 2, None), "invalid node identifier 'a,b'"),
     (HeuristicSpec("h", "DIVING", 0.0, 0.5, 2, 1e308, 1.0, 1.0), "n",
-     LatentOutcome(False, 2, None), "duration_seconds must be finite and nonnegative, got inf"),
+     (False, 2, None), "duration_seconds must be finite and nonnegative, got inf"),
     (HeuristicSpec("h", "DIVING", 0.5, 0.5, 2, 0.1, 1.0, 1.0), "n",
-     LatentOutcome(True, 0, 1.0), "iterations_executed must be a positive integer, got 0"),
+     (True, 0, 1.0), "iterations_executed must be a positive integer, got 0"),
     # a count is checked before it is multiplied into a duration
     (HeuristicSpec("h", "DIVING", 0.5, 0.5, 2, 0.1, 1.0, 1.0), "n",
-     LatentOutcome(False, 10 ** 400, None), "iterations_executed must be at most"),
+     (False, 10 ** 400, None), "iterations_executed must be at most"),
     (HeuristicSpec("h", "DIVING", 0.5, 0.5, 2, 0.1, 1.0, 1.0), "n",
-     LatentOutcome(False, "3", None), "iterations_executed must be a positive integer, got '3'"),
+     (False, "3", None), "iterations_executed must be a positive integer, got '3'"),
 ])
 def test_shadow_dataset_rejects_bad_rows(spec, node, outcome, fragment):
+    # ids and counts are refused when the instance is built; a duration, which
+    # the heuristic's seconds per iteration make, when the instance is collected
+    if not fragment.startswith("duration_seconds"):
+        with pytest.raises(InputError, match=fragment):
+            _one_node_instance(spec, node, LatentOutcome(*outcome))
+        return
+    inst = _one_node_instance(spec, node, LatentOutcome(*outcome))
     with pytest.raises(InputError, match=fragment):
-        collect_shadow_dataset([_one_node_instance(spec, node, outcome)])
+        collect_shadow_dataset([inst])
 
 
 def test_generated_instances_take_the_column_checks(monkeypatch):
+    # generated instances are trusted: generating and collecting them checks no
+    # node id, and per instance one duration per heuristic, its largest
     cfg = load_sim_config(PLANTED_CFG)
-    instances = [generate_instance(cfg, seed) for seed in range(3)]
-    expected = [simulator._shadow_columns(inst) for inst in instances]
-    collected = collect_shadow_dataset(instances)
+    expected = collect_shadow_dataset(generate_instance(cfg, seed) for seed in range(3))
+    calls, check_row = [], simulator.check_row
+
+    def counting(*args):
+        calls.append(args)
+        check_row(*args)
 
     def refuse(*args):
-        raise AssertionError("a pair went through the per-pair checks")
+        raise AssertionError("a generated node id was checked again")
 
-    monkeypatch.setattr(simulator, "check_row", refuse)
+    monkeypatch.setattr(simulator, "check_row", counting)
     monkeypatch.setattr(simulator, "validate_identifier", refuse)
-    assert [simulator._shadow_columns(inst) for inst in instances] == expected
-    assert collect_shadow_dataset(instances) == collected
+    assert collect_shadow_dataset(generate_instance(cfg, seed) for seed in range(3)) == expected
+    assert len(calls) == 3 * len(cfg.heuristics)
 
 
-# (node ids, the nodes of h's missing outcomes, h's seconds per iteration,
-# the error); h fails with 2 iterations at every node but n0, where it solves
-# in 1, and g solves everywhere in 1
-@pytest.mark.parametrize("nodes, missing, seconds, message", [
-    (("n0", "a,b", "n2"), ("n2",), 0.1,
+# (node ids, the missing (node, heuristic) pairs, h's seconds per iteration,
+# whether the instance is built, the error); h fails with 2 iterations at every
+# node but n0, where it solves in 1, and g solves everywhere in 1.  Ids are
+# refused when the instance is built, before its missing pairs and durations;
+# collection refuses the first missing pair in node order, then a duration.
+@pytest.mark.parametrize("nodes, missing, seconds, built, message", [
+    (("n0", "a,b", "n2"), (("n2", "h"),), 0.1, False,
      "invalid node identifier 'a,b': commas, newlines and a leading '#' are reserved"),
-    (("n0", "n1", "a,b"), ("n1",), 0.1, "no latent outcome for ('n1', 'h')"),
-    (("n0", "n1", "a,b"), (), 1e308, "duration_seconds must be finite and nonnegative, got inf"),
-    (("n0", "", "n2"), ("n0",), 0.1, "no latent outcome for ('n0', 'h')"),
-    (("n0", " n1"), (), 1e308,
+    (("n0", "n1", "a,b"), (("n1", "h"),), 0.1, False,
+     "invalid node identifier 'a,b': commas, newlines and a leading '#' are reserved"),
+    (("n0", "n1", "a,b"), (), 1e308, False,
+     "invalid node identifier 'a,b': commas, newlines and a leading '#' are reserved"),
+    (("n0", "", "n2"), (("n0", "h"),), 0.1, False,
+     "node identifier must be a non-empty string, got ''"),
+    (("n0", " n1"), (), 1e308, False,
      "invalid node identifier ' n1': leading and trailing whitespace would be stripped"),
-    (("n0", "n1"), (), 8e307, None),  # each duration finite, their sum not
+    (("n0", "n1"), (), 8e307, True, None),  # each duration finite, their sum not
+    (("n0", "n1", "n2"), (("n2", "g"), ("n1", "h")), 0.1, True,
+     "no latent outcome for ('n1', 'h')"),
+    (("n0", "n1", "n2"), (("n1", "h"), ("n1", "g")), 0.1, True,
+     "no latent outcome for ('n1', 'g')"),
+    (("n0", "n1", "n2"), (("n2", "h"),), 1e308, True, "no latent outcome for ('n2', 'h')"),
+    (("n0", "n1", "n2"), (), 1e308, True,
+     "duration_seconds must be finite and nonnegative, got inf"),
 ], ids=["bad id first", "missing outcome first", "overflowing duration first",
-        "missing outcome before empty id", "id before its durations", "finite durations"])
+        "missing outcome before empty id", "id before its durations", "finite durations",
+        "first missing outcome", "first missing heuristic", "missing outcome before durations",
+        "overflowing duration"])
 def test_hand_given_instances_raise_the_first_error_in_node_order(nodes, missing, seconds,
-                                                                   message):
+                                                                   built, message):
     h = HeuristicSpec("h", "DIVING", 0.5, 0.5, 2, seconds, 1.0, 1.0)
     g = HeuristicSpec("g", "LNS", 0.5, 0.5, 2, 0.1, 1.0, 1.0)
     outcomes = {(node, "g"): LatentOutcome(True, 1, 1.0) for node in nodes}
     for number, node in enumerate(nodes):
-        if node not in missing:
-            outcomes[(node, "h")] = (LatentOutcome(True, 1, 1.0) if number == 0
-                                     else LatentOutcome(False, 2, None))
-    inst = SimInstance(seed=0, heuristics=(g, h), nodes=nodes, outcomes=outcomes,
-                       interarrival_seconds=0.5, optimum_value=0.0)
+        outcomes[(node, "h")] = (LatentOutcome(True, 1, 1.0) if number == 0
+                                 else LatentOutcome(False, 2, None))
+    for pair in missing:
+        del outcomes[pair]
+
+    def build():
+        return SimInstance(seed=0, heuristics=(g, h), nodes=nodes, outcomes=outcomes,
+                           interarrival_seconds=0.5, optimum_value=0.0)
+
+    if not built:
+        with pytest.raises(InputError) as excinfo:
+            build()
+        assert str(excinfo.value) == message
+        return
+    inst = build()
     if message is None:
         d = collect_shadow_dataset([inst])
         assert d.observation("h", "n1") == Observation("h", "n1", None, 2, 2 * seconds)
@@ -236,6 +276,39 @@ def test_hand_given_instances_raise_the_first_error_in_node_order(nodes, missing
     with pytest.raises(InputError) as excinfo:
         collect_shadow_dataset([inst])
     assert str(excinfo.value) == message
+
+
+@pytest.mark.parametrize("outcome, message", [
+    ((True, "3", 101.0), "iterations_executed must be a positive integer, got '3'"),
+    ((True, 3, "101"), "quality must be a finite number, got '101'"),
+    ((True, 0, 101.0), "iterations_executed must be a positive integer, got 0"),
+    ((False, -5, None), "iterations_executed must be a positive integer, got -5"),
+    ((False, 10 ** 400, None), "iterations_executed must be at most 2**53 = 9007199254740992"),
+    ((False, True, None), "iterations_executed must be a positive integer, got True"),
+    ((True, 3, math.nan), "quality must be a finite number, got nan"),
+    ((True, 3, -math.inf), "quality must be a finite number, got -inf"),
+    ((True, 3, 10 ** 400), "quality must be a finite number, got an int beyond the float range"),
+    ((True, 3, False), "quality must be a finite number, got False"),
+], ids=["str count", "str quality", "zero count", "negative count", "count beyond 2**53",
+        "bool count", "nan quality", "infinite quality", "int quality beyond floats",
+        "bool quality"])
+def test_latent_outcomes_are_checked_when_built(outcome, message):
+    # each of these used to build, and replayed or raised a bare TypeError
+    with pytest.raises(InputError) as excinfo:
+        LatentOutcome(*outcome)
+    assert str(excinfo.value) == message
+    for succeeds, iterations, quality in [(True, 2 ** 53, -1e308), (True, 1, 7), (False, 1, None)]:
+        assert LatentOutcome(succeeds, iterations, quality).quality == quality
+
+
+def test_repeated_node_id_within_an_instance_is_refused():
+    # it used to build with one outcome, replay node n twice and be refused by
+    # collection as a node repeated across instances
+    with pytest.raises(InputError) as excinfo:
+        SimInstance(seed=0, heuristics=(_SPEC,), nodes=("n", "m", "n"),
+                    outcomes={("n", "h"): LatentOutcome(False, 2, None)},
+                    interarrival_seconds=0.5, optimum_value=0.0)
+    assert str(excinfo.value) == "node ids must be unique within an instance"
 
 
 def test_simulate_build_eval_constructs_no_observation(tmp_path, monkeypatch):
@@ -451,8 +524,12 @@ NON_FINITE = [float("nan"), float("inf"), float("-inf"), pytest.param(10 ** 400,
     lambda x: _cfg(optimum_value=x),
     lambda x: _cfg(time_limit_seconds=x),
     lambda x: run_with_schedule(generate_instance(_cfg(), 0), Schedule(), x),
+    lambda x: _one_node_instance(_SPEC, "n", LatentOutcome(False, 2, None),
+                                 interarrival_seconds=x),
+    lambda x: dataclasses.replace(generate_instance(_cfg(), 0), optimum_value=x),
 ], ids=["seconds_per_iteration", "quality_mean", "quality_spread", "interarrival_seconds",
-        "optimum_value", "time_limit_seconds", "run_time_limit"])
+        "optimum_value", "time_limit_seconds", "run_time_limit", "instance_interarrival_seconds",
+        "instance_optimum_value"])
 def test_non_finite_numbers_rejected(boundary, bad):
     with pytest.raises(InputError, match="must be finite"):
         boundary(bad)
@@ -777,12 +854,23 @@ _CFG_KEYS = "instances = 2\nnodes_min = 1\nnodes_max = 2\ninterarrival_seconds =
      "fold count must be positive, got 0"),
     (lambda: run_crossval([_cfg(), _cfg(heuristics=(_SPEC,))], 1, seed=1),
      "configurations must share one heuristic universe"),
+    # a hand-given instance and one whose fields were replaced take the same checks
+    (lambda: _one_node_instance(_SPEC, "n", LatentOutcome(False, 2, None), 0.0),
+     "interarrival_seconds must be positive"),
+    (lambda: _one_node_instance(_SPEC, "n", LatentOutcome(False, 2, None), -1.0),
+     "interarrival_seconds must be positive"),
+    (lambda: SimInstance(0, (), ("n",), {}, 0.5, 0.0), "configuration needs at least one heuristic"),
+    (lambda: dataclasses.replace(generate_instance(_cfg(), 0),
+                                 heuristics=_cfg().heuristics[:1] * 2),
+     "heuristic ids must be unique"),
 ], ids=["class", "success_probability", "iteration_success_rate", "seconds_per_iteration",
         "quality_spread", "bool max_iterations", "no heuristics", "repeated ids", "no instances",
         "bool instances", "bool nodes_min", "bool nodes_max", "bool success_probability",
         "node range", "interarrival", "time limit", "no equals sign", "empty key", "missing key",
         "empty heuristic list", "no instances to collect", "two universes collected",
-        "no folds", "two universes crossvalidated"])
+        "no folds", "two universes crossvalidated", "instance interarrival zero",
+        "instance interarrival negative", "instance without heuristics",
+        "instance repeated ids"])
 def test_simulator_rejections(make, message):
     with pytest.raises(InputError) as excinfo:
         make()
