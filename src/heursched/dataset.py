@@ -136,15 +136,15 @@ def check_row(heuristic: str, node: str, tau: int | None, executed: int,
         if tau > executed:
             raise InputError(f"iterations_to_solution ({tau}) exceeds iterations_executed "
                              f"({executed}) for ({heuristic}, {node})")
-    if duration is None:
-        return
+    if duration is not None:
+        check_duration(duration)
+
+
+def check_duration(duration: float) -> None:
+    """Reject a duration that is not a finite, nonnegative int or float."""
     if not isinstance(duration, (int, float)) or isinstance(duration, bool):
         raise InputError(f"duration_seconds must be a number, got {duration!r}")
-    try:
-        clear = math.isfinite(duration) and duration >= 0
-    except OverflowError:  # an int beyond the float range
-        clear = False
-    if not clear:
+    if not (finite(duration) and duration >= 0):
         raise InputError(f"duration_seconds must be finite and nonnegative, got {shown(duration)}")
 
 

@@ -28,9 +28,9 @@ def shown(value) -> str:
 
 
 def require_finite(value: float, what: str) -> None:
-    """Reject NaN, infinities and ints beyond the float range; a plain ``value <= 0``
-    check lets the first two through."""
-    if not finite(value):
+    """Reject a bool, a value that is not an int or float, NaN, infinities and ints
+    beyond the float range; a plain ``value <= 0`` check lets NaN and inf through."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not finite(value):
         raise InputError(f"{what} must be finite, got {shown(value)}")
 
 

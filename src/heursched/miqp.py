@@ -365,6 +365,8 @@ def _coerce_assignment(model: MiqpModel, assignment) -> tuple[list, list[str]]:
         if name not in assignment:
             raise InputError(f"assignment is missing variable {name!r}")
         value = assignment[name]
+        if type(value) is bool:  # an integer here: JSON's true and false for a binary
+            value = int(value)
         if type(value) is not int:  # exact ints, as schedule_assignment yields, are integral
             require_finite(value, f"value of {name}")
             rounded = round(value)

@@ -46,8 +46,9 @@ from dataclasses import dataclass
 from itertools import chain
 from random import _sha512  # what Random.seed hashes a str with; hashlib would load OpenSSL
 
-from .dataset import Dataset, check_count, check_row, content_lines, parse_int, validate_identifier
-from .errors import InputError, finite, require_finite, require_fraction, shown
+from .dataset import (Dataset, check_count, check_duration, content_lines, parse_int,
+                      validate_identifier)
+from .errors import InputError, require_finite, require_fraction
 from .greedy import GreedyOptions, build_schedule
 from .metrics import IncumbentTimeline, primal_integral, require_time_limit
 from .schedule import Schedule
@@ -187,20 +188,19 @@ class LatentOutcome:
         check_count(self.iterations, "iterations_executed")
         if self.succeeds != (self.quality is not None):
             raise InputError("a latent outcome has a quality exactly when it succeeds")
-        if self.quality is not None and (isinstance(self.quality, bool) or not (
-                isinstance(self.quality, (int, float)) and finite(self.quality))):
-            raise InputError(f"quality must be a finite number, got {shown(self.quality)}")
+        if self.quality is not None:
+            require_finite(self.quality, "quality")
 
 
 class OutcomeColumns(Mapping):
     """Read-only ``(node, heuristic) -> LatentOutcome`` view, node-major, of the lists
-    ``iterations[h]`` and ``qualities[h]`` indexed by node number (``numbers[node]``);
-    a quality of None marks a failure and an iteration count of None a missing pair."""
+    ``iterations[h]`` and ``qualities[h]`` indexed by node number (``numbers[node]``) of
+    ``nodes``; a quality of None marks a failure and an iteration count of None a missing pair."""
 
-    __slots__ = ("numbers", "iterations", "qualities")
+    __slots__ = ("nodes", "numbers", "iterations", "qualities")
 
     def __init__(self, nodes, iterations: dict, qualities: dict) -> None:
-        self.numbers = {node: number for number, node in enumerate(nodes)}
+        self.nodes, self.numbers = nodes, {node: number for number, node in enumerate(nodes)}
         self.iterations, self.qualities = iterations, qualities
 
     def __getitem__(self, pair) -> LatentOutcome:
@@ -220,8 +220,8 @@ class OutcomeColumns(Mapping):
 
 @dataclass(frozen=True)
 class SimInstance:
-    """One simulated search; a pure function of (configuration, seed).  Any other mapping given
-    as ``outcomes`` is checked and converted once to ``OutcomeColumns``, which are trusted."""
+    """One simulated search; a pure function of (configuration, seed).  Trusts ``OutcomeColumns``
+    made for its nodes and heuristics, and checks and converts any other ``outcomes`` once."""
 
     seed: int
     heuristics: tuple[HeuristicSpec, ...]
@@ -232,11 +232,14 @@ class SimInstance:
 
     def __post_init__(self) -> None:
         _check_family(self.heuristics, self.interarrival_seconds, self.optimum_value)
-        if not isinstance(self.outcomes, OutcomeColumns):
+        if not (isinstance(self.outcomes, OutcomeColumns) and self.outcomes.nodes is self.nodes
+                and self.outcomes.iterations.keys() == {spec.id for spec in self.heuristics}):
             for node in self.nodes:
                 validate_identifier(node, "node")
             if len(set(self.nodes)) < len(self.nodes):
                 raise InputError("node ids must be unique within an instance")
+            if not all(isinstance(o, LatentOutcome) for o in self.outcomes.values()):
+                raise InputError("latent outcomes must be LatentOutcome values")
             found = {spec.id: [self.outcomes.get((node, spec.id)) for node in self.nodes]
                      for spec in self.heuristics}
             iterations = {h: [o and o.iterations for o in found[h]] for h in found}
@@ -323,10 +326,8 @@ def _shadow_columns(inst: SimInstance) -> tuple:
         inst.outcome(inst.nodes[number], specs[k].id)  # raises: the pair has no outcome
     seconds = [{count: count * spec.seconds_per_iteration for count in set(needs)}
                for spec, needs in zip(specs, executed)]
-    for spec, needs, costs in zip(specs, executed, seconds):
-        if costs:  # a positive factor keeps the order: the largest count's duration is largest
-            most = max(costs)
-            check_row(spec.id, inst.nodes[needs.index(most)], None, most, costs[most])
+    for costs in seconds:  # a count's duration is finite or, where it overflows, inf
+        check_duration(max(costs.values(), default=0.0))
     taus = [[count if value is not None else None for count, value in zip(needs, values)]
             for needs, values in zip(executed, qualities)]
     durations = [list(map(costs.__getitem__, needs)) for costs, needs in zip(seconds, executed)]

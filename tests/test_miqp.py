@@ -153,6 +153,20 @@ def test_domain_violations_reported(worked):
     assert any(v.startswith("integrality[") for v in result.violations)
 
 
+def test_assignment_values_are_numbers_and_bools_are_integers(worked):
+    # a str used to raise a bare TypeError; a bool stays an integer, as JSON writes a binary
+    model = build_miqp(worked, 0.5)
+    a = schedule_assignment(model, Schedule((("h1", 1), ("h2", 3))))
+    name = next(name for name, value in a.items() if value in (0, 1))
+    expected = check_assignment(model, a)
+    a[name] = bool(a[name])
+    assert check_assignment(model, a) == expected
+    a[name] = "1"
+    with pytest.raises(InputError) as excinfo:
+        check_assignment(model, a)
+    assert str(excinfo.value) == f"value of {name} must be finite, got '1'"
+
+
 def test_render_sections_and_export(tmp_path, worked):
     model = build_miqp(worked, 0.5)
     text = model.render()

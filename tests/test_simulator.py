@@ -6,6 +6,7 @@ import math
 import os
 import random
 import statistics
+from collections import namedtuple
 
 import pytest
 from hypothesis import example, given, settings
@@ -205,16 +206,16 @@ def test_generated_instances_take_the_column_checks(monkeypatch):
     # node id, and per instance one duration per heuristic, its largest
     cfg = load_sim_config(PLANTED_CFG)
     expected = collect_shadow_dataset(generate_instance(cfg, seed) for seed in range(3))
-    calls, check_row = [], simulator.check_row
+    calls, check_duration = [], simulator.check_duration
 
     def counting(*args):
         calls.append(args)
-        check_row(*args)
+        check_duration(*args)
 
     def refuse(*args):
         raise AssertionError("a generated node id was checked again")
 
-    monkeypatch.setattr(simulator, "check_row", counting)
+    monkeypatch.setattr(simulator, "check_duration", counting)
     monkeypatch.setattr(simulator, "validate_identifier", refuse)
     assert collect_shadow_dataset(generate_instance(cfg, seed) for seed in range(3)) == expected
     assert len(calls) == 3 * len(cfg.heuristics)
@@ -280,15 +281,15 @@ def test_hand_given_instances_raise_the_first_error_in_node_order(nodes, missing
 
 @pytest.mark.parametrize("outcome, message", [
     ((True, "3", 101.0), "iterations_executed must be a positive integer, got '3'"),
-    ((True, 3, "101"), "quality must be a finite number, got '101'"),
+    ((True, 3, "101"), "quality must be finite, got '101'"),
     ((True, 0, 101.0), "iterations_executed must be a positive integer, got 0"),
     ((False, -5, None), "iterations_executed must be a positive integer, got -5"),
     ((False, 10 ** 400, None), "iterations_executed must be at most 2**53 = 9007199254740992"),
     ((False, True, None), "iterations_executed must be a positive integer, got True"),
-    ((True, 3, math.nan), "quality must be a finite number, got nan"),
-    ((True, 3, -math.inf), "quality must be a finite number, got -inf"),
-    ((True, 3, 10 ** 400), "quality must be a finite number, got an int beyond the float range"),
-    ((True, 3, False), "quality must be a finite number, got False"),
+    ((True, 3, math.nan), "quality must be finite, got nan"),
+    ((True, 3, -math.inf), "quality must be finite, got -inf"),
+    ((True, 3, 10 ** 400), "quality must be finite, got an int beyond the float range"),
+    ((True, 3, False), "quality must be finite, got False"),
 ], ids=["str count", "str quality", "zero count", "negative count", "count beyond 2**53",
         "bool count", "nan quality", "infinite quality", "int quality beyond floats",
         "bool quality"])
@@ -812,6 +813,15 @@ def test_config_sizes_beyond_the_limits_rejected(old, new, message):
 
 
 _SPEC = HeuristicSpec("h", "DIVING", 0.5, 0.5, 2, 0.1, 1.0, 1.0)
+# read like a LatentOutcome by attribute, but built without its checks
+_Lookalike = namedtuple("_Lookalike", "iterations quality")
+
+
+def _replaced_nodes(change) -> SimInstance:
+    """A generated instance whose node ids were replaced: its columns are no longer trusted."""
+    inst = generate_instance(_cfg(), 0)
+    return dataclasses.replace(inst, nodes=change(inst.nodes))
+
 _CFG_KEYS = "instances = 2\nnodes_min = 1\nnodes_max = 2\ninterarrival_seconds = 1\n"
 
 
@@ -863,6 +873,26 @@ _CFG_KEYS = "instances = 2\nnodes_min = 1\nnodes_max = 2\ninterarrival_seconds =
     (lambda: dataclasses.replace(generate_instance(_cfg(), 0),
                                  heuristics=_cfg().heuristics[:1] * 2),
      "heuristic ids must be unique"),
+    # a value that is not a LatentOutcome used to reach collection unchecked
+    (lambda: SimInstance(0, (_SPEC,), ("m", "n"), {("m", "h"): _Lookalike(0, None),
+                                                   ("n", "h"): LatentOutcome(False, 2, None)},
+                         0.5, 0.0),
+     "latent outcomes must be LatentOutcome values"),
+    # generated columns are trusted for the nodes and heuristics they were drawn for only
+    (lambda: _replaced_nodes(lambda nodes: ("a,b",) + nodes[1:]),
+     "invalid node identifier 'a,b': commas, newlines and a leading '#' are reserved"),
+    (lambda: _replaced_nodes(lambda nodes: nodes[:1] * 2 + nodes[2:]),
+     "node ids must be unique within an instance"),
+    (lambda: _replaced_nodes(lambda nodes: nodes[1:]),
+     "latent outcomes name a node or heuristic the instance lacks"),
+    (lambda: dataclasses.replace(generate_instance(_cfg(), 0), heuristics=(_SPEC,)),
+     "latent outcomes name a node or heuristic the instance lacks"),
+    # a bool or a str is not a finite number
+    (lambda: dataclasses.replace(_SPEC, seconds_per_iteration="0.1"),
+     "seconds_per_iteration must be finite, got '0.1'"),
+    (lambda: _cfg(interarrival_seconds=True), "interarrival_seconds must be finite, got True"),
+    (lambda: _one_node_instance(_SPEC, "n", LatentOutcome(False, 2, None), "0.5"),
+     "interarrival_seconds must be finite, got '0.5'"),
 ], ids=["class", "success_probability", "iteration_success_rate", "seconds_per_iteration",
         "quality_spread", "bool max_iterations", "no heuristics", "repeated ids", "no instances",
         "bool instances", "bool nodes_min", "bool nodes_max", "bool success_probability",
@@ -870,11 +900,21 @@ _CFG_KEYS = "instances = 2\nnodes_min = 1\nnodes_max = 2\ninterarrival_seconds =
         "empty heuristic list", "no instances to collect", "two universes collected",
         "no folds", "two universes crossvalidated", "instance interarrival zero",
         "instance interarrival negative", "instance without heuristics",
-        "instance repeated ids"])
+        "instance repeated ids", "instance lookalike outcome", "replaced node id",
+        "replaced repeated node", "replaced fewer nodes", "replaced heuristics", "str seconds",
+        "bool interarrival", "instance str interarrival"])
 def test_simulator_rejections(make, message):
     with pytest.raises(InputError) as excinfo:
         make()
     assert str(excinfo.value) == message
+
+
+def test_replaced_nodes_are_checked_and_converted():
+    inst = generate_instance(_cfg(), 0)
+    again = dataclasses.replace(inst, nodes=tuple(list(inst.nodes)))
+    assert again.nodes is not inst.nodes and again.outcomes is not inst.outcomes
+    assert again.outcomes == inst.outcomes
+    assert collect_shadow_dataset([again]) == collect_shadow_dataset([inst])
 
 
 def test_config_type_errors_name_the_expected_kind():
