@@ -16,6 +16,9 @@ independent ways:
   nonlinear form (min/max/indicator expressions evaluated directly);
 * ``check_linearized`` substitutes into the exported big-M linearization.
 
+``schedule_assignment`` takes each node's ``sN``, ``pmin`` and ``tN`` from the
+replay kernel at weight 1; the two checkers remain independent checks of it.
+
 Variable families (position ``0`` means "not in the schedule"):
 
 ==============  ======================================================
@@ -63,7 +66,7 @@ from .dataset import Dataset
 from .errors import InputError, require_finite, require_fraction
 from .miqp_columns import (CHUNK_ROWS, Families, Layout, MiqpVariable, PairTaus, Rows, Terms,
                            VariableRows, num, part_bounds, row_chunks, row_sums)
-from .schedule import Schedule
+from .schedule import Schedule, _replay, _steps
 
 _INTEGRALITY_TOL = 1e-9
 _BLOCK = 1 << 18  # bytes or characters per read when appending a worker's part
@@ -152,21 +155,24 @@ def build_miqp(d: Dataset, alpha: float) -> MiqpModel:
     return MiqpModel._built(
         heuristics=heuristics, nodes=nodes, alpha=alpha, tau=PairTaus(nodes, heuristics, taus),
         horizon=horizon, variables=variables,
-        objective=Terms(names, [1.0] * len(nodes), formulas.at.span(0, len(nodes)).tN),
+        objective=Terms(names, [1.0] * len(nodes), formulas.indices.tN),
         linear=Rows(names, linear), quadratic=Rows(names, quadratic))
 
 
 class _Formulas:
-    """What the rows are made from: the layout, the per-pair taus, the horizons,
-    alpha and each node's first solve row (one per pair with no tau, else two).
-    Each block's method makes its rows of nodes ``lo`` to ``hi``, or all of them."""
+    """What the rows are made from: the layout, its family-index table ``indices``
+    (each family's variable indices as a range), the per-pair taus, the horizons, alpha
+    and each node's first solve row (one per pair with no tau, else two).  Each
+    block's method makes its rows of nodes ``lo`` to ``hi``, or all of them."""
 
-    __slots__ = ("heuristics", "nodes", "taus", "horizon", "alpha", "at", "solve_starts")
+    __slots__ = ("heuristics", "nodes", "taus", "horizon", "alpha", "at", "indices",
+                 "solve_starts")
 
     def __init__(self, heuristics: tuple, nodes: tuple, taus: list, horizon: dict, alpha: float):
         self.heuristics, self.nodes, self.taus, self.horizon, self.alpha = (
             heuristics, nodes, taus, horizon, alpha)
         self.at = at = Layout(len(heuristics), len(nodes))
+        self.indices = at.split(range(at.size))
         self.solve_starts = list(accumulate(
             (2 * at.heuristics - run.count(None) for run in at.by_node(taus)), initial=0))
 
@@ -180,20 +186,22 @@ class _Formulas:
                 [(per_node(1), self.node_time)])
 
     def _part(self, lo: int, hi: int) -> tuple:  # nodes lo to hi: layout, indices, taus, keys
-        H, pairs = self.at.heuristics, Layout.pairs(self.nodes[lo:hi], self.heuristics)
-        return (Layout(H, hi - lo), self.at.span(lo, hi), self.taus[lo * H:hi * H],
-                [f"{n},{h}" for n, h in pairs])
+        H, N, whole = self.at.heuristics, self.at.nodes, self.indices
+        pairs = Layout.pairs(self.nodes[lo:hi], self.heuristics)
+        # all of x, t and p; of every other family, the run of nodes lo to hi
+        family = Families(*whole[:3], *(r[lo * len(r) // N:hi * len(r) // N] for r in whole[3:]))
+        return Layout(H, hi - lo), family, self.taus[lo * H:hi * H], [f"{n},{h}" for n, h in pairs]
 
     # each position holds at most one heuristic
     def capacity(self, lo: int, hi: int) -> tuple:
         H = self.at.heuristics
         return ([f"position_capacity[{p}]" for p in range(1, H + 1)], [H] * H, [1] * (H * H),
-                _flat(self.at.x_columns(self.at.span(0, 0).x)[1:]), ["<="] * H, [1] * H)
+                _flat(self.at.x_columns(self.indices.x)[1:]), ["<="] * H, [1] * H)
 
     # each heuristic gets one position; one outside the schedule gets budget zero
     def placement(self, lo: int, hi: int) -> tuple:
         H, heuristics, horizon, family = (self.at.heuristics, self.heuristics, self.horizon,
-                                          self.at.span(0, 0))
+                                          self.indices)
         XJ, T, P = self.at.x_rows(family.x), family.t, family.p
         tags = ("placement", "position_link", "budget_link")
         return ([f"{tag}[{h}]" for h in heuristics for tag in tags], [H + 1, H + 1, 2] * H,
@@ -230,7 +238,7 @@ class _Formulas:
 
     def coverage(self, lo: int, hi: int) -> tuple:
         N = self.at.nodes
-        return ["coverage"], [N], [1] * N, self.at.span(0, N).sN, [">="], [self.alpha * N]
+        return ["coverage"], [N], [1] * N, self.indices.sN, [">="], [self.alpha * N]
 
     # position of the first covering heuristic: pmin = min over h of
     # (position if h covers the node else the heuristic count)
@@ -461,7 +469,9 @@ def schedule_assignment(model: MiqpModel, schedule: Schedule) -> dict:
     Scheduled heuristics occupy positions 1..k in order; everything else
     sits at position 0 with budget 0.  Budgets above a heuristic's
     iteration horizon cannot be represented and are rejected.  Values are
-    named by their place in ``build_miqp``'s variable order.
+    named by their place in ``build_miqp``'s variable order.  Each node's
+    ``sN``, ``pmin`` and ``tN`` come from ``evaluate``'s replay kernel at weight
+    1; ``check_assignment`` and ``check_linearized`` remain independent checks.
     """
     heuristics = model.heuristics
     count = len(heuristics)
@@ -478,30 +488,24 @@ def schedule_assignment(model: MiqpModel, schedule: Schedule) -> dict:
         position[column[heuristic]] = index
         budget[column[heuristic]] = entry_budget
 
-    # family by family, per pair or per node: no container per node is kept
+    # family by family, per pair or per node, as flat lists; pmin and tN as replayed
     at = Layout(count, len(model.nodes))
     taus = model.tau.taus
+    steps = _steps(schedule.entries, {h: taus[column[h]::count] for h in schedule.heuristics},
+                   dict.fromkeys(heuristics, 1))
+    replays = [_replay(steps, number) for number in range(len(model.nodes))]
+    solved = [0 if p is None else 1 for p, _ in replays]
+    first = [count if p is None else p for p, _ in replays]
+    spent = [cost for _, cost in replays]
     positions = at.pair_heuristic(position)
     covered = [1 if (t_req is not None and b >= t_req) else 0
                for t_req, b in zip(taus, at.pair_heuristic(budget))]
-    solved = [1 if any(c_n) else 0 for c_n in at.by_node(covered)]
     terms = [p if c else count for p, c in zip(positions, covered)]
-    first = [min(m_n) for m_n in at.by_node(terms)]
     # the argmin selector takes the first minimal term
     picks = at.pair_node([m_n.index(least) for m_n, least in zip(at.by_node(terms), first)])
     firsts, solveds = at.pair_node(first), at.pair_node(solved)
     before = [1 if p < least else 0 for p, least in zip(positions, firsts)]
     at_first = [1 if p == least else 0 for p, least in zip(positions, firsts)]
-    unsolved_time = 1 + sum(budget)
-    spent = []
-    for solved_n, least, before_n, taus_n, covered_n in zip(
-            solved, first, at.by_node(before), at.by_node(taus), at.by_node(covered)):
-        if solved_n:  # the first covering heuristic at position pmin solves the node
-            solver_tau = next(t_req for t_req, c, p in zip(taus_n, covered_n, position)
-                              if c and p == least)
-            spent.append(sum(map(mul, before_n, budget)) + solver_tau)
-        else:
-            spent.append(unsolved_time)
     values = at.join(Families(
         at.x_of(position), budget, position, covered, solved, first, before, at_first, spent,
         terms, [1 if j == pick else 0 for j, pick in zip(at.pair_heuristic(range(count)), picks)],

@@ -85,12 +85,6 @@ class Layout:
         """Each family's values, out of a list in variable order."""
         return Families(*map(values.__getitem__, self.slices))
 
-    def span(self, lo: int, hi: int) -> Families:
-        """Each family's indices, as ranges: nodes ``lo`` to ``hi``'s, all of x, t and p."""
-        whole = self.split(range(self.size))
-        return Families(*whole[:3], *(r[lo * len(r) // self.nodes:hi * len(r) // self.nodes]
-                                      for r in whole[3:]))
-
     def join(self, lists: Families) -> list:
         """One list in variable order, out of each family's values."""
         values = [None] * self.size

@@ -13,7 +13,7 @@ import types
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import heursched
@@ -345,6 +345,13 @@ def datasets_with_schedules(draw):
 
 @settings(max_examples=200)
 @given(case=datasets_with_schedules(), alpha=st.sampled_from((0.0, 0.25, 0.5, 0.75, 1.0)))
+# N1 is first solved at the last position, H = 2, and N3 not at all: both have pmin = 2,
+# so only the replay, not pmin < H, tells which is solved; the objective is 3 + 1 + 4 = 8
+@example(case=(Dataset.from_observations([
+    Observation("h1", "N1", None, 2), Observation("h2", "N1", 2, 2),
+    Observation("h1", "N2", 1, 2), Observation("h2", "N2", None, 2),
+    Observation("h1", "N3", None, 2), Observation("h2", "N3", None, 2)]),
+    Schedule((("h1", 1), ("h2", 2)))), alpha=0.5)
 def test_schedule_assignments_pass_both_checkers(case, alpha):
     d, schedule = case
     model = build_miqp(d, alpha)
