@@ -61,11 +61,12 @@ from dataclasses import dataclass
 from functools import cached_property, partial
 from itertools import accumulate, chain
 from operator import add, mul
+from types import MappingProxyType
 
 from .dataset import Dataset
 from .errors import InputError, require_finite, require_fraction
-from .miqp_columns import (CHUNK_ROWS, Families, Layout, MiqpVariable, PairTaus, Rows, Terms,
-                           VariableRows, num, part_bounds, row_chunks, row_sums)
+from .miqp_columns import (CHUNK_ROWS, Families, Layout, MiqpVariable, Rows, Terms, VariableRows,
+                           num, part_bounds, row_chunks, row_sums)
 from .schedule import Schedule, _replay, _steps
 
 _INTEGRALITY_TOL = 1e-9
@@ -90,7 +91,6 @@ class MiqpModel:
     heuristics: tuple[str, ...]
     nodes: tuple[str, ...]
     alpha: float
-    tau: PairTaus  # reads as the (node, heuristic) -> tau dict
     horizon: dict
     variables: VariableRows  # each reads as a MiqpVariable
     objective: Terms  # reads as flat (coef, name, ...)
@@ -106,6 +106,12 @@ class MiqpModel:
         for name, value in fields.items():
             object.__setattr__(model, name, value)
         return model
+
+    @cached_property
+    def tau(self) -> MappingProxyType:
+        # read-only (node, heuristic) -> tau, made on first read from the dataset's own tuples
+        pairs = Layout.pairs(self.nodes, self.heuristics)
+        return MappingProxyType(dict(zip(pairs, _flat(zip(*self._tau_columns)))))
 
     @cached_property
     def _index(self) -> dict:
@@ -127,9 +133,9 @@ class MiqpModel:
 
 
 def _check_model_identifier(value: str, what: str) -> None:
-    if "[" in value or "]" in value or any(c.isspace() for c in value):
+    if any(c in "[]*" or c.isspace() for c in value):
         raise InputError(f"{what} identifier {value!r} cannot be used in model variable "
-                         "names: brackets and whitespace are reserved")
+                         "names: brackets, '*' and whitespace are reserved")
 
 
 def build_miqp(d: Dataset, alpha: float) -> MiqpModel:
@@ -146,35 +152,36 @@ def build_miqp(d: Dataset, alpha: float) -> MiqpModel:
 
     heuristics = d.heuristics
     nodes = d.nodes
-    columns = [d.tau_column(h).taus for h in heuristics]
-    taus = [column[i] for i in range(len(nodes)) for column in columns]  # in pair order
+    columns = tuple(d.tau_column(h).taus for h in heuristics)  # the dataset's own, shared
     horizon = {h: max(filter(None, column), default=0) for h, column in zip(heuristics, columns)}
     variables = VariableRows.declare(heuristics, nodes, horizon)
-    formulas = _Formulas(heuristics, nodes, taus, horizon, alpha)
+    formulas = _Formulas(heuristics, nodes, columns, horizon, alpha)
     names, (linear, quadratic) = variables.names, formulas.blocks()
     return MiqpModel._built(
-        heuristics=heuristics, nodes=nodes, alpha=alpha, tau=PairTaus(nodes, heuristics, taus),
-        horizon=horizon, variables=variables,
+        heuristics=heuristics, nodes=nodes, alpha=alpha, horizon=horizon, _tau_columns=columns,
+        variables=variables,
         objective=Terms(names, [1.0] * len(nodes), formulas.indices.tN),
         linear=Rows(names, linear), quadratic=Rows(names, quadratic))
 
 
 class _Formulas:
     """What the rows are made from: the layout, its family-index table ``indices``
-    (each family's variable indices as a range), the per-pair taus, the horizons, alpha
-    and each node's first solve row (one per pair with no tau, else two).  Each
-    block's method makes its rows of nodes ``lo`` to ``hi``, or all of them."""
+    (each family's variable indices as a range), the dataset's tau column of each
+    heuristic, the horizons, alpha and each node's first solve row (one per pair with
+    no tau, else two).  Each block's method makes its rows of nodes ``lo`` to ``hi``,
+    or all of them."""
 
-    __slots__ = ("heuristics", "nodes", "taus", "horizon", "alpha", "at", "indices",
+    __slots__ = ("heuristics", "nodes", "columns", "horizon", "alpha", "at", "indices",
                  "solve_starts")
 
-    def __init__(self, heuristics: tuple, nodes: tuple, taus: list, horizon: dict, alpha: float):
-        self.heuristics, self.nodes, self.taus, self.horizon, self.alpha = (
-            heuristics, nodes, taus, horizon, alpha)
+    def __init__(self, heuristics: tuple, nodes: tuple, columns: tuple, horizon: dict,
+                 alpha: float):
+        self.heuristics, self.nodes, self.columns, self.horizon, self.alpha = (
+            heuristics, nodes, columns, horizon, alpha)
         self.at = at = Layout(len(heuristics), len(nodes))
         self.indices = at.split(range(at.size))
         self.solve_starts = list(accumulate(
-            (2 * at.heuristics - run.count(None) for run in at.by_node(taus)), initial=0))
+            (2 * at.heuristics - run.count(None) for run in zip(*columns)), initial=0))
 
     def blocks(self) -> tuple[list, list]:  # linear and quadratic, in row order
         H, N = self.at.heuristics, self.at.nodes
@@ -190,7 +197,8 @@ class _Formulas:
         pairs = Layout.pairs(self.nodes[lo:hi], self.heuristics)
         # all of x, t and p; of every other family, the run of nodes lo to hi
         family = Families(*whole[:3], *(r[lo * len(r) // N:hi * len(r) // N] for r in whole[3:]))
-        return Layout(H, hi - lo), family, self.taus[lo * H:hi * H], [f"{n},{h}" for n, h in pairs]
+        taus = list(_flat(zip(*[column[lo:hi] for column in self.columns])))  # in pair order
+        return Layout(H, hi - lo), family, taus, map(",".join, pairs)  # keys made when read
 
     # each position holds at most one heuristic
     def capacity(self, lo: int, hi: int) -> tuple:
@@ -231,7 +239,7 @@ class _Formulas:
         part, family, _, keys = self._part(lo, hi)
         H, count, SN, S = part.heuristics, part.nodes, family.sN, family.s
         return (_flat([f"node_solved_ub[{n}]", *[f"node_solved_lb[{key}]" for key in run]]
-                      for n, run in zip(self.nodes[lo:hi], part.by_node(keys))),
+                      for n, run in zip(self.nodes[lo:hi], part.by_node(list(keys)))),
                 ([H + 1] + [2] * H) * count, ([1] + [-1] * H + [1, -1] * H) * count,
                 part.node_major(SN, S, list(_flat(zip(part.pair_node(SN), S)))),
                 (["<="] + [">="] * H) * count, [0] * (count * (H + 1)))
@@ -250,7 +258,7 @@ class _Formulas:
                 "first_position_lb")
         return (_flat([*[f"{tag}[{key}]" for key in run for tag in tags],
                        f"first_position_pick[{n}]"]
-                      for n, run in zip(self.nodes[lo:hi], part.by_node(keys))),
+                      for n, run in zip(self.nodes[lo:hi], part.by_node(list(keys)))),
                 ([3, 3, 2, 2, 3] * H + [H]) * count,
                 ([1, -1, -H, 1, -1, H, 1, H, 1, -1, 1, -1, -H] * H + [1] * H) * count,
                 part.node_major(list(_flat(zip(M, Pj, S, M, Pj, S, M, S, PMINi, M, PMINi, M, Y))),
@@ -260,8 +268,8 @@ class _Formulas:
 
     # strict order indicators around pmin: z before, w after, f exactly at
     def order(self, lo: int, hi: int) -> tuple:
-        part, family, _, keys = self._part(lo, hi)
-        H, pairs, Z, W = part.heuristics, len(keys), family.z, family.w
+        part, family, taus, keys = self._part(lo, hi)
+        H, pairs, Z, W = part.heuristics, len(taus), family.z, family.w
         Pj, PMINi = part.pair_heuristic(family.p), part.pair_node(family.pmin)
         tags = ("before_first_ub", "before_first_lb", "after_first_ub", "after_first_lb",
                 "first_solver_def")
@@ -272,8 +280,8 @@ class _Formulas:
 
     # products with the node-solved flag, used by the node-time constraint
     def products(self, lo: int, hi: int) -> tuple:
-        part, family, _, keys = self._part(lo, hi)
-        pairs, U, V, Z, F = len(keys), family.u, family.v, family.z, family.f
+        part, family, taus, keys = self._part(lo, hi)
+        pairs, U, V, Z, F = len(taus), family.u, family.v, family.z, family.f
         SNi = part.pair_node(family.sN)
         tags = [f"{tag}_{bound}" for tag in ("solved_and_before", "solved_and_first")
                 for bound in ("ub1", "ub2", "lb")]
@@ -398,7 +406,7 @@ def check_assignment(model: MiqpModel, assignment) -> CheckResult:
     """
     values, violations = _coerce_assignment(model, assignment)
     report = violations.append
-    heuristics, nodes, taus = model.heuristics, model.nodes, model.tau.taus
+    heuristics, nodes, columns = model.heuristics, model.nodes, model._tau_columns
     count = len(heuristics)
     at = Layout(count, len(nodes))
     v = at.split(values)
@@ -416,7 +424,7 @@ def check_assignment(model: MiqpModel, assignment) -> CheckResult:
         if model.horizon[h] * (1 - placed[0]) < t_h:
             report(f"budget_link[{h}]")
 
-    for n, s_n, taus_n in zip(nodes, at.by_node(s), at.by_node(taus)):
+    for n, s_n, taus_n in zip(nodes, at.by_node(s), zip(*columns)):
         for h, t_h, s_nh, t_req in zip(heuristics, t, s_n, taus_n):
             if s_nh != (0 if t_req is None else max(0, min(1, t_h - t_req + 1))):
                 report(f"solve_indicator[{n},{h}]")
@@ -440,7 +448,7 @@ def check_assignment(model: MiqpModel, assignment) -> CheckResult:
 
     unsolved_time = 1 + sum(t_h * sum(placed) for t_h, placed in zip(t, placements))
     for n, z_n, f_n, solved, spent, taus_n in zip(nodes, at.by_node(z), at.by_node(f), sN, tN,
-                                                   at.by_node(taus)):
+                                                   zip(*columns)):
         expected = unsolved_time
         if solved == 1:
             solver_time = math.inf
@@ -490,16 +498,15 @@ def schedule_assignment(model: MiqpModel, schedule: Schedule) -> dict:
 
     # family by family, per pair or per node, as flat lists; pmin and tN as replayed
     at = Layout(count, len(model.nodes))
-    taus = model.tau.taus
-    steps = _steps(schedule.entries, {h: taus[column[h]::count] for h in schedule.heuristics},
-                   dict.fromkeys(heuristics, 1))
+    columns = model._tau_columns
+    steps = _steps(schedule.entries, dict(zip(heuristics, columns)), dict.fromkeys(heuristics, 1))
     replays = [_replay(steps, number) for number in range(len(model.nodes))]
     solved = [0 if p is None else 1 for p, _ in replays]
     first = [count if p is None else p for p, _ in replays]
     spent = [cost for _, cost in replays]
     positions = at.pair_heuristic(position)
     covered = [1 if (t_req is not None and b >= t_req) else 0
-               for t_req, b in zip(taus, at.pair_heuristic(budget))]
+               for taus_n in zip(*columns) for t_req, b in zip(taus_n, budget)]
     terms = [p if c else count for p, c in zip(positions, covered)]
     # the argmin selector takes the first minimal term
     picks = at.pair_node([m_n.index(least) for m_n, least in zip(at.by_node(terms), first)])

@@ -5,8 +5,7 @@ slice of it (``Families`` holds one item per family), and how per-heuristic,
 per-node and per-pair lists line up with those slices.  ``VariableRows`` are
 the columns ``names`` and ``attributes``, each variable's ``(kind, lower,
 upper, family)`` record, one shared tuple for all variables of equal records.
-``PairTaus`` reads the per-pair tau list as a ``(node, heuristic)`` mapping,
-and ``Terms``, the objective, are ``coefs`` and ``vars``.
+``Terms``, the objective, are ``coefs`` and ``vars``.
 
 No row is held.  ``Rows`` are blocks in row order, one per constraint family:
 ``(starts, make)``, where ``starts`` holds each unit's first row within the
@@ -37,7 +36,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from collections import namedtuple
-from collections.abc import Mapping, Sequence
+from collections.abc import Sequence
 from functools import lru_cache
 from itertools import accumulate, chain, islice, product
 from numbers import Integral
@@ -76,10 +75,6 @@ class Layout:
     def pairs(nodes, heuristics):
         """The ``(node, heuristic)`` pairs in pair order, one at a time."""
         return product(nodes, heuristics)
-
-    def positions(self, heuristics):
-        """The ``(heuristic, position)`` of each ``x`` variable in order, one at a time."""
-        return ((h, p) for h in heuristics for p in range(self.heuristics + 1))
 
     def split(self, values: Sequence) -> Families:
         """Each family's values, out of a list in variable order."""
@@ -146,20 +141,6 @@ class _Columns(Sequence):
         return type(other) is type(self) and len(other) == len(self) and all(map(eq, self, other))
 
 
-def variable_names(heuristics, nodes) -> list:
-    """The name of every variable of the model, in variable order."""
-    at = Layout(len(heuristics), len(nodes))
-    pairs = [f"[{n}][{h}]" for n, h in at.pairs(nodes, heuristics)]
-    return at.join(Families(
-        [f"x[{h}][{p}]" for h, p in at.positions(heuristics)],
-        *([f"{family}[{h}]" for h in heuristics] for family in "tp"),
-        ["s" + pair for pair in pairs],
-        *([f"{family}[{n}]" for n in nodes] for family in ("sN", "pmin")),
-        *([family + pair for pair in pairs] for family in "zf"),
-        [f"tN[{n}]" for n in nodes],
-        *([family + pair for pair in pairs] for family in "mywuv")))
-
-
 class VariableRows(_Columns):
     """Variables, each read as a ``MiqpVariable``."""
 
@@ -186,38 +167,22 @@ class VariableRows(_Columns):
         sizes = map(len, at.split(range(at.size)))
         attributes = at.join(Families(*([record] * size for record, size in zip(records, sizes))))
         attributes[at.slices.t] = [budgets[horizon[h]] for h in heuristics]
-        return cls(variable_names(heuristics, nodes), attributes)
+        pairs = [f"[{n}][{h}]" for n, h in at.pairs(nodes, heuristics)]
+        names = at.join(Families(
+            [f"x[{h}][{p}]" for h in heuristics for p in range(H + 1)],
+            *([f"{family}[{h}]" for h in heuristics] for family in "tp"),
+            ["s" + pair for pair in pairs],
+            *([f"{family}[{n}]" for n in nodes] for family in ("sN", "pmin")),
+            *([family + pair for pair in pairs] for family in "zf"),
+            [f"tN[{n}]" for n in nodes],
+            *([family + pair for pair in pairs] for family in "mywuv")))
+        return cls(names, attributes)
 
     def __len__(self) -> int:
         return len(self.names)
 
     def _item(self, k: int) -> MiqpVariable:
         return MiqpVariable(self.names[k], *self.attributes[k])
-
-
-class PairTaus(Mapping):
-    """Read-only ``(node, heuristic) -> tau`` view of ``taus``, the per-pair tau
-    list in pair order (None where the heuristic does not solve the node)."""
-
-    __slots__ = ("nodes", "heuristics", "taus")
-
-    def __init__(self, nodes, heuristics, taus: list) -> None:
-        self.nodes = {node: number for number, node in enumerate(nodes)}
-        self.heuristics = {h: number for number, h in enumerate(heuristics)}
-        self.taus = taus
-
-    def __getitem__(self, pair):
-        try:
-            node, heuristic = pair
-            return self.taus[self.nodes[node] * len(self.heuristics) + self.heuristics[heuristic]]
-        except (KeyError, TypeError, ValueError):
-            raise KeyError(pair) from None
-
-    def __iter__(self):
-        return Layout.pairs(self.nodes, self.heuristics)
-
-    def __len__(self) -> int:
-        return len(self.taus)
 
 
 def row_sums(lengths, coefs, values: list, *factors) -> list:

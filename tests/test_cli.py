@@ -594,6 +594,8 @@ def test_non_finite_timeline_row_names_its_line(tmp_path, capsys, row, column):
 
 @pytest.mark.parametrize("data, alpha", [
     (WORKED_CSV.replace("N1", "N[1]"), "0.5"),  # brackets are reserved in model names
+    (WORKED_CSV.replace("N1", "N*1"), "0.5"),  # so is the product operator
+    (WORKED_CSV.replace("h1", "h*1"), "0.5"),
     (WORKED_CSV, "1.5"),
 ])
 def test_rejected_export_writes_no_files(tmp_path, capsys, data, alpha):

@@ -406,7 +406,7 @@ def test_model_storage_is_a_fixed_set_of_flat_lists():
         # one per family, with one per distinct horizon in place of t's
         records = {id(record): record for record in attributes}.values()
         assert len(records) <= 13 + len(m.heuristics)
-        assert not any(gc.is_tracked(item) for column in (names, m.tau.taus, records)
+        assert not any(gc.is_tracked(item) for column in (names, *m._tau_columns, records)
                        for item in column)
     assert small.variable("t[h1]").upper == small.horizon["h1"]
 
@@ -612,10 +612,16 @@ def test_rows_read_back_with_names(worked):
     assert tuple(model.objective) == (1.0, "tN[N1]", 1.0, "tN[N2]", 1.0, "tN[N3]")
     # models compare by what they read back: another build of the same input is equal
     assert build_miqp(worked, 0.5) == model != build_miqp(worked, 0.4)
+    # the model holds the dataset's own tau columns, and makes the tau mapping when read
+    assert [*map(id, model._tau_columns)] == [id(worked.tau_column(h).taus)
+                                              for h in worked.heuristics]
+    assert "tau" not in vars(model)
     assert model.tau == {(n, h): worked.iterations_to_solution(h, n)
                          for n in worked.nodes for h in worked.heuristics}
     with pytest.raises(KeyError):
         model.tau[("N9", "h1")]
+    with pytest.raises(TypeError):
+        model.tau[("N1", "h1")] = 1
 
 
 def test_rows_across_chunk_boundaries():
